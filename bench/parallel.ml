@@ -14,13 +14,13 @@
 
     Shard counts come from NEWTON_BENCH_JOBS (the maximum; powers of
     two up to it are measured, default 8).  The trace defaults to
-    ~2.2M packets (NEWTON_BENCH_FLOWS = 100000 flows at ~22 packets per
-    flow); CI and the perf gate run this default.  Results are written
-    as a JSON artifact — out/bench_parallel.json, or the path in
-    NEWTON_BENCH_JSON — which bench/compare.ml diffs against
-    bench/baselines/parallel.json.  On a single-core host the speedup
-    is the compiled-arena path's per-packet win over the interpreter;
-    with real cores the domain fan-out adds on top of it. *)
+    ~2.1M packets (NEWTON_BENCH_FLOWS = 150000 flows); CI and the perf
+    gate run this default.  Results are written as a JSON artifact —
+    out/bench_parallel.json, or the path in NEWTON_BENCH_JSON — which
+    bench/compare.ml diffs against bench/baselines/parallel.json.  The
+    sequential row and every shard run the engine's one compiled step,
+    so the speedup is the domain fan-out net of the arena build: about
+    1x on a single core, growing with real cores. *)
 
 let getenv_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
@@ -79,8 +79,8 @@ let run () =
      recycles them across configurations once the full_major below has
      collected the previous set). *)
   ignore (Sys.opaque_identity (Newton_runtime.Arena.build1 packets));
-  (* Sequential baseline: the plain per-switch engine, per-packet
-     interpreter path. *)
+  (* Sequential baseline: the plain per-switch engine, driven one
+     packet at a time. *)
   let seq = Newton_runtime.Engine.create ~switch_id:0 () in
   install_all seq;
   Gc.full_major ();

@@ -98,18 +98,6 @@ let lookup t keys =
       Some r.action
   | None -> None
 
-(** All matching rules' actions in priority order — used by classifiers
-    that dispatch one packet to several chained queries. *)
-let lookup_all t keys =
-  if Array.length keys <> t.key_width then
-    invalid_arg
-      (Printf.sprintf "Table.lookup_all(%s): expected %d keys, got %d" t.name
-         t.key_width (Array.length keys));
-  t.lookups <- t.lookups + 1;
-  let actions = List.filter_map (fun r -> if rule_matches r keys then Some r.action else None) t.rules in
-  if actions <> [] then t.hits <- t.hits + 1;
-  actions
-
 let iter_rules f t = List.iter f t.rules
 let rules t = t.rules
 

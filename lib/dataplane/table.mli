@@ -48,10 +48,6 @@ val clear : 'a t -> unit
     @raise Invalid_argument on a key-arity mismatch. *)
 val lookup : 'a t -> int array -> 'a option
 
-(** All matching rules' actions, priority order.
-    @raise Invalid_argument on a key-arity mismatch. *)
-val lookup_all : 'a t -> int array -> 'a list
-
 val iter_rules : ('a rule -> unit) -> 'a t -> unit
 val rules : 'a t -> 'a rule list
 

@@ -31,10 +31,14 @@ let create () =
     stopped = false;
   }
 
+(* In place: the engine resets a scratch context per packet. *)
 let reset t =
-  t.op_keys <- [| [||]; [||] |];
-  t.hash <- [| 0; 0 |];
-  t.state <- [| 0; 0 |];
+  t.op_keys.(0) <- [||];
+  t.op_keys.(1) <- [||];
+  t.hash.(0) <- 0;
+  t.hash.(1) <- 0;
+  t.state.(0) <- 0;
+  t.state.(1) <- 0;
   t.g1 <- 0;
   t.g2 <- 0;
   t.stopped <- false

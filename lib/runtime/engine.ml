@@ -22,31 +22,13 @@ open Newton_telemetry
 
 type array_key = int * int * int (* branch, prim, suite *)
 
-type instance = {
-  uid : int;                       (** controller-assigned install id *)
-  compiled : Compose.t;
-  stage_lo : int;                  (** slice bounds, inclusive *)
-  stage_hi : int;
-  slots : Ir.slot list array;      (** hosted slots per branch, chain order *)
-  arrays : (array_key, Register_array.t) Hashtbl.t;
-  reported : (int * int array, unit) Hashtbl.t; (** (window, keys) dedup *)
-  mutable rules : int;             (** table entries this slice holds *)
-  mutable window_index : int;      (** this instance's current window *)
-}
+(* ---------------- compiled slots ----------------
 
-(* ---------------- compiled flat-arena program ----------------
-
-   The per-packet interpreter above ([process_packet]) pattern-matches
-   IR slots, allocates a context and key projections per packet, and
-   resolves register arrays through a Hashtbl on every S execution.
-   For arena replay ([process_flat]) each installed instance is
-   compiled once into a flat program: key fields become dense indices
-   with reusable scratch buffers, register arrays become direct
-   references, constant ALUs are prebuilt, and branch classifiers
-   become (index, value, mask) triples over the arena's word buffer.
-   The program is a pure acceleration of the interpreter — observable
-   state (reports, arrays, counters) evolves identically, which the
-   differential tests assert. *)
+   [install] compiles each hosted IR slot once: key fields become dense
+   indices into a packet's field words with a reusable projection
+   buffer, register arrays become direct references, constant ALUs are
+   prebuilt, and each branch's newton_init entry becomes (index, value,
+   mask) triples.  Every driver below runs this one program. *)
 
 type cslot =
   | C_key of {
@@ -82,14 +64,32 @@ type cbranch = {
   cb_slots : cslot array;
 }
 
-type cinst = {
-  ci : instance;
-  ci_window_len : float;
-  ci_query_id : int;
-  ci_pair : bool;            (* combine op is Pair: reports carry g2 *)
-  ci_branches : cbranch array;
-  ci_ctx : Ctx.t;            (* branch-0 scratch context *)
-  ci_bctx : Ctx.t;           (* scratch for branches > 0 *)
+type instance = {
+  uid : int;                       (** controller-assigned install id *)
+  compiled : Compose.t;
+  stage_lo : int;                  (** slice bounds, inclusive *)
+  stage_hi : int;
+  slots : Ir.slot list array;      (** hosted slots per branch, chain order *)
+  arrays : (array_key, Register_array.t) Hashtbl.t;
+  reported : (int * int array, unit) Hashtbl.t; (** (window, keys) dedup *)
+  mutable rules : int;             (** table entries this slice holds *)
+  mutable window_index : int;      (** this instance's current window *)
+  branches : cbranch array;        (** [slots], compiled *)
+  ctx0 : Ctx.t;                    (** branch-0 scratch (device-level) *)
+  bctx : Ctx.t;                    (** scratch for branches > 0 *)
+}
+
+(* Counter events of one driver call, folded into the sink at its end. *)
+type tally = {
+  mutable hits_k : int;
+  mutable hits_h : int;
+  mutable hits_s : int;
+  mutable hits_r : int;
+  mutable guard_stops : int;
+  mutable emitted : int;
+  mutable deduped : int;
+  mutable dropped : int;
+  mutable rolls : int;
 }
 
 type t = {
@@ -106,10 +106,13 @@ type t = {
   (* Telemetry sink: every event below is one [Stats.bump] away;
      [Stats.null] turns the whole layer into a single branch. *)
   mutable sink : Stats.sink;
+  tally : tally;
   mutable instances : instance list;
   (* newton_init: ternary match over the 5-tuple + TCP flags (§4.1
      "Concurrency"), dispatching packets to instance/branch chains.
-     Bounded like any hardware table. *)
+     Bounded like any hardware table: it models the classifier's
+     capacity and size, while each instance's compiled branches carry
+     the match itself. *)
   init_table : (int * int) Newton_dataplane.Table.t; (* (uid, branch) *)
   (* table entries per physical module cell (stage, kind, set); each
      cell is one hardware table of [Module_cost.rules_per_module]
@@ -119,8 +122,7 @@ type t = {
   mutable report_count : int;
   mutable packets_seen : int;
   mutable next_uid : int;
-  (* Compiled arena program, rebuilt lazily after install/remove. *)
-  mutable cprog : cinst array option;
+  one : Flat.t; (* 1-slot arena the per-packet drivers run from *)
 }
 
 (** Raised when a module table cannot accept another query's rule; the
@@ -136,6 +138,9 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     window_drops = 0;
     dropped_reports = 0;
     sink;
+    tally =
+      { hits_k = 0; hits_h = 0; hits_s = 0; hits_r = 0; guard_stops = 0;
+        emitted = 0; deduped = 0; dropped = 0; rolls = 0 };
     instances = [];
     init_table =
       Newton_dataplane.Table.create ~capacity:1024 ~name:"newton_init"
@@ -145,7 +150,7 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     report_count = 0;
     packets_seen = 0;
     next_uid = 1;
-    cprog = None;
+    one = Flat.create 1;
   }
 
 let switch_id t = t.switch_id
@@ -190,6 +195,59 @@ let instance_arrays i =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let instance_array i key = Hashtbl.find_opt i.arrays key
+
+(* ---------------- slot compilation ---------------- *)
+
+let compile_slot arrays (s : Ir.slot) =
+  let m = s.Ir.meta in
+  let own_array () = Hashtbl.find arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
+  match s.Ir.cfg with
+  | Ir.K_cfg keys ->
+      let fidx =
+        Array.of_list (List.map (fun (k : Ast.key) -> Field.index k.Ast.field) keys)
+      in
+      let masks = Array.of_list (List.map (fun (k : Ast.key) -> k.Ast.mask) keys) in
+      C_key
+        { ck_meta = m; ck_fidx = fidx; ck_masks = masks;
+          ck_buf = Array.make (Array.length fidx) 0 }
+  | Ir.H_cfg { mode = `Direct; _ } -> C_hash_direct { chd_meta = m }
+  | Ir.H_cfg { mode = `Hash seed; range } ->
+      C_hash { ch_meta = m; ch_seed = seed; ch_range = range }
+  | Ir.S_cfg { op; _ } -> (
+      match op with
+      | Ir.S_pass -> C_s_pass { csp_meta = m }
+      | Ir.S_bf ->
+          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Or 1 }
+      | Ir.S_cm (Ir.Const k) ->
+          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Add k }
+      | Ir.S_cm (Ir.Field_val f) ->
+          C_s_add_field
+            { caf_meta = m; caf_arr = own_array (); caf_fidx = Field.index f }
+      | Ir.S_max (Ir.Const k) ->
+          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Max k }
+      | Ir.S_max (Ir.Field_val f) ->
+          C_s_max_field
+            { cmf_meta = m; cmf_arr = own_array (); cmf_fidx = Field.index f }
+      | Ir.S_read { ar_branch; ar_prim; ar_suite } ->
+          (* Reads the sibling branch's array when hosted locally; a
+             remote array (CQE slicing) reads as 0 and the analyzer
+             refines — the state-dispersion limitation of §7. *)
+          C_s_read
+            { csr_meta = m;
+              csr_arr = Hashtbl.find_opt arrays (ar_branch, ar_prim, ar_suite) })
+  | Ir.R_cfg { merge; guard; report; combine } ->
+      C_r
+        { cr_meta = m; cr_merge = merge; cr_combine = combine; cr_guard = guard;
+          cr_report = report }
+
+let compile_branch arrays (entry : Ir.init_entry) slots =
+  let ms = Array.of_list entry.Ir.ie_matches in
+  {
+    cbm_fidx = Array.map (fun (f, _, _) -> Field.index f) ms;
+    cbm_value = Array.map (fun (_, v, _) -> v) ms;
+    cbm_mask = Array.map (fun (_, _, m) -> m) ms;
+    cb_slots = Array.of_list (List.map (compile_slot arrays) slots);
+  }
 
 (** Install a slice [stage_lo, stage_hi] of a compiled query.  Returns
     the instance uid and the number of table entries installed (module
@@ -350,10 +408,15 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
       reported = Hashtbl.create 64;
       rules = nrules;
       window_index = 0;
+      branches =
+        Array.mapi
+          (fun b -> compile_branch arrays compiled.Compose.init_entries.(b))
+          slots;
+      ctx0 = Ctx.create ();
+      bctx = Ctx.create ();
     }
   in
   t.instances <- t.instances @ [ inst ];
-  t.cprog <- None;
   (uid, nrules)
 
 (** Remove an instance; returns how many table entries were freed, or
@@ -363,7 +426,6 @@ let remove t uid =
   | None -> None
   | Some inst ->
       t.instances <- List.filter (fun i -> i.uid <> uid) t.instances;
-      t.cprog <- None;
       (* release the module-cell rules and the newton_init entries *)
       Array.iter
         (List.iter (fun s ->
@@ -391,18 +453,7 @@ let cell_usage t =
   Hashtbl.fold (fun cell used acc -> (cell, used) :: acc) t.cell_rules []
   |> List.sort compare
 
-(* ---------------- newton_init classification ---------------- *)
-
-let init_entry_matches pkt (e : Ir.init_entry) =
-  List.for_all
-    (fun (field, value, mask) -> Packet.get pkt field land mask = value)
-    e.Ir.ie_matches
-
-(* ---------------- slot execution ---------------- *)
-
-let project pkt keys =
-  Array.of_list
-    (List.map (fun (k : Ast.key) -> Packet.get pkt k.Ast.field land k.Ast.mask) keys)
+(* ---------------- slot arithmetic ---------------- *)
 
 (* Direct-mode hash: single key passes through, several keys pack with
    the same formula the compiler used for the expected constant. *)
@@ -420,95 +471,26 @@ let merge_value op acc v =
   | Ir.M_add -> acc + v
   | Ir.M_sub -> max 0 (acc - v)
 
-(* The telemetry counter of a slot-kind execution. *)
-let hit_key = function
-  | Newton_dataplane.Module_cost.K -> Stats.Module_hits_k
-  | Newton_dataplane.Module_cost.H -> Stats.Module_hits_h
-  | Newton_dataplane.Module_cost.S -> Stats.Module_hits_s
-  | Newton_dataplane.Module_cost.R -> Stats.Module_hits_r
-
-let exec_slot inst (ctx : Ctx.t) pkt (s : Ir.slot) =
-  let m = s.Ir.meta in
-  match s.Ir.cfg with
-  | Ir.K_cfg keys -> ctx.op_keys.(m) <- project pkt keys
-  | Ir.H_cfg { mode; range } ->
-      let keys = ctx.op_keys.(m) in
-      let v =
-        match mode with
-        | `Direct -> direct_value keys
-        | `Hash seed -> Hash.hash_vector ~seed keys mod range
-      in
-      ctx.hash.(m) <- v
-  | Ir.S_cfg { op; _ } -> (
-      let idx = ctx.hash.(m) in
-      match op with
-      | Ir.S_pass -> ctx.state.(m) <- idx
-      | Ir.S_bf ->
-          let arr = Hashtbl.find inst.arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
-          ctx.state.(m) <- Register_array.exec arr (Alu.Or 1) idx
-      | Ir.S_cm src ->
-          let v =
-            match src with Ir.Const k -> k | Ir.Field_val f -> Packet.get pkt f
-          in
-          let arr = Hashtbl.find inst.arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
-          ctx.state.(m) <- Register_array.exec arr (Alu.Add v) idx
-      | Ir.S_max src ->
-          let v =
-            match src with Ir.Const k -> k | Ir.Field_val f -> Packet.get pkt f
-          in
-          let arr = Hashtbl.find inst.arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
-          ctx.state.(m) <- Register_array.exec arr (Alu.Max v) idx
-      | Ir.S_read { ar_branch; ar_prim; ar_suite } -> (
-          (* Reads the sibling branch's array when hosted locally; a
-             remote array (CQE slicing) reads as 0 and the analyzer
-             refines — the state-dispersion limitation of §7. *)
-          match Hashtbl.find_opt inst.arrays (ar_branch, ar_prim, ar_suite) with
-          | Some arr -> ctx.state.(m) <- Register_array.get arr idx
-          | None -> ctx.state.(m) <- 0))
-  | Ir.R_cfg { merge; guard; report; combine } ->
-      (match merge with
-      | Some (acc, op) -> (
-          let v = ctx.state.(m) in
-          match acc with
-          | Ir.G1 -> ctx.g1 <- merge_value op ctx.g1 v
-          | Ir.G2 -> ctx.g2 <- merge_value op ctx.g2 v)
-      | None -> ());
-      (match combine with
-      | Some op -> ctx.g1 <- merge_value op ctx.g1 ctx.g2
-      | None -> ());
-      let passes =
-        match guard with
-        | None -> true
-        | Some (target, op, value) ->
-            let v =
-              match target with
-              | Ir.On_state -> ctx.state.(m)
-              | Ir.On_g1 -> ctx.g1
-              | Ir.On_g2 -> ctx.g2
-            in
-            Ast.cmp_holds op v value
-      in
-      ignore report;
-      if not passes then ctx.stopped <- true
-
-(* Whether an R slot requests a report (used after a non-stopped pass). *)
-let slot_reports (s : Ir.slot) =
-  match s.Ir.cfg with Ir.R_cfg { report; _ } -> report | _ -> false
-
 (* ---------------- windowing ---------------- *)
 
 (* Each instance keeps its own window clock: concurrent queries may use
    different window lengths (Ast.window). *)
+let window_of inst now = int_of_float (now /. inst.compiled.Compose.query.Ast.window)
+
+(* Move [inst] to window [w], clearing its sketch state and report
+   dedup; [false] if it is already there. *)
+let enter_window inst w =
+  w <> inst.window_index
+  && begin
+       inst.window_index <- w;
+       Hashtbl.iter (fun _ arr -> Register_array.clear arr) inst.arrays;
+       Hashtbl.reset inst.reported;
+       true
+     end
+
 let roll_instance_window t inst now =
-  let w =
-    int_of_float (now /. inst.compiled.Compose.query.Ast.window)
-  in
-  if w <> inst.window_index then begin
-    inst.window_index <- w;
-    Hashtbl.iter (fun _ arr -> Register_array.clear arr) inst.arrays;
-    Hashtbl.reset inst.reported;
+  if enter_window inst (window_of inst now) then
     Stats.bump t.sink Stats.Window_rolls 1
-  end
 
 (* Wrapper used by the path executor and the controller: rolls every
    instance of the engine.  Window lengths are per-instance
@@ -532,11 +514,8 @@ let maybe_roll_window t now =
     the replacement does not re-emit reports the failed switch already
     exported.  Returns (banks merged, occupied cells moved). *)
 let absorb_state ~op_of ~src ~dst =
-  if src.window_index > dst.window_index then begin
-    Hashtbl.iter (fun _ arr -> Register_array.clear arr) dst.arrays;
-    Hashtbl.reset dst.reported;
-    dst.window_index <- src.window_index
-  end;
+  if src.window_index > dst.window_index then
+    ignore (enter_window dst src.window_index);
   if src.window_index < dst.window_index then (0, 0)
   else begin
     let banks = ref 0 and cells = ref 0 in
@@ -564,406 +543,231 @@ let absorb_state ~op_of ~src ~dst =
 
 (* ---------------- packet processing ---------------- *)
 
-(** Process a packet through one instance, resuming from [ctx] (fresh or
-    SP-restored).  Returns the context after the slice (for [newton_fin])
-    or [None] if the packet failed classification / a guard. *)
-let process_instance t inst ?(ctx = Ctx.create ()) pkt =
-  let window = int_of_float (Packet.ts pkt /. inst.compiled.Compose.query.Ast.window) in
-  Array.iteri
-    (fun b slots ->
-      let entry = inst.compiled.Compose.init_entries.(b) in
-      if (not ctx.Ctx.stopped) && init_entry_matches pkt entry && slots <> [] then begin
-        (* Branch 0 runs on the caller's context (which CQE may have
-           restored from an SP header); other branches process disjoint
-           traffic and start fresh. *)
-        let bctx = if b = 0 then ctx else Ctx.create () in
-        let stopped = ref false in
-        List.iter
-          (fun s ->
-            if not !stopped then begin
-              Stats.bump t.sink (hit_key s.Ir.kind) 1;
-              exec_slot inst bctx pkt s;
-              if bctx.Ctx.stopped then begin
-                stopped := true;
-                Stats.bump t.sink Stats.Guard_stops 1
-              end
-              else if slot_reports s then begin
-                let keys = bctx.Ctx.op_keys.(s.Ir.meta) in
-                let dedup_key = (window, keys) in
-                if Hashtbl.mem inst.reported dedup_key then
-                  Stats.bump t.sink Stats.Reports_deduped 1
-                else begin
-                  Hashtbl.add inst.reported dedup_key ();
-                  let over_budget =
-                    match t.report_budget with
-                    | Some budget ->
-                        if window <> t.budget_window then begin
-                          (* close the previous window's drop tally *)
-                          if t.budget_window >= 0 then
-                            Stats.observe_window_drops t.sink t.window_drops;
-                          t.budget_window <- window;
-                          t.window_reports <- 0;
-                          t.window_drops <- 0
-                        end;
-                        t.window_reports >= budget
-                    | None -> false
-                  in
-                  if over_budget then begin
-                    t.dropped_reports <- t.dropped_reports + 1;
-                    t.window_drops <- t.window_drops + 1;
-                    Stats.bump t.sink Stats.Reports_dropped 1
-                  end
-                  else begin
-                    t.window_reports <- t.window_reports + 1;
-                    let value2 =
-                      match inst.compiled.Compose.query.Ast.combine with
-                      | Some { op = Ast.Pair; _ } -> Some bctx.Ctx.g2
-                      | _ -> None
+(* A report slot passed: dedup per (window, keys), then the mirror
+   budget, then export. *)
+let emit t inst (c : Ctx.t) meta w ts =
+  let tl = t.tally in
+  let keys = c.Ctx.op_keys.(meta) in
+  if Hashtbl.mem inst.reported (w, keys) then tl.deduped <- tl.deduped + 1
+  else begin
+    (* The projection buffer is reused across packets; the stored dedup
+       key and report must own their keys. *)
+    let keys = Array.copy keys in
+    Hashtbl.add inst.reported (w, keys) ();
+    let over_budget =
+      match t.report_budget with
+      | Some budget ->
+          if w <> t.budget_window then begin
+            (* close the previous window's drop tally *)
+            if t.budget_window >= 0 then
+              Stats.observe_window_drops t.sink t.window_drops;
+            t.budget_window <- w;
+            t.window_reports <- 0;
+            t.window_drops <- 0
+          end;
+          t.window_reports >= budget
+      | None -> false
+    in
+    if over_budget then begin
+      t.dropped_reports <- t.dropped_reports + 1;
+      t.window_drops <- t.window_drops + 1;
+      tl.dropped <- tl.dropped + 1
+    end
+    else begin
+      t.window_reports <- t.window_reports + 1;
+      let q = inst.compiled.Compose.query in
+      let value2 =
+        match q.Ast.combine with
+        | Some { op = Ast.Pair; _ } -> Some c.Ctx.g2
+        | _ -> None
+      in
+      t.reports <-
+        Report.make ~query_id:q.Ast.id ~window:w ~keys ~value:c.Ctx.g1 ~value2 ()
+        :: t.reports;
+      t.report_count <- t.report_count + 1;
+      tl.emitted <- tl.emitted + 1;
+      Stats.observe_report_latency t.sink (ts -. (float_of_int w *. q.Ast.window))
+    end
+  end
+
+(* The one slot executor: run the packet whose field words start at
+   [base] in [words], with timestamp [ts], through [inst]'s compiled
+   branches.  The first matching branch rolls the instance's window.
+   Branch 0 runs on [ctx0] — scratch reset on first use when [fresh],
+   otherwise the caller's context used as is (CQE may have restored it
+   from an SP header); a guard stop there ends the packet for this
+   instance.  Other branches process disjoint traffic and start fresh.
+   Counter events accumulate in [t.tally].  [words] keeps its type
+   annotation: a polymorphic Bigarray read would compile to a C call
+   instead of a load. *)
+let step t inst ~fresh ctx0 (words : Packet.words) base ts =
+  let tl = t.tally in
+  let branches = inst.branches in
+  let nb = Array.length branches in
+  let window = ref (-1) in (* -1 until the first matching branch *)
+  let stopped0 = ref ((not fresh) && ctx0.Ctx.stopped) in
+  let b = ref 0 in
+  while !b < nb && not !stopped0 do
+    let cb = Array.unsafe_get branches !b in
+    (* newton_init entry check over the raw words *)
+    let nm = Array.length cb.cbm_fidx in
+    let j = ref 0 in
+    while
+      !j < nm
+      && Bigarray.Array1.unsafe_get words (base + Array.unsafe_get cb.cbm_fidx !j)
+         land Array.unsafe_get cb.cbm_mask !j
+         = Array.unsafe_get cb.cbm_value !j
+    do
+      incr j
+    done;
+    if !j = nm then begin
+      if !window < 0 then begin
+        let w = window_of inst ts in
+        window := w;
+        if enter_window inst w then tl.rolls <- tl.rolls + 1
+      end;
+      let nslots = Array.length cb.cb_slots in
+      if nslots > 0 then begin
+        let c = if !b = 0 then ctx0 else inst.bctx in
+        if fresh || !b > 0 then Ctx.reset c;
+        let si = ref 0 in
+        while (not c.Ctx.stopped) && !si < nslots do
+          (match Array.unsafe_get cb.cb_slots !si with
+          | C_key { ck_meta; ck_fidx; ck_masks; ck_buf } ->
+              tl.hits_k <- tl.hits_k + 1;
+              for j = 0 to Array.length ck_fidx - 1 do
+                Array.unsafe_set ck_buf j
+                  (Bigarray.Array1.unsafe_get words (base + Array.unsafe_get ck_fidx j)
+                  land Array.unsafe_get ck_masks j)
+              done;
+              c.Ctx.op_keys.(ck_meta) <- ck_buf
+          | C_hash_direct { chd_meta } ->
+              tl.hits_h <- tl.hits_h + 1;
+              c.Ctx.hash.(chd_meta) <- direct_value c.Ctx.op_keys.(chd_meta)
+          | C_hash { ch_meta; ch_seed; ch_range } ->
+              tl.hits_h <- tl.hits_h + 1;
+              c.Ctx.hash.(ch_meta) <-
+                Hash.hash_vector ~seed:ch_seed c.Ctx.op_keys.(ch_meta) mod ch_range
+          | C_s_pass { csp_meta } ->
+              tl.hits_s <- tl.hits_s + 1;
+              c.Ctx.state.(csp_meta) <- c.Ctx.hash.(csp_meta)
+          | C_s_alu { csa_meta; csa_arr; csa_alu } ->
+              tl.hits_s <- tl.hits_s + 1;
+              c.Ctx.state.(csa_meta) <-
+                Register_array.exec csa_arr csa_alu c.Ctx.hash.(csa_meta)
+          | C_s_add_field { caf_meta; caf_arr; caf_fidx } ->
+              tl.hits_s <- tl.hits_s + 1;
+              c.Ctx.state.(caf_meta) <-
+                Register_array.exec caf_arr
+                  (Alu.Add (Bigarray.Array1.unsafe_get words (base + caf_fidx)))
+                  c.Ctx.hash.(caf_meta)
+          | C_s_max_field { cmf_meta; cmf_arr; cmf_fidx } ->
+              tl.hits_s <- tl.hits_s + 1;
+              c.Ctx.state.(cmf_meta) <-
+                Register_array.exec cmf_arr
+                  (Alu.Max (Bigarray.Array1.unsafe_get words (base + cmf_fidx)))
+                  c.Ctx.hash.(cmf_meta)
+          | C_s_read { csr_meta; csr_arr } ->
+              tl.hits_s <- tl.hits_s + 1;
+              c.Ctx.state.(csr_meta) <-
+                (match csr_arr with
+                | Some arr -> Register_array.get arr c.Ctx.hash.(csr_meta)
+                | None -> 0)
+          | C_r { cr_meta; cr_merge; cr_combine; cr_guard; cr_report } ->
+              tl.hits_r <- tl.hits_r + 1;
+              (match cr_merge with
+              | Some (acc, op) -> (
+                  let v = c.Ctx.state.(cr_meta) in
+                  match acc with
+                  | Ir.G1 -> c.Ctx.g1 <- merge_value op c.Ctx.g1 v
+                  | Ir.G2 -> c.Ctx.g2 <- merge_value op c.Ctx.g2 v)
+              | None -> ());
+              (match cr_combine with
+              | Some op -> c.Ctx.g1 <- merge_value op c.Ctx.g1 c.Ctx.g2
+              | None -> ());
+              let passes =
+                match cr_guard with
+                | None -> true
+                | Some (target, op, value) ->
+                    let v =
+                      match target with
+                      | Ir.On_state -> c.Ctx.state.(cr_meta)
+                      | Ir.On_g1 -> c.Ctx.g1
+                      | Ir.On_g2 -> c.Ctx.g2
                     in
-                    t.reports <-
-                      Report.make ~query_id:inst.compiled.Compose.query.Ast.id
-                        ~window ~keys ~value:bctx.Ctx.g1 ~value2 ()
-                      :: t.reports;
-                    t.report_count <- t.report_count + 1;
-                    Stats.bump t.sink Stats.Reports_emitted 1;
-                    Stats.observe_report_latency t.sink
-                      (Packet.ts pkt
-                      -. (float_of_int window
-                         *. inst.compiled.Compose.query.Ast.window))
-                  end
-                end
+                    Ast.cmp_holds op v value
+              in
+              if not passes then begin
+                c.Ctx.stopped <- true;
+                tl.guard_stops <- tl.guard_stops + 1
               end
-            end)
-          slots;
-        (* Propagate branch-0 context for CQE snapshots. *)
-        if b = 0 then ctx.Ctx.stopped <- !stopped
-      end)
-    inst.slots;
-  ctx
+              else if cr_report then emit t inst c cr_meta !window ts);
+          incr si
+        done;
+        if !b = 0 then stopped0 := c.Ctx.stopped
+      end
+    end;
+    incr b
+  done
 
-(** Process one packet through every installed instance (device-level,
-    fresh contexts).  Window state rolls based on the packet timestamp. *)
-(* The newton_init lookup key: 5-tuple then TCP flags, matching
-   [Ir.init_fields] order. *)
-let init_key pkt =
-  Array.of_list (List.map (fun f -> Packet.get pkt f) Ir.init_fields)
+(* Fold the tallied counter events into the sink, once per driver call. *)
+let flush t =
+  let tl = t.tally and sink = t.sink in
+  let bump key n = if n > 0 then Stats.bump sink key n in
+  bump Stats.Module_hits_k tl.hits_k;
+  bump Stats.Module_hits_h tl.hits_h;
+  bump Stats.Module_hits_s tl.hits_s;
+  bump Stats.Module_hits_r tl.hits_r;
+  bump Stats.Guard_stops tl.guard_stops;
+  bump Stats.Reports_emitted tl.emitted;
+  bump Stats.Reports_deduped tl.deduped;
+  bump Stats.Reports_dropped tl.dropped;
+  bump Stats.Window_rolls tl.rolls;
+  tl.hits_k <- 0;
+  tl.hits_h <- 0;
+  tl.hits_s <- 0;
+  tl.hits_r <- 0;
+  tl.guard_stops <- 0;
+  tl.emitted <- 0;
+  tl.deduped <- 0;
+  tl.dropped <- 0;
+  tl.rolls <- 0
 
-let process_packet t pkt =
-  record_packet_seen t;
-  (* Classify once through newton_init; a packet may match several
-     concurrent queries' entries (chained queries). *)
-  let matched = Newton_dataplane.Table.lookup_all t.init_table (init_key pkt) in
-  let uids = List.sort_uniq compare (List.map fst matched) in
-  List.iter
-    (fun inst ->
-      if List.mem inst.uid uids then begin
-        roll_instance_window t inst (Packet.ts pkt);
-        ignore (process_instance t inst pkt)
-      end)
-    t.instances
-
-(* ---------------- flat-arena execution ---------------- *)
-
-let compile_slot inst (s : Ir.slot) =
-  let m = s.Ir.meta in
-  let own_array () = Hashtbl.find inst.arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
-  match s.Ir.cfg with
-  | Ir.K_cfg keys ->
-      let fidx =
-        Array.of_list (List.map (fun (k : Ast.key) -> Field.index k.Ast.field) keys)
-      in
-      let masks = Array.of_list (List.map (fun (k : Ast.key) -> k.Ast.mask) keys) in
-      C_key
-        { ck_meta = m; ck_fidx = fidx; ck_masks = masks;
-          ck_buf = Array.make (Array.length fidx) 0 }
-  | Ir.H_cfg { mode = `Direct; _ } -> C_hash_direct { chd_meta = m }
-  | Ir.H_cfg { mode = `Hash seed; range } ->
-      C_hash { ch_meta = m; ch_seed = seed; ch_range = range }
-  | Ir.S_cfg { op; _ } -> (
-      match op with
-      | Ir.S_pass -> C_s_pass { csp_meta = m }
-      | Ir.S_bf ->
-          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Or 1 }
-      | Ir.S_cm (Ir.Const k) ->
-          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Add k }
-      | Ir.S_cm (Ir.Field_val f) ->
-          C_s_add_field
-            { caf_meta = m; caf_arr = own_array (); caf_fidx = Field.index f }
-      | Ir.S_max (Ir.Const k) ->
-          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Max k }
-      | Ir.S_max (Ir.Field_val f) ->
-          C_s_max_field
-            { cmf_meta = m; cmf_arr = own_array (); cmf_fidx = Field.index f }
-      | Ir.S_read { ar_branch; ar_prim; ar_suite } ->
-          C_s_read
-            { csr_meta = m;
-              csr_arr = Hashtbl.find_opt inst.arrays (ar_branch, ar_prim, ar_suite) })
-  | Ir.R_cfg { merge; guard; report; combine } ->
-      C_r
-        { cr_meta = m; cr_merge = merge; cr_combine = combine; cr_guard = guard;
-          cr_report = report }
-
-let compile_instance inst =
-  let q = inst.compiled.Compose.query in
-  let branches =
-    Array.mapi
-      (fun b slots ->
-        let entry = inst.compiled.Compose.init_entries.(b) in
-        let ms = Array.of_list entry.Ir.ie_matches in
-        {
-          cbm_fidx = Array.map (fun (f, _, _) -> Field.index f) ms;
-          cbm_value = Array.map (fun (_, v, _) -> v) ms;
-          cbm_mask = Array.map (fun (_, _, m) -> m) ms;
-          cb_slots = Array.of_list (List.map (compile_slot inst) slots);
-        })
-      inst.slots
-  in
-  {
-    ci = inst;
-    ci_window_len = q.Ast.window;
-    ci_query_id = q.Ast.id;
-    ci_pair =
-      (match q.Ast.combine with Some { op = Ast.Pair; _ } -> true | _ -> false);
-    ci_branches = branches;
-    ci_ctx = Ctx.create ();
-    ci_bctx = Ctx.create ();
-  }
-
-let compiled_prog t =
-  match t.cprog with
-  | Some prog -> prog
-  | None ->
-      (* Non-first CQE slices install no newton_init entries, so the
-         classifier never dispatches to them on the device-level path;
-         the compiled program skips them the same way. *)
-      let prog =
-        Array.of_list
-          (List.map compile_instance
-             (List.filter (fun i -> i.stage_lo = 0) t.instances))
-      in
-      t.cprog <- Some prog;
-      prog
-
-let empty_keys : int array = [||]
-
-(* A fresh-context reset without the allocation: exactly the state
-   [Ctx.create] starts a packet with. *)
-let reset_scratch_ctx (c : Ctx.t) =
-  c.Ctx.op_keys.(0) <- empty_keys;
-  c.Ctx.op_keys.(1) <- empty_keys;
-  c.Ctx.hash.(0) <- 0;
-  c.Ctx.hash.(1) <- 0;
-  c.Ctx.state.(0) <- 0;
-  c.Ctx.state.(1) <- 0;
-  c.Ctx.g1 <- 0;
-  c.Ctx.g2 <- 0;
-  c.Ctx.stopped <- false
-
-(** Replay a flat arena through every installed instance.  Semantics are
-    exactly {!process_packet} over [Flat.to_packet] of each slot — same
-    reports, same register state, same counter totals — but execution
-    runs the compiled program over the arena's raw buffers, and counter
-    telemetry is accumulated locally and folded into the sink once at
-    the end of the call (batch-amortised instrumentation). *)
+(** Replay a flat arena through every device-level instance.  Non-first
+    CQE slices install no newton_init entries, so classification never
+    dispatches to them here. *)
 let process_flat t flat =
   let n = Flat.length flat in
   if n > 0 then begin
-    let prog = compiled_prog t in
     let words = Flat.field_words flat in
     let tss = Flat.timestamps flat in
     let stride = Flat.stride flat in
-    let ninst = Array.length prog in
-    (* Batch-amortised counters, flushed after the loop. *)
-    let k_hits = ref 0 and h_hits = ref 0 and s_hits = ref 0 and r_hits = ref 0 in
-    let guard_stops = ref 0 and emitted = ref 0 in
-    let deduped = ref 0 and dropped = ref 0 and rolls = ref 0 in
     for i = 0 to n - 1 do
-      let base = i * stride in
-      let ts = tss.(i) in
-      for ii = 0 to ninst - 1 do
-        let cinst = Array.unsafe_get prog ii in
-        let inst = cinst.ci in
-        let nb = Array.length cinst.ci_branches in
-        (* -1 until the first matching branch rolls the window. *)
-        let window = ref (-1) in
-        let stopped0 = ref false in
-        let b = ref 0 in
-        while !b < nb && not !stopped0 do
-          let cb = cinst.ci_branches.(!b) in
-          (* newton_init entry check over the raw words *)
-          let matches =
-            let nm = Array.length cb.cbm_fidx in
-            let ok = ref true in
-            let j = ref 0 in
-            while !ok && !j < nm do
-              if
-                Bigarray.Array1.unsafe_get words
-                  (base + Array.unsafe_get cb.cbm_fidx !j)
-                land Array.unsafe_get cb.cbm_mask !j
-                <> Array.unsafe_get cb.cbm_value !j
-              then ok := false;
-              incr j
-            done;
-            !ok
-          in
-          if matches then begin
-            if !window < 0 then begin
-              (* First matching branch: roll this instance's window, as
-                 the classifier match does on the per-packet path. *)
-              let w = int_of_float (ts /. cinst.ci_window_len) in
-              window := w;
-              if w <> inst.window_index then begin
-                inst.window_index <- w;
-                Hashtbl.iter (fun _ arr -> Register_array.clear arr) inst.arrays;
-                Hashtbl.reset inst.reported;
-                incr rolls
-              end
-            end;
-            let nslots = Array.length cb.cb_slots in
-            if nslots > 0 then begin
-              let c = if !b = 0 then cinst.ci_ctx else cinst.ci_bctx in
-              reset_scratch_ctx c;
-              let stopped = ref false in
-              let si = ref 0 in
-              while (not !stopped) && !si < nslots do
-                (match Array.unsafe_get cb.cb_slots !si with
-                | C_key { ck_meta; ck_fidx; ck_masks; ck_buf } ->
-                    incr k_hits;
-                    for j = 0 to Array.length ck_fidx - 1 do
-                      Array.unsafe_set ck_buf j
-                        (Bigarray.Array1.unsafe_get words
-                           (base + Array.unsafe_get ck_fidx j)
-                        land Array.unsafe_get ck_masks j)
-                    done;
-                    c.Ctx.op_keys.(ck_meta) <- ck_buf
-                | C_hash_direct { chd_meta } ->
-                    incr h_hits;
-                    c.Ctx.hash.(chd_meta) <- direct_value c.Ctx.op_keys.(chd_meta)
-                | C_hash { ch_meta; ch_seed; ch_range } ->
-                    incr h_hits;
-                    c.Ctx.hash.(ch_meta) <-
-                      Hash.hash_vector ~seed:ch_seed c.Ctx.op_keys.(ch_meta)
-                      mod ch_range
-                | C_s_pass { csp_meta } ->
-                    incr s_hits;
-                    c.Ctx.state.(csp_meta) <- c.Ctx.hash.(csp_meta)
-                | C_s_alu { csa_meta; csa_arr; csa_alu } ->
-                    incr s_hits;
-                    c.Ctx.state.(csa_meta) <-
-                      Register_array.exec csa_arr csa_alu c.Ctx.hash.(csa_meta)
-                | C_s_add_field { caf_meta; caf_arr; caf_fidx } ->
-                    incr s_hits;
-                    c.Ctx.state.(caf_meta) <-
-                      Register_array.exec caf_arr
-                        (Alu.Add (Bigarray.Array1.unsafe_get words (base + caf_fidx)))
-                        c.Ctx.hash.(caf_meta)
-                | C_s_max_field { cmf_meta; cmf_arr; cmf_fidx } ->
-                    incr s_hits;
-                    c.Ctx.state.(cmf_meta) <-
-                      Register_array.exec cmf_arr
-                        (Alu.Max (Bigarray.Array1.unsafe_get words (base + cmf_fidx)))
-                        c.Ctx.hash.(cmf_meta)
-                | C_s_read { csr_meta; csr_arr } ->
-                    incr s_hits;
-                    c.Ctx.state.(csr_meta) <-
-                      (match csr_arr with
-                      | Some arr -> Register_array.get arr c.Ctx.hash.(csr_meta)
-                      | None -> 0)
-                | C_r { cr_meta; cr_merge; cr_combine; cr_guard; cr_report } -> (
-                    incr r_hits;
-                    (match cr_merge with
-                    | Some (acc, op) -> (
-                        let v = c.Ctx.state.(cr_meta) in
-                        match acc with
-                        | Ir.G1 -> c.Ctx.g1 <- merge_value op c.Ctx.g1 v
-                        | Ir.G2 -> c.Ctx.g2 <- merge_value op c.Ctx.g2 v)
-                    | None -> ());
-                    (match cr_combine with
-                    | Some op -> c.Ctx.g1 <- merge_value op c.Ctx.g1 c.Ctx.g2
-                    | None -> ());
-                    let passes =
-                      match cr_guard with
-                      | None -> true
-                      | Some (target, op, value) ->
-                          let v =
-                            match target with
-                            | Ir.On_state -> c.Ctx.state.(cr_meta)
-                            | Ir.On_g1 -> c.Ctx.g1
-                            | Ir.On_g2 -> c.Ctx.g2
-                          in
-                          Ast.cmp_holds op v value
-                    in
-                    if not passes then begin
-                      stopped := true;
-                      incr guard_stops
-                    end
-                    else if cr_report then begin
-                      let w = !window in
-                      let keys = c.Ctx.op_keys.(cr_meta) in
-                      if Hashtbl.mem inst.reported (w, keys) then incr deduped
-                      else begin
-                        (* The projection buffer is reused across
-                           packets; the stored dedup key and report must
-                           own their keys. *)
-                        let keys = Array.copy keys in
-                        Hashtbl.add inst.reported (w, keys) ();
-                        let over_budget =
-                          match t.report_budget with
-                          | Some budget ->
-                              if w <> t.budget_window then begin
-                                if t.budget_window >= 0 then
-                                  Stats.observe_window_drops t.sink
-                                    t.window_drops;
-                                t.budget_window <- w;
-                                t.window_reports <- 0;
-                                t.window_drops <- 0
-                              end;
-                              t.window_reports >= budget
-                          | None -> false
-                        in
-                        if over_budget then begin
-                          t.dropped_reports <- t.dropped_reports + 1;
-                          t.window_drops <- t.window_drops + 1;
-                          incr dropped
-                        end
-                        else begin
-                          t.window_reports <- t.window_reports + 1;
-                          let value2 =
-                            if cinst.ci_pair then Some c.Ctx.g2 else None
-                          in
-                          t.reports <-
-                            Report.make ~query_id:cinst.ci_query_id ~window:w
-                              ~keys ~value:c.Ctx.g1 ~value2 ()
-                            :: t.reports;
-                          t.report_count <- t.report_count + 1;
-                          incr emitted;
-                          Stats.observe_report_latency t.sink
-                            (ts -. (float_of_int w *. cinst.ci_window_len))
-                        end
-                      end
-                    end));
-                incr si
-              done;
-              if !b = 0 then stopped0 := !stopped
-            end
-          end;
-          incr b
-        done
-      done
+      let base = i * stride and ts = tss.(i) in
+      List.iter
+        (fun inst ->
+          if inst.stage_lo = 0 then step t inst ~fresh:true inst.ctx0 words base ts)
+        t.instances
     done;
     t.packets_seen <- t.packets_seen + n;
-    let sink = t.sink in
-    Stats.bump sink Stats.Packets_processed n;
-    if !k_hits > 0 then Stats.bump sink Stats.Module_hits_k !k_hits;
-    if !h_hits > 0 then Stats.bump sink Stats.Module_hits_h !h_hits;
-    if !s_hits > 0 then Stats.bump sink Stats.Module_hits_s !s_hits;
-    if !r_hits > 0 then Stats.bump sink Stats.Module_hits_r !r_hits;
-    if !guard_stops > 0 then Stats.bump sink Stats.Guard_stops !guard_stops;
-    if !emitted > 0 then Stats.bump sink Stats.Reports_emitted !emitted;
-    if !deduped > 0 then Stats.bump sink Stats.Reports_deduped !deduped;
-    if !dropped > 0 then Stats.bump sink Stats.Reports_dropped !dropped;
-    if !rolls > 0 then Stats.bump sink Stats.Window_rolls !rolls
+    Stats.bump t.sink Stats.Packets_processed n;
+    flush t
   end
+
+(** Process one packet through every device-level instance. *)
+let process_packet t pkt =
+  Flat.set_packet t.one 0 pkt;
+  process_flat t t.one
+
+(** Process a packet through one instance, resuming from [ctx] (fresh or
+    SP-restored).  Returns the context after the slice (for [newton_fin]);
+    [ctx.stopped] is set if a guard stopped the packet. *)
+let process_instance t inst ?(ctx = Ctx.create ()) pkt =
+  let words = Flat.field_words t.one in
+  Packet.blit_fields pkt words 0;
+  step t inst ~fresh:false ctx words 0 (Packet.ts pkt);
+  flush t;
+  ctx
 
 (** Drain collected reports (e.g. per measurement interval). *)
 let drain_reports t =

@@ -6,6 +6,14 @@
     rule capacity, per-instance 100 ms windows, and report
     deduplication.
 
+    {!install} compiles each instance once into a flat program: dense
+    field indices, direct register-array references, prebuilt ALUs and
+    per-branch classifier triples.  One step runs that program over a
+    packet's field words; {!process_flat}, {!process_packet} and
+    {!process_instance} are drivers of this one compiled step, so they
+    share report dedup, the mirror budget and window rolls, and fold
+    counter telemetry into the sink once per call.
+
     Both {!t} and {!instance} are abstract: every observable — budgets,
     counters, rules, arrays — is reached through accessor functions, so
     callers (the CQE path executor, the controller, the sharded replay
@@ -115,22 +123,25 @@ val absorb_state :
   dst:instance ->
   int * int
 
-(** Run a packet through one instance, resuming from [ctx] (fresh, or
-    SP-restored under CQE); returns the post-slice context. *)
+(** Driver of the compiled step for CQE and software continuation: run
+    a packet through one instance, resuming from [ctx] (fresh, or
+    SP-restored under CQE), which serves as the branch-0 context without
+    being reset.  Returns the post-slice context ([stopped] when a guard
+    ended the packet); its [op_keys] alias the instance's projection
+    buffers, which its next packet overwrites.  Does not count the packet in {!packets_seen};
+    callers account path hops with {!record_packet_seen} and roll
+    windows with {!maybe_roll_window}. *)
 val process_instance : t -> instance -> ?ctx:Ctx.t -> Packet.t -> Ctx.t
 
-(** Device-level processing: classify through [newton_init], roll
-    windows, run every matching instance. *)
+(** Device-level driver of the compiled step: run one packet through
+    every instance whose [newton_init] entry it matches (first-slice
+    instances only), rolling each matched instance's window. *)
 val process_packet : t -> Packet.t -> unit
 
-(** Replay a whole {!Flat} arena through the compiled per-instance
-    program — observationally identical to {!process_packet} over every
-    packet of the arena in order (same reports, same register state,
-    same counter totals), but with key projections, register-array
-    resolution and branch classification pre-compiled, and counter
-    telemetry folded into the sink once per call instead of per
-    packet.  The program is compiled lazily and cached; {!install} and
-    {!remove} invalidate it. *)
+(** Arena driver of the compiled step: exactly {!process_packet} over
+    every packet of the arena in order (same reports, same register
+    state, same counter totals), read straight from the arena's
+    buffers. *)
 val process_flat : t -> Flat.t -> unit
 
 (** Return and clear the collected reports. *)

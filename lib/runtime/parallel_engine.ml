@@ -131,19 +131,19 @@ let replay_arenas t arenas =
     arenas
 
 (** Replay a packet array.
-    A call of at most [batch] packets is not worth shard setup: it is
-    dispatched inline on the calling domain, per packet, with the same
-    shard routing — state placement is identical to the arena path, so
-    small and large calls can be freely mixed on one engine (the
-    chunked ingest driver does exactly that for its tail chunk).
-    Larger calls pre-shard into contiguous arenas once, then replay
-    each arena on its own domain through the compiled engine program. *)
+    One shard, or a call of at most [batch] packets, is not worth shard
+    setup: it is dispatched inline on the calling domain, per packet,
+    with the same shard routing — state placement is identical to the
+    arena path, so small and large calls can be freely mixed on one
+    engine (the chunked ingest driver does exactly that for its tail
+    chunk).  Larger sharded calls pre-shard into contiguous arenas once,
+    then replay each arena on its own domain.  Both paths run the same
+    compiled engine step. *)
 let process_packets t packets =
   let n = Array.length packets in
   if n = 0 then ()
   else if t.jobs = 1 then begin
-    if n <= t.batch then Array.iter (Engine.process_packet t.shards.(0)) packets
-    else Engine.process_flat t.shards.(0) (Arena.build1 packets);
+    Array.iter (Engine.process_packet t.shards.(0)) packets;
     t.shard_packets.(0) <- t.shard_packets.(0) + n
   end
   else if n <= t.batch then

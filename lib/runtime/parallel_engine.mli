@@ -64,9 +64,10 @@ val build_arenas : t -> Packet.t array -> Flat.t array
     @raise Invalid_argument when the arena count differs from [jobs]. *)
 val replay_arenas : t -> Flat.t array -> unit
 
-(** Replay a packet array: calls of at most [batch] packets dispatch
-    inline on the calling domain (same shard routing, no shard setup);
-    larger calls run {!build_arenas} then {!replay_arenas}. *)
+(** Replay a packet array: with [jobs = 1], and for calls of at most
+    [batch] packets, packets dispatch inline on the calling domain (same
+    shard routing, no shard setup); larger sharded calls run
+    {!build_arenas} then {!replay_arenas}. *)
 val process_packets : t -> Packet.t array -> unit
 
 val process_trace : t -> Newton_trace.Gen.t -> unit

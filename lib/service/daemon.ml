@@ -261,17 +261,27 @@ let write_all fd s =
   in
   go 0
 
-(* Drain complete lines out of a client buffer, leaving any partial
-   trailing line in place. *)
-let take_lines buf =
-  let s = Buffer.contents buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear buf;
-      Buffer.add_string buf
-        (String.sub s (last + 1) (String.length s - last - 1));
-      String.split_on_char '\n' (String.sub s 0 last)
+let max_line_bytes = 1 lsl 20
+
+(* Append [len] fresh bytes of [chunk] to a client's pending line and
+   drain the lines they complete.  Only the fresh bytes are scanned for
+   '\n', and each line is copied out once. *)
+let take_lines buf chunk len =
+  let rec newline i = if i >= len || Bytes.get chunk i = '\n' then i else newline (i + 1) in
+  let rec go start acc =
+    let i = newline start in
+    if Buffer.length buf + (i - start) > max_line_bytes then Error `Line_too_long
+    else begin
+      Buffer.add_subbytes buf chunk start (i - start);
+      if i >= len then Ok (List.rev acc)
+      else begin
+        let line = Buffer.contents buf in
+        Buffer.clear buf;
+        go (i + 1) (line :: acc)
+      end
+    end
+  in
+  go 0 []
 
 let serve ?(log = ignore) t listen =
   (match Sys.os_type with
@@ -302,14 +312,19 @@ let serve ?(log = ignore) t listen =
     clients := List.filter (fun c' -> c' != c) !clients
   in
   let scratch = Bytes.create 65536 in
-  let serve_client c =
-    List.iter
-      (fun line ->
-        if String.trim line <> "" then begin
-          let resp = handle_line t line in
-          write_all c.fd (Api.response_to_line resp ^ "\n")
-        end)
-      (take_lines c.buf)
+  let respond c resp = write_all c.fd (Api.response_to_line resp ^ "\n") in
+  let serve_client c n =
+    match take_lines c.buf scratch n with
+    | Ok lines ->
+        List.iter
+          (fun line -> if String.trim line <> "" then respond c (handle_line t line))
+          lines
+    | Error `Line_too_long ->
+        respond c
+          (Api.Error_resp
+             { code = "line_too_long";
+               message = Printf.sprintf "request line exceeds %d bytes" max_line_bytes });
+        close_client c
   in
   while not t.stopping do
     let timeout =
@@ -340,9 +355,7 @@ let serve ?(log = ignore) t listen =
           | Some c -> (
               match Unix.read fd scratch 0 (Bytes.length scratch) with
               | 0 -> close_client c
-              | n ->
-                  Buffer.add_subbytes c.buf scratch 0 n;
-                  serve_client c
+              | n -> serve_client c n
               | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
                   close_client c))
       readable;

@@ -42,6 +42,18 @@ val replay_step : t -> int
     counters (labelled [stage="replay"]). *)
 val snapshot : t -> Newton_telemetry.Snapshot.t
 
+(** The longest request line a client may send: 1 MiB. *)
+val max_line_bytes : int
+
+(** [take_lines pending chunk len] appends the first [len] bytes of
+    [chunk] to a client's [pending] partial line and returns the lines
+    now complete, without their ['\n']; a trailing partial line stays in
+    [pending].  [Error `Line_too_long] once a line, complete or not,
+    exceeds {!max_line_bytes}: {!serve} then answers with one
+    [line_too_long] error and closes the client. *)
+val take_lines :
+  Buffer.t -> Bytes.t -> int -> (string list, [ `Line_too_long ]) result
+
 type listen = Unix_socket of string | Tcp of int
 
 (** Run the select loop until a [shutdown] request arrives: accept

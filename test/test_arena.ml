@@ -14,7 +14,7 @@
 
     Plus the supporting equivalences: the flow 5-tuple hash fast path
     equals the generic vector hash, and [Engine.process_flat] over an
-    arena is observationally the per-packet interpreter. *)
+    arena is observationally [Engine.process_packet] over its packets. *)
 
 open Newton_packet
 open Newton_runtime
@@ -110,45 +110,71 @@ let prop_hash5 =
           = Newton_sketch.Hash.hash_vector ~seed (Array.of_list keys)
       | _ -> false)
 
-(* ---------------- process_flat differential ---------------- *)
+(* ---------------- driver differential ---------------- *)
 
-(* Arena replay through the compiled program vs the per-packet
-   interpreter, on a real attack trace with a stateful catalog query:
-   same reports (order and payload), same register state, same packet
-   count.  The sharded variants of this differential live in
-   test_parallel.ml; this one pins the single-engine contract of
-   [process_flat] itself. *)
-let test_process_flat_differential () =
+(* Arena replay vs per-packet replay of the same attack trace, for
+   every catalog query (Q1-Q17): same reports (order and payload), same
+   register contents, same telemetry counters, same packet count.  The
+   sharded variants of this differential live in test_parallel.ml; this
+   one pins the single-engine contract of [process_flat] itself. *)
+let test_driver_differential () =
   let trace =
     Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.default_suite
       ~seed:11
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 500)
   in
   let packets = Newton_trace.Gen.packets trace in
-  let compiled =
-    Newton_compiler.Compose.compile
-      ~options:
-        { Newton_compiler.Decompose.default_options with registers = 65536 }
-      (Newton_query.Catalog.q1 ())
-  in
-  let interp = Engine.create ~switch_id:0 () in
-  let flat_e = Engine.create ~switch_id:0 () in
-  ignore (Engine.install interp compiled);
-  ignore (Engine.install flat_e compiled);
-  Array.iter (Engine.process_packet interp) packets;
-  Engine.process_flat flat_e (Arena.build1 packets);
-  Alcotest.(check int)
-    "packets seen" (Engine.packets_seen interp) (Engine.packets_seen flat_e);
+  let arena = Arena.build1 packets in
   let show r = Newton_query.Report.to_string r in
-  Alcotest.(check (list string))
-    "report streams identical"
-    (List.map show (Engine.reports interp))
-    (List.map show (Engine.reports flat_e))
+  let contents e =
+    List.concat_map
+      (fun inst ->
+        List.map
+          (fun (key, arr) ->
+            (key, Newton_sketch.Register_array.fold (fun acc v -> v :: acc) [] arr))
+          (Engine.instance_arrays inst))
+      (Engine.instances e)
+  in
+  let counters e =
+    List.map
+      (fun k ->
+        let open Newton_telemetry in
+        (Printf.sprintf "%d:%s" (Stats.index k) (Stats.name k), Stats.get (Engine.sink e) k))
+      Newton_telemetry.Stats.all
+  in
+  List.iter
+    (fun q ->
+      let compiled =
+        Newton_compiler.Compose.compile
+          ~options:
+            { Newton_compiler.Decompose.default_options with registers = 65536 }
+          q
+      in
+      let per_packet = Engine.create ~switch_id:0 () in
+      let flat_e = Engine.create ~switch_id:0 () in
+      ignore (Engine.install per_packet compiled);
+      ignore (Engine.install flat_e compiled);
+      Array.iter (Engine.process_packet per_packet) packets;
+      Engine.process_flat flat_e arena;
+      let label what = Printf.sprintf "%s: %s" q.Newton_query.Ast.name what in
+      Alcotest.(check int)
+        (label "packets seen")
+        (Engine.packets_seen per_packet) (Engine.packets_seen flat_e);
+      Alcotest.(check (list string))
+        (label "report streams identical")
+        (List.map show (Engine.reports per_packet))
+        (List.map show (Engine.reports flat_e));
+      Alcotest.(check bool)
+        (label "register contents identical") true
+        (contents per_packet = contents flat_e);
+      Alcotest.(check (list (pair string int)))
+        (label "counters identical") (counters per_packet) (counters flat_e))
+    (Newton_query.Catalog.all () @ Newton_query.Catalog.extras ())
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_partition_exact; prop_flat_roundtrip; prop_hash5 ]
   @ [
-      Alcotest.test_case "process_flat differential vs interpreter" `Quick
-        test_process_flat_differential;
+      Alcotest.test_case "per-packet driver vs arena driver, every query" `Quick
+        test_driver_differential;
     ]

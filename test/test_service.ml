@@ -444,6 +444,41 @@ let test_replay_budget_bounds_step () =
   checki "budget respected" 5 stepped;
   checki "position advanced" 5 (Replay.position replay)
 
+
+(* ---------------- client input buffering ---------------- *)
+
+let feed pending s = Daemon.take_lines pending (Bytes.of_string s) (String.length s)
+
+let lines_of = function
+  | Ok lines -> lines
+  | Error `Line_too_long -> Alcotest.fail "unexpected line_too_long"
+
+let test_take_lines_split () =
+  let pending = Buffer.create 16 in
+  Alcotest.(check (list string)) "partial line held" [] (lines_of (feed pending "li"));
+  Alcotest.(check (list string))
+    "split line joined, next one drained" [ "list"; "info 1" ]
+    (lines_of (feed pending "st\ninfo 1\nwith"));
+  checks "tail kept" "with" (Buffer.contents pending);
+  Alcotest.(check (list string))
+    "tail completes" [ "withdraw 2"; "" ] (lines_of (feed pending "draw 2\n\n"));
+  checki "nothing pending" 0 (Buffer.length pending)
+
+let test_take_lines_cap () =
+  let pending = Buffer.create 16 in
+  let cap = Daemon.max_line_bytes in
+  checki "cap is 1 MiB" (1 lsl 20) cap;
+  (* exactly the cap without a newline is still a pending line *)
+  Alcotest.(check (list string)) "cap bytes pending" []
+    (lines_of (feed pending (String.make cap 'x')));
+  checkb "cap+1 bytes without a newline refused" true
+    (feed pending "x" = Error `Line_too_long);
+  (* one read of cap+1 bytes, and a complete line over the cap *)
+  checkb "one cap+1 read refused" true
+    (feed (Buffer.create 16) (String.make (cap + 1) 'x') = Error `Line_too_long);
+  checkb "complete over-long line refused" true
+    (feed (Buffer.create 16) (String.make (cap + 1) 'x' ^ "\n") = Error `Line_too_long)
+
 let suite =
   [
     Alcotest.test_case "lifecycle happy path" `Quick test_lifecycle_happy_path;
@@ -476,4 +511,6 @@ let suite =
       test_churn_matches_static;
     Alcotest.test_case "replay budget bounds step" `Quick
       test_replay_budget_bounds_step;
+    Alcotest.test_case "take_lines joins split lines" `Quick test_take_lines_split;
+    Alcotest.test_case "take_lines caps a pending line" `Quick test_take_lines_cap;
   ]
