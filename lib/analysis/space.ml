@@ -5,10 +5,12 @@
     values; a set is a (not necessarily disjoint) union of cubes.  The
     representation is closed under intersection (pairwise cube meet),
     union (concatenation + absorption) and difference (the classic
-    cube-splitting subtraction), which gives complement, emptiness,
-    containment and model extraction for free — every cube is non-empty
-    by construction, so a set is empty iff it has no cubes, and any
-    cube yields a witness packet by reading off its constrained bits.
+    cube-splitting subtraction), which gives complement, emptiness and
+    model extraction for free; containment is a coverage search over
+    the same splitting that never builds the difference.  Every cube is
+    non-empty by construction, so a set is empty iff it has no cubes,
+    and any cube yields a witness packet by reading off its constrained
+    bits.
 
     Comparison atoms compile exactly: an order predicate over a masked
     field unrolls into at most [width] prefix cubes (the standard
@@ -34,8 +36,9 @@ type t = cube list
 exception Too_complex
 
 (* Cube budget: diffs multiply cube counts; refuse rather than thrash.
-   Generous relative to real intents (a branch has a handful of atoms,
-   each ≤ width cubes). *)
+   Also bounds the pieces one containment search visits.  Generous
+   relative to real intents (a branch has a handful of atoms, each
+   ≤ width cubes). *)
 let max_cubes = 8192
 
 let check_budget cubes =
@@ -129,7 +132,21 @@ let diff a b =
 
 let compl s = diff universe s
 
-let subset a b = is_empty (diff a b)
+(* a ⊆ b, decided without building [diff a b]: a cube is covered by
+   b's cubes iff every piece of it outside b's first cube is covered by
+   the rest.  The search stops at the first uncovered piece; every
+   visited piece counts against the cube budget, so a pathological
+   pair is refused rather than searched. *)
+let subset a b =
+  let visited = ref 0 in
+  let rec covered piece = function
+    | [] -> false
+    | bc :: rest ->
+        incr visited;
+        if !visited > max_cubes then raise Too_complex;
+        List.for_all (fun p -> covered p rest) (cube_minus piece bc)
+  in
+  List.for_all (fun ac -> covered ac b) a
 
 let equal a b = subset a b && subset b a
 

@@ -19,7 +19,10 @@
     All operations are exact.  Cube counts can grow on adversarial
     inputs, so every operation runs under a global budget; exceeding it
     raises {!Too_complex} (callers degrade to the interval passes, they
-    never report wrong answers). *)
+    never report wrong answers).  Containment ({!subset}, {!equal},
+    {!is_universe}) never builds the difference: it searches for an
+    uncovered piece of the left operand, stops at the first one, and
+    runs under the same budget as a bound on the pieces it visits. *)
 
 open Newton_packet
 open Newton_query
@@ -38,7 +41,8 @@ val empty : t
 
 val is_empty : t -> bool
 
-(** [is_universe s] — does [s] contain every packet? *)
+(** [is_universe s] — does [s] contain every packet?  Decided like
+    {!subset} (never builds the complement). *)
 val is_universe : t -> bool
 
 (** Number of cubes in the union (a complexity measure, not a
@@ -72,9 +76,14 @@ val diff : t -> t -> t
 
 val compl : t -> t
 
-(** [subset a b] — is every packet of [a] in [b]? *)
+(** [subset a b] — is every packet of [a] in [b]?  Agrees with
+    [is_empty (diff a b)] but never builds the difference: each cube of
+    [a] is split along [b]'s cubes in turn and the search stops at the
+    first piece no cube covers.  Raises {!Too_complex} once one call
+    has visited more pieces than the cube budget. *)
 val subset : t -> t -> bool
 
+(** [equal a b] — [subset a b && subset b a], under the same bound. *)
 val equal : t -> t -> bool
 
 (** [mem s p] — does the set contain the packet? *)

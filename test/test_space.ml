@@ -124,6 +124,74 @@ let prop_subset_is_containment =
         || Space.mem b pkt
       with Space.Too_complex -> QCheck.assume_fail ())
 
+(* [subset], [is_universe] and [equal] decide containment by a
+   coverage search; the reference builds the difference (or the
+   complement) and tests it for emptiness.  Agreement is only claimed
+   where neither raises [Too_complex].  The reference is the slow side:
+   [diff] splits a cube from its low bits up, so the pieces left after
+   subtracting a few many-bit cubes multiply before the budget can
+   refuse them (the complement of [sport > 26485 && tcp.flags == 23],
+   five cubes, takes 13 s).  Cases with an operand of more than
+   [bound] cubes are discarded; wide fields and complements need a
+   tighter bound. *)
+let small bound s =
+  QCheck.assume (Space.cube_count s <= bound);
+  s
+
+(* [Space.of_preds], discarding the case as soon as a partial
+   conjunction grows past [bound]: two order atoms on 32-bit fields
+   meet in ~1000 cubes, which are slow to build only to be discarded. *)
+let small_space bound preds =
+  List.fold_left
+    (fun acc p -> small bound (Space.inter acc (Space.of_pred p)))
+    Space.universe preds
+
+let subset_by_diff bound a b =
+  Space.is_empty (Space.diff (small bound a) (small bound b))
+
+let universe_by_compl bound s = Space.is_empty (Space.compl (small bound s))
+
+(* [a] re-cut along [c]: the same set, covered only by several cubes. *)
+let recut a c = Space.union (Space.inter a c) (Space.diff a c)
+
+(* An arbitrary pair both ways, a pair contained by construction, and
+   (no reference needed) a set against its own re-cut. *)
+let prop_subset_agrees_with_diff ~bound name arb =
+  QCheck.Test.make ~count:300 ~name (QCheck.triple arb arb arb)
+    (fun (pa, pb, pc) ->
+      try
+        let space = small_space bound in
+        let a = space pa and b = space pb and c = space pc in
+        let agree x y = Space.subset x y = subset_by_diff bound x y in
+        agree a b && agree b a
+        && agree (Space.inter a b) b
+        && Space.equal a (recut a c)
+      with Space.Too_complex -> QCheck.assume_fail ())
+
+let prop_subset_agrees_wide =
+  prop_subset_agrees_with_diff ~bound:4
+    "subset = is_empty (diff) (wide fields)" (arb_preds 2)
+
+let prop_subset_agrees_narrow =
+  prop_subset_agrees_with_diff ~bound:8
+    "subset = is_empty (diff) (narrow fields)" (arb_preds_narrow 3)
+
+let prop_universe_equal_agree_with_diff =
+  QCheck.Test.make ~count:300
+    ~name:"is_universe/equal = emptiness of compl/diff"
+    (QCheck.pair (arb_preds_narrow 3) (arb_preds_narrow 3))
+    (fun (pa, pb) ->
+      try
+        let bound = 6 in
+        let a = small_space bound pa and b = small_space bound pb in
+        Space.is_universe a = universe_by_compl bound a
+        && Space.is_universe (Space.union a b)
+           = universe_by_compl bound (Space.union a b)
+        && Space.equal a b
+           = (subset_by_diff bound a b && subset_by_diff bound b a)
+        && Space.equal a (recut a b)
+      with Space.Too_complex -> QCheck.assume_fail ())
+
 (* ---------------- solver: boundaries ---------------- *)
 
 let test_atom_boundaries () =
@@ -161,6 +229,30 @@ let test_atom_boundaries () =
     (Space.is_empty
        (Space.diff band
           (Space.union (a Ast.Eq 100) (a Ast.Eq 101))))
+
+(* Q17 (any tunnel id) has one single-bit cube per tun.id bit; its
+   containment in Q12's two DNS cubes was the slowest pair of the
+   catalog while subset still built the difference. *)
+let test_catalog_containment () =
+  let space (q : Ast.t) =
+    List.fold_left
+      (fun acc b ->
+        Space.union acc (Space.of_preds (List.map snd (Ast.cmp_atoms b))))
+      Space.empty q.Ast.branches
+  in
+  let q17 = space (Catalog.q17 ()) in
+  List.iter
+    (fun (name, q, expected) ->
+      checkb
+        (Printf.sprintf "Q17 %s %s" (if expected then "⊆" else "⊄") name)
+        expected (Space.subset q17 (space q)))
+    [
+      ("Q3", Catalog.q3 (), true);
+      ("Q10", Catalog.q10 (), true);
+      ("Q11", Catalog.q11 (), true);
+      ("Q12", Catalog.q12 (), false);
+      ("Q1", Catalog.q1 (), false);
+    ]
 
 let test_cross_mask_exactness () =
   (* (sport & 0xFF00) == 0x1200 && sport == 0x1100 is unsatisfiable,
@@ -617,6 +709,8 @@ let suite =
   [
     ("atom boundaries", `Quick, test_atom_boundaries);
     ("cross-mask exactness", `Quick, test_cross_mask_exactness);
+    ("Q17 containment against catalog peers", `Quick,
+     test_catalog_containment);
     ("NA090 cross-mask unsat + witness", `Quick, test_na090_cross_mask);
     ("NA091 subsumed branch + witness", `Quick, test_na091_subsumed_branch);
     ("NA092 shadowed intent + witness", `Quick, test_na092_shadowed_intent);
@@ -638,4 +732,7 @@ let suite =
         prop_boolean_algebra;
         prop_model_satisfies;
         prop_subset_is_containment;
+        prop_subset_agrees_wide;
+        prop_subset_agrees_narrow;
+        prop_universe_equal_agree_with_diff;
       ]
