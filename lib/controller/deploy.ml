@@ -57,6 +57,7 @@ type t = {
   enabled : bool array; (** partial deployment: Newton-enabled switches *)
   c_sink : Newton_telemetry.Stats.sink; (** controller-level counters *)
   mutable recoveries : recovery list; (* reverse order *)
+  touched : int array; (* per switch: the last packet number it ran a slice of *)
 }
 
 (* The module layout is loaded once per switch at initialization (§3
@@ -101,6 +102,7 @@ let create ?(fwd_entries = Switch.default_fwd_entries) topo =
     enabled = Array.make n true;
     c_sink = Newton_telemetry.Stats.create ();
     recoveries = [];
+    touched = Array.make n 0;
   }
 
 let topo t = t.topo
@@ -432,6 +434,19 @@ let process_packet t ~src_host ~dst_host pkt =
   | None -> () (* disconnected: packet dropped by routing *)
   | Some [] -> () (* endpoints on the same host: never enters the fabric *)
   | Some path ->
+      let ts = Newton_packet.Packet.ts pkt in
+      (* A switch's first slice of this packet counts the packet and rolls
+         its engine's windows; rolling again at the same timestamp would
+         change nothing. *)
+      let touch s engine =
+        if t.touched.(s) <> t.packets then begin
+          t.touched.(s) <- t.packets;
+          Engine.record_packet_seen engine;
+          Engine.maybe_roll_window engine ts
+        end
+      in
+      (* One scratch context, reset before each deployment. *)
+      let ctx = Ctx.create () in
       List.iter
         (fun dep ->
           match dep.mode with
@@ -441,9 +456,9 @@ let process_packet t ~src_host ~dst_host pkt =
                   let engine = t.engines.(s) in
                   match Engine.find_instance engine (slice_uid dep.uid 1) with
                   | Some inst ->
-                      Engine.record_packet_seen engine;
-                      Engine.maybe_roll_window engine (Newton_packet.Packet.ts pkt);
-                      ignore (Engine.process_instance engine inst pkt)
+                      touch s engine;
+                      Ctx.reset ctx;
+                      ignore (Engine.process_instance engine inst ~ctx pkt)
                   | None -> ())
                 path
           | `Cqe ->
@@ -452,7 +467,7 @@ let process_packet t ~src_host ~dst_host pkt =
                 | Some p -> p.Placement.num_slices
                 | None -> 1
               in
-              let ctx = ref (Ctx.create ()) in
+              Ctx.reset ctx;
               (* Depth counts Newton-enabled hops only; the SP header
                  survives only between {e adjacent} enabled switches (§7) —
                  a legacy switch in between loses the snapshot. *)
@@ -460,15 +475,14 @@ let process_packet t ~src_host ~dst_host pkt =
               let prev_enabled_hop = ref (-2) in
               List.iteri
                 (fun hop s ->
-                  if t.enabled.(s) && (not !ctx.Ctx.stopped) && !d < m then begin
+                  if t.enabled.(s) && (not ctx.Ctx.stopped) && !d < m then begin
                     incr d;
                     let engine = t.engines.(s) in
                     Newton_telemetry.Stats.bump (Engine.sink engine)
                       Newton_telemetry.Stats.Cqe_hops 1;
                     (match Engine.find_instance engine (slice_uid dep.uid !d) with
                     | Some inst ->
-                        Engine.record_packet_seen engine;
-                        Engine.maybe_roll_window engine (Newton_packet.Packet.ts pkt);
+                        touch s engine;
                         if !d > 1 then begin
                           if hop = !prev_enabled_hop + 1 then begin
                             (* SP header between adjacent Newton hops. *)
@@ -476,19 +490,13 @@ let process_packet t ~src_host ~dst_host pkt =
                             Newton_telemetry.Stats.bump (Engine.sink engine)
                               Newton_telemetry.Stats.Sp_header_bytes
                               Newton_packet.Sp_header.size_bytes;
-                            let restored =
-                              Ctx.of_sp
-                                (Newton_packet.Sp_header.decode
-                                   (Newton_packet.Sp_header.encode (Ctx.to_sp !ctx)))
-                            in
-                            restored.Ctx.stopped <- !ctx.Ctx.stopped;
-                            ctx := restored
+                            Ctx.apply_sp_widths ctx
                           end
                           else
                             (* snapshot lost crossing a legacy switch *)
-                            ctx := Ctx.create ()
+                            Ctx.reset ctx
                         end;
-                        ctx := Engine.process_instance engine inst ~ctx:!ctx pkt
+                        ignore (Engine.process_instance engine inst ~ctx pkt)
                     | None ->
                         (* Placement gap (should not happen under
                            Algorithm 2): defer to the analyzer. *)
@@ -500,9 +508,9 @@ let process_packet t ~src_host ~dst_host pkt =
                  last switch exports the execution status and the
                  analyzer continues executing the remaining slices in
                  software (§5.2). *)
-              if m > !d && !d > 0 && not !ctx.Ctx.stopped then begin
+              if m > !d && !d > 0 && not ctx.Ctx.stopped then begin
                 t.software_status_msgs <- t.software_status_msgs + 1;
-                software_continue t dep ~next_slice:(!d + 1) ~ctx:!ctx pkt
+                software_continue t dep ~next_slice:(!d + 1) ~ctx pkt
               end)
         t.deployments
 

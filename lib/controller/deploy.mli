@@ -110,7 +110,9 @@ val update : t -> int -> Newton_compiler.Compose.t -> (int * float) option
     CQE deployments run slice d at the d-th Newton-enabled hop with the
     context in the SP header (lost across legacy switches); sole
     deployments run fully at every enabled hop; a query longer than the
-    path defers to the analyzer. *)
+    path defers to the analyzer.  A switch counts the packet
+    ({!Newton_runtime.Engine.packets_seen}) and rolls its windows once,
+    at the first slice it runs of it. *)
 val process_packet : t -> src_host:int -> dst_host:int -> Newton_packet.Packet.t -> unit
 
 (** All reports so far: data plane network-wide plus the analyzer's

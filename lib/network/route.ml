@@ -4,7 +4,9 @@
     tie-breaking by a flow hash) and failure injection: failed links and
     failed nodes (whole switches, §5.2 switch-failure recovery) are
     excluded and paths recomputed, which models the "forwarding paths are
-    mutable and change over time" dynamics of §5.2. *)
+    mutable and change over time" dynamics of §5.2.  Like a switch's
+    forwarding table, the next hops toward each destination are computed
+    once and kept until the next failure or repair. *)
 
 type link = int * int
 
@@ -18,31 +20,52 @@ end)
 
 module Int_set = Set.Make (Int)
 
+(* Toward one destination: BFS distances, and for each node its sorted
+   usable next hops (the neighbours one step closer). *)
+type toward = { dist : int array; next : int array array }
+
 type t = {
   topo : Topo.t;
   mutable failed : Link_set.t;
   mutable failed_nodes : Int_set.t;
+  (* Per destination, built on first use under the current failures;
+     [[||]] until then and after every failure or repair. *)
+  mutable toward : toward option array;
 }
 
-let create topo = { topo; failed = Link_set.empty; failed_nodes = Int_set.empty }
+let create topo =
+  { topo; failed = Link_set.empty; failed_nodes = Int_set.empty; toward = [||] }
 
 let topo t = t.topo
+let invalidate t = t.toward <- [||]
 
-let fail_link t l = t.failed <- Link_set.add (norm l) t.failed
-let repair_link t l = t.failed <- Link_set.remove (norm l) t.failed
+let fail_link t l =
+  t.failed <- Link_set.add (norm l) t.failed;
+  invalidate t
+
+let repair_link t l =
+  t.failed <- Link_set.remove (norm l) t.failed;
+  invalidate t
 
 (* A failed node drops off the forwarding graph entirely: every link
    incident to it is unusable and no path may transit it.  Unlike a
    legacy (Newton-disabled) switch, which still forwards, a failed
    switch forwards nothing. *)
-let fail_node t n = t.failed_nodes <- Int_set.add n t.failed_nodes
-let repair_node t n = t.failed_nodes <- Int_set.remove n t.failed_nodes
+let fail_node t n =
+  t.failed_nodes <- Int_set.add n t.failed_nodes;
+  invalidate t
+
+let repair_node t n =
+  t.failed_nodes <- Int_set.remove n t.failed_nodes;
+  invalidate t
+
 let is_node_failed t n = Int_set.mem n t.failed_nodes
 let failed_nodes t = Int_set.elements t.failed_nodes
 
 let clear_failures t =
   t.failed <- Link_set.empty;
-  t.failed_nodes <- Int_set.empty
+  t.failed_nodes <- Int_set.empty;
+  invalidate t
 
 let failed_links t = Link_set.elements t.failed
 let is_failed t l = Link_set.mem (norm l) t.failed
@@ -77,32 +100,43 @@ let distances t src =
     dist
   end
 
+(* The next-hop table toward [dst]: one BFS per destination until the
+   next failure or repair. *)
+let toward t dst =
+  if Array.length t.toward = 0 then
+    t.toward <- Array.make (Topo.num_nodes t.topo) None;
+  match t.toward.(dst) with
+  | Some w -> w
+  | None ->
+      let dist = distances t dst in
+      let next =
+        Array.init (Array.length dist) (fun v ->
+            List.filter (fun u -> dist.(u) = dist.(v) - 1) (usable_neighbors t v)
+            |> List.sort compare |> Array.of_list)
+      in
+      let w = { dist; next } in
+      t.toward.(dst) <- Some w;
+      w
+
 (** One shortest path from [src] to [dst] (node list, inclusive), with
-    deterministic ECMP tie-breaking by [flow_hash].  [None] if
-    disconnected. *)
+    deterministic ECMP tie-breaking by [flow_hash]: hop [i] takes
+    next hop [(flow_hash + i) mod n] of the [n] sorted candidates.
+    [None] if disconnected. *)
 let shortest_path ?(flow_hash = 0) t ~src ~dst =
   if is_node_failed t src || is_node_failed t dst then None
   else if src = dst then Some [ src ]
   else
-    let dist = distances t dst in
-    if dist.(src) = max_int then None
-    else begin
-      let path = ref [ src ] in
-      let cur = ref src in
-      let hop = ref 0 in
-      while !cur <> dst do
-        let nexts =
-          List.filter (fun v -> dist.(v) = dist.(!cur) - 1) (usable_neighbors t !cur)
-          |> List.sort compare
-        in
-        let n = List.length nexts in
-        let pick = List.nth nexts ((flow_hash + !hop) mod n) in
-        path := pick :: !path;
-        cur := pick;
-        incr hop
-      done;
-      Some (List.rev !path)
-    end
+    let w = toward t dst in
+    if w.dist.(src) = max_int then None
+    else
+      let rec walk cur hop path =
+        if cur = dst then Some (List.rev path)
+        else
+          let nexts = w.next.(cur) in
+          let pick = nexts.((flow_hash + hop) mod Array.length nexts) in
+          walk pick (hop + 1) (pick :: path)
+      in
+      walk src 0 [ src ]
 
 (** The switch-only portion of a host-to-host path. *)
 let switch_path ?flow_hash t ~src_host ~dst_host =

@@ -33,10 +33,15 @@ val is_failed : t -> link -> bool
 val distances : t -> int -> int array
 
 (** One shortest path (inclusive node list) with deterministic ECMP
-    tie-breaking by [flow_hash]; [None] when disconnected. *)
+    tie-breaking by [flow_hash]: hop [i] takes candidate
+    [(flow_hash + i) mod n] of the [n] sorted next hops; [None] when
+    disconnected. *)
 val shortest_path : ?flow_hash:int -> t -> src:int -> dst:int -> int list option
 
-(** The switch-only portion of a host-to-host shortest path. *)
+(** The switch-only portion of a host-to-host shortest path.  Walks a
+    per-destination next-hop table (node → sorted usable next hops),
+    built by one BFS on first use and rebuilt after any failure or
+    repair, so forwarding a packet costs one lookup per hop. *)
 val switch_path :
   ?flow_hash:int -> t -> src_host:int -> dst_host:int -> int list option
 

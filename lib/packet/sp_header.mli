@@ -21,6 +21,12 @@ val empty : t
 
 val make : hash1:int -> state1:int -> hash2:int -> state2:int -> global:int -> t
 
+(** Saturate to a 16-bit (hash, global) or 24-bit (state) field:
+    negatives become 0, values beyond the width its maximum. *)
+val sat16 : int -> int
+
+val sat24 : int -> int
+
 (** Encode into exactly {!size_bytes} bytes (big-endian), saturating
     values to their field widths. *)
 val encode : t -> bytes

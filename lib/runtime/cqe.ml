@@ -48,16 +48,9 @@ let process_path ?stats engines pkt =
             | None -> Ctx.create ()
           in
           if not ctx.Ctx.stopped then begin
-            (* Parser: decode SP (modelled by passing the same ctx through
-               an encode/decode round-trip to honour field widths). *)
-            let ctx =
-              if hop = 0 then ctx
-              else begin
-                let restored = Ctx.of_sp (Sp_header.decode (Sp_header.encode (Ctx.to_sp ctx))) in
-                restored.Ctx.stopped <- ctx.Ctx.stopped;
-                restored
-              end
-            in
+            (* Parser: restore the SP header, i.e. apply its field
+               widths to the carried context. *)
+            if hop > 0 then Ctx.apply_sp_widths ctx;
             let ctx' = Engine.process_instance engine inst ~ctx pkt in
             Hashtbl.replace ctxs uid ctx'
           end)

@@ -48,6 +48,21 @@ let to_sp t =
   Sp_header.make ~hash1:t.hash.(0) ~state1:t.state.(0) ~hash2:t.hash.(1)
     ~state2:t.state.(1) ~global:t.g1
 
+(** The context the next switch's parser restores, in place: the result
+    sets saturated to the SP header's field widths, operation keys and
+    [g2] dropped (they do not cross switches), [stopped] kept.  Equal to
+    [of_sp (Sp_header.decode (Sp_header.encode (to_sp t)))] with
+    [stopped] carried over, without building the header. *)
+let apply_sp_widths t =
+  t.op_keys.(0) <- [||];
+  t.op_keys.(1) <- [||];
+  t.hash.(0) <- Sp_header.sat16 t.hash.(0);
+  t.hash.(1) <- Sp_header.sat16 t.hash.(1);
+  t.state.(0) <- Sp_header.sat24 t.state.(0);
+  t.state.(1) <- Sp_header.sat24 t.state.(1);
+  t.g1 <- Sp_header.sat16 t.g1;
+  t.g2 <- 0
+
 (** Restore result sets from a decoded SP header (the parser path). *)
 let of_sp sp =
   let t = create () in

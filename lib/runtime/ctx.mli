@@ -21,5 +21,11 @@ val reset : t -> unit
     operation keys do not cross switches. *)
 val to_sp : t -> Sp_header.t
 
+(** Cross a switch boundary in place: saturate the hashes and [g1] to
+    16 bits and the states to 24 bits, drop the operation keys and
+    [g2], keep [stopped] — what {!of_sp} restores from the encoded
+    {!to_sp}, without building the header. *)
+val apply_sp_widths : t -> unit
+
 (** Restore result sets from a decoded SP header (the parser path). *)
 val of_sp : Sp_header.t -> t

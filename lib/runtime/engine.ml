@@ -171,7 +171,8 @@ let sink t = t.sink
 let set_sink t s = t.sink <- s
 
 (** Count a packet against this engine without executing it — the CQE
-    path executor and the controller account path hops this way. *)
+    path executor and the controller count each packet that runs a
+    slice here once this way. *)
 let record_packet_seen t =
   t.packets_seen <- t.packets_seen + 1;
   Stats.bump t.sink Stats.Packets_processed 1

@@ -67,8 +67,10 @@ val reports : t -> Report.t list
 val report_count : t -> int
 val packets_seen : t -> int
 
-(** Count a packet against this engine without executing it (path-hop
-    accounting in the CQE executor and the controller). *)
+(** Count a packet against this engine without executing it: the path
+    executors (the CQE executor and the controller) call it once per
+    packet that runs at least one slice on this switch, however many
+    deployments' slices that is. *)
 val record_packet_seen : t -> unit
 
 (** Install a slice [stage_lo, stage_hi] of a compiled query (defaults:

@@ -248,6 +248,48 @@ let test_deploy_resilient_to_failure () =
   (* 30 SYNs to one host crossed the threshold despite the reroute. *)
   checkb "monitoring survives the reroute" true (Deploy.message_count ctl >= 1)
 
+(* A switch counts a packet once however many deployments run a slice
+   of it there: per switch, [packets_seen] is the number of packets
+   during which its CQE hop counter moved. *)
+let test_packets_seen_once_per_switch () =
+  let topo = Topo.linear 4 in
+  let ctl = Deploy.create topo in
+  List.iter
+    (fun id ->
+      ignore
+        (Deploy.deploy ~stages_per_switch:4 ctl
+           (compile (Option.get (Newton_query.Catalog.find id)))))
+    [ 1; 4; 6; 7 ];
+  let trace =
+    Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.default_suite ~seed:45
+      (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 300)
+  in
+  let n = Topo.num_switches topo in
+  let sink s = Newton_runtime.Engine.sink (Deploy.engine ctl s) in
+  let hops s = Newton_telemetry.Stats.get (sink s) Newton_telemetry.Stats.Cqe_hops in
+  let expected = Array.make n 0 in
+  Newton_trace.Gen.iter
+    (fun p ->
+      let before = Array.init n hops in
+      let host f =
+        Newton_core.Newton.Network.host_of_ip topo (Newton_packet.Packet.get p f)
+      in
+      Deploy.process_packet ctl ~src_host:(host Newton_packet.Field.Src_ip)
+        ~dst_host:(host Newton_packet.Field.Dst_ip) p;
+      Array.iteri
+        (fun s b -> if hops s > b then expected.(s) <- expected.(s) + 1)
+        before)
+    trace;
+  for s = 0 to n - 1 do
+    let seen = Newton_runtime.Engine.packets_seen (Deploy.engine ctl s) in
+    checki (Printf.sprintf "switch %d packets seen" s) expected.(s) seen;
+    checki (Printf.sprintf "switch %d counter" s) seen
+      (Newton_telemetry.Stats.get (sink s) Newton_telemetry.Stats.Packets_processed);
+    checkb (Printf.sprintf "switch %d ran several slices per packet" s) true
+      (hops s > seen)
+  done;
+  checkb "some packets crossed the fabric" true (expected.(0) > 0)
+
 let test_layout_placed_at_creation () =
   let ctl = Deploy.create (Topo.linear 2) in
   let sw = Deploy.switch ctl 0 in
@@ -332,5 +374,6 @@ let suite =
     ("sole mode installs everywhere", `Quick, test_sole_mode_installs_everywhere);
     ("cqe flat vs sole linear", `Quick, test_cqe_messages_flat_sole_linear);
     ("sp overhead counted", `Quick, test_sp_overhead_counted);
+    ("packets seen once per switch", `Quick, test_packets_seen_once_per_switch);
     ("deploy resilient to failure", `Quick, test_deploy_resilient_to_failure);
   ]

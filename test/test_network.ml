@@ -218,6 +218,79 @@ let qcheck_waxman_placement_coverage =
         hosts;
       !ok)
 
+(* One long-lived route, its next-hop tables built and dropped across
+   random failures and repairs, answers like a route created fresh with
+   the same failures: every host pair, flow hashes 0-31. *)
+type route_op =
+  | Fail_link of int
+  | Repair_link of int
+  | Fail_node of int
+  | Repair_node of int
+  | Clear
+
+let route_op_to_string = function
+  | Fail_link i -> Printf.sprintf "fail_link %d" i
+  | Repair_link i -> Printf.sprintf "repair_link (down %d)" i
+  | Fail_node i -> Printf.sprintf "fail_node %d" i
+  | Repair_node i -> Printf.sprintf "repair_node (down %d)" i
+  | Clear -> "clear"
+
+let qcheck_route_cache name topo =
+  let links = Array.of_list (Topo.links topo) in
+  let nodes = Topo.num_nodes topo in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun i -> Fail_link i) (int_bound (Array.length links - 1)));
+          (3, map (fun i -> Repair_link i) (int_bound (Array.length links - 1)));
+          (2, map (fun i -> Fail_node i) (int_bound (nodes - 1)));
+          (2, map (fun i -> Repair_node i) (int_bound (nodes - 1)));
+          (1, return Clear) ])
+  in
+  let print ops = String.concat "; " (List.map route_op_to_string ops) in
+  let hosts = Topo.hosts topo in
+  let same long fresh =
+    List.for_all
+      (fun src_host ->
+        List.for_all
+          (fun dst_host ->
+            List.for_all
+              (fun flow_hash ->
+                Route.switch_path ~flow_hash long ~src_host ~dst_host
+                = Route.switch_path ~flow_hash fresh ~src_host ~dst_host
+                && Route.shortest_path ~flow_hash long ~src:src_host ~dst:dst_host
+                   = Route.shortest_path ~flow_hash fresh ~src:src_host ~dst:dst_host)
+              (List.init 32 Fun.id))
+          hosts)
+      hosts
+  in
+  QCheck.Test.make ~count:20
+    ~name:(Printf.sprintf "cached routes follow failures (%s)" name)
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 6) op))
+    (fun ops ->
+      let long = Route.create topo in
+      List.for_all
+        (fun op ->
+          (* a repair picks among what is down, so it takes effect *)
+          let nth_down l i = List.nth l (i mod List.length l) in
+          (match op with
+          | Fail_link i -> Route.fail_link long links.(i)
+          | Repair_link i -> (
+              match Route.failed_links long with
+              | [] -> ()
+              | l -> Route.repair_link long (nth_down l i))
+          | Fail_node n -> Route.fail_node long n
+          | Repair_node n -> (
+              match Route.failed_nodes long with
+              | [] -> ()
+              | l -> Route.repair_node long (nth_down l n))
+          | Clear -> Route.clear_failures long);
+          let fresh = Route.create topo in
+          List.iter (Route.fail_link fresh) (Route.failed_links long);
+          List.iter (Route.fail_node fresh) (Route.failed_nodes long);
+          same long fresh)
+        ops)
+
 let suite =
   [
     ("linear structure", `Quick, test_linear_structure);
@@ -242,4 +315,8 @@ let suite =
     ("waxman deterministic", `Quick, test_waxman_deterministic);
     ("waxman hosts", `Quick, test_waxman_hosts);
     QCheck_alcotest.to_alcotest qcheck_waxman_placement_coverage;
+    QCheck_alcotest.to_alcotest (qcheck_route_cache "fat_tree 4" (Topo.fat_tree 4));
+    QCheck_alcotest.to_alcotest (qcheck_route_cache "bypass" (Topo.bypass ()));
+    QCheck_alcotest.to_alcotest
+      (qcheck_route_cache "waxman 12" (Topo.waxman ~switches:12 ~seed:7 ()));
   ]

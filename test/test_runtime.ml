@@ -29,6 +29,44 @@ let test_ctx_sp_roundtrip () =
   checki "state1" 321 c'.Ctx.state.(1);
   checki "global" 99 c'.Ctx.g1
 
+(* The in-place restore the path executors use is the SP round trip:
+   values beyond the header's widths (and negative ones) saturate alike,
+   operation keys and [g2] are dropped, [stopped] is carried over. *)
+let qcheck_apply_sp_widths =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-1000) 1000;
+          int_range (-(1 lsl 30)) (1 lsl 30);
+          (* around a power of two, 16 and 24 bits included *)
+          map2 (fun b d -> (1 lsl b) + d) (int_range 0 40) (int_range (-2) 2);
+          oneofl [ max_int; min_int ] ])
+  in
+  let gen = QCheck.Gen.(pair (array_repeat 7 value) bool) in
+  let print (v, stopped) =
+    Printf.sprintf "[%s] stopped=%b"
+      (String.concat "; " (Array.to_list (Array.map string_of_int v)))
+      stopped
+  in
+  QCheck.Test.make ~count:1000 ~name:"apply_sp_widths = SP round trip"
+    (QCheck.make ~print gen)
+    (fun (v, stopped) ->
+      let c = Ctx.create () in
+      c.Ctx.op_keys.(0) <- [| v.(0); v.(6) |];
+      c.Ctx.op_keys.(1) <- [| v.(1) |];
+      c.Ctx.hash.(0) <- v.(0);
+      c.Ctx.state.(0) <- v.(1);
+      c.Ctx.hash.(1) <- v.(2);
+      c.Ctx.state.(1) <- v.(3);
+      c.Ctx.g1 <- v.(4);
+      c.Ctx.g2 <- v.(5);
+      c.Ctx.stopped <- stopped;
+      let r = Ctx.of_sp (Sp_header.decode (Sp_header.encode (Ctx.to_sp c))) in
+      Ctx.apply_sp_widths c;
+      c.Ctx.op_keys = r.Ctx.op_keys && c.Ctx.hash = r.Ctx.hash
+      && c.Ctx.state = r.Ctx.state && c.Ctx.g1 = r.Ctx.g1
+      && c.Ctx.g2 = r.Ctx.g2 && c.Ctx.stopped = stopped)
+
 let test_ctx_reset () =
   let c = Ctx.create () in
   c.Ctx.g1 <- 5;
@@ -371,6 +409,7 @@ let test_analyzer_score_empty () =
 let suite =
   [
     ("ctx sp roundtrip", `Quick, test_ctx_sp_roundtrip);
+    QCheck_alcotest.to_alcotest qcheck_apply_sp_widths;
     ("ctx reset", `Quick, test_ctx_reset);
     ("install returns rules", `Quick, test_install_returns_rules);
     ("remove frees rules", `Quick, test_remove_frees_rules);
