@@ -58,6 +58,8 @@ type t = {
   c_sink : Newton_telemetry.Stats.sink; (** controller-level counters *)
   mutable recoveries : recovery list; (* reverse order *)
   touched : int array; (* per switch: the last packet number it ran a slice of *)
+  path : int array; (* the current packet's switch path *)
+  ctx : Ctx.t; (* the current packet's context, reset per deployment *)
 }
 
 (* The module layout is loaded once per switch at initialization (§3
@@ -103,6 +105,8 @@ let create ?(fwd_entries = Switch.default_fwd_entries) topo =
     c_sink = Newton_telemetry.Stats.create ();
     recoveries = [];
     touched = Array.make n 0;
+    path = Array.make (Topo.num_nodes topo) 0;
+    ctx = Ctx.create ();
   }
 
 let topo t = t.topo
@@ -110,6 +114,7 @@ let route t = t.route
 let engine t s = t.engines.(s)
 let switch t s = t.switches.(s)
 let analyzer t = t.analyzer
+let software_engine t = t.software
 let deployments t = t.deployments
 
 let find_deployment t uid = List.find_opt (fun d -> d.uid = uid) t.deployments
@@ -417,102 +422,112 @@ let software_continue t dep ~next_slice ~ctx pkt =
         Newton_telemetry.Stats.Software_continuations 1;
       ignore (Engine.process_instance t.software inst ~ctx pkt)
 
-(* ---------------- packet processing ---------------- *)
+(* ---------------- packet processing ----------------
+
+   One packet's walk over the deployments and its switch path
+   ([t.path], [n] switches), written as top-level recursions over
+   explicit parameters so that nothing is allocated per packet. *)
+
+(* A switch's first slice of a packet counts the packet and rolls its
+   engine's windows; rolling again at the same timestamp would change
+   nothing. *)
+let touch t s engine pkt =
+  if t.touched.(s) <> t.packets then begin
+    t.touched.(s) <- t.packets;
+    Engine.record_packet_seen engine;
+    Engine.maybe_roll_window engine (Newton_packet.Packet.ts pkt)
+  end
+
+(* Sole: the full query, instance [uid], on a fresh context at every
+   path hop from index [i]. *)
+let rec run_sole t uid pkt n i =
+  if i < n then begin
+    let s = t.path.(i) in
+    let engine = t.engines.(s) in
+    (match Engine.find_instance engine uid with
+    | Some inst ->
+        touch t s engine pkt;
+        Ctx.reset t.ctx;
+        ignore (Engine.process_instance engine inst ~ctx:t.ctx pkt)
+    | None -> ());
+    run_sole t uid pkt n (i + 1)
+  end
+
+(* CQE: run slice [d + 1] of [dep]'s [m] at the next hop from path index
+   [i].  Depth counts Newton-enabled hops only, and the SP header
+   survives only between {e adjacent} enabled switches (§7): [prev] is
+   the path index of the last enabled hop ([-2] before the first), and
+   a legacy switch in between loses the snapshot.  Returns the depth
+   reached. *)
+let rec run_cqe t dep pkt m n i d prev =
+  let ctx = t.ctx in
+  if i >= n || ctx.Ctx.stopped || d >= m then d
+  else
+    let s = t.path.(i) in
+    if not t.enabled.(s) then run_cqe t dep pkt m n (i + 1) d prev
+    else begin
+      let d = d + 1 in
+      let engine = t.engines.(s) in
+      Newton_telemetry.Stats.bump (Engine.sink engine)
+        Newton_telemetry.Stats.Cqe_hops 1;
+      (match Engine.find_instance engine (slice_uid dep.uid d) with
+      | Some inst ->
+          touch t s engine pkt;
+          if d > 1 then begin
+            if i = prev + 1 then begin
+              (* SP header between adjacent Newton hops. *)
+              t.sp_bytes <- t.sp_bytes + Newton_packet.Sp_header.size_bytes;
+              Newton_telemetry.Stats.bump (Engine.sink engine)
+                Newton_telemetry.Stats.Sp_header_bytes
+                Newton_packet.Sp_header.size_bytes;
+              Ctx.apply_sp_widths ctx
+            end
+            else
+              (* snapshot lost crossing a legacy switch *)
+              Ctx.reset ctx
+          end;
+          ignore (Engine.process_instance engine inst ~ctx pkt)
+      | None ->
+          (* Placement gap (should not happen under Algorithm 2): defer
+             to the analyzer. *)
+          t.software_status_msgs <- t.software_status_msgs + 1);
+      run_cqe t dep pkt m n (i + 1) d i
+    end
+
+let rec run_deps t pkt n = function
+  | [] -> ()
+  | dep :: rest ->
+      (match dep.mode with
+      | `Sole -> run_sole t (slice_uid dep.uid 1) pkt n 0
+      | `Cqe ->
+          let m =
+            match dep.placement with Some p -> p.Placement.num_slices | None -> 1
+          in
+          Ctx.reset t.ctx;
+          let d = run_cqe t dep pkt m n 0 0 (-2) in
+          (* Query longer than the (enabled part of the) path: the last
+             switch exports the execution status and the analyzer
+             continues executing the remaining slices in software
+             (§5.2). *)
+          if m > d && d > 0 && not t.ctx.Ctx.stopped then begin
+            t.software_status_msgs <- t.software_status_msgs + 1;
+            software_continue t dep ~next_slice:(d + 1) ~ctx:t.ctx pkt
+          end);
+      run_deps t pkt n rest
 
 (** Process one packet whose flow enters at [src_host] and leaves at
     [dst_host].  Executes every deployment along the forwarding path:
     CQE deployments run slice d at hop d with the context threaded
     through the SP header; sole deployments run the full query
-    independently at every hop. *)
+    independently at every hop.  A disconnected packet is dropped by
+    routing; one between two ports of the same host never enters the
+    fabric. *)
 let process_packet t ~src_host ~dst_host pkt =
   t.packets <- t.packets + 1;
   t.wire_bytes <- t.wire_bytes + Newton_packet.Packet.get pkt Newton_packet.Field.Pkt_len;
-  let flow_hash =
-    Newton_packet.Fivetuple.hash (Newton_packet.Fivetuple.of_packet pkt)
-  in
-  match Route.switch_path ~flow_hash t.route ~src_host ~dst_host with
-  | None -> () (* disconnected: packet dropped by routing *)
-  | Some [] -> () (* endpoints on the same host: never enters the fabric *)
-  | Some path ->
-      let ts = Newton_packet.Packet.ts pkt in
-      (* A switch's first slice of this packet counts the packet and rolls
-         its engine's windows; rolling again at the same timestamp would
-         change nothing. *)
-      let touch s engine =
-        if t.touched.(s) <> t.packets then begin
-          t.touched.(s) <- t.packets;
-          Engine.record_packet_seen engine;
-          Engine.maybe_roll_window engine ts
-        end
-      in
-      (* One scratch context, reset before each deployment. *)
-      let ctx = Ctx.create () in
-      List.iter
-        (fun dep ->
-          match dep.mode with
-          | `Sole ->
-              List.iter
-                (fun s ->
-                  let engine = t.engines.(s) in
-                  match Engine.find_instance engine (slice_uid dep.uid 1) with
-                  | Some inst ->
-                      touch s engine;
-                      Ctx.reset ctx;
-                      ignore (Engine.process_instance engine inst ~ctx pkt)
-                  | None -> ())
-                path
-          | `Cqe ->
-              let m =
-                match dep.placement with
-                | Some p -> p.Placement.num_slices
-                | None -> 1
-              in
-              Ctx.reset ctx;
-              (* Depth counts Newton-enabled hops only; the SP header
-                 survives only between {e adjacent} enabled switches (§7) —
-                 a legacy switch in between loses the snapshot. *)
-              let d = ref 0 in
-              let prev_enabled_hop = ref (-2) in
-              List.iteri
-                (fun hop s ->
-                  if t.enabled.(s) && (not ctx.Ctx.stopped) && !d < m then begin
-                    incr d;
-                    let engine = t.engines.(s) in
-                    Newton_telemetry.Stats.bump (Engine.sink engine)
-                      Newton_telemetry.Stats.Cqe_hops 1;
-                    (match Engine.find_instance engine (slice_uid dep.uid !d) with
-                    | Some inst ->
-                        touch s engine;
-                        if !d > 1 then begin
-                          if hop = !prev_enabled_hop + 1 then begin
-                            (* SP header between adjacent Newton hops. *)
-                            t.sp_bytes <- t.sp_bytes + Newton_packet.Sp_header.size_bytes;
-                            Newton_telemetry.Stats.bump (Engine.sink engine)
-                              Newton_telemetry.Stats.Sp_header_bytes
-                              Newton_packet.Sp_header.size_bytes;
-                            Ctx.apply_sp_widths ctx
-                          end
-                          else
-                            (* snapshot lost crossing a legacy switch *)
-                            Ctx.reset ctx
-                        end;
-                        ignore (Engine.process_instance engine inst ~ctx pkt)
-                    | None ->
-                        (* Placement gap (should not happen under
-                           Algorithm 2): defer to the analyzer. *)
-                        t.software_status_msgs <- t.software_status_msgs + 1);
-                    prev_enabled_hop := hop
-                  end)
-                path;
-              (* Query longer than the (enabled part of the) path: the
-                 last switch exports the execution status and the
-                 analyzer continues executing the remaining slices in
-                 software (§5.2). *)
-              if m > !d && !d > 0 && not ctx.Ctx.stopped then begin
-                t.software_status_msgs <- t.software_status_msgs + 1;
-                software_continue t dep ~next_slice:(!d + 1) ~ctx pkt
-              end)
-        t.deployments
+  let flow_hash = Newton_packet.Fivetuple.hash_packet pkt in
+  let n = Route.switch_path_into t.route ~flow_hash ~src_host ~dst_host t.path in
+  if n > 0 then run_deps t pkt n t.deployments
 
 (** All reports produced so far: data-plane reports network-wide plus
     the analyzer's software-continuation results. *)

@@ -41,6 +41,10 @@ val route : t -> Route.t
 val engine : t -> int -> Engine.t
 val switch : t -> int -> Switch.t
 val analyzer : t -> Analyzer.t
+
+(** The analyzer's CPU engine, where slices beyond the forwarding path
+    are lazily installed and continued. *)
+val software_engine : t -> Engine.t
 val deployments : t -> deployment list
 val find_deployment : t -> int -> deployment option
 

@@ -138,11 +138,44 @@ let shortest_path ?(flow_hash = 0) t ~src ~dst =
       in
       walk src 0 [ src ]
 
+(* The walk of [shortest_path] from [cur] at hop [hop], writing the
+   switches it visits into [buf] from index [n]; returns the count. *)
+let rec fill_switches t w ~flow_hash ~dst buf cur hop n =
+  let n =
+    if Topo.is_switch t.topo cur then begin
+      buf.(n) <- cur;
+      n + 1
+    end
+    else n
+  in
+  if cur = dst then n
+  else
+    let nexts = w.next.(cur) in
+    fill_switches t w ~flow_hash ~dst buf
+      nexts.((flow_hash + hop) mod Array.length nexts)
+      (hop + 1) n
+
+(** [switch_path] written into [buf] (at least {!Topo.num_nodes} long):
+    the number of switches on the path, or [-1] when disconnected.
+    Allocates nothing once the destination's next-hop table is built. *)
+let switch_path_into t ~flow_hash ~src_host ~dst_host buf =
+  if is_node_failed t src_host || is_node_failed t dst_host then -1
+  else if src_host = dst_host then
+    if Topo.is_switch t.topo src_host then begin
+      buf.(0) <- src_host;
+      1
+    end
+    else 0
+  else
+    let w = toward t dst_host in
+    if w.dist.(src_host) = max_int then -1
+    else fill_switches t w ~flow_hash ~dst:dst_host buf src_host 0 0
+
 (** The switch-only portion of a host-to-host path. *)
-let switch_path ?flow_hash t ~src_host ~dst_host =
-  match shortest_path ?flow_hash t ~src:src_host ~dst:dst_host with
-  | None -> None
-  | Some path -> Some (List.filter (fun n -> Topo.is_switch t.topo n) path)
+let switch_path ?(flow_hash = 0) t ~src_host ~dst_host =
+  let buf = Array.make (Topo.num_nodes t.topo) 0 in
+  let n = switch_path_into t ~flow_hash ~src_host ~dst_host buf in
+  if n < 0 then None else Some (Array.to_list (Array.sub buf 0 n))
 
 (** All shortest paths between two nodes (used by resilience analysis;
     exponential in theory, small in practice on our topologies). *)

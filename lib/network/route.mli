@@ -45,6 +45,14 @@ val shortest_path : ?flow_hash:int -> t -> src:int -> dst:int -> int list option
 val switch_path :
   ?flow_hash:int -> t -> src_host:int -> dst_host:int -> int list option
 
+(** {!switch_path} written into [buf], which must hold
+    {!Topo.num_nodes} entries: returns the number of switches on the
+    path ([0] when both endpoints are the same host), or [-1] when
+    disconnected.  Allocates nothing once the destination's next-hop
+    table is built — the per-packet form of the path executors. *)
+val switch_path_into :
+  t -> flow_hash:int -> src_host:int -> dst_host:int -> int array -> int
+
 (** All equal-cost shortest paths between two nodes. *)
 val all_shortest_paths : t -> src:int -> dst:int -> int list list
 

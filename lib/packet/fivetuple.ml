@@ -39,12 +39,21 @@ let equal a b =
 
 let compare = compare
 
-let hash t =
-  (* Mix the five components; good enough for Hashtbl bucketing. *)
-  let h = ref 0x811c9dc5 in
-  let mix v = h := (!h lxor v) * 0x01000193 land max_int in
-  mix t.src_ip; mix t.dst_ip; mix t.proto; mix t.src_port; mix t.dst_port;
-  !h
+(* Mix the five components (FNV-style); good enough for Hashtbl
+   bucketing. *)
+let[@inline] mix h v = (h lxor v) * 0x01000193 land max_int
+
+let[@inline] hash5 src_ip dst_ip proto src_port dst_port =
+  mix (mix (mix (mix (mix 0x811c9dc5 src_ip) dst_ip) proto) src_port) dst_port
+
+let hash t = hash5 t.src_ip t.dst_ip t.proto t.src_port t.dst_port
+
+(** [hash (of_packet p)] without building the tuple: the per-packet
+    ECMP key of the path executors. *)
+let hash_packet p =
+  hash5 (Packet.get p Field.Src_ip) (Packet.get p Field.Dst_ip)
+    (Packet.get p Field.Proto) (Packet.get p Field.Src_port)
+    (Packet.get p Field.Dst_port)
 
 let to_string t =
   Printf.sprintf "%s:%d->%s:%d/%d"

@@ -22,6 +22,9 @@ val compare : t -> t -> int
 (** Mixing hash, suitable for flow caches and ECMP. *)
 val hash : t -> int
 
+(** [hash_packet p = hash (of_packet p)], without building the tuple. *)
+val hash_packet : Packet.t -> int
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

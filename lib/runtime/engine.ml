@@ -22,6 +22,30 @@ open Newton_telemetry
 
 type array_key = int * int * int (* branch, prim, suite *)
 
+(* Report dedup memory, keyed by a report's operation keys alone: every
+   entry belongs to the instance's current window, since entering a
+   window resets the table.  Hashed with the H module's own chain and
+   compared element-wise, so a lookup allocates nothing. *)
+let rec keys_equal_from (a : int array) (b : int array) i =
+  i >= Array.length a
+  || (Array.unsafe_get a i = Array.unsafe_get b i && keys_equal_from a b (i + 1))
+
+module Keys_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = Array.length a = Array.length b && keys_equal_from a b 0
+  let hash keys = Hash.hash_vector ~seed:0 keys
+end)
+
+(* uid -> the instance [find_instance] answers, boxed once at install
+   so a lookup returns it without allocating. *)
+module Uid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash u = u land max_int
+end)
+
 (* ---------------- compiled slots ----------------
 
    [install] compiles each hosted IR slot once: key fields become dense
@@ -71,7 +95,7 @@ type instance = {
   stage_hi : int;
   slots : Ir.slot list array;      (** hosted slots per branch, chain order *)
   arrays : (array_key, Register_array.t) Hashtbl.t;
-  reported : (int * int array, unit) Hashtbl.t; (** (window, keys) dedup *)
+  reported : unit Keys_tbl.t;     (** keys reported in [window_index] *)
   mutable rules : int;             (** table entries this slice holds *)
   mutable window_index : int;      (** this instance's current window *)
   branches : cbranch array;        (** [slots], compiled *)
@@ -108,6 +132,7 @@ type t = {
   mutable sink : Stats.sink;
   tally : tally;
   mutable instances : instance list;
+  by_uid : instance option Uid_tbl.t; (* first-installed instance per uid *)
   (* newton_init: ternary match over the 5-tuple + TCP flags (§4.1
      "Concurrency"), dispatching packets to instance/branch chains.
      Bounded like any hardware table: it models the classifier's
@@ -118,6 +143,11 @@ type t = {
      cell is one hardware table of [Module_cost.rules_per_module]
      capacity — this is what bounds concurrent queries. *)
   cell_rules : (int * Newton_dataplane.Module_cost.kind * int, int) Hashtbl.t;
+  (* Register arrays of removed instances by size, handed to the next
+     install that needs one: like a switch's SRAM, register memory is
+     reused rather than allocated per query, so churn leaves no major-
+     heap allocation (and GC work) behind each install. *)
+  spare_arrays : (int, Register_array.t list) Hashtbl.t;
   mutable reports : Report.t list; (* reverse order *)
   mutable report_count : int;
   mutable packets_seen : int;
@@ -142,10 +172,12 @@ let create ?(sink = Stats.create ()) ~switch_id () =
       { hits_k = 0; hits_h = 0; hits_s = 0; hits_r = 0; guard_stops = 0;
         emitted = 0; deduped = 0; dropped = 0; rolls = 0 };
     instances = [];
+    by_uid = Uid_tbl.create 16;
     init_table =
       Newton_dataplane.Table.create ~capacity:1024 ~name:"newton_init"
         ~key_width:(List.length Ir.init_fields) ();
     cell_rules = Hashtbl.create 64;
+    spare_arrays = Hashtbl.create 8;
     reports = [];
     report_count = 0;
     packets_seen = 0;
@@ -186,7 +218,7 @@ let instance_rules i = i.rules
 let instance_stage_lo i = i.stage_lo
 let instance_stage_hi i = i.stage_hi
 let instance_window i = i.window_index
-let instance_reported_keys i = Hashtbl.length i.reported
+let instance_reported_keys i = Keys_tbl.length i.reported
 let instance_slots i = i.slots
 
 (* Sorted by (branch, prim, suite) so the listing order is stable
@@ -249,6 +281,16 @@ let compile_branch arrays (entry : Ir.init_entry) slots =
     cbm_mask = Array.map (fun (_, _, m) -> m) ms;
     cb_slots = Array.of_list (List.map (compile_slot arrays) slots);
   }
+
+(* A zeroed register array of [size]: a removed instance's if one is
+   spare, a fresh one otherwise. *)
+let take_array t size =
+  match Hashtbl.find_opt t.spare_arrays size with
+  | Some (arr :: rest) ->
+      Hashtbl.replace t.spare_arrays size rest;
+      Register_array.reset arr;
+      arr
+  | Some [] | None -> Register_array.create size
 
 (** Install a slice [stage_lo, stage_hi] of a compiled query.  Returns
     the instance uid and the number of table entries installed (module
@@ -335,7 +377,7 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
          | Ir.S_cfg { op = Ir.S_bf | Ir.S_cm _ | Ir.S_max _; registers } ->
              Hashtbl.replace arrays
                (s.Ir.branch, s.Ir.prim, s.Ir.suite)
-               (Register_array.create registers)
+               (take_array t registers)
          | _ -> ()))
     slots;
   let nrules =
@@ -406,7 +448,7 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
       stage_hi;
       slots;
       arrays;
-      reported = Hashtbl.create 64;
+      reported = Keys_tbl.create 64;
       rules = nrules;
       window_index = 0;
       branches =
@@ -418,6 +460,7 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
     }
   in
   t.instances <- t.instances @ [ inst ];
+  if not (Uid_tbl.mem t.by_uid uid) then Uid_tbl.add t.by_uid uid (Some inst);
   (uid, nrules)
 
 (** Remove an instance; returns how many table entries were freed, or
@@ -427,6 +470,13 @@ let remove t uid =
   | None -> None
   | Some inst ->
       t.instances <- List.filter (fun i -> i.uid <> uid) t.instances;
+      Uid_tbl.remove t.by_uid uid;
+      Hashtbl.iter
+        (fun _ arr ->
+          let size = Register_array.size arr in
+          Hashtbl.replace t.spare_arrays size
+            (arr :: Option.value ~default:[] (Hashtbl.find_opt t.spare_arrays size)))
+        inst.arrays;
       (* release the module-cell rules and the newton_init entries *)
       Array.iter
         (List.iter (fun s ->
@@ -441,7 +491,10 @@ let remove t uid =
         (Newton_dataplane.Table.find_ids t.init_table (fun (u, _) -> u = uid));
       Some inst.rules
 
-let find_instance t uid = List.find_opt (fun i -> i.uid = uid) t.instances
+(* The first-installed instance of [uid], as [List.find_opt] over
+   [instances] would find it ([remove] drops every instance of a uid). *)
+let find_instance t uid =
+  match Uid_tbl.find t.by_uid uid with found -> found | exception Not_found -> None
 
 let total_rules t = List.fold_left (fun acc i -> acc + i.rules) 0 t.instances
 
@@ -476,7 +529,7 @@ let merge_value op acc v =
 
 (* Each instance keeps its own window clock: concurrent queries may use
    different window lengths (Ast.window). *)
-let window_of inst now = int_of_float (now /. inst.compiled.Compose.query.Ast.window)
+let[@inline] window_of inst now = int_of_float (now /. inst.compiled.Compose.query.Ast.window)
 
 (* Move [inst] to window [w], clearing its sketch state and report
    dedup; [false] if it is already there. *)
@@ -485,7 +538,7 @@ let enter_window inst w =
   && begin
        inst.window_index <- w;
        Hashtbl.iter (fun _ arr -> Register_array.clear arr) inst.arrays;
-       Hashtbl.reset inst.reported;
+       Keys_tbl.reset inst.reported;
        true
      end
 
@@ -496,8 +549,13 @@ let roll_instance_window t inst now =
 (* Wrapper used by the path executor and the controller: rolls every
    instance of the engine.  Window lengths are per-instance
    ([query.window]); there is no per-call override. *)
-let maybe_roll_window t now =
-  List.iter (fun inst -> roll_instance_window t inst now) t.instances
+let rec roll_windows t now = function
+  | [] -> ()
+  | inst :: rest ->
+      roll_instance_window t inst now;
+      roll_windows t now rest
+
+let maybe_roll_window t now = roll_windows t now t.instances
 
 (* ---------------- state migration ---------------- *)
 
@@ -511,7 +569,7 @@ let maybe_roll_window t now =
     is cleared and adopts [src]'s window; if [src] is in an {e earlier}
     window its state is stale — the next roll would wipe it anyway —
     so nothing is merged.  Arrays then combine under [op_of]'s per-bank
-    ALU op, and [src]'s (window, keys) dedup entries are carried over so
+    ALU op, and [src]'s dedup entries (all of that shared window) are carried over so
     the replacement does not re-emit reports the failed switch already
     exported.  Returns (banks merged, occupied cells moved). *)
 let absorb_state ~op_of ~src ~dst =
@@ -538,23 +596,23 @@ let absorb_state ~op_of ~src ~dst =
                 cells := !cells + Register_array.occupancy src_arr;
                 Register_array.merge_into ~op ~dst:dst_arr ~src:src_arr))
       src.arrays;
-    Hashtbl.iter (fun k () -> Hashtbl.replace dst.reported k ()) src.reported;
+    Keys_tbl.iter (fun k () -> Keys_tbl.replace dst.reported k ()) src.reported;
     (!banks, !cells)
   end
 
 (* ---------------- packet processing ---------------- *)
 
-(* A report slot passed: dedup per (window, keys), then the mirror
-   budget, then export. *)
+(* A report slot passed: dedup on the keys within the window [w] the
+   instance is in, then the mirror budget, then export. *)
 let emit t inst (c : Ctx.t) meta w ts =
   let tl = t.tally in
   let keys = c.Ctx.op_keys.(meta) in
-  if Hashtbl.mem inst.reported (w, keys) then tl.deduped <- tl.deduped + 1
+  if Keys_tbl.mem inst.reported keys then tl.deduped <- tl.deduped + 1
   else begin
     (* The projection buffer is reused across packets; the stored dedup
        key and report must own their keys. *)
     let keys = Array.copy keys in
-    Hashtbl.add inst.reported (w, keys) ();
+    Keys_tbl.add inst.reported keys ();
     let over_budget =
       match t.report_budget with
       | Some budget ->
@@ -592,7 +650,7 @@ let emit t inst (c : Ctx.t) meta w ts =
   end
 
 (* The one slot executor: run the packet whose field words start at
-   [base] in [words], with timestamp [ts], through [inst]'s compiled
+   [base] in [words], with timestamp [tss.(i)], through [inst]'s compiled
    branches.  The first matching branch rolls the instance's window.
    Branch 0 runs on [ctx0] — scratch reset on first use when [fresh],
    otherwise the caller's context used as is (CQE may have restored it
@@ -600,8 +658,10 @@ let emit t inst (c : Ctx.t) meta w ts =
    instance.  Other branches process disjoint traffic and start fresh.
    Counter events accumulate in [t.tally].  [words] keeps its type
    annotation: a polymorphic Bigarray read would compile to a C call
-   instead of a load. *)
-let step t inst ~fresh ctx0 (words : Packet.words) base ts =
+   instead of a load.  The timestamp is read from the arena's float
+   array here rather than passed in, so it is never boxed. *)
+let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
+  let ts = Array.unsafe_get tss i in
   let tl = t.tally in
   let branches = inst.branches in
   let nb = Array.length branches in
@@ -659,15 +719,13 @@ let step t inst ~fresh ctx0 (words : Packet.words) base ts =
           | C_s_add_field { caf_meta; caf_arr; caf_fidx } ->
               tl.hits_s <- tl.hits_s + 1;
               c.Ctx.state.(caf_meta) <-
-                Register_array.exec caf_arr
-                  (Alu.Add (Bigarray.Array1.unsafe_get words (base + caf_fidx)))
-                  c.Ctx.hash.(caf_meta)
+                Register_array.add caf_arr c.Ctx.hash.(caf_meta)
+                  (Bigarray.Array1.unsafe_get words (base + caf_fidx))
           | C_s_max_field { cmf_meta; cmf_arr; cmf_fidx } ->
               tl.hits_s <- tl.hits_s + 1;
               c.Ctx.state.(cmf_meta) <-
-                Register_array.exec cmf_arr
-                  (Alu.Max (Bigarray.Array1.unsafe_get words (base + cmf_fidx)))
-                  c.Ctx.hash.(cmf_meta)
+                Register_array.max cmf_arr c.Ctx.hash.(cmf_meta)
+                  (Bigarray.Array1.unsafe_get words (base + cmf_fidx))
           | C_s_read { csr_meta; csr_arr } ->
               tl.hits_s <- tl.hits_s + 1;
               c.Ctx.state.(csr_meta) <-
@@ -711,19 +769,20 @@ let step t inst ~fresh ctx0 (words : Packet.words) base ts =
     incr b
   done
 
+let bump_nonzero sink key n = if n > 0 then Stats.bump sink key n
+
 (* Fold the tallied counter events into the sink, once per driver call. *)
 let flush t =
   let tl = t.tally and sink = t.sink in
-  let bump key n = if n > 0 then Stats.bump sink key n in
-  bump Stats.Module_hits_k tl.hits_k;
-  bump Stats.Module_hits_h tl.hits_h;
-  bump Stats.Module_hits_s tl.hits_s;
-  bump Stats.Module_hits_r tl.hits_r;
-  bump Stats.Guard_stops tl.guard_stops;
-  bump Stats.Reports_emitted tl.emitted;
-  bump Stats.Reports_deduped tl.deduped;
-  bump Stats.Reports_dropped tl.dropped;
-  bump Stats.Window_rolls tl.rolls;
+  bump_nonzero sink Stats.Module_hits_k tl.hits_k;
+  bump_nonzero sink Stats.Module_hits_h tl.hits_h;
+  bump_nonzero sink Stats.Module_hits_s tl.hits_s;
+  bump_nonzero sink Stats.Module_hits_r tl.hits_r;
+  bump_nonzero sink Stats.Guard_stops tl.guard_stops;
+  bump_nonzero sink Stats.Reports_emitted tl.emitted;
+  bump_nonzero sink Stats.Reports_deduped tl.deduped;
+  bump_nonzero sink Stats.Reports_dropped tl.dropped;
+  bump_nonzero sink Stats.Window_rolls tl.rolls;
   tl.hits_k <- 0;
   tl.hits_h <- 0;
   tl.hits_s <- 0;
@@ -733,6 +792,14 @@ let flush t =
   tl.deduped <- 0;
   tl.dropped <- 0;
   tl.rolls <- 0
+
+(* Packet [i] of an arena through every first-slice instance, in
+   install order. *)
+let rec step_first_slices t words base tss i = function
+  | [] -> ()
+  | inst :: rest ->
+      if inst.stage_lo = 0 then step t inst ~fresh:true inst.ctx0 words base tss i;
+      step_first_slices t words base tss i rest
 
 (** Replay a flat arena through every device-level instance.  Non-first
     CQE slices install no newton_init entries, so classification never
@@ -744,11 +811,7 @@ let process_flat t flat =
     let tss = Flat.timestamps flat in
     let stride = Flat.stride flat in
     for i = 0 to n - 1 do
-      let base = i * stride and ts = tss.(i) in
-      List.iter
-        (fun inst ->
-          if inst.stage_lo = 0 then step t inst ~fresh:true inst.ctx0 words base ts)
-        t.instances
+      step_first_slices t words (i * stride) tss i t.instances
     done;
     t.packets_seen <- t.packets_seen + n;
     Stats.bump t.sink Stats.Packets_processed n;
@@ -763,10 +826,9 @@ let process_packet t pkt =
 (** Process a packet through one instance, resuming from [ctx] (fresh or
     SP-restored).  Returns the context after the slice (for [newton_fin]);
     [ctx.stopped] is set if a guard stopped the packet. *)
-let process_instance t inst ?(ctx = Ctx.create ()) pkt =
-  let words = Flat.field_words t.one in
-  Packet.blit_fields pkt words 0;
-  step t inst ~fresh:false ctx words 0 (Packet.ts pkt);
+let process_instance t inst ~ctx pkt =
+  Flat.set_packet t.one 0 pkt;
+  step t inst ~fresh:false ctx (Flat.field_words t.one) 0 (Flat.timestamps t.one) 0;
   flush t;
   ctx
 
@@ -804,7 +866,7 @@ let instance_stats (inst : instance) =
     st_registers = List.fold_left (fun acc a -> acc + Register_array.size a) 0 arrays;
     st_occupancy = List.fold_left (fun acc a -> acc + Register_array.occupancy a) 0 arrays;
     st_window = inst.window_index;
-    st_reported_keys = Hashtbl.length inst.reported;
+    st_reported_keys = Keys_tbl.length inst.reported;
   }
 
 (** Statistics for every installed instance. *)

@@ -77,15 +77,24 @@ val record_packet_seen : t -> unit
     the whole chain).  Non-first slices re-install shadow K/H modules
     (keys and per-suite hashes do not cross switches).  CQE slices of
     one deployment pass the same [uid].  Returns (uid, table entries).
+    Register arrays come zeroed, reused from removed instances of the
+    same size when there are any (see {!remove}).
     @raise Rules_exhausted when a module cell is out of capacity; the
     check is atomic (a rejected install leaves no residue). *)
 val install :
   t -> ?uid:int -> ?stage_lo:int -> ?stage_hi:int -> Compose.t -> int * int
 
 (** Remove an instance, releasing its rules and classifier entries;
-    returns the freed entry count. *)
+    returns the freed entry count.  Its register arrays go back to the
+    engine for later installs to reuse, so a removed instance's
+    {!instance_arrays} must not be read afterwards. *)
 val remove : t -> int -> int option
 
+(** The instance installed under a uid — the first one installed if
+    several share it, exactly what a scan of {!instances} finds.  A uid
+    index kept by {!install} and {!remove}: constant time, no
+    allocation, so the path executors look up one slice per hop at no
+    cost in the number of co-resident instances. *)
 val find_instance : t -> int -> instance option
 
 (** Monitoring table entries currently installed. *)
@@ -133,7 +142,7 @@ val absorb_state :
     buffers, which its next packet overwrites.  Does not count the packet in {!packets_seen};
     callers account path hops with {!record_packet_seen} and roll
     windows with {!maybe_roll_window}. *)
-val process_instance : t -> instance -> ?ctx:Ctx.t -> Packet.t -> Ctx.t
+val process_instance : t -> instance -> ctx:Ctx.t -> Packet.t -> Ctx.t
 
 (** Device-level driver of the compiled step: run one packet through
     every instance whose [newton_init] entry it matches (first-slice
@@ -166,7 +175,9 @@ val instance_stage_hi : instance -> int
 (** Current window index. *)
 val instance_window : instance -> int
 
-(** Keys reported (deduped) in the current window. *)
+(** Distinct report keys exported (or dropped by the mirror budget) in
+    the current window: the dedup memory, keyed by the operation keys
+    alone since entering a window empties it. *)
 val instance_reported_keys : instance -> int
 
 (** Hosted slots per branch, chain order. *)

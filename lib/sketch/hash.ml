@@ -16,7 +16,10 @@ let create ~seed ~range =
 let range t = t.range
 let seed t = t.seed
 
-let mix64 h =
+(* The chain helpers are [@inline] so that, without flambda, the 64-bit
+   accumulator stays an unboxed register value instead of an [Int64]
+   block per step. *)
+let[@inline] mix64 h =
   let h = Int64.logxor h (Int64.shift_right_logical h 33) in
   let h = Int64.mul h 0xFF51AFD7ED558CCDL in
   let h = Int64.logxor h (Int64.shift_right_logical h 33) in
@@ -30,17 +33,21 @@ let hash_int ~seed v =
   in
   Int64.to_int (Int64.shift_right_logical h 2)
 
-let chain_init seed = Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L
+let[@inline] chain_init seed = Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L
 
-let chain_step acc k =
+let[@inline] chain_step acc k =
   mix64 (Int64.add (Int64.logxor acc (Int64.of_int k)) 0x632BE59BD9B4E019L)
 
-let chain_fin acc = Int64.to_int (Int64.shift_right_logical (mix64 acc) 2)
+let[@inline] chain_fin acc = Int64.to_int (Int64.shift_right_logical (mix64 acc) 2)
 
-(** Hash a key vector (e.g. masked operation keys) by chaining. *)
+(** Hash a key vector (e.g. masked operation keys) by chaining.  A
+    [for] loop over a local [int64 ref], which the compiler keeps
+    unboxed: the per-packet H module allocates nothing. *)
 let hash_vector ~seed keys =
   let acc = ref (chain_init seed) in
-  Array.iter (fun k -> acc := chain_step !acc k) keys;
+  for i = 0 to Array.length keys - 1 do
+    acc := chain_step !acc (Array.unsafe_get keys i)
+  done;
   chain_fin !acc
 
 (** [hash5 ~seed a b c d e = hash_vector ~seed [|a; b; c; d; e|]],

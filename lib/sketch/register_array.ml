@@ -26,15 +26,40 @@ let set t idx v =
   if idx < 0 || idx >= t.size then invalid_arg "Register_array.set: index out of range";
   t.regs.(idx) <- v
 
-(** Execute a stateful ALU at [idx]; returns the ALU result. *)
-let exec t alu idx =
+(* Bounds-check one ALU execution at [idx] and count it. *)
+let count_op t fn idx =
   if idx < 0 || idx >= t.size then
     invalid_arg
-      (Printf.sprintf "Register_array.exec: index %d out of range [0,%d)" idx t.size);
-  t.ops <- t.ops + 1;
+      (Printf.sprintf "Register_array.%s: index %d out of range [0,%d)" fn idx t.size);
+  t.ops <- t.ops + 1
+
+(** Execute a stateful ALU at [idx]; returns the ALU result. *)
+let exec t alu idx =
+  count_op t "exec" idx;
   Alu.exec alu t.regs idx
 
+(** [exec t (Alu.Add v) idx] without building the ALU value. *)
+let add t idx v =
+  count_op t "add" idx;
+  let r = t.regs.(idx) + v in
+  t.regs.(idx) <- r;
+  r
+
+(** [exec t (Alu.Max v) idx] without building the ALU value. *)
+let max t idx v =
+  count_op t "max" idx;
+  let cur = t.regs.(idx) in
+  let r = if v > cur then v else cur in
+  t.regs.(idx) <- r;
+  r
+
 let clear t = Array.fill t.regs 0 t.size 0
+
+(** Back to the state [create] returns — registers and op count zeroed
+    — so a removed query's SRAM can serve the next install. *)
+let reset t =
+  clear t;
+  t.ops <- 0
 
 let copy t = { t with regs = Array.copy t.regs }
 

@@ -23,8 +23,19 @@ val set : t -> int -> int -> unit
     @raise Invalid_argument when the index is out of range. *)
 val exec : t -> Alu.t -> int -> int
 
+(** [add t idx v] = [exec t (Alu.Add v) idx]: same bounds check and
+    op count, no {!Alu.t} built (field-valued Count-Min increments). *)
+val add : t -> int -> int -> int
+
+(** [max t idx v] = [exec t (Alu.Max v) idx] (field-valued maxima). *)
+val max : t -> int -> int -> int
+
 (** Zero every register (window reset). *)
 val clear : t -> unit
+
+(** Zero every register and the op count: the array as {!create}
+    returns it, for reuse by a later install of the same size. *)
+val reset : t -> unit
 
 (** Independent copy (registers duplicated, op counter carried over). *)
 val copy : t -> t

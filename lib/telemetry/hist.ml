@@ -43,8 +43,10 @@ let count t = t.count
 let sum t = t.sum
 
 (* First bucket whose bound covers [x]; the overflow bucket otherwise.
-   Linear scan: bound arrays are small and observe is not on the
-   per-packet path (reports and window rolls only). *)
+   Linear scan over at most twenty bounds.  Observe is on the
+   per-packet path of the streaming ingest ([Stream.run] records every
+   pulled packet's inter-arrival gap), besides reports and window
+   rolls. *)
 let bucket_of t x =
   let n = Array.length t.bounds in
   let rec go i = if i >= n then n else if x <= t.bounds.(i) then i else go (i + 1) in

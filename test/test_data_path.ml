@@ -1,0 +1,216 @@
+(** Tests for the per-packet data path's cost and lookups: minor-heap
+    allocation per packet on the single-device step and on the CQE
+    path walk, and the engine's uid index against a scan of its
+    instance list. *)
+
+open Newton_network
+open Newton_runtime
+open Newton_controller
+
+let checkb = Alcotest.check Alcotest.bool
+
+let catalog = Newton_query.Catalog.all () @ Newton_query.Catalog.extras ()
+
+let compile_id id =
+  match Newton_query.Catalog.find id with
+  | Some q -> Newton_compiler.Compose.compile q
+  | None -> Alcotest.failf "no catalog query Q%d" id
+
+let trace ~attacks ~seed ~flows =
+  Newton_trace.Gen.packets
+    (Newton_trace.Gen.generate ~attacks ~seed
+       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like flows))
+
+(* Minor words allocated per call of [f] over [0, n).  The reading
+   itself allocates a boxed float or two, noise against [n] packets. *)
+let minor_words_per n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* ---------------- allocation per packet ----------------
+
+   Bounds sit well above what the allocation-free step measures
+   (about 1.5 words per packet on one device and 0.6 on the CQE walk:
+   report records and dedup entries) and at least five times below
+   what the step allocated with boxed hashing, tuple dedup keys and
+   per-packet closures (353 and 487).  One boxed float per instance
+   per packet would already break the device bound. *)
+
+let test_device_minor_words () =
+  let d = Newton_core.Newton.Device.create () in
+  List.iter (fun q -> ignore (Newton_core.Newton.Device.add_query d q)) catalog;
+  let packets =
+    trace ~attacks:Newton_trace.Attack.extended_suite ~seed:21 ~flows:2_500
+  in
+  let words =
+    minor_words_per (Array.length packets) (fun i ->
+        Newton_core.Newton.Device.process_packet d packets.(i))
+  in
+  checkb
+    (Printf.sprintf "device step: %.1f minor words/packet <= 30" words)
+    true (words <= 30.0)
+
+let test_cqe_minor_words () =
+  let d = Deploy.create (Topo.linear 4) in
+  List.iter
+    (fun id -> ignore (Deploy.deploy ~stages_per_switch:12 d (compile_id id)))
+    [ 1; 4; 2; 3; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15; 16 ];
+  let packets =
+    trace ~attacks:Newton_trace.Attack.default_suite ~seed:11 ~flows:3_000
+  in
+  let host pkt f =
+    Newton_core.Newton.Network.host_of_ip (Deploy.topo d)
+      (Newton_packet.Packet.get pkt f)
+  in
+  let src = Array.map (fun p -> host p Newton_packet.Field.Src_ip) packets in
+  let dst = Array.map (fun p -> host p Newton_packet.Field.Dst_ip) packets in
+  let words =
+    minor_words_per (Array.length packets) (fun i ->
+        Deploy.process_packet d ~src_host:src.(i) ~dst_host:dst.(i) packets.(i))
+  in
+  checkb
+    (Printf.sprintf "CQE walk: %.1f minor words/packet <= 40" words)
+    true (words <= 40.0)
+
+(* ---------------- register recycling ---------------- *)
+
+(* A query re-installed after a remove gets the removed instance's
+   register arrays back, zeroed: its replay matches a fresh engine's
+   report for report, register for register. *)
+let test_recycled_arrays_start_clean () =
+  let packets =
+    trace ~attacks:Newton_trace.Attack.default_suite ~seed:7 ~flows:400
+  in
+  let compiled = List.map Newton_compiler.Compose.compile catalog in
+  let replay e =
+    Array.iter (Engine.process_packet e) packets;
+    ( List.map Newton_query.Report.to_string (Engine.drain_reports e),
+      List.concat_map
+        (fun i ->
+          List.map
+            (fun (_, a) ->
+              (Newton_sketch.Register_array.ops a,
+               Newton_sketch.Register_array.fold (fun acc v -> (acc * 31) + v) 0 a))
+            (Engine.instance_arrays i))
+        (Engine.instances e) )
+  in
+  let used = Engine.create ~switch_id:0 () in
+  let uids = List.map (fun c -> fst (Engine.install used c)) compiled in
+  ignore (replay used);
+  List.iter (fun uid -> ignore (Engine.remove used uid)) uids;
+  List.iter (fun c -> ignore (Engine.install used c)) compiled;
+  let fresh = Engine.create ~switch_id:0 () in
+  List.iter (fun c -> ignore (Engine.install fresh c)) compiled;
+  checkb "recycled engine replays like a fresh one" true (replay used = replay fresh)
+
+(* ---------------- uid index ---------------- *)
+
+(* [find_instance] answers exactly what a scan of [instances] in
+   install order answers, for every uid in [uids]. *)
+let index_agrees engine uids =
+  List.for_all
+    (fun uid ->
+      match
+        ( Engine.find_instance engine uid,
+          List.find_opt (fun i -> Engine.instance_uid i = uid)
+            (Engine.instances engine) )
+      with
+      | None, None -> true
+      | Some a, Some b -> a == b
+      | _ -> false)
+    uids
+
+let qcheck_engine_index =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [ map2 (fun u q -> `Install (u, q)) (int_range 1 6) (int_range 0 16);
+          map (fun u -> `Install_fresh u) (int_range 0 16);
+          map (fun u -> `Remove u) (int_range 1 8) ])
+  in
+  QCheck.Test.make ~count:60 ~name:"engine: find_instance = scan of instances"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 30) op))
+    (fun ops ->
+      let compiled = Array.of_list (List.map Newton_compiler.Compose.compile catalog) in
+      let e = Engine.create ~switch_id:0 () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Install (uid, q) -> (
+              (* a uid may be installed twice: the first one stays found *)
+              try ignore (Engine.install e ~uid compiled.(q))
+              with Engine.Rules_exhausted _ -> ())
+          | `Install_fresh q -> (
+              try ignore (Engine.install e compiled.(q))
+              with Engine.Rules_exhausted _ -> ())
+          | `Remove uid -> ignore (Engine.remove e uid));
+          index_agrees e (List.init 40 Fun.id))
+        ops)
+
+(* Deploy, undeploy, fail and repair switches, and replay traffic so
+   queries longer than the path lazily install their software
+   continuation; every engine's index keeps agreeing with its list. *)
+let qcheck_deploy_index =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map2 (fun id spw -> `Deploy (id, spw)) (int_range 1 17) (int_range 1 3));
+          (2, map (fun k -> `Undeploy k) (int_range 0 7));
+          (1, map (fun s -> `Fail s) (int_range 0 3));
+          (1, map (fun s -> `Repair s) (int_range 0 3)) ])
+  in
+  QCheck.Test.make ~count:15 ~name:"controller: find_instance = scan after undeploy/recovery"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 12) op))
+    (fun ops ->
+      let d = Deploy.create (Topo.linear 4) in
+      let packets =
+        trace ~attacks:Newton_trace.Attack.default_suite ~seed:5 ~flows:60
+      in
+      let replay () =
+        Array.iter
+          (fun pkt ->
+            let host f =
+              Newton_core.Newton.Network.host_of_ip (Deploy.topo d)
+                (Newton_packet.Packet.get pkt f)
+            in
+            Deploy.process_packet d ~src_host:(host Newton_packet.Field.Src_ip)
+              ~dst_host:(host Newton_packet.Field.Dst_ip) pkt)
+          packets
+      in
+      (* every slice uid ops of this length can produce, dataplane
+         (uid*1000+d) and software continuation (uid*1000+500+d) *)
+      let uids =
+        List.concat_map
+          (fun u -> List.init 8 (fun k -> (u * 1000) + k) @ List.init 8 (fun k -> (u * 1000) + 500 + k))
+          (List.init 14 Fun.id)
+      in
+      let engines () =
+        Deploy.software_engine d
+        :: List.init (Topo.num_switches (Deploy.topo d)) (Deploy.engine d)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Deploy (id, spw) ->
+              ignore (Deploy.deploy_checked ~stages_per_switch:spw d (compile_id id))
+          | `Undeploy k -> (
+              match List.nth_opt (Deploy.deployments d) k with
+              | Some dep -> ignore (Deploy.undeploy d dep.Deploy.uid)
+              | None -> ())
+          | `Fail s -> ignore (Deploy.fail_switch d s)
+          | `Repair s -> ignore (Deploy.repair_switch d s));
+          replay ();
+          List.for_all (fun e -> index_agrees e uids) (engines ()))
+        ops)
+
+let suite =
+  [
+    ("device step minor words per packet", `Quick, test_device_minor_words);
+    ("CQE walk minor words per packet", `Quick, test_cqe_minor_words);
+    ("recycled register arrays start clean", `Quick, test_recycled_arrays_start_clean);
+    QCheck_alcotest.to_alcotest qcheck_engine_index;
+    QCheck_alcotest.to_alcotest qcheck_deploy_index;
+  ]

@@ -22,6 +22,7 @@ let () =
       ("network", Test_network.suite);
       ("fib", Test_fib.suite);
       ("runtime", Test_runtime.suite);
+      ("data_path", Test_data_path.suite);
       ("parallel", Test_parallel.suite);
       ("arena", Test_arena.suite);
       ("telemetry", Test_telemetry.suite);

@@ -291,6 +291,35 @@ let qcheck_route_cache name topo =
           same long fresh)
         ops)
 
+(* [switch_path] is built on the path executors' allocation-free
+   [switch_path_into]; both must name exactly the switches of
+   [shortest_path]'s node path, same-host and disconnected pairs
+   included. *)
+let test_switch_path_is_shortest_switches () =
+  List.iter
+    (fun (topo, fail) ->
+      let r = Route.create topo in
+      fail r;
+      let hosts = Topo.hosts topo in
+      List.iter
+        (fun src_host ->
+          List.iter
+            (fun dst_host ->
+              List.iter
+                (fun flow_hash ->
+                  Alcotest.(check (option (list int)))
+                    "switches of shortest path"
+                    (Option.map
+                       (List.filter (Topo.is_switch topo))
+                       (Route.shortest_path ~flow_hash r ~src:src_host ~dst:dst_host))
+                    (Route.switch_path ~flow_hash r ~src_host ~dst_host))
+                (List.init 8 Fun.id))
+            hosts)
+        hosts)
+    [ (Topo.fat_tree 4, ignore);
+      (Topo.fat_tree 4, fun r -> Route.fail_node r 5; Route.fail_node r 0);
+      (Topo.linear 3, fun r -> Route.fail_link r (0, 1)) ]
+
 let suite =
   [
     ("linear structure", `Quick, test_linear_structure);
@@ -308,6 +337,7 @@ let suite =
     ("failure disconnects chain", `Quick, test_failure_reroutes);
     ("failure reroutes fat tree", `Quick, test_failure_reroutes_fat_tree);
     ("all shortest paths", `Quick, test_all_shortest_paths);
+    ("switch path = switches of shortest path", `Quick, test_switch_path_is_shortest_switches);
     ("all paths bounded", `Quick, test_all_paths_bounded);
     ("distances", `Quick, test_distances);
     ("failed links listing", `Quick, test_failed_links_listing);

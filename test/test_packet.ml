@@ -122,6 +122,28 @@ let test_fivetuple_hash_consistent () =
   let b = Fivetuple.of_packet (mk_pkt ()) in
   checki "equal tuples hash equal" (Fivetuple.hash a) (Fivetuple.hash b)
 
+(* The tuple hash picks ECMP next hops, so its values are pinned: the
+   FNV-style mix as first written, and [hash_packet] = [hash] of the
+   packet's tuple. *)
+let test_fivetuple_hash_values () =
+  let reference (t : Fivetuple.t) =
+    let h = ref 0x811c9dc5 in
+    let mix v = h := (!h lxor v) * 0x01000193 land max_int in
+    mix t.src_ip; mix t.dst_ip; mix t.proto; mix t.src_port; mix t.dst_port;
+    !h
+  in
+  let packets =
+    Newton_trace.Gen.packets
+      (Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.extended_suite ~seed:3
+         (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 200))
+  in
+  Array.iter
+    (fun p ->
+      let ft = Fivetuple.of_packet p in
+      checki "hash = reference" (reference ft) (Fivetuple.hash ft);
+      checki "hash_packet = hash" (Fivetuple.hash ft) (Fivetuple.hash_packet p))
+    packets
+
 let test_fivetuple_table () =
   let tbl = Fivetuple.Table.create 16 in
   let ft = Fivetuple.of_packet (mk_pkt ()) in
@@ -188,6 +210,7 @@ let suite =
     ("fivetuple of_packet", `Quick, test_fivetuple_of_packet);
     ("fivetuple reverse involution", `Quick, test_fivetuple_reverse_involution);
     ("fivetuple hash consistent", `Quick, test_fivetuple_hash_consistent);
+    ("fivetuple hash values", `Quick, test_fivetuple_hash_values);
     ("fivetuple table", `Quick, test_fivetuple_table);
     ("sp size", `Quick, test_sp_size);
     ("sp roundtrip", `Quick, test_sp_roundtrip);

@@ -44,6 +44,48 @@ let test_hash_rejects_bad_range () =
   Alcotest.check_raises "range 0" (Invalid_argument "Hash.create: range must be positive")
     (fun () -> ignore (Hash.create ~seed:0 ~range:0))
 
+(* The chained vector hash as first written: [Array.iter] with a
+   closure over an [int64 ref].  The loop form must stay bit-identical
+   to it, since every sketch index and report dedup bucket derives from
+   these values. *)
+let reference_hash_vector ~seed keys =
+  let mix64 h =
+    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+    let h = Int64.mul h 0xFF51AFD7ED558CCDL in
+    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+    let h = Int64.mul h 0xC4CEB9FE1A85EC53L in
+    Int64.logxor h (Int64.shift_right_logical h 33)
+  in
+  let acc = ref (Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L) in
+  Array.iter
+    (fun k ->
+      acc := mix64 (Int64.add (Int64.logxor !acc (Int64.of_int k)) 0x632BE59BD9B4E019L))
+    keys;
+  Int64.to_int (Int64.shift_right_logical (mix64 !acc) 2)
+
+(* Key words: small, negative, beyond 32 bits, and the extremes. *)
+let key_word =
+  QCheck.Gen.(
+    oneof
+      [ int_range (-1000) 1000; int; map (fun x -> x lsl 33) (int_bound 0xFFFFFF);
+        oneofl [ 0; -1; min_int; max_int; 0xFFFFFFFF; 0x100000000 ] ])
+
+let qcheck_hash_vector_bit_identical =
+  QCheck.Test.make ~count:1000 ~name:"hash_vector = Array.iter reference"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (array int))
+       QCheck.Gen.(pair key_word (array_size (int_range 0 8) key_word)))
+    (fun (seed, keys) ->
+      Hash.hash_vector ~seed keys = reference_hash_vector ~seed keys)
+
+let qcheck_hash5_is_vector =
+  QCheck.Test.make ~count:500 ~name:"hash5 = hash_vector of five"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (array int))
+       QCheck.Gen.(pair key_word (array_size (return 5) key_word)))
+    (fun (seed, k) ->
+      Hash.hash5 ~seed k.(0) k.(1) k.(2) k.(3) k.(4) = Hash.hash_vector ~seed k)
+
 (* ---------------- Alu ---------------- *)
 
 let test_alu_add () =
@@ -87,6 +129,25 @@ let test_reg_array_exec_counts_ops () =
   ignore (Register_array.exec a (Alu.Add 1) 0);
   ignore (Register_array.exec a (Alu.Add 1) 1);
   checki "two ops" 2 (Register_array.ops a)
+
+(* The field-valued ALU entry points behave as [exec] with the built
+   ALU: same results, registers, op counts and bounds check. *)
+let test_reg_array_add_max_match_exec () =
+  let a = Register_array.create 4 and b = Register_array.create 4 in
+  List.iter
+    (fun (idx, v) ->
+      checki "add" (Register_array.exec a (Alu.Add v) idx) (Register_array.add b idx v);
+      checki "max" (Register_array.exec a (Alu.Max v) idx) (Register_array.max b idx v))
+    [ (0, 5); (1, -3); (0, 2); (3, 1 lsl 40); (1, 7) ];
+  for i = 0 to 3 do
+    checki "register" (Register_array.get a i) (Register_array.get b i)
+  done;
+  checki "ops" (Register_array.ops a) (Register_array.ops b);
+  checkb "add bounds" true
+    (try ignore (Register_array.add b 4 1); false with Invalid_argument _ -> true);
+  checkb "max bounds" true
+    (try ignore (Register_array.max b (-1) 1); false with Invalid_argument _ -> true);
+  checki "rejected ops not counted" (Register_array.ops a) (Register_array.ops b)
 
 let test_reg_array_clear_and_occupancy () =
   let a = Register_array.create 8 in
@@ -237,6 +298,8 @@ let suite =
     ("hash spreads", `Quick, test_hash_spreads);
     ("hash order sensitive", `Quick, test_hash_order_sensitive);
     ("hash rejects bad range", `Quick, test_hash_rejects_bad_range);
+    QCheck_alcotest.to_alcotest qcheck_hash_vector_bit_identical;
+    QCheck_alcotest.to_alcotest qcheck_hash5_is_vector;
     ("alu add", `Quick, test_alu_add);
     ("alu or returns previous", `Quick, test_alu_or_returns_previous);
     ("alu max", `Quick, test_alu_max);
@@ -244,6 +307,7 @@ let suite =
     ("register array basic", `Quick, test_reg_array_basic);
     ("register array bounds", `Quick, test_reg_array_bounds);
     ("register array op count", `Quick, test_reg_array_exec_counts_ops);
+    ("register array add/max = exec", `Quick, test_reg_array_add_max_match_exec);
     ("register array clear/occupancy", `Quick, test_reg_array_clear_and_occupancy);
     ("register array sram bytes", `Quick, test_reg_array_sram_bytes);
     ("register array rejects nonpositive", `Quick, test_reg_array_rejects_nonpositive);
