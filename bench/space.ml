@@ -110,18 +110,7 @@ let run () =
   in
   let space_pass_mean =
     mean_over (fun q ->
-        let ctx =
-          {
-            Newton_analysis.Pass.query = q;
-            cfg = Newton_analysis.Pass.default_config;
-            compiled = Some (Common.compile q);
-            compile_error = None;
-            peers = [];
-            co_resident = [];
-            target = None;
-          }
-        in
-        Newton_analysis.Pass_space.run ctx)
+        Newton_analysis.Pass_space.run (Newton_analysis.Check.make_ctx q))
   in
   let full_check_mean =
     mean_over (fun q -> Newton_analysis.Check.check_query q)

@@ -28,6 +28,11 @@ let passes : (module Pass.S) list =
     (module Pass_p4);
   ]
 
+(* The rule generator runs at most once per context: the P4 pass and
+   NA093's gate both read its verdict. *)
+let rules_of compiled =
+  lazy (Option.map (fun c -> Newton_p4gen.Rules.entries c) compiled)
+
 let make_ctx ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = [])
     query =
   let compiled, compile_error =
@@ -37,7 +42,16 @@ let make_ctx ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = 
     | exception Ast.Invalid { errors; _ } ->
         (None, Some (Ast.errors_to_string errors))
   in
-  { Pass.query; cfg; compiled; compile_error; peers; co_resident; target }
+  {
+    Pass.query;
+    cfg;
+    compiled;
+    compile_error;
+    rules = rules_of compiled;
+    peers;
+    co_resident;
+    target;
+  }
 
 (** Run every pass over a prepared context. *)
 let check_ctx (ctx : Pass.ctx) =
@@ -102,6 +116,7 @@ let admission ?(cfg = Pass.default_config) ?target ~deployed compiled =
       cfg;
       compiled = Some compiled;
       compile_error = None;
+      rules = rules_of (Some compiled);
       peers = List.map (fun (q, c) -> (q, Some c)) deployed;
       co_resident = [];
       target;

@@ -53,6 +53,11 @@ type ctx = {
   cfg : config;
   compiled : Compose.t option;        (** None when compilation failed *)
   compile_error : string option;      (** why, when it failed *)
+  rules :
+    (Newton_p4gen.Rules.entry list, Newton_p4gen.Rules.issue) result option
+    Lazy.t;
+      (** [Rules.entries] of [compiled] (None when compilation failed),
+          computed once on first use *)
   peers : (Ast.t * Compose.t option) list;
       (** other queries of the deployment (conflict detection) *)
   co_resident : Compose.t list;

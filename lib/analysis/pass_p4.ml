@@ -122,10 +122,7 @@ let cell_hazards ~query (compiled : Compose.t) =
     slots
 
 let run (ctx : Pass.ctx) =
-  match ctx.compiled with
-  | None -> []
-  | Some compiled -> (
-      let query = ctx.query in
-      match Newton_p4gen.Rules.entries compiled with
-      | Error issue -> [ issue_diag ~query issue ]
-      | Ok _ -> cell_hazards ~query compiled)
+  match (ctx.compiled, Lazy.force ctx.rules) with
+  | Some compiled, Some (Ok _) -> cell_hazards ~query:ctx.query compiled
+  | _, Some (Error issue) -> [ issue_diag ~query:ctx.query issue ]
+  | _ -> []

@@ -24,9 +24,11 @@
       (Info; emitted once per deployment, from the lexicographically
       first intent; the witness matches no installed intent).
 
-    Every space computation runs under the solver's cube budget:
-    {!Space.Too_complex} silently drops the affected finding — exact or
-    absent, never approximate. *)
+    NA091/NA092 witnesses come from the containment search itself
+    ({!Space.witness_outside}); only NA094's complement builds a
+    difference.  Every space computation runs under the solver's cube
+    budget: {!Space.Too_complex} silently drops the affected finding —
+    exact or absent, never approximate. *)
 
 open Newton_query
 open Newton_compiler
@@ -102,6 +104,14 @@ let unsat_diags ~query =
 
 (* ---------------- NA091: branch subsumption ---------------- *)
 
+(* [inner] strictly inside [outer]: a packet of [outer] outside
+   [inner], taken from the containment search itself (no difference is
+   built); [None] when [inner] is not contained or the sets are
+   equal.  NA092 asks the same question of whole intents. *)
+let strict_witness ~inner ~outer =
+  if Space.subset inner outer then Space.witness_outside outer inner
+  else None
+
 let subsumption_diags ~query =
   guarded (fun () ->
       let spaces =
@@ -111,17 +121,17 @@ let subsumption_diags ~query =
       let out = ref [] in
       for j = n - 1 downto 1 do
         if not (Space.is_empty spaces.(j)) then
-          let subsumer = ref None in
-          for i = j - 1 downto 0 do
-            if
-              Space.subset spaces.(j) spaces.(i)
-              && not (Space.subset spaces.(i) spaces.(j))
-            then subsumer := Some i
-          done;
-          match !subsumer with
+          (* The earliest strictly larger branch explains the split. *)
+          let rec subsumer i =
+            if i >= j then None
+            else
+              match strict_witness ~inner:spaces.(j) ~outer:spaces.(i) with
+              | Some witness -> Some (i, witness)
+              | None -> subsumer (i + 1)
+          in
+          match subsumer 0 with
           | None -> ()
-          | Some i ->
-              let witness = Space.model (Space.diff spaces.(i) spaces.(j)) in
+          | Some (i, witness) ->
               out :=
                 Diag.make ~code:"NA091" ~severity:Diag.Warning
                   ~span:(Diag.Branch j) ~query
@@ -130,7 +140,7 @@ let subsumption_diags ~query =
                        "every packet branch %d's filters admit also passes \
                         branch %d; the witness reaches only branch %d"
                        j i i)
-                  ?witness
+                  ~witness
                   (Printf.sprintf
                      "branch %d's packet space is strictly contained in \
                       branch %d's"
@@ -150,24 +160,21 @@ let shadow_diags ~query ~peers =
           (fun ((p : Ast.t), _) ->
             try
               let theirs = query_space p in
-              if
-                (not (Space.is_universe theirs))
-                && Space.subset ours theirs
-                && not (Space.subset theirs ours)
-              then
-                let witness = Space.model (Space.diff theirs ours) in
-                Some
-                  (Diag.make ~code:"NA092" ~severity:Diag.Info
-                     ~span:Diag.Query ~query
-                     ~hint:
-                       "the peer observes every packet this intent can see; \
-                        the witness reaches only the shadowing peer"
-                     ?witness
-                     (Printf.sprintf
-                        "intent's match space is strictly contained in \
-                         co-resident intent %s (Q%d)"
-                        p.Ast.name p.Ast.id))
-              else None
+              if Space.is_universe theirs then None
+              else
+                Option.map
+                  (fun witness ->
+                    Diag.make ~code:"NA092" ~severity:Diag.Info
+                      ~span:Diag.Query ~query
+                      ~hint:
+                        "the peer observes every packet this intent can \
+                         see; the witness reaches only the shadowing peer"
+                      ~witness
+                      (Printf.sprintf
+                         "intent's match space is strictly contained in \
+                          co-resident intent %s (Q%d)"
+                         p.Ast.name p.Ast.id))
+                  (strict_witness ~inner:ours ~outer:theirs)
             with Space.Too_complex -> None)
           peers)
 
@@ -195,31 +202,23 @@ let rec densest count region = function
           if fst take > fst skip then take else skip)
 
 let recirc_diags ~query (compiled : Compose.t) =
-  (* Mirror the former NA082 gate: only judge recirculation for intents
-     the rule generator accepts at all. *)
-  match Newton_p4gen.Rules.entries compiled with
-  | Error _ -> []
-  | Ok _ ->
-      guarded (fun () ->
-          let passes, region =
-            densest 0 Space.universe (entry_spaces compiled)
-          in
-          if passes <= 1 then []
-          else
-            [
-              Diag.make ~code:"NA093" ~severity:Diag.Info ~span:Diag.Query
-                ~query
-                ~hint:
-                  (Printf.sprintf
-                     "overlap region: %s; each extra pass costs pipeline \
-                      bandwidth, not correctness"
-                     (Space.to_string region))
-                ?witness:(Space.model region)
-                (Printf.sprintf
-                   "densest packet takes exactly %d pipeline passes \
-                    (branch classifiers overlap; recirculated)"
-                   passes);
-            ])
+  guarded (fun () ->
+      let passes, region = densest 0 Space.universe (entry_spaces compiled) in
+      if passes <= 1 then []
+      else
+        [
+          Diag.make ~code:"NA093" ~severity:Diag.Info ~span:Diag.Query ~query
+            ~hint:
+              (Printf.sprintf
+                 "overlap region: %s; each extra pass costs pipeline \
+                  bandwidth, not correctness"
+                 (Space.to_string region))
+            ?witness:(Space.model region)
+            (Printf.sprintf
+               "densest packet takes exactly %d pipeline passes (branch \
+                classifiers overlap; recirculated)"
+               passes);
+        ])
 
 (* ---------------- NA094: deployment coverage gap ---------------- *)
 
@@ -260,7 +259,9 @@ let run (ctx : Pass.ctx) =
   unsat_diags ~query
   @ subsumption_diags ~query
   @ shadow_diags ~query ~peers:ctx.Pass.peers
-  @ (match ctx.Pass.compiled with
-    | Some compiled -> recirc_diags ~query compiled
-    | None -> [])
+  @ (match (ctx.Pass.compiled, Lazy.force ctx.Pass.rules) with
+    (* Mirror the former NA082 gate: only judge recirculation for
+       intents the rule generator accepts at all. *)
+    | Some compiled, Some (Ok _) -> recirc_diags ~query compiled
+    | _ -> [])
   @ coverage_diags ~query ~peers:ctx.Pass.peers

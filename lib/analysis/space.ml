@@ -6,11 +6,11 @@
     representation is closed under intersection (pairwise cube meet),
     union (concatenation + absorption) and difference (the classic
     cube-splitting subtraction), which gives complement, emptiness and
-    model extraction for free; containment is a coverage search over
-    the same splitting that never builds the difference.  Every cube is
-    non-empty by construction, so a set is empty iff it has no cubes,
-    and any cube yields a witness packet by reading off its constrained
-    bits.
+    model extraction for free; containment, and a witness against it,
+    come from a coverage search over the same splitting that never
+    builds the difference.  Every cube is non-empty by construction, so
+    a set is empty iff it has no cubes, and any cube yields a witness
+    packet by reading off its constrained bits.
 
     Comparison atoms compile exactly: an order predicate over a masked
     field unrolls into at most [width] prefix cubes (the standard
@@ -132,21 +132,24 @@ let diff a b =
 
 let compl s = diff universe s
 
-(* a ⊆ b, decided without building [diff a b]: a cube is covered by
-   b's cubes iff every piece of it outside b's first cube is covered by
-   the rest.  The search stops at the first uncovered piece; every
-   visited piece counts against the cube budget, so a pathological
-   pair is refused rather than searched. *)
-let subset a b =
+(* The first piece of [a] outside [b], found without building
+   [diff a b]: a cube is covered by b's cubes iff every piece of it
+   outside b's first cube is covered by the rest.  The search visits
+   pieces depth first and stops at the first uncovered one; every
+   visited piece counts against the cube budget, so a pathological pair
+   is refused rather than searched. *)
+let find_outside a b =
   let visited = ref 0 in
-  let rec covered piece = function
-    | [] -> false
+  let rec uncovered piece = function
+    | [] -> Some piece
     | bc :: rest ->
         incr visited;
         if !visited > max_cubes then raise Too_complex;
-        List.for_all (fun p -> covered p rest) (cube_minus piece bc)
+        List.find_map (fun p -> uncovered p rest) (cube_minus piece bc)
   in
-  List.for_all (fun ac -> covered ac b) a
+  List.find_map (fun ac -> uncovered ac b) a
+
+let subset a b = Option.is_none (find_outside a b)
 
 let equal a b = subset a b && subset b a
 
@@ -277,6 +280,8 @@ let packet_of_cube cube =
   pkt
 
 let model = function [] -> None | cube :: _ -> Some (packet_of_cube cube)
+
+let witness_outside a b = Option.map packet_of_cube (find_outside a b)
 
 let pred_holds p pkt =
   match p with

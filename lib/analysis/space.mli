@@ -20,9 +20,10 @@
     inputs, so every operation runs under a global budget; exceeding it
     raises {!Too_complex} (callers degrade to the interval passes, they
     never report wrong answers).  Containment ({!subset}, {!equal},
-    {!is_universe}) never builds the difference: it searches for an
-    uncovered piece of the left operand, stops at the first one, and
-    runs under the same budget as a bound on the pieces it visits. *)
+    {!is_universe}) and its witness ({!witness_outside}) never build the
+    difference: they search for an uncovered piece of the left operand,
+    stop at the first one, and run under the same budget as a bound on
+    the pieces they visit. *)
 
 open Newton_packet
 open Newton_query
@@ -82,6 +83,16 @@ val compl : t -> t
     first piece no cube covers.  Raises {!Too_complex} once one call
     has visited more pieces than the cube budget. *)
 val subset : t -> t -> bool
+
+(** [witness_outside a b] — a packet of [a] that is not in [b], or
+    [None] iff [subset a b].  The packet is read off the first
+    uncovered piece {!subset}'s search meets (same order, same budget,
+    same {!Too_complex}), so it costs no more than the containment test
+    and never builds the difference.  When [a] is a single cube and
+    [diff a b] stays within budget, it equals [model (diff a b)]: the
+    pieces split from one cube are disjoint, so the difference keeps
+    them all, in the search's order. *)
+val witness_outside : t -> t -> Packet.t option
 
 (** [equal a b] — [subset a b && subset b a], under the same bound. *)
 val equal : t -> t -> bool

@@ -118,31 +118,32 @@ let submit t ~spec ~name =
       t.order <- id :: t.order;
       Stats.bump t.sink Stats.Intents_submitted 1;
       (* Analysis stage: solo diagnostics ride on the intent whatever
-         happens next. *)
-      let solo = Check.check_query query in
+         happens next.  The context compiles the query once; that
+         artifact is the one deployed. *)
+      let ctx = Check.make_ctx query in
+      let solo = Check.check_ctx ctx in
       intent.Intent.diags <- solo;
       must_transition intent ~now:(t.clock ()) Intent.Analyzed;
-      if Diag.has_errors solo then fail_intent t intent ~now:(t.clock ()) solo
-      else begin
-        let compiled = Newton_compiler.Compose.compile query in
-        match
-          Deploy.deploy_checked ~mode:t.mode
-            ~stages_per_switch:t.stages_per_switch t.deploy compiled
-        with
-        | Error diags ->
-            (* the admission gate saw the deployed set; its verdict
-               supersedes the solo diagnostics *)
-            fail_intent t intent ~now:(t.clock ()) diags
-        | Ok (uid, latency) ->
-            must_transition intent ~now:(t.clock ()) Intent.Placed;
-            intent.Intent.uid <- Some uid;
-            intent.Intent.install_latency <- Some latency;
-            (match Deploy.find_deployment t.deploy uid with
-            | Some d -> intent.Intent.rules <- d.Deploy.installed_rules
-            | None -> ());
-            must_transition intent ~now:(t.clock ()) Intent.Active;
-            Api.Accepted (intent_info (report_counts t) intent)
-      end
+      match ctx.Newton_analysis.Pass.compiled with
+      | Some compiled when not (Diag.has_errors solo) -> (
+          match
+            Deploy.deploy_checked ~mode:t.mode
+              ~stages_per_switch:t.stages_per_switch t.deploy compiled
+          with
+          | Error diags ->
+              (* the admission gate saw the deployed set; its verdict
+                 supersedes the solo diagnostics *)
+              fail_intent t intent ~now:(t.clock ()) diags
+          | Ok (uid, latency) ->
+              must_transition intent ~now:(t.clock ()) Intent.Placed;
+              intent.Intent.uid <- Some uid;
+              intent.Intent.install_latency <- Some latency;
+              (match Deploy.find_deployment t.deploy uid with
+              | Some d -> intent.Intent.rules <- d.Deploy.installed_rules
+              | None -> ());
+              must_transition intent ~now:(t.clock ()) Intent.Active;
+              Api.Accepted (intent_info (report_counts t) intent))
+      | _ -> fail_intent t intent ~now:(t.clock ()) solo
 
 let withdraw t id =
   match Hashtbl.find_opt t.intents id with

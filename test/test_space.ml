@@ -192,6 +192,59 @@ let prop_universe_equal_agree_with_diff =
         && Space.equal a (recut a b)
       with Space.Too_complex -> QCheck.assume_fail ())
 
+(* [witness_outside] is [subset]'s search returning the piece it stops
+   at: [None] exactly when [a ⊆ b], and otherwise a packet of [a]
+   outside [b]. *)
+let prop_witness_outside_decides ~bound name arb =
+  QCheck.Test.make ~count:300 ~name (QCheck.pair arb arb) (fun (pa, pb) ->
+      try
+        let a = small_space bound pa and b = small_space bound pb in
+        let sound x y =
+          match Space.witness_outside x y with
+          | None -> Space.subset x y
+          | Some p ->
+              (not (Space.subset x y)) && Space.mem x p && not (Space.mem y p)
+        in
+        sound a b && sound b a && sound (Space.union a b) a
+      with Space.Too_complex -> QCheck.assume_fail ())
+
+let prop_witness_outside_wide =
+  prop_witness_outside_decides ~bound:16
+    "witness_outside = subset (wide fields)" (arb_preds 3)
+
+let prop_witness_outside_narrow =
+  prop_witness_outside_decides ~bound:16
+    "witness_outside = subset (narrow fields)" (arb_preds_narrow 3)
+
+let same_packet p q =
+  List.for_all (fun f -> Packet.get p f = Packet.get q f) Field.all
+
+(* One cube minus anything: the pieces split from it are disjoint, so
+   [diff] keeps every one, in the search's order, and its model is the
+   search's first uncovered piece.  This is why NA091/NA092 witnesses
+   did not move when they stopped building the difference.  [a] is a
+   conjunction of masked equalities, so at most one cube. *)
+let prop_witness_outside_is_model_of_diff =
+  let gen_cube =
+    QCheck.Gen.(
+      list_size (int_bound 3)
+        (let* field = oneofl gen_fields in
+         let fm = Field.full_mask field in
+         let* mask = oneofl [ fm; fm land 0xFF00; fm land 0x0F0F; fm land 0x3 ] in
+         let* value = int_bound fm in
+         return (Ast.Cmp { field; mask; op = Ast.Eq; value = value land mask })))
+  in
+  QCheck.Test.make ~count:300 ~name:"witness_outside of one cube = model (diff)"
+    (QCheck.pair (QCheck.make gen_cube) (arb_preds_narrow 3))
+    (fun (pa, pb) ->
+      try
+        let a = Space.of_preds pa and b = small_space 8 pb in
+        match (Space.witness_outside a b, Space.model (Space.diff a b)) with
+        | None, None -> true
+        | Some p, Some q -> same_packet p q
+        | _ -> false
+      with Space.Too_complex -> QCheck.assume_fail ())
+
 (* ---------------- solver: boundaries ---------------- *)
 
 let test_atom_boundaries () =
@@ -436,6 +489,54 @@ let test_na092_skips_unfiltered_peers () =
   let ds = Check.check_queries [ narrow; unfiltered ] in
   checkb "no NA092 against a match-all peer" false
     (List.exists (fun d -> d.Diag.code = "NA092") ds)
+
+(* Both ports above 21845 inside all of UDP: sixty-four cubes under
+   one.  The difference UDP minus them overruns the cube budget (about
+   ten seconds of splitting before it refuses), which once dropped
+   these findings; the witness now comes from the containment search
+   and costs what the containment test costs. *)
+let udp_high_ports =
+  Ast.Filter [ Ast.field_is Field.Proto 17 ]
+  :: List.map
+       (fun field ->
+         Ast.Filter
+           [
+             Ast.Cmp
+               { field; mask = Field.full_mask field; op = Ast.Gt; value = 21845 };
+           ])
+       [ Field.Src_port; Field.Dst_port ]
+
+let test_witness_without_difference () =
+  let udp = Ast.Filter [ Ast.field_is Field.Proto 17 ] in
+  let narrow =
+    Ast.chain ~id:958 ~name:"udp_high" ~description:""
+      (udp_high_ports @ tail [ dip ] 5)
+  in
+  let broad =
+    Ast.chain ~id:959 ~name:"udp_all" ~description:"" (udp :: tail [ dip ] 5)
+  in
+  let split =
+    Ast.make ~id:960 ~name:"udp_split" ~description:""
+      ~combine:{ Ast.op = Ast.Sub; threshold = Ast.result_gt 10 }
+      [ udp :: tail [ dip ] 0; udp_high_ports @ tail [ dip ] 0 ]
+  in
+  let finding code id ds =
+    match
+      List.find_opt (fun d -> d.Diag.code = code && d.Diag.query_id = id) ds
+    with
+    | Some { Diag.witness = Some pkt; _ } -> pkt
+    | _ -> Alcotest.failf "%s with a witness expected on Q%d" code id
+  in
+  let pkt = finding "NA092" 958 (Check.check_queries [ narrow; broad ]) in
+  checkb "NA092 witness reaches the shadowing peer" true
+    (query_admits broad pkt);
+  checkb "NA092 witness misses the shadowed intent" false
+    (query_admits narrow pkt);
+  let pkt = finding "NA091" 960 (Check.check_query split) in
+  checkb "NA091 witness passes the subsuming branch" true
+    (branch_admits (List.nth split.Ast.branches 0) pkt);
+  checkb "NA091 witness fails the subsumed branch" false
+    (branch_admits (List.nth split.Ast.branches 1) pkt)
 
 (* ---------------- NA093: exact recirculation, p4sim replay ------- *)
 
@@ -715,6 +816,8 @@ let suite =
     ("NA091 subsumed branch + witness", `Quick, test_na091_subsumed_branch);
     ("NA092 shadowed intent + witness", `Quick, test_na092_shadowed_intent);
     ("NA092 skips unfiltered peers", `Quick, test_na092_skips_unfiltered_peers);
+    ("NA091/NA092 witness past the diff budget", `Quick,
+     test_witness_without_difference);
     ("NA093 witness recirculates (p4sim)", `Quick,
      test_na093_witness_recirculates);
     ("NA093 quiet on disjoint branches", `Quick,
@@ -735,4 +838,7 @@ let suite =
         prop_subset_agrees_wide;
         prop_subset_agrees_narrow;
         prop_universe_equal_agree_with_diff;
+        prop_witness_outside_wide;
+        prop_witness_outside_narrow;
+        prop_witness_outside_is_model_of_diff;
       ]
