@@ -77,12 +77,12 @@ let depth_width () =
         { Newton_compiler.Decompose.default_options with
           reduce_depth = depth; registers = width }
       in
-      let device = Newton_core.Newton.Device.create ~options () in
-      let _ = Newton_core.Newton.Device.add_query device (q 5) in
-      Newton_core.Newton.Device.process_trace device trace;
+      let device = Newton.Device.create ~options () in
+      let _ = Newton.Device.add_query device (q 5) in
+      Newton.Device.process_trace device trace;
       let a =
         Newton_runtime.Analyzer.score ~truth
-          ~detected:(Newton_core.Newton.Device.reports device)
+          ~detected:(Newton.Device.reports device)
       in
       T.add_row t
         [ string_of_int depth; string_of_int width;
@@ -156,11 +156,11 @@ let ecmp_scatter () =
       Newton_trace.Gen.iter
         (fun p ->
           let src =
-            Newton_core.Newton.Network.host_of_ip topo
+            Newton_network.Topo.host_of_ip topo
               (Newton_packet.Packet.get p Newton_packet.Field.Src_ip)
           in
           let dst =
-            Newton_core.Newton.Network.host_of_ip topo
+            Newton_network.Topo.host_of_ip topo
               (Newton_packet.Packet.get p Newton_packet.Field.Dst_ip)
           in
           Newton_controller.Deploy.process_packet ctl ~src_host:src ~dst_host:dst p)

@@ -46,13 +46,13 @@ let run () =
   List.iter
     (fun t_d ->
       (* Newton: rule install, milliseconds. *)
-      let device = Newton_core.Newton.Device.create () in
-      let _, install = Newton_core.Newton.Device.add_query device (Newton_query.Catalog.q1 ()) in
+      let device = Newton.Device.create () in
+      let _, install = Newton.Device.add_query device (Newton_query.Catalog.q1 ()) in
       let n_active = t_d +. install in
       let n_detect =
         first_detection ~active_from:n_active
-          ~process:(Newton_core.Newton.Device.process_packet device)
-          ~message_count:(fun () -> Newton_core.Newton.Device.message_count device)
+          ~process:(Newton.Device.process_packet device)
+          ~message_count:(fun () -> Newton.Device.message_count device)
           trace
       in
       (* Sonata: full reload; the switch is dark for the outage. *)

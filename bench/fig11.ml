@@ -18,11 +18,11 @@ let run () =
   List.iter
     (fun q ->
       let installs = ref [] and removes = ref [] and rules = ref 0 in
-      let device = Newton_core.Newton.Device.create () in
+      let device = Newton.Device.create () in
       for _ = 1 to repetitions do
-        let h, lat_in = Newton_core.Newton.Device.add_query device q in
-        rules := Newton_core.Newton.Device.monitor_rules device;
-        let lat_rm = Option.get (Newton_core.Newton.Device.remove_query device h) in
+        let h, lat_in = Newton.Device.add_query device q in
+        rules := Newton.Device.monitor_rules device;
+        let lat_rm = Option.get (Newton.Device.remove_query device h) in
         installs := (lat_in *. 1e3) :: !installs;
         removes := (lat_rm *. 1e3) :: !removes
       done;

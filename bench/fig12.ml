@@ -10,9 +10,9 @@ let run_trace name trace =
   let packets = Newton_trace.Gen.packets trace in
   let n = Array.length packets in
   (* Newton: all nine queries installed on one device. *)
-  let newton = Newton_core.Newton.Device.create () in
-  List.iter (fun q -> ignore (Newton_core.Newton.Device.add_query newton q)) (all_queries ());
-  Array.iter (Newton_core.Newton.Device.process_packet newton) packets;
+  let newton = Newton.Device.create () in
+  List.iter (fun q -> ignore (Newton.Device.add_query newton q)) (all_queries ());
+  Array.iter (Newton.Device.process_packet newton) packets;
   (* Sonata: same on-data-plane queries (overhead matches Newton). *)
   let sonata = Newton_baselines.Sonata.create () in
   List.iter
@@ -33,7 +33,7 @@ let run_trace name trace =
   Array.iter (Newton_baselines.Scream.process sc) packets;
   Newton_baselines.Scream.finish sc;
   let ratio msgs = float_of_int msgs /. float_of_int n in
-  [ (name ^ "/Newton", ratio (Newton_core.Newton.Device.message_count newton));
+  [ (name ^ "/Newton", ratio (Newton.Device.message_count newton));
     (name ^ "/Sonata", ratio (Newton_baselines.Sonata.message_count sonata));
     (name ^ "/*Flow", ratio (Newton_baselines.Starflow.messages sf));
     (name ^ "/TurboFlow", ratio (Newton_baselines.Turboflow.messages tf));

@@ -39,10 +39,10 @@ let run () =
 
   (* Functional check: 100 concurrent Q4 clones on distinct traffic run
      in one device and each still detects its own scanner. *)
-  let device = Newton_core.Newton.Device.create () in
+  let device = Newton.Device.create () in
   let n_clones = 100 in
   for _ = 1 to n_clones do
-    ignore (Newton_core.Newton.Device.add_query device (Newton_query.Catalog.q4 ()))
+    ignore (Newton.Device.add_query device (Newton_query.Catalog.q4 ()))
   done;
   let trace =
     Newton_trace.Gen.generate
@@ -53,9 +53,9 @@ let run () =
       ~seed:7
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 500)
   in
-  Newton_core.Newton.Device.process_trace device trace;
+  Newton.Device.process_trace device trace;
   note "functional: %d concurrent Q4 instances, %d total rules, scanner detected by all: %b"
     n_clones
-    (Newton_core.Newton.Device.monitor_rules device)
-    (Newton_core.Newton.Device.message_count device >= n_clones);
+    (Newton.Device.monitor_rules device)
+    (Newton.Device.message_count device >= n_clones);
   note "paper: Sonata and S-Newton grow linearly; P-Newton stays flat to 100 queries"

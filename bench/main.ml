@@ -21,7 +21,6 @@ let experiments =
     ("ingest", Ingest.run);
     ("analysis", Analysis.run);
     ("p4sim", P4sim.run);
-    ("serve", Serve.run);
     ("space", Space.run);
     ("micro", Microbench.run) ]
 

@@ -10,22 +10,22 @@ let make_tests () =
   let trace = Common.caida_trace ~flows:300 () in
   let packets = Newton_trace.Gen.packets trace in
   let npkts = Array.length packets in
-  let device_q1 = Newton_core.Newton.Device.create () in
-  ignore (Newton_core.Newton.Device.add_query device_q1 (Newton_query.Catalog.q1 ()));
-  let device_all = Newton_core.Newton.Device.create () in
+  let device_q1 = Newton.Device.create () in
+  ignore (Newton.Device.add_query device_q1 (Newton_query.Catalog.q1 ()));
+  let device_all = Newton.Device.create () in
   List.iter
-    (fun q -> ignore (Newton_core.Newton.Device.add_query device_all q))
+    (fun q -> ignore (Newton.Device.add_query device_all q))
     (Newton_query.Catalog.all ());
   let i = ref 0 in
   let j = ref 0 in
   [
     Test.make ~name:"engine/packet-q1"
       (Staged.stage (fun () ->
-           Newton_core.Newton.Device.process_packet device_q1 packets.(!i);
+           Newton.Device.process_packet device_q1 packets.(!i);
            i := (!i + 1) mod npkts));
     Test.make ~name:"engine/packet-9-queries"
       (Staged.stage (fun () ->
-           Newton_core.Newton.Device.process_packet device_all packets.(!j);
+           Newton.Device.process_packet device_all packets.(!j);
            j := (!j + 1) mod npkts));
     Test.make ~name:"compiler/compile-q7"
       (Staged.stage (fun () ->

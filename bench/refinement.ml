@@ -8,9 +8,9 @@
     nothing. *)
 
 open Common
-open Newton_core
 
 let victim = Newton_trace.Attack.host_of 1
+let base_id = 700
 
 let trace () =
   Newton_trace.Gen.generate
@@ -24,18 +24,27 @@ let run () =
   banner "Prefix refinement: rule updates vs reload-per-step (derived)";
   let tr = trace () in
   let device = Newton.Device.create () in
-  let r =
-    Refine.create device ~field:Newton_packet.Field.Dst_ip
-      ~levels:[ 8; 16; 24; 32 ] ~th:20
+  let root, rules =
+    Newton.Reactive.refinement ~base_id ~field:Newton_packet.Field.Dst_ip
+      ~levels:[ 8; 16; 24; 32 ] ~th:20 ()
   in
-  Refine.process_trace r tr;
-  Refine.process_trace r tr;
+  let _, root_latency = Newton.Device.add_query device root in
+  let svc = Newton.Reactive.create device rules in
+  Newton.Reactive.process_trace ~step_every:500 svc tr;
+  Newton.Reactive.process_trace ~step_every:500 svc tr;
   let found =
-    Refine.results r
-    |> List.exists (fun (x : Newton.Report.t) -> x.Newton_query.Report.keys.(0) = victim)
+    Newton.Device.reports device
+    |> List.exists (fun (x : Newton.Report.t) ->
+           x.query_id = base_id + 32 && x.keys.(0) = victim)
   in
-  let installs = Refine.installs r in
-  let newton_ms = Refine.install_latency r *. 1e3 in
+  let spawned = Newton.Reactive.spawned svc in
+  let installs = 1 + List.length spawned in
+  let newton_ms =
+    List.fold_left
+      (fun acc (s : Newton.Reactive.spawned) -> acc +. s.latency)
+      root_latency spawned
+    *. 1e3
+  in
   (* Sonata pays one reload per refinement step. *)
   let reload = Newton_dataplane.Reconfig.reload_outage ~fwd_entries:6000 () in
   let sonata_s = float_of_int installs *. reload in

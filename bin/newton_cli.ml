@@ -143,17 +143,24 @@ let cmd_p4_emit =
               (List.length entries) path
         | None -> ());
         if lint then begin
-          match Newton_p4gen.Validate.check ~program ~rules_json with
-          | [] ->
+          (* Lint by deploying: parse the program, instantiate it in the
+             interpreter and install the rule document; the first
+             problem fails the lint. *)
+          let open Newton_p4sim in
+          let deploy () =
+            let interp = Interp.create (P4parse.parse program) in
+            Interp.install interp (P4rules.of_json rules_json)
+          in
+          let fail msg = Printf.eprintf "lint: %s\n" msg; exit 1 in
+          match deploy () with
+          | () ->
               Printf.eprintf "lint clean: %d entries against the emitted program\n"
                 (List.length entries)
-          | issues ->
-              List.iter
-                (fun i ->
-                  Printf.eprintf "lint: %s\n"
-                    (Newton_p4gen.Validate.issue_to_string i))
-                issues;
-              exit 1
+          | exception P4parse.Parse_error { line; msg } ->
+              fail (Printf.sprintf "program line %d: %s" line msg)
+          | exception P4rules.Bad_document msg ->
+              fail ("malformed rule document: " ^ msg)
+          | exception Interp.Install_error msg -> fail msg
         end
   in
   let program_out_arg =
@@ -171,7 +178,8 @@ let cmd_p4_emit =
   let lint_arg =
     Arg.(value & flag
          & info [ "lint" ]
-             ~doc:"Validate the rule entries against the emitted program.")
+             ~doc:"Install the rule entries into the P4 interpreter running \
+                   the emitted program; report the first problem and exit 1.")
   in
   Cmd.v
     (Cmd.info "emit"

@@ -10,7 +10,6 @@
     3. The report series renders an incident dashboard: per-query
        sparklines, active spans and top offenders. *)
 
-open Newton_core
 open Newton
 
 let standing_intents =

@@ -36,12 +36,6 @@ type result = {
 
 let unexplained r = List.filter (fun d -> not d.d_explained) r.diffs
 
-(* Same stable IP-to-host mapping as the Newton facade (seed 4242), so
-   chaos replays see the traffic netrun would. *)
-let host_of_ip topo ip =
-  let n = Topo.num_hosts topo in
-  Topo.num_switches topo + (Newton_sketch.Hash.hash_int ~seed:4242 ip mod n)
-
 (* One replay: deploy every compiled query, then walk the trace firing
    due schedule events between packets. *)
 let replay ~mode ~stages_per_switch ?edge_switches ~topo ~compiled ~events
@@ -67,10 +61,12 @@ let replay ~mode ~stages_per_switch ?edge_switches ~topo ~compiled ~events
       in
       fire ();
       let src_host =
-        host_of_ip topo (Newton_packet.Packet.get pkt Newton_packet.Field.Src_ip)
+        Topo.host_of_ip topo
+          (Newton_packet.Packet.get pkt Newton_packet.Field.Src_ip)
       in
       let dst_host =
-        host_of_ip topo (Newton_packet.Packet.get pkt Newton_packet.Field.Dst_ip)
+        Topo.host_of_ip topo
+          (Newton_packet.Packet.get pkt Newton_packet.Field.Dst_ip)
       in
       Deploy.process_packet dep ~src_host ~dst_host pkt)
     trace;

@@ -29,9 +29,6 @@ type result = {
 
 val unexplained : result -> diff list
 
-(** The facade's stable IP-to-host mapping (hash seed 4242). *)
-val host_of_ip : Topo.t -> int -> int
-
 (** Deploy [queries], replay the trace twice (with and without the
     event schedule) and diff the reconciled reports by identity. *)
 val run :

@@ -35,6 +35,10 @@ let host_switch t h =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Topo.host_switch: host %d unattached" h)
 
+(** Map a trace IP onto a host with a stable hash (seed 4242). *)
+let host_of_ip t ip =
+  t.num_switches + (Newton_sketch.Hash.hash_int ~seed:4242 ip mod t.num_hosts)
+
 (** All switch-switch links, each reported once as (a, b) with a < b. *)
 let links t =
   List.concat_map

@@ -24,6 +24,11 @@ val edge_switches : t -> node list
     @raise Invalid_argument for an unattached host. *)
 val host_switch : t -> node -> node
 
+(** The host a trace IP lives on: a stable hash (seed 4242) of the IP
+    over the hosts, so every replay of one trace sees the same
+    placement. *)
+val host_of_ip : t -> int -> node
+
 (** All switch-switch links, each once as (a, b) with a < b. *)
 val links : t -> (node * node) list
 

@@ -1,12 +1,17 @@
 (** The [Newton] umbrella: the one module external users open.
 
-    [open Newton] pulls in the full public surface — the query DSL and
-    catalog, the compiler, runtime engines, telemetry, trace tooling,
-    and the {!Device} / {!Parallel_device} / {!Network} facades —
-    without depending on any [Newton_*] internal library name, which
-    are free to move between PRs. *)
+    Re-exports the full public surface — query DSL ({!Query},
+    {!Catalog}), compiler ({!Compiler}), runtime ({!Runtime},
+    {!Parallel_engine}), telemetry ({!Telemetry}), trace tooling
+    ({!Trace}), the {!Device} / {!Parallel_device} / {!Network}
+    facades and {!Reactive} intents — so programs never depend on
+    [Newton_*] internal library names. *)
 
-include Newton_core.Newton
+include Facade
+
+(** Reactive intents: trigger reports spawn templated drill-down
+    queries at runtime, prefix refinement among them. *)
+module Reactive = Reactive
 
 (** Runtime internals (engines, analyzer, introspection) for users who
     need more than the facades expose. *)

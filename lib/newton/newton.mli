@@ -3,13 +3,17 @@
     Re-exports the full public surface — query DSL ({!Query},
     {!Catalog}), compiler ({!Compiler}), runtime ({!Runtime},
     {!Parallel_engine}), telemetry ({!Telemetry}), trace tooling
-    ({!Trace}), and the {!Device} / {!Parallel_device} / {!Network}
-    facades — so programs never depend on [Newton_*] internal library
-    names. *)
+    ({!Trace}), the {!Device} / {!Parallel_device} / {!Network}
+    facades and {!Reactive} intents — so programs never depend on
+    [Newton_*] internal library names. *)
 
 include module type of struct
-  include Newton_core.Newton
+  include Facade
 end
+
+(** Reactive intents: trigger reports spawn templated drill-down
+    queries at runtime, prefix refinement among them. *)
+module Reactive = Reactive
 
 (** Runtime internals (engines, analyzer, introspection) for users who
     need more than the facades expose. *)

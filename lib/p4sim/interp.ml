@@ -170,6 +170,11 @@ let install t (rules : Newton_p4gen.Rules.entry list) =
       | Some tbl ->
           if not (List.mem e.action tbl.t_actions) then
             ins_fail "table %s has no action %s" e.table e.action;
+          let cell = Hashtbl.find t.entries e.table in
+          (match tbl.t_size with
+          | Some size when List.compare_length_with !cell size >= 0 ->
+              ins_fail "table %s holds more entries than its size %d" e.table size
+          | _ -> ());
           let im =
             Array.of_list
               (List.map
@@ -187,7 +192,6 @@ let install t (rules : Newton_p4gen.Rules.entry list) =
             }
           in
           t.seq <- t.seq + 1;
-          let cell = Hashtbl.find t.entries e.table in
           cell := inst :: !cell)
     rules
 

@@ -20,8 +20,9 @@ type t
 val create : P4ast.program -> t
 
 (** Install controller rules (the {!Newton_p4gen.Rules} wire entries).
-    @raise Install_error on unknown tables/actions or malformed
-    matches. *)
+    @raise Install_error on unknown tables/actions, malformed matches,
+    or more entries than a table's declared [size] (a table without
+    one is unbounded). *)
 val install : t -> Newton_p4gen.Rules.entry list -> unit
 
 (** Remove all installed entries (tables fall back to defaults). *)

@@ -87,10 +87,10 @@ let step t ~now ~budget deploy =
   do
     let pkt = t.packets.(t.pos) in
     let src_host =
-      Newton_core.Newton.Network.host_of_ip t.topo (Packet.get pkt Field.Src_ip)
+      Newton_network.Topo.host_of_ip t.topo (Packet.get pkt Field.Src_ip)
     in
     let dst_host =
-      Newton_core.Newton.Network.host_of_ip t.topo (Packet.get pkt Field.Dst_ip)
+      Newton_network.Topo.host_of_ip t.topo (Packet.get pkt Field.Dst_ip)
     in
     Newton_controller.Deploy.process_packet deploy ~src_host ~dst_host pkt;
     t.pos <- t.pos + 1;

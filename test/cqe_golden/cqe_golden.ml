@@ -54,7 +54,7 @@ let replay ?(at = fun _ -> ()) d packets =
     (fun i pkt ->
       at i;
       let host f =
-        Newton_core.Newton.Network.host_of_ip topo (Packet.get pkt f)
+        Topo.host_of_ip topo (Packet.get pkt f)
       in
       Deploy.process_packet d ~src_host:(host Field.Src_ip)
         ~dst_host:(host Field.Dst_ip) pkt)

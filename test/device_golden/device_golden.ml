@@ -9,7 +9,7 @@
    hits, guard stops, emitted/deduped/dropped reports, window rolls,
    and every instance's register-array ALU execution total. *)
 
-module Device = Newton_core.Newton.Device
+module Device = Newton.Device
 module Engine = Newton_runtime.Engine
 module Stats = Newton_telemetry.Stats
 module Register_array = Newton_sketch.Register_array

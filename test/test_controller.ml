@@ -272,7 +272,7 @@ let test_packets_seen_once_per_switch () =
     (fun p ->
       let before = Array.init n hops in
       let host f =
-        Newton_core.Newton.Network.host_of_ip topo (Newton_packet.Packet.get p f)
+        Topo.host_of_ip topo (Newton_packet.Packet.get p f)
       in
       Deploy.process_packet ctl ~src_host:(host Newton_packet.Field.Src_ip)
         ~dst_host:(host Newton_packet.Field.Dst_ip) p;

@@ -1,7 +1,7 @@
 (** Tests for the Newton public facade: Device and Network APIs, plus
     end-to-end integration scenarios. *)
 
-open Newton_core.Newton
+open Newton
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -90,8 +90,8 @@ let test_network_deploy_on_fat_tree () =
 
 let test_network_host_mapping_stable () =
   let topo = Topo.fat_tree 4 in
-  let h1 = Network.host_of_ip topo 0x0A000001 in
-  let h2 = Network.host_of_ip topo 0x0A000001 in
+  let h1 = Topo.host_of_ip topo 0x0A000001 in
+  let h2 = Topo.host_of_ip topo 0x0A000001 in
   checki "stable mapping" h1 h2;
   checkb "maps to a host" true (Topo.is_host topo h1)
 

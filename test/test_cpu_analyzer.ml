@@ -39,10 +39,10 @@ let test_overhead_contrast_with_newton () =
   let tr = trace () in
   let analyzer, sf = Cpu_analyzer.of_trace [ Catalog.q1 () ] tr in
   ignore analyzer;
-  let device = Newton_core.Newton.Device.create () in
-  let _ = Newton_core.Newton.Device.add_query device (Catalog.q1 ()) in
-  Newton_core.Newton.Device.process_trace device tr;
-  let newton_msgs = Newton_core.Newton.Device.message_count device in
+  let device = Newton.Device.create () in
+  let _ = Newton.Device.add_query device (Catalog.q1 ()) in
+  Newton.Device.process_trace device tr;
+  let newton_msgs = Newton.Device.message_count device in
   checkb "Newton exports orders of magnitude less" true
     (Starflow.messages sf > 50 * max 1 newton_msgs)
 
@@ -50,14 +50,14 @@ let test_same_detections_as_newton () =
   let tr = trace () in
   let q = Catalog.q4 () in
   let analyzer, _ = Cpu_analyzer.of_trace [ q ] tr in
-  let device = Newton_core.Newton.Device.create () in
-  let _ = Newton_core.Newton.Device.add_query device q in
-  Newton_core.Newton.Device.process_trace device tr;
+  let device = Newton.Device.create () in
+  let _ = Newton.Device.add_query device q in
+  Newton.Device.process_trace device tr;
   let keys rs =
     List.map (fun r -> r.Report.keys) rs |> List.sort_uniq compare
   in
   let cpu_keys = keys (Cpu_analyzer.results analyzer) in
-  let newton_keys = keys (Newton_core.Newton.Device.reports device) in
+  let newton_keys = keys (Newton.Device.reports device) in
   (* The CPU path is exact; Newton's sketches can add false positives
      but never miss, so CPU detections are a subset. *)
   checkb "every exact detection also found by Newton" true

@@ -40,14 +40,14 @@ let minor_words_per n f =
    per packet would already break the device bound. *)
 
 let test_device_minor_words () =
-  let d = Newton_core.Newton.Device.create () in
-  List.iter (fun q -> ignore (Newton_core.Newton.Device.add_query d q)) catalog;
+  let d = Newton.Device.create () in
+  List.iter (fun q -> ignore (Newton.Device.add_query d q)) catalog;
   let packets =
     trace ~attacks:Newton_trace.Attack.extended_suite ~seed:21 ~flows:2_500
   in
   let words =
     minor_words_per (Array.length packets) (fun i ->
-        Newton_core.Newton.Device.process_packet d packets.(i))
+        Newton.Device.process_packet d packets.(i))
   in
   checkb
     (Printf.sprintf "device step: %.1f minor words/packet <= 30" words)
@@ -62,7 +62,7 @@ let test_cqe_minor_words () =
     trace ~attacks:Newton_trace.Attack.default_suite ~seed:11 ~flows:3_000
   in
   let host pkt f =
-    Newton_core.Newton.Network.host_of_ip (Deploy.topo d)
+    Topo.host_of_ip (Deploy.topo d)
       (Newton_packet.Packet.get pkt f)
   in
   let src = Array.map (fun p -> host p Newton_packet.Field.Src_ip) packets in
@@ -173,7 +173,7 @@ let qcheck_deploy_index =
         Array.iter
           (fun pkt ->
             let host f =
-              Newton_core.Newton.Network.host_of_ip (Deploy.topo d)
+              Topo.host_of_ip (Deploy.topo d)
                 (Newton_packet.Packet.get pkt f)
             in
             Deploy.process_packet d ~src_host:(host Newton_packet.Field.Src_ip)

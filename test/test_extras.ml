@@ -3,7 +3,7 @@
     detection scenarios with their ground-truth injectors. *)
 
 open Newton_query
-open Newton_core.Newton
+open Newton
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -9,7 +9,7 @@ module Stats = Newton_telemetry.Stats
 module Gen = Newton_trace.Gen
 module Profile = Newton_trace.Profile
 module Attack = Newton_trace.Attack
-module N = Newton_core.Newton
+module N = Newton
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

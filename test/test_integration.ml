@@ -1,6 +1,6 @@
 (** Cross-component integration scenarios. *)
 
-open Newton_core.Newton
+open Newton
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

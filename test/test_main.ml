@@ -17,7 +17,7 @@ let () =
       ("extras", Test_extras.suite);
       ("p4gen", Test_p4gen.suite);
       ("p4sim", Test_p4sim.suite);
-      ("validate", Test_validate.suite);
+      ("validate", Test_p4sim.lint_suite);
       ("compiler", Test_compiler.suite);
       ("network", Test_network.suite);
       ("fib", Test_fib.suite);

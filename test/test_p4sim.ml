@@ -139,6 +139,101 @@ let test_differential_detects_divergence () =
         | Some (`Engine_only _) -> true
         | _ -> false)
 
+(* ---------------- deployment-artifact lint ---------------- *)
+
+(* What [newton p4 emit --lint] does: parse the program, instantiate it
+   and install the rule document.  Each case below lints one artifact
+   pair the way a rollout would push it. *)
+let lint ~program ~rules_json =
+  let interp = Interp.create (P4parse.parse program) in
+  Interp.install interp (P4rules.of_json rules_json)
+
+let install_fails ~program ~rules_json =
+  try lint ~program ~rules_json; false with Interp.Install_error _ -> true
+
+let entry ~table ~action =
+  Printf.sprintf
+    {|{"table":"%s","priority":1,"match":[{"field":"meta.class_id","type":"exact","value":1}],"action":"%s","params":{}}|}
+    table action
+
+let compiled_rules_json ?layout q =
+  match Newton_p4gen.Rules.entries ?layout (Newton_compiler.Compose.compile q) with
+  | Ok entries -> Newton_p4gen.Rules.to_json entries
+  | Error issue ->
+      Alcotest.failf "Q%d has no rule encoding: %s" q.Newton_query.Ast.id
+        (Newton_p4gen.Rules.issue_to_string issue)
+
+let test_catalog_rules_all_clean () =
+  List.iter
+    (fun q ->
+      let rules_json = compiled_rules_json q in
+      match lint ~program:(Lazy.force program_text) ~rules_json with
+      | () -> ()
+      | exception Interp.Install_error msg ->
+          Alcotest.failf "Q%d artifacts do not install: %s" q.Newton_query.Ast.id msg)
+    (Newton_query.Catalog.all () @ Newton_query.Catalog.extras ())
+
+let test_inventory_recovers_declared_tables () =
+  let layout = { Newton_p4gen.Emit.stages = 2; registers = 64; rules_per_table = 16 } in
+  let p = P4parse.parse (Newton_p4gen.Emit.program ~layout ()) in
+  let tables =
+    List.concat_map (fun (c : P4ast.control) -> c.P4ast.c_tables) p.P4ast.controls
+  in
+  let size name =
+    (List.find (fun (t : P4ast.table) -> t.P4ast.t_name = name) tables).P4ast.t_size
+  in
+  (* 2 stages x 2 sets x 5 kinds (K,H,S,R,T) + init/resume/recirc/fin *)
+  checki "table count" 24 (List.length tables);
+  checkb "sizes recovered" true (size "newton_k_s0_m0" = Some 16);
+  checkb "init table larger" true (size "newton_init" = Some 64)
+
+let test_unknown_table_detected () =
+  let program =
+    Newton_p4gen.Emit.program
+      ~layout:{ Newton_p4gen.Emit.default_layout with Newton_p4gen.Emit.stages = 1 } ()
+  in
+  let rules_json =
+    "[" ^ entry ~table:"newton_k_s9_m0" ~action:"newton_k_s9_m0_select" ^ "]"
+  in
+  checkb "unknown table rejected" true (install_fails ~program ~rules_json)
+
+let test_unknown_action_detected () =
+  let rules_json = "[" ^ entry ~table:"newton_k_s0_m0" ~action:"explode" ^ "]" in
+  checkb "unknown action rejected" true
+    (install_fails ~program:(Lazy.force program_text) ~rules_json)
+
+let test_overflow_detected () =
+  let layout = { Newton_p4gen.Emit.stages = 1; registers = 16; rules_per_table = 2 } in
+  let program = Newton_p4gen.Emit.program ~layout () in
+  let rules n =
+    "["
+    ^ String.concat ","
+        (List.init n (fun _ -> entry ~table:"newton_k_s0_m0" ~action:"newton_k_s0_m0_select"))
+    ^ "]"
+  in
+  checkb "a full table installs" false (install_fails ~program ~rules_json:(rules 2));
+  checkb "overflow rejected" true (install_fails ~program ~rules_json:(rules 3))
+
+let test_malformed_document () =
+  let bad_document rules_json =
+    try lint ~program:(Lazy.force program_text) ~rules_json; false
+    with P4rules.Bad_document _ -> true
+  in
+  checkb "malformed JSON" true (bad_document "{not json");
+  checkb "top level is not an array" true (bad_document {|{"not":"an array"}|})
+
+let test_rules_beyond_emitted_stages_flagged () =
+  (* A query whose stages exceed the emitted layout references tables
+     that do not exist — the install catches the misdeployment. *)
+  let layout = { Newton_p4gen.Emit.default_layout with Newton_p4gen.Emit.stages = 3 } in
+  let program = Newton_p4gen.Emit.program ~layout () in
+  let rules_json = compiled_rules_json ~layout (Newton_query.Catalog.q4 ()) in
+  match lint ~program ~rules_json with
+  | () -> Alcotest.fail "Q4 installed on a 3-stage program"
+  | exception Interp.Install_error msg ->
+      checkb "stage overflow caught as an unknown table" true
+        (String.starts_with ~prefix:"no such table" msg)
+
 let suite =
   [
     ("emitted program parses", `Quick, test_emitted_program_parses);
@@ -149,4 +244,17 @@ let suite =
     ("phv corpus fully encodable", `Quick, test_phv_corpus_fully_encodable);
     ("differential detects divergence", `Quick, test_differential_detects_divergence);
     ("differential all queries", `Slow, test_differential_all_queries);
+  ]
+
+(* Registered as its own section: artifact linting through the
+   interpreter. *)
+let lint_suite =
+  [
+    ("catalog rules all clean", `Quick, test_catalog_rules_all_clean);
+    ("inventory recovers declared tables", `Quick, test_inventory_recovers_declared_tables);
+    ("unknown table detected", `Quick, test_unknown_table_detected);
+    ("unknown action detected", `Quick, test_unknown_action_detected);
+    ("overflow detected", `Quick, test_overflow_detected);
+    ("malformed document", `Quick, test_malformed_document);
+    ("rules beyond emitted stages flagged", `Quick, test_rules_beyond_emitted_stages_flagged);
   ]

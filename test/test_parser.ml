@@ -172,11 +172,11 @@ let test_parsed_query_compiles_and_runs () =
       ~seed:3
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 500)
   in
-  let device = Newton_core.Newton.Device.create () in
-  let _ = Newton_core.Newton.Device.add_query device q in
-  Newton_core.Newton.Device.process_trace device trace;
+  let device = Newton.Device.create () in
+  let _ = Newton.Device.add_query device q in
+  Newton.Device.process_trace device trace;
   checkb "parsed query detects the DDoS" true
-    (Newton_core.Newton.Device.message_count device > 0)
+    (Newton.Device.message_count device > 0)
 
 let test_parse_errors () =
   let bad s =

@@ -1,7 +1,7 @@
 (** Tests for the reactive-intent service (automatic drill-down). *)
 
 open Newton_query
-open Newton_core
+open Newton
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -26,10 +26,10 @@ let replay_deploy dep topo trace =
   Newton_trace.Gen.iter
     (fun pkt ->
       let src_host =
-        Chaos.host_of_ip topo (Newton_packet.Packet.get pkt Newton_packet.Field.Src_ip)
+        Topo.host_of_ip topo (Newton_packet.Packet.get pkt Newton_packet.Field.Src_ip)
       in
       let dst_host =
-        Chaos.host_of_ip topo (Newton_packet.Packet.get pkt Newton_packet.Field.Dst_ip)
+        Topo.host_of_ip topo (Newton_packet.Packet.get pkt Newton_packet.Field.Dst_ip)
       in
       Deploy.process_packet dep ~src_host ~dst_host pkt)
     trace
@@ -366,7 +366,7 @@ let test_controller_snapshot_has_recovery_counters () =
 (* ---------------- facade ---------------- *)
 
 let test_facade_fail_repair () =
-  let open Newton_core.Newton in
+  let open Newton in
   let topo = Topo.bypass ~short:1 ~long:2 () in
   let net = Network.create topo in
   ignore (Network.add_query ~stages_per_switch:4 net (Newton_query.Catalog.q4 ()));

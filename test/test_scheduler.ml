@@ -114,11 +114,11 @@ let test_allocation_improves_skewed_accuracy () =
     let options =
       { Newton_compiler.Decompose.default_options with registers }
     in
-    let dev = Newton_core.Newton.Device.create ~options () in
-    let _ = Newton_core.Newton.Device.add_query dev q in
-    Newton_core.Newton.Device.process_trace dev heavy_trace;
+    let dev = Newton.Device.create ~options () in
+    let _ = Newton.Device.add_query dev q in
+    Newton.Device.process_trace dev heavy_trace;
     (Newton_runtime.Analyzer.score ~truth
-       ~detected:(Newton_core.Newton.Device.reports dev)).Newton_runtime.Analyzer.precision
+       ~detected:(Newton.Device.reports dev)).Newton_runtime.Analyzer.precision
   in
   (* Even split of a 2048-register pool across two queries: 1024 each.
      Weighted plan gives the heavy query most of the pool. *)

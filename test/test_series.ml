@@ -70,10 +70,10 @@ let test_end_to_end_with_device () =
     Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.default_suite ~seed:8
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 800)
   in
-  let d = Newton_core.Newton.Device.create () in
-  let _ = Newton_core.Newton.Device.add_query d (Catalog.q1 ()) in
-  Newton_core.Newton.Device.process_trace d trace;
-  let s = Series.of_reports (Newton_core.Newton.Device.reports d) in
+  let d = Newton.Device.create () in
+  let _ = Newton.Device.add_query d (Catalog.q1 ()) in
+  Newton.Device.process_trace d trace;
+  let s = Series.of_reports (Newton.Device.reports d) in
   checkb "series covers the attack" true (Series.active_span s ~query_id:1 <> None);
   let top = Series.top_keys s ~query_id:1 ~n:5 in
   checkb "flood victim among the top keys" true

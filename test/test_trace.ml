@@ -121,11 +121,11 @@ let test_bursty_trace_still_monitorable () =
     Profile.with_burstiness (Profile.with_flows Profile.caida_like 600) 0.8
   in
   let t = Gen.generate ~attacks:Attack.default_suite ~seed:3 p in
-  let d = Newton_core.Newton.Device.create () in
-  let _ = Newton_core.Newton.Device.add_query d (Newton_query.Catalog.q1 ()) in
-  Newton_core.Newton.Device.process_trace d t;
+  let d = Newton.Device.create () in
+  let _ = Newton.Device.add_query d (Newton_query.Catalog.q1 ()) in
+  Newton.Device.process_trace d t;
   checkb "detection still works under bursts" true
-    (Newton_core.Newton.Device.message_count d > 0)
+    (Newton.Device.message_count d > 0)
 
 (* ---------------- Attacks ---------------- *)
 

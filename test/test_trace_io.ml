@@ -37,12 +37,12 @@ let test_loaded_trace_replays_identically () =
   Trace_io.save trace path;
   let loaded = Trace_io.load path in
   let run t =
-    let d = Newton_core.Newton.Device.create () in
+    let d = Newton.Device.create () in
     List.iter
-      (fun q -> ignore (Newton_core.Newton.Device.add_query d q))
+      (fun q -> ignore (Newton.Device.add_query d q))
       (Newton_query.Catalog.all ());
-    Newton_core.Newton.Device.process_trace d t;
-    Newton_core.Newton.Device.reports d
+    Newton.Device.process_trace d t;
+    Newton.Device.reports d
     |> List.map Newton_query.Report.to_string
     |> List.sort compare
   in
