@@ -18,7 +18,6 @@ let experiments =
     ("detection", Detection.run);
     ("refinement", Refinement.run);
     ("parallel", Parallel.run);
-    ("ingest", Ingest.run);
     ("analysis", Analysis.run);
     ("p4sim", P4sim.run);
     ("space", Space.run);

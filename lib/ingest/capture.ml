@@ -2,6 +2,11 @@
     decode records into packets with counted skips, stream lazily for
     {!Stream.run}, and export synthetic traces back to pcap.
 
+    One cursor serves [fold], [load], [info] and [with_source]: the
+    format's reader steps through a {!Reader} block buffer and each
+    frame is decoded where it sits ({!Decode.frame_at}), so no record
+    is copied out of the buffer.
+
     Every frame pulled through this module is accounted for in the
     telemetry sink: [Ingest_frames] per record, then exactly one of
     [Ingest_decoded] / [Ingest_non_ip] / [Ingest_truncated] /
@@ -11,7 +16,7 @@
 module Stats = Newton_telemetry.Stats
 module Gen = Newton_trace.Gen
 
-exception Format_error of string
+exception Format_error = Reader.Format_error
 
 type format = Pcap_format | Pcapng_format
 
@@ -19,27 +24,13 @@ let format_to_string = function
   | Pcap_format -> "pcap"
   | Pcapng_format -> "pcapng"
 
-let u32le b = Char.code (Bytes.get b 0)
-              lor (Char.code (Bytes.get b 1) lsl 8)
-              lor (Char.code (Bytes.get b 2) lsl 16)
-              lor (Char.code (Bytes.get b 3) lsl 24)
-
-let u32be b = Char.code (Bytes.get b 3)
-              lor (Char.code (Bytes.get b 2) lsl 8)
-              lor (Char.code (Bytes.get b 1) lsl 16)
-              lor (Char.code (Bytes.get b 0) lsl 24)
-
 (* pcapng's block-type magic is a byte palindrome, so one endianness
    suffices to recognize it. *)
 let pcapng_magic = 0x0A0D0D0A
 
-let sniff_channel ic =
-  let b = Bytes.create 4 in
-  (try really_input ic b 0 4
-   with End_of_file ->
-     raise (Format_error "capture shorter than a format magic"));
-  seek_in ic 0;
-  let le = u32le b and be = u32be b in
+let format_of_magic b off =
+  let le = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF in
+  let be = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF in
   if le = pcapng_magic then Pcapng_format
   else if
     le = Pcap.magic_usec || be = Pcap.magic_usec || le = Pcap.magic_nsec
@@ -47,78 +38,85 @@ let sniff_channel ic =
   then Pcap_format
   else raise (Format_error "not a pcap or pcapng capture (bad magic)")
 
-let reraise_format f =
-  try f () with
-  | Pcap.Format_error m | Pcapng.Format_error m -> raise (Format_error m)
-
 let with_file path f =
   let ic =
     try open_in_bin path
     with Sys_error m -> raise (Format_error m)
   in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-      reraise_format (fun () -> f ic))
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
 
-(* A format-independent record cursor. *)
-type cursor =
-  | Cpcap of Pcap.header
-  | Cng of Pcapng.reader
+(* The one record cursor every reader of a capture steps: a format
+   reader over the block buffer, and the frame it steps onto. *)
+type reader = Cpcap of Pcap.header | Cng of Pcapng.reader
+
+type cursor = { rd : Reader.t; reader : reader; frame : Reader.frame }
 
 let open_cursor ic =
-  match sniff_channel ic with
-  | Pcap_format -> Cpcap (Pcap.read_header ic)
-  | Pcapng_format -> Cng (Pcapng.create_reader ic)
+  let rd = Reader.create ic in
+  if not (Reader.ensure rd 4) then
+    raise (Format_error "capture shorter than a format magic");
+  let reader =
+    match format_of_magic (Reader.buffer rd) (Reader.pos rd) with
+    | Pcap_format -> Cpcap (Pcap.read_header rd)
+    | Pcapng_format -> Cng (Pcapng.create_reader rd)
+  in
+  { rd; reader; frame = Reader.frame () }
 
-(** Next record as [(ts, data, orig_len, linktype)]. *)
-let cursor_next cursor ic =
-  match cursor with
-  | Cpcap h -> (
-      match Pcap.read_record h ic with
-      | `Record r -> `Record (r.Pcap.ts, r.Pcap.data, r.Pcap.orig_len, h.Pcap.linktype)
-      | (`Truncated | `End) as e -> e)
-  | Cng r -> (
-      match Pcapng.read_record r with
-      | `Record r -> `Record (r.Pcapng.ts, r.Pcapng.data, r.Pcapng.orig_len, r.Pcapng.linktype)
-      | (`Truncated | `End) as e -> e)
+let next c =
+  match c.reader with
+  | Cpcap h -> Pcap.read_record h c.rd c.frame
+  | Cng r -> Pcapng.read_record r c.frame
 
-(* Decode one record, keeping the books. *)
-let decode_record stats ts data linktype =
+(* Decode the cursor's frame in place, keeping the books. *)
+let decode stats c =
   Stats.bump stats Stats.Ingest_frames 1;
-  match Decode.frame ~linktype ~ts data with
-  | Decode.Decoded p ->
+  let f = c.frame in
+  match
+    Decode.frame_at ~linktype:f.Reader.linktype ~ts:f.Reader.ts
+      (Reader.buffer c.rd) f.Reader.off f.Reader.len
+  with
+  | Decode.Decoded _ as d ->
       Stats.bump stats Stats.Ingest_decoded 1;
-      Some p
-  | Decode.Skipped Decode.Non_ip ->
-      Stats.bump stats Stats.Ingest_non_ip 1;
-      None
-  | Decode.Skipped Decode.Truncated ->
-      Stats.bump stats Stats.Ingest_truncated 1;
-      None
-  | Decode.Skipped Decode.Fragment ->
-      Stats.bump stats Stats.Ingest_fragment 1;
-      None
-  | Decode.Skipped Decode.Malformed ->
-      Stats.bump stats Stats.Ingest_malformed 1;
-      None
+      d
+  | Decode.Skipped reason as d ->
+      Stats.bump stats
+        (match reason with
+        | Decode.Non_ip -> Stats.Ingest_non_ip
+        | Decode.Truncated -> Stats.Ingest_truncated
+        | Decode.Fragment -> Stats.Ingest_fragment
+        | Decode.Malformed -> Stats.Ingest_malformed)
+        1;
+      d
+
+(* A file cut mid-record is one frame, skipped as truncated. *)
+let count_cut stats =
+  Stats.bump stats Stats.Ingest_frames 1;
+  Stats.bump stats Stats.Ingest_truncated 1
+
+(* Step the cursor to its end, handing [f] every decode result; [true]
+   iff the file ended on a record boundary. *)
+let iter_results stats c f =
+  let rec go () =
+    match next c with
+    | Reader.Frame ->
+        f (decode stats c);
+        go ()
+    | Reader.Truncated ->
+        count_cut stats;
+        false
+    | Reader.End -> true
+  in
+  go ()
 
 let fold ?(stats = Stats.null) path f init =
   with_file path (fun ic ->
-      let cursor = open_cursor ic in
-      let rec go acc =
-        match cursor_next cursor ic with
-        | `Record (ts, data, orig_len, linktype) ->
-            ignore orig_len;
-            go
-              (match decode_record stats ts data linktype with
-              | Some p -> f acc p
-              | None -> acc)
-        | `Truncated ->
-            Stats.bump stats Stats.Ingest_frames 1;
-            Stats.bump stats Stats.Ingest_truncated 1;
-            acc
-        | `End -> acc
-      in
-      go init)
+      let c = open_cursor ic in
+      let acc = ref init in
+      ignore
+        (iter_results stats c (function
+          | Decode.Decoded p -> acc := f !acc p
+          | Decode.Skipped _ -> ()));
+      !acc)
 
 let load ?stats path =
   let rev = fold ?stats path (fun acc p -> p :: acc) [] in
@@ -127,26 +125,25 @@ let load ?stats path =
 
 let with_source ?(stats = Stats.null) path f =
   with_file path (fun ic ->
-      let cursor = open_cursor ic in
+      let c = open_cursor ic in
       let finished = ref false in
-      let rec next () =
+      let rec next_packet () =
         if !finished then None
         else
-          match reraise_format (fun () -> cursor_next cursor ic) with
-          | `Record (ts, data, _orig, linktype) -> (
-              match decode_record stats ts data linktype with
-              | Some p -> Some p
-              | None -> next ())
-          | `Truncated ->
-              Stats.bump stats Stats.Ingest_frames 1;
-              Stats.bump stats Stats.Ingest_truncated 1;
+          match next c with
+          | Reader.Frame -> (
+              match decode stats c with
+              | Decode.Decoded p -> Some p
+              | Decode.Skipped _ -> next_packet ())
+          | Reader.Truncated ->
+              count_cut stats;
               finished := true;
               None
-          | `End ->
+          | Reader.End ->
               finished := true;
               None
       in
-      f next)
+      f next_packet)
 
 let export ?nsec trace path =
   let oc =
@@ -154,14 +151,12 @@ let export ?nsec trace path =
     with Sys_error m -> raise (Format_error m)
   in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      reraise_format (fun () ->
-          let w = Pcap.create_writer ?nsec oc in
-          Gen.iter
-            (fun p ->
-              Pcap.write_record w ~ts:(Newton_packet.Packet.ts p)
-                (Encode.frame p))
-            trace;
-          Pcap.flush_writer w))
+      let w = Pcap.create_writer ?nsec oc in
+      Gen.iter
+        (fun p ->
+          Pcap.write_record w ~ts:(Newton_packet.Packet.ts p) (Encode.frame p))
+        trace;
+      Pcap.flush_writer w)
 
 type info = {
   format : format;
@@ -183,25 +178,17 @@ type info = {
 
 let info path =
   with_file path (fun ic ->
-      let cursor = open_cursor ic in
+      let c = open_cursor ic in
       let stats = Stats.create () in
       let first_ts = ref None and last_ts = ref None in
-      let rec go () =
-        match cursor_next cursor ic with
-        | `Record (ts, data, _orig, linktype) ->
+      let clean_end =
+        iter_results stats c (fun _ ->
+            let ts = c.frame.Reader.ts in
             if !first_ts = None then first_ts := Some ts;
-            last_ts := Some ts;
-            ignore (decode_record stats ts data linktype);
-            go ()
-        | `Truncated ->
-            Stats.bump stats Stats.Ingest_frames 1;
-            Stats.bump stats Stats.Ingest_truncated 1;
-            false
-        | `End -> true
+            last_ts := Some ts)
       in
-      let clean_end = go () in
       let format, interfaces, linktype, nsec, big_endian, snaplen =
-        match cursor with
+        match c.reader with
         | Cpcap h ->
             ( Pcap_format, 1, h.Pcap.linktype, Some h.Pcap.nsec,
               Some h.Pcap.big_endian, h.Pcap.snaplen )

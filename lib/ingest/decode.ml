@@ -79,10 +79,13 @@ let ext_fragment = 44
 let ext_no_next = 59
 let max_ext_hops = 8
 
-(** Decode one captured Ethernet frame into a packet stamped [ts]. *)
-let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
-  let len = Bytes.length data in
-  let need off n = if off + n > len then skipf Truncated in
+(** Decode the Ethernet frame [data] holds from [off], [len] bytes
+    long, into a packet stamped [ts].  Offsets below are absolute in
+    [data]; every bound is checked against [lim], one past the frame's
+    last byte, never against the buffer's end. *)
+let frame_at ~linktype ~ts data off len =
+  let lim = off + len in
+  let need off n = if off + n > lim then skipf Truncated in
   (* Ethernet type walk from an ethertype position, hopping over at
      most two VLAN tags (QinQ).  Returns (l3 offset, ethertype,
      innermost nonzero VID): for stacked 802.1ad/802.1Q tags the
@@ -129,7 +132,7 @@ let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
     Packet.set p Field.Ip_ver 6;
     Packet.set p Field.Src_ip (fold_ip6 data (off + 8));
     Packet.set p Field.Dst_ip (fold_ip6 data (off + 24));
-    Packet.set p Field.Pkt_len (min (40 + payload_len) 0xFFFF);
+    Packet.set p Field.Pkt_len (Int.min (40 + payload_len) 0xFFFF);
     Packet.set p Field.Ttl (u8 data (off + 7));
     (* Bounded extension-header walk: [budget] is the IPv6 payload
        remaining per the length field; overrunning it is Malformed,
@@ -179,7 +182,7 @@ let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
       if udp_len < 8 then skipf Malformed;
       Packet.set p Field.Payload_len (udp_len - 8);
       (* DNS header bits, when the capture includes them. *)
-      if (sport = 53 || dport = 53) && l4_off + 8 + 12 <= len then begin
+      if (sport = 53 || dport = 53) && l4_off + 8 + 12 <= lim then begin
         let flags = u16 data (l4_off + 8 + 2) in
         Packet.set p Field.Dns_qr (flags lsr 15);
         Packet.set p Field.Dns_ancount (u16 data (l4_off + 8 + 6))
@@ -192,7 +195,7 @@ let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
       need l4_off 4;
       Packet.set p Field.Icmp_type (u8 data l4_off);
       Packet.set p Field.Icmp_code (u8 data (l4_off + 1));
-      Packet.set p Field.Payload_len (max 0 (l4_len - 8))
+      Packet.set p Field.Payload_len (Int.max 0 (l4_len - 8))
     end
     else if proto = Field.Protocol.gre && depth = 0 then
       parse_gre p ~l4_off ~l4_len
@@ -238,7 +241,7 @@ let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
   else if len < 14 then Skipped Truncated
   else
     match
-      let ip_off, et, vid = eth_walk 12 0 in
+      let ip_off, et, vid = eth_walk (off + 12) 0 in
       let p = Packet.create ~ts () in
       if vid <> 0 then Packet.set p Field.Ingress_port vid;
       parse_l3 p ~et ~off:ip_off ~depth:0;
@@ -246,6 +249,9 @@ let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
     with
     | p -> Decoded p
     | exception Skip s -> Skipped s
+
+let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =
+  frame_at ~linktype ~ts data 0 (Bytes.length data)
 
 let skip_to_string = function
   | Non_ip -> "non-ip"

@@ -27,8 +27,16 @@ val vxlan_port : int
     the PHV carries (exposed for tests). *)
 val fold_ip6 : bytes -> int -> int
 
-(** Decode one captured frame into a packet stamped [ts].  [linktype]
-    defaults to Ethernet; any other link type skips as [Non_ip]. *)
+(** [frame_at ~linktype ~ts data off len] decodes the captured frame
+    held in [data] from [off], [len] bytes long, into a packet stamped
+    [ts], without copying it: every bounds check is against
+    [off + len], so the bytes around the frame are never read.  Any
+    link type but Ethernet skips as [Non_ip].  Requires
+    [0 <= off] and [off + len <= Bytes.length data]. *)
+val frame_at : linktype:int -> ts:float -> bytes -> int -> int -> result
+
+(** [frame data] is [frame_at data 0 (Bytes.length data)];
+    [linktype] defaults to Ethernet. *)
 val frame : ?linktype:int -> ts:float -> bytes -> result
 
 val skip_to_string : skip -> string

@@ -22,7 +22,8 @@ let keys fields = List.map (fun f -> key f) fields
 (** Comparison operators for predicates. *)
 type cmp_op = Eq | Neq | Gt | Ge | Lt | Le
 
-let cmp_holds op a b =
+(* Int-typed: a polymorphic comparison would be a C call per guard. *)
+let cmp_holds op (a : int) (b : int) =
   match op with
   | Eq -> a = b
   | Neq -> a <> b

@@ -25,7 +25,9 @@ let exec alu (regs : int array) idx =
       regs.(idx) <- prev lor k;
       prev
   | Max k ->
-      let v = max regs.(idx) k in
+      (* int compare: [Stdlib.max] is a polymorphic C call *)
+      let cur = regs.(idx) in
+      let v = if cur >= k then cur else k in
       regs.(idx) <- v;
       v
   | Read -> regs.(idx)

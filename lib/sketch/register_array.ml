@@ -73,19 +73,23 @@ type merge_op = [ `Add | `Or | `Max ]
 
 let merge_op_to_string = function `Add -> "+" | `Or -> "|" | `Max -> "max"
 
-let alu_of_merge_op op v =
-  match op with `Add -> Alu.Add v | `Or -> Alu.Or v | `Max -> Alu.Max v
-
-(** Fold [src] into [dst] register-by-register with the merge op's ALU;
-    merging is not counted as packet ALU executions. *)
+(** Fold [src] into [dst] register-by-register with the merge op's ALU
+    update ([Alu.Add]/[Or]/[Max] by the source register); merging is
+    not counted as packet ALU executions. *)
 let merge_into ~op ~dst ~src =
   if dst.size <> src.size then
     invalid_arg
       (Printf.sprintf "Register_array.merge_into: size mismatch (%d vs %d)"
          dst.size src.size);
-  for i = 0 to dst.size - 1 do
-    ignore (Alu.exec (alu_of_merge_op op src.regs.(i)) dst.regs i)
-  done
+  let d = dst.regs and s = src.regs in
+  match op with
+  | `Add -> for i = 0 to dst.size - 1 do d.(i) <- d.(i) + s.(i) done
+  | `Or -> for i = 0 to dst.size - 1 do d.(i) <- d.(i) lor s.(i) done
+  | `Max ->
+      for i = 0 to dst.size - 1 do
+        let v = s.(i) in
+        if v > d.(i) then d.(i) <- v
+      done
 
 (** Functional merge: a fresh array holding [op]-combined registers. *)
 let merge ~op a b =

@@ -6,10 +6,15 @@
     Merging is element-wise addition, which is what lets per-domain
     sinks fold back into one switch-level view ({!Stats.merge}). *)
 
+(* The running sum lives in a one-field float record, which OCaml
+   stores flat: adding to it allocates nothing, where a [mutable float]
+   field of [t] would box every new sum. *)
+type total = { mutable value : float }
+
 type t = {
   bounds : float array;
   counts : int array; (* length = Array.length bounds + 1 *)
-  mutable sum : float;
+  sum : total;
   mutable count : int;
 }
 
@@ -36,11 +41,12 @@ let create bounds =
     if bounds.(i) <= bounds.(i - 1) then
       invalid_arg "Hist.create: bounds not strictly ascending"
   done;
-  { bounds = Array.copy bounds; counts = Array.make (n + 1) 0; sum = 0.0; count = 0 }
+  { bounds = Array.copy bounds; counts = Array.make (n + 1) 0;
+    sum = { value = 0.0 }; count = 0 }
 
 let bounds t = Array.copy t.bounds
 let count t = t.count
-let sum t = t.sum
+let sum t = t.sum.value
 
 (* First bucket whose bound covers [x]; the overflow bucket otherwise.
    Linear scan over at most twenty bounds.  Observe is on the
@@ -55,7 +61,7 @@ let bucket_of t x =
 let observe t x =
   let b = bucket_of t x in
   t.counts.(b) <- t.counts.(b) + 1;
-  t.sum <- t.sum +. x;
+  t.sum.value <- t.sum.value +. x;
   t.count <- t.count + 1
 
 (** Non-cumulative counts including the overflow bucket. *)
@@ -63,19 +69,19 @@ let counts t = Array.copy t.counts
 
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.sum <- 0.0;
+  t.sum.value <- 0.0;
   t.count <- 0
 
 let copy t =
-  { bounds = Array.copy t.bounds; counts = Array.copy t.counts; sum = t.sum;
-    count = t.count }
+  { bounds = Array.copy t.bounds; counts = Array.copy t.counts;
+    sum = { value = t.sum.value }; count = t.count }
 
 (** Fold [src] into [dst] bucket-wise.
     @raise Invalid_argument on a bound-layout mismatch. *)
 let merge_into ~dst ~src =
   if dst.bounds <> src.bounds then invalid_arg "Hist.merge_into: bounds mismatch";
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-  dst.sum <- dst.sum +. src.sum;
+  dst.sum.value <- dst.sum.value +. src.sum.value;
   dst.count <- dst.count + src.count
 
 let merge a b =
@@ -86,5 +92,5 @@ let merge a b =
 (** The histogram as a {!Metric} sample value. *)
 let to_value t =
   Metric.Buckets
-    { bounds = Array.copy t.bounds; counts = Array.copy t.counts; sum = t.sum;
-      count = t.count }
+    { bounds = Array.copy t.bounds; counts = Array.copy t.counts;
+      sum = t.sum.value; count = t.count }

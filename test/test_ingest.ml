@@ -39,6 +39,23 @@ let sample_trace ?(seed = 11) ?(flows = 400) () =
 
 (* ---------------- pcap writer → reader ---------------- *)
 
+(* Every record of a classic pcap as (ts, captured bytes, orig_len),
+   copied out of the block reader's buffer, and whether the file ended
+   on a record boundary. *)
+let pcap_records ic =
+  let r = Reader.create ic in
+  let h = Pcap.read_header r in
+  let f = Reader.frame () in
+  let rec go acc =
+    match Pcap.read_record h r f with
+    | Reader.Frame ->
+        let data = Bytes.sub (Reader.buffer r) f.Reader.off f.Reader.len in
+        go ((f.Reader.ts, data, f.Reader.orig_len) :: acc)
+    | Reader.Truncated -> (List.rev acc, false)
+    | Reader.End -> (List.rev acc, true)
+  in
+  (h, go [])
+
 let test_pcap_roundtrip_bits () =
   let path = tmp "rt.pcap" in
   (* Timestamps that are exact in both binary floating point and
@@ -54,42 +71,30 @@ let test_pcap_roundtrip_bits () =
   List.iter (fun (ts, d) -> Pcap.write_record w ~ts d) datas;
   Pcap.flush_writer w;
   close_out oc;
-  with_in path (fun ic ->
-      let h = Pcap.read_header ic in
-      checkb "little-endian" false h.Pcap.big_endian;
-      checkb "nanosecond" true h.Pcap.nsec;
-      checki "snaplen" 2222 h.Pcap.snaplen;
-      checki "linktype" Pcap.linktype_ethernet h.Pcap.linktype;
-      let recs, clean =
-        Pcap.fold_records h ic (fun acc r -> r :: acc) []
-      in
-      checkb "clean end" true clean;
-      let recs = List.rev recs in
-      checki "record count" (List.length datas) (List.length recs);
-      List.iter2
-        (fun (ts, d) (r : Pcap.record) ->
-          checkb (Printf.sprintf "ts %g bit-identical" ts) true
-            (Int64.equal (Int64.bits_of_float ts)
-               (Int64.bits_of_float r.Pcap.ts));
-          checkb "data identical" true (Bytes.equal d r.Pcap.data);
-          checki "orig_len" (Bytes.length d) r.Pcap.orig_len)
-        datas recs);
+  let h, (recs, clean) = with_in path pcap_records in
+  checkb "little-endian" false h.Pcap.big_endian;
+  checkb "nanosecond" true h.Pcap.nsec;
+  checki "snaplen" 2222 h.Pcap.snaplen;
+  checki "linktype" Pcap.linktype_ethernet h.Pcap.linktype;
+  checkb "clean end" true clean;
+  checki "record count" (List.length datas) (List.length recs);
+  List.iter2
+    (fun (ts, d) (rts, data, orig_len) ->
+      checkb (Printf.sprintf "ts %g bit-identical" ts) true
+        (Int64.equal (Int64.bits_of_float ts) (Int64.bits_of_float rts));
+      checkb "data identical" true (Bytes.equal d data);
+      checki "orig_len" (Bytes.length d) orig_len)
+    datas recs;
   (* Idempotence: writing the read-back records reproduces the file
      byte for byte. *)
   let path2 = tmp "rt2.pcap" in
-  with_in path (fun ic ->
-      let h = Pcap.read_header ic in
-      let oc = open_out_bin path2 in
-      let w = Pcap.create_writer ~snaplen:h.Pcap.snaplen oc in
-      let (), _ =
-        Pcap.fold_records h ic
-          (fun () (r : Pcap.record) ->
-            Pcap.write_record w ~ts:r.Pcap.ts ~orig_len:r.Pcap.orig_len
-              r.Pcap.data)
-          ()
-      in
-      Pcap.flush_writer w;
-      close_out oc);
+  let oc = open_out_bin path2 in
+  let w = Pcap.create_writer ~snaplen:h.Pcap.snaplen oc in
+  List.iter
+    (fun (ts, data, orig_len) -> Pcap.write_record w ~ts ~orig_len data)
+    recs;
+  Pcap.flush_writer w;
+  close_out oc;
   checkb "write∘read idempotent" true
     (Bytes.equal (read_file path) (read_file path2));
   Sys.remove path;
@@ -123,17 +128,16 @@ let test_pcap_big_endian_usec () =
   Buffer.add_string buf "abcdef";
   let path = tmp "be.pcap" in
   write_file path (Buffer.to_bytes buf);
-  with_in path (fun ic ->
-      let h = Pcap.read_header ic in
-      checkb "big-endian" true h.Pcap.big_endian;
-      checkb "usec" false h.Pcap.nsec;
-      match Pcap.read_record h ic with
-      | `Record r ->
-          checkb "ts 1.25" true (r.Pcap.ts = 1.25);
-          checki "orig_len" 60 r.Pcap.orig_len;
-          checkb "data" true (Bytes.equal r.Pcap.data (Bytes.of_string "abcdef"));
-          checkb "then end" true (Pcap.read_record h ic = `End)
-      | _ -> Alcotest.fail "expected a record");
+  let h, (recs, clean) = with_in path pcap_records in
+  checkb "big-endian" true h.Pcap.big_endian;
+  checkb "usec" false h.Pcap.nsec;
+  (match recs with
+  | [ (ts, data, orig_len) ] ->
+      checkb "ts 1.25" true (ts = 1.25);
+      checki "orig_len" 60 orig_len;
+      checkb "data" true (Bytes.equal data (Bytes.of_string "abcdef"))
+  | _ -> Alcotest.fail "expected one record");
+  checkb "then end" true clean;
   Sys.remove path
 
 (* ---------------- decode ∘ encode ---------------- *)
@@ -434,6 +438,72 @@ let test_decode_encode_extended () =
   checkb "trace exercises ipv6" true (!saw_v6 > 0);
   checkb "trace exercises tunnels" true (!saw_tun > 0);
   checkb "trace exercises icmpv6" true (!saw_icmp6 > 0)
+
+(* In-place decode is copied decode: a frame embedded at an offset in a
+   larger buffer, random bytes before and after it, decodes exactly as
+   the frame copied out on its own — and neither ever raises.  The
+   frames mix the extended corpus (v6, ICMPv6, VLAN, GRE and VXLAN
+   tunnels), QinQ stacks, IPv6 extension-header chains and raw bytes,
+   each possibly cut short or with a byte flipped, so the decoder's
+   truncation checks run with readable bytes just past the frame. *)
+let test_decode_in_place () =
+  let corpus = Gen.packets (extended_trace ~seed:29 ~flows:40 ()) in
+  let ext next size =
+    let e = Bytes.make size '\x00' in
+    Bytes.set e 0 (Char.chr next);
+    Bytes.set e 1 (Char.chr ((size / 8) - 1));
+    e
+  in
+  let same a b =
+    match (a, b) with
+    | Decode.Decoded p, Decode.Decoded q ->
+        Packet.ts p = Packet.ts q && fields_equal p q
+    | Decode.Skipped s, Decode.Skipped t -> s = t
+    | _ -> false
+  in
+  let decode what f =
+    match f () with
+    | r -> r
+    | exception e ->
+        Alcotest.failf "%s decode raised %s" what (Printexc.to_string e)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"frame_at = frame of the copy" ~count:2000
+       QCheck.small_int (fun seed ->
+         let rng = Newton_util.Prng.of_int seed in
+         let int n = Newton_util.Prng.int rng n in
+         let random_bytes n = Bytes.init n (fun _ -> Char.chr (int 256)) in
+         let encoded () =
+           let p = corpus.(int (Array.length corpus)) in
+           match int 4 with
+           | 0 -> Encode.frame ~tunnel:`Vxlan p
+           | 1 -> Encode.frame ~tunnel:`Gre p
+           | _ -> Encode.frame p
+         in
+         let frame =
+           match int 6 with
+           | 0 -> random_bytes (int 120)
+           | 1 -> push_svlan_tags (1 + int 2) 500 (encoded ())
+           | 2 ->
+               ip6_frame ~first_next:0
+                 [ ext 60 (8 * (1 + int 2)); ext 44 8; ext 17 8 ]
+           | _ -> encoded ()
+         in
+         let frame =
+           if int 2 = 0 then Bytes.sub frame 0 (int (Bytes.length frame + 1))
+           else frame
+         in
+         if Bytes.length frame > 0 && int 4 = 0 then
+           Bytes.set frame (int (Bytes.length frame)) (Char.chr (int 256));
+         let off = int 64 and len = Bytes.length frame in
+         let buf =
+           Bytes.cat (random_bytes off) (Bytes.cat frame (random_bytes (int 64)))
+         in
+         let ts = float_of_int seed in
+         same
+           (decode "in-place" (fun () ->
+                Decode.frame_at ~linktype:Pcap.linktype_ethernet ~ts buf off len))
+           (decode "copied" (fun () -> Decode.frame ~ts (Bytes.sub buf off len)))))
 
 (* Tunneled flows must attribute to the inner 5-tuple: the whole point
    of decapsulation is that intents monitor the tunneled flow, not the
@@ -777,13 +847,166 @@ let test_pcapng_spb_snaplen_zero () =
   let path = tmp "spb.pcapng" in
   write_file path (Buffer.to_bytes buf);
   with_in path (fun ic ->
-      let r = Pcapng.create_reader ic in
-      match Pcapng.read_record r with
-      | `Record rec_ ->
-          checki "full frame captured" 60 (Bytes.length rec_.Pcapng.data);
-          checki "orig_len" 60 rec_.Pcapng.orig_len;
-          checkb "then end" true (Pcapng.read_record r = `End)
+      let r = Pcapng.create_reader (Reader.create ic) in
+      let f = Reader.frame () in
+      match Pcapng.read_record r f with
+      | Reader.Frame ->
+          checki "full frame captured" 60 f.Reader.len;
+          checki "orig_len" 60 f.Reader.orig_len;
+          checkb "then end" true (Pcapng.read_record r f = Reader.End)
       | _ -> Alcotest.fail "expected a record");
+  Sys.remove path
+
+(* ---------------- block reader edges ---------------- *)
+
+let skip_counters stats =
+  List.map (Stats.get stats)
+    Stats.
+      [ Ingest_frames; Ingest_decoded; Ingest_non_ip; Ingest_truncated;
+        Ingest_fragment; Ingest_malformed ]
+
+(* Stream [path] through [Capture.with_source] and load it with
+   [Capture.load]: both walk the one cursor, so the packets (timestamps
+   included) and every skip counter must agree.  Returns the packets
+   and the counters (frames, decoded, non-ip, truncated, fragment,
+   malformed). *)
+let source_equals_load what path =
+  let load_stats = Stats.create () in
+  let loaded = Gen.packets (Capture.load ~stats:load_stats path) in
+  let stats = Stats.create () in
+  let streamed =
+    Capture.with_source ~stats path (fun src ->
+        let rec go acc = match src () with Some p -> go (p :: acc) | None -> acc in
+        Array.of_list (List.rev (go [])))
+  in
+  checki (what ^ ": packet count") (Array.length loaded) (Array.length streamed);
+  Array.iteri
+    (fun i p ->
+      let q = streamed.(i) in
+      if not (fields_equal p q && Packet.ts p = Packet.ts q) then
+        Alcotest.failf "%s: packet %d differs between with_source and load" what i)
+    loaded;
+  let counters = skip_counters load_stats in
+  Alcotest.(check (list int)) (what ^ ": skip counters") counters
+    (skip_counters stats);
+  (loaded, counters)
+
+let write_pcap path records =
+  let oc = open_out_bin path in
+  let w = Pcap.create_writer oc in
+  List.iter (fun (ts, b) -> Pcap.write_record w ~ts b) records;
+  Pcap.flush_writer w;
+  close_out oc
+
+(* An encoded frame padded with trailing bytes to exactly [size]. *)
+let padded_frame p size =
+  let f = Encode.frame p in
+  Bytes.cat f (Bytes.make (size - Bytes.length f) '\x00')
+
+let udp_packet i =
+  Packet.make ~ts:(float_of_int i) ~src_ip:(100 + i) ~dst_ip:7
+    ~proto:Field.Protocol.udp ~src_port:1000 ~dst_port:2000 ~pkt_len:64
+    ~payload_len:36 ()
+
+(* A record larger than the 64 KiB block grows the buffer for itself;
+   the records on either side still decode. *)
+let test_block_large_record () =
+  let path = tmp "large.pcap" in
+  let size = Reader.block_size + 40_000 in
+  write_pcap path
+    [ (0.0, Encode.frame (udp_packet 0)); (1.0, padded_frame (udp_packet 1) size);
+      (2.0, Encode.frame (udp_packet 2)) ];
+  let packets, counters = source_equals_load "large record" path in
+  Alcotest.(check (list int)) "three decoded" [ 3; 3; 0; 0; 0; 0 ] counters;
+  Array.iteri
+    (fun i p -> checki "source address" (100 + i) (Packet.get p Field.Src_ip))
+    packets;
+  Sys.remove path
+
+(* The first record fills the first block up to [k] bytes before its
+   end, so the second record's 16-byte header straddles the refill. *)
+let test_block_split_header () =
+  let path = tmp "split.pcap" in
+  List.iter
+    (fun k ->
+      let first = Reader.block_size - 24 - 16 - k in
+      write_pcap path
+        [ (0.0, padded_frame (udp_packet 0) first);
+          (1.0, Encode.frame (udp_packet 1)); (2.0, Encode.frame (udp_packet 2)) ];
+      let what = Printf.sprintf "header split %d bytes before the refill" k in
+      let packets, counters = source_equals_load what path in
+      Alcotest.(check (list int)) (what ^ ": all decoded") [ 3; 3; 0; 0; 0; 0 ]
+        counters;
+      checki (what ^ ": second record") 101 (Packet.get packets.(1) Field.Src_ip))
+    [ 1; 8; 15; 16 ];
+  Sys.remove path
+
+(* A file cut inside the final record's header, or inside its body, is
+   exactly one truncated skip. *)
+let test_block_cut_record () =
+  let path = tmp "cutedge.pcap" in
+  let records = List.init 5 (fun i -> (float_of_int i, Encode.frame (udp_packet i))) in
+  write_pcap path records;
+  let whole = read_file path in
+  let last = Bytes.length (Encode.frame (udp_packet 4)) in
+  List.iter
+    (fun (what, cut) ->
+      write_file path (Bytes.sub whole 0 (Bytes.length whole - cut));
+      let packets, counters = source_equals_load what path in
+      checki (what ^ ": four packets") 4 (Array.length packets);
+      Alcotest.(check (list int)) (what ^ ": one truncated skip")
+        [ 5; 4; 0; 1; 0; 0 ] counters)
+    [ ("cut mid-header", last + 9); ("cut mid-body", last / 2) ];
+  Sys.remove path
+
+(* The other layouts: big-endian microsecond pcap and a two-section
+   pcapng, through the same cursor. *)
+let test_block_other_layouts () =
+  let frames = List.init 3 (fun i -> Encode.frame (udp_packet i)) in
+  let buf = Buffer.create 512 in
+  let u32 v = Buffer.add_int32_be buf (Int32.of_int v) in
+  u32 Pcap.magic_usec;
+  Buffer.add_uint16_be buf 2;
+  Buffer.add_uint16_be buf 4;
+  u32 0; u32 0; u32 65535; u32 Pcap.linktype_ethernet;
+  List.iteri
+    (fun i f ->
+      u32 i; u32 250_000;
+      u32 (Bytes.length f); u32 (Bytes.length f);
+      Buffer.add_bytes buf f)
+    frames;
+  let path = tmp "layouts.pcap" in
+  write_file path (Buffer.to_bytes buf);
+  let packets, counters = source_equals_load "big-endian usec" path in
+  Alcotest.(check (list int)) "big-endian: all decoded" [ 3; 3; 0; 0; 0; 0 ]
+    counters;
+  checkb "big-endian: usec stamps" true (Packet.ts packets.(2) = 2.25);
+  (match frames with
+  | [ a; b; c ] -> write_file path (build_pcapng a b c)
+  | _ -> assert false);
+  let packets, counters = source_equals_load "pcapng" path in
+  Alcotest.(check (list int)) "pcapng: all decoded" [ 3; 3; 0; 0; 0; 0 ] counters;
+  checkb "pcapng: per-interface stamps" true
+    (List.map Packet.ts (Array.to_list packets) = [ 2.5; 0.75; 0.125 ]);
+  Sys.remove path
+
+(* The extended-suite export through the block reader is the generated
+   trace: fields exact, stamps within the writer's half nanosecond. *)
+let test_block_extended_export () =
+  let trace = extended_trace ~seed:31 ~flows:300 () in
+  let path = tmp "ext-block.pcap" in
+  Capture.export trace path;
+  let packets, counters = source_equals_load "extended export" path in
+  let n = Gen.length trace in
+  Alcotest.(check (list int)) "every frame decoded" [ n; n; 0; 0; 0; 0 ] counters;
+  Array.iteri
+    (fun i p ->
+      let q = packets.(i) in
+      if not (fields_equal p q && Float.abs (Packet.ts p -. Packet.ts q) <= 0.5e-9)
+      then
+        Alcotest.failf "packet %d differs from the generated trace: %s vs %s" i
+          (Packet.to_string p) (Packet.to_string q))
+    (Gen.packets trace);
   Sys.remove path
 
 (* ---------------- streaming driver ---------------- *)
@@ -919,6 +1142,93 @@ let test_stream_from_capture_file () =
     (Gen.packets trace);
   Sys.remove path
 
+(* Everything [Stream.run] decides, as one line: batch sizes in
+   delivery order (run-length encoded), the summary counts, and the
+   queue-depth and inter-arrival histograms (counts and sum). *)
+let stream_fingerprint ?burst ?(pace = Stream.Asap) ~depth ~chunk ~policy n =
+  let stats = Stats.create () in
+  let sizes = ref [] in
+  let s =
+    Stream.run ~depth ~chunk ?burst ~pace ~policy ~stats
+      (Stream.of_packets (seq_packets n))
+      (fun b -> sizes := Array.length b :: !sizes)
+  in
+  let rle =
+    List.fold_left
+      (fun acc k ->
+        match acc with
+        | (k', c) :: rest when k' = k -> (k, c + 1) :: rest
+        | _ -> (k, 1) :: acc)
+      [] (List.rev !sizes)
+    |> List.rev_map (fun (k, c) -> Printf.sprintf "%dx%d" k c)
+    |> String.concat ","
+  in
+  let hist = function
+    | Some h ->
+        Printf.sprintf "[%s] sum %.17g"
+          (String.concat " "
+             (Array.to_list
+                (Array.map string_of_int (Newton_telemetry.Hist.counts h))))
+          (Newton_telemetry.Hist.sum h)
+    | None -> "none"
+  in
+  Printf.sprintf
+    "batches %s; delivered %d dropped %d chunks %d; depth %s; gaps %s" rle
+    s.Stream.delivered s.Stream.dropped s.Stream.chunks
+    (hist (Stats.queue_depth stats))
+    (hist (Stats.interarrival stats))
+
+(* Arrival turns, service turns, chunk boundaries, drops and histogram
+   contents, pinned per scenario.  The paced case runs at a speedup
+   so large that every packet is due at the first turn, which keeps
+   its turns deterministic. *)
+let test_stream_pinned () =
+  let pin what expected got = Alcotest.(check string) what expected got in
+  pin "asap block"
+    "batches 16x62,8x1; delivered 1000 dropped 0 chunks 63; depth [0 0 0 1 62 0 0 0 0 0 0 0 0 0] sum 1000; gaps [0 0 0 0 0 0 0 0 0 0 36 963 0 0 0 0 0 0 0 0] sum 1.998"
+    (stream_fingerprint ~depth:64 ~chunk:16 ~policy:Stream.Block 1000);
+  pin "asap drop, burst > depth"
+    "batches 32x6,4x1; delivered 196 dropped 804 chunks 7; depth [0 0 1 0 0 1 5 0 0 0 0 0 0 0] sum 508; gaps [0 0 0 0 0 0 0 0 0 0 36 963 0 0 0 0 0 0 0 0] sum 1.998"
+    (stream_fingerprint ~depth:100 ~chunk:32 ~burst:250 ~policy:Stream.Drop
+       1000);
+  pin "realtime block"
+    "batches 32x31,8x1; delivered 1000 dropped 0 chunks 32; depth [0 0 0 1 0 1 30 0 0 0 0 0 0 0] sum 3020; gaps [0 0 0 0 0 0 0 0 0 0 36 963 0 0 0 0 0 0 0 0] sum 1.998"
+    (stream_fingerprint ~pace:(Stream.Realtime 1e12) ~depth:100 ~chunk:32
+       ~policy:Stream.Block 1000);
+  pin "depth < chunk"
+    "batches 4x12,2x1; delivered 50 dropped 0 chunks 13; depth [0 1 12 0 0 0 0 0 0 0 0 0 0 0] sum 50; gaps [0 0 0 0 0 0 0 0 0 0 18 31 0 0 0 0 0 0 0 0] sum 0.098000000000000004"
+    (stream_fingerprint ~depth:4 ~chunk:16 ~policy:Stream.Block 50);
+  pin "wrap-around, burst 500"
+    "batches 384x13,8x1; delivered 5000 dropped 0 chunks 14; depth [0 0 0 1 0 0 0 0 2 11 0 0 0 0] sum 10836; gaps [0 0 0 0 0 0 0 0 0 0 2420 2579 0 0 0 0 0 0 0 0] sum 9.9979999999999993"
+    (stream_fingerprint ~depth:1000 ~chunk:384 ~burst:500 ~policy:Stream.Block
+       5000);
+  pin "wrap-around, default burst"
+    "batches 384x13,8x1; delivered 5000 dropped 0 chunks 14; depth [0 0 0 1 0 0 0 0 13 0 0 0 0 0] sum 5000; gaps [0 0 0 0 0 0 0 0 0 0 2420 2579 0 0 0 0 0 0 0 0] sum 9.9979999999999993"
+    (stream_fingerprint ~depth:1000 ~chunk:384 ~policy:Stream.Block 5000);
+  pin "wrap-around, drop"
+    "batches 384x8,332x1; delivered 3404 dropped 1596 chunks 9; depth [0 0 0 0 0 0 0 0 1 8 0 0 0 0] sum 7748; gaps [0 0 0 0 0 0 0 0 0 0 2420 2579 0 0 0 0 0 0 0 0] sum 9.9979999999999993"
+    (stream_fingerprint ~depth:1000 ~chunk:384 ~burst:700 ~policy:Stream.Drop
+       5000)
+
+(* A delivered batch belongs to the sink: overwriting it must not
+   change what the next batch holds. *)
+let test_stream_batches_owned () =
+  let scribble = Packet.make ~src_ip:0xDEAD () in
+  let next_id = ref 0 in
+  let s =
+    Stream.run ~depth:100 ~chunk:32 ~burst:70 ~policy:Stream.Block
+      (Stream.of_packets (seq_packets 1000))
+      (fun batch ->
+        Array.iter
+          (fun p ->
+            checki "in order, unscribbled" !next_id (Packet.get p Field.Src_ip);
+            incr next_id)
+          batch;
+        Array.fill batch 0 (Array.length batch) scribble)
+  in
+  checki "all delivered" 1000 s.Stream.delivered;
+  checki "sink saw all" 1000 !next_id
+
 let suite =
   [
     Alcotest.test_case "pcap writer/reader bit round-trip" `Quick
@@ -943,6 +1253,8 @@ let suite =
       test_bogus_gre_flags;
     Alcotest.test_case "decode∘encode: extended corpus (v6/icmp6/tunnels)"
       `Quick test_decode_encode_extended;
+    Alcotest.test_case "in-place decode = decode of the copy (property)"
+      `Quick test_decode_in_place;
     Alcotest.test_case "tunneled flows attribute to the inner 5-tuple" `Quick
       test_tunnel_inner_tuple_attribution;
     Alcotest.test_case "fragment/malformed are distinct counted skips" `Quick
@@ -961,6 +1273,16 @@ let suite =
       test_pcapng_oversized_block;
     Alcotest.test_case "pcapng SPB under snaplen-0 interface" `Quick
       test_pcapng_spb_snaplen_zero;
+    Alcotest.test_case "block reader: record larger than the block" `Quick
+      test_block_large_record;
+    Alcotest.test_case "block reader: header split across a refill" `Quick
+      test_block_split_header;
+    Alcotest.test_case "block reader: cut mid-header and mid-body" `Quick
+      test_block_cut_record;
+    Alcotest.test_case "block reader: big-endian usec and pcapng" `Quick
+      test_block_other_layouts;
+    Alcotest.test_case "block reader: extended export = generated trace"
+      `Quick test_block_extended_export;
     Alcotest.test_case "stream backpressure: drop" `Quick test_stream_drop;
     Alcotest.test_case "stream backpressure: block" `Quick test_stream_block;
     Alcotest.test_case "stream block with shallow queue (depth < chunk)" `Quick
@@ -969,6 +1291,10 @@ let suite =
       test_stream_realtime_pacing;
     Alcotest.test_case "stream argument validation" `Quick
       test_stream_invalid_args;
+    Alcotest.test_case "stream turns and histograms pinned" `Quick
+      test_stream_pinned;
+    Alcotest.test_case "stream batches are the sink's own" `Quick
+      test_stream_batches_owned;
     Alcotest.test_case "stream from capture file" `Quick
       test_stream_from_capture_file;
   ]

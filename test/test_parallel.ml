@@ -176,6 +176,30 @@ let test_merge_associative () =
            (Register_array.merge ~op (bank_of a)
               (Register_array.merge ~op (bank_of b) (bank_of c)))))
 
+(* Every merge op is the per-register stateful ALU update of the
+   destination by the source register — the definition shard merging
+   and [Engine.absorb_state] both rely on — on random arrays with
+   negative and large values as well. *)
+let test_merge_is_alu_update () =
+  let alu_of op v =
+    match op with `Add -> Alu.Add v | `Or -> Alu.Or v | `Max -> Alu.Max v
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"merge = per-register ALU" ~count:200 QCheck.small_int
+       (fun seed ->
+         let rng = Newton_util.Prng.of_int seed in
+         let size = 1 + Newton_util.Prng.int rng 64 in
+         let value () = Newton_util.Prng.int rng 2_000_000 - 1_000_000 in
+         let a = Array.init size (fun _ -> value ())
+         and b = Array.init size (fun _ -> value ()) in
+         List.for_all
+           (fun op ->
+             let want = Array.copy a in
+             Array.iteri (fun i v -> ignore (Alu.exec (alu_of op v) want i)) b;
+             banks_equal (bank_of want)
+               (Register_array.merge ~op (bank_of a) (bank_of b)))
+           merge_ops))
+
 let test_merge_size_mismatch () =
   Alcotest.check_raises "size mismatch rejected"
     (Invalid_argument "Register_array.merge_into: size mismatch (4 vs 8)")
@@ -253,6 +277,8 @@ let suite =
       test_merge_commutative;
     Alcotest.test_case "merge associative (property)" `Quick
       test_merge_associative;
+    Alcotest.test_case "merge = per-register ALU (property)" `Quick
+      test_merge_is_alu_update;
     Alcotest.test_case "merge size mismatch" `Quick test_merge_size_mismatch;
     Alcotest.test_case "bloom merge is union" `Quick test_bloom_merge_union;
     Alcotest.test_case "count-min merge sums" `Quick test_count_min_merge_sums;
