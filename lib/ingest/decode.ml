@@ -65,6 +65,33 @@ let u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 let fold_ip6 b off =
   u32 b off lxor u32 b (off + 4) lxor u32 b (off + 8) lxor u32 b (off + 12)
 
+(* Where each field lands in a packet's field words, and its width
+   mask: {!Field.index} and {!Field.full_mask} written out as constants,
+   so a decoded field costs one masked store and no call.  The
+   decode∘encode tests compare every field, and test_ingest's width-mask
+   test feeds the two masks wire values can exceed. *)
+let f_src_ip = 0 and m_src_ip = 0xFFFFFFFF
+let f_dst_ip = 1 and m_dst_ip = 0xFFFFFFFF
+let f_proto = 2 and m_proto = 0xFF
+let f_src_port = 3 and m_src_port = 0xFFFF
+let f_dst_port = 4 and m_dst_port = 0xFFFF
+let f_tcp_flags = 5 and m_tcp_flags = 0xFF
+let f_tcp_seq = 6 and m_tcp_seq = 0xFFFFFFFF
+let f_tcp_ack = 7 and m_tcp_ack = 0xFFFFFFFF
+let f_pkt_len = 8 and m_pkt_len = 0xFFFF
+let f_payload_len = 9 and m_payload_len = 0xFFFF
+let f_ttl = 10 and m_ttl = 0xFF
+let f_dns_qr = 11 and m_dns_qr = 0x1
+let f_dns_ancount = 12 and m_dns_ancount = 0xFFFF
+let f_ingress_port = 13 and m_ingress_port = 0x1FF
+let f_ip_ver = 14 and m_ip_ver = 0xF
+let f_icmp_type = 15 and m_icmp_type = 0xFF
+let f_icmp_code = 16 and m_icmp_code = 0xFF
+let f_tun_id = 17 and m_tun_id = 0xFFFFFF
+
+(* The fields array [w] always has [Field.count] slots. *)
+let[@inline] put (w : int array) i mask v = Array.unsafe_set w i (v land mask)
+
 (* Internal control flow: parsing raises, [frame] catches.  Never
    escapes this module. *)
 exception Skip of skip
@@ -79,175 +106,193 @@ let ext_fragment = 44
 let ext_no_next = 59
 let max_ext_hops = 8
 
-(** Decode the Ethernet frame [data] holds from [off], [len] bytes
-    long, into a packet stamped [ts].  Offsets below are absolute in
-    [data]; every bound is checked against [lim], one past the frame's
-    last byte, never against the buffer's end. *)
-let frame_at ~linktype ~ts data off len =
-  let lim = off + len in
-  let need off n = if off + n > lim then skipf Truncated in
-  (* Ethernet type walk from an ethertype position, hopping over at
-     most two VLAN tags (QinQ).  Returns (l3 offset, ethertype,
-     innermost nonzero VID): for stacked 802.1ad/802.1Q tags the
-     innermost customer tag is the one that identifies the port. *)
-  let rec eth_walk off hops =
-    need off 2;
-    let et = u16 data off in
-    if (et = ethertype_vlan || et = ethertype_qinq) && hops < 2 then begin
-      need off 6;
-      let o, et', inner_vid = eth_walk (off + 4) (hops + 1) in
-      let own = u16 data (off + 2) land 0xFFF in
-      (o, et', if inner_vid <> 0 then inner_vid else own)
-    end
-    else (off + 2, et, 0)
-  in
-  (* Mutually recursive over one level of decapsulation: [depth] is 0
-     for the outer packet, 1 inside a tunnel (no further decap). *)
-  let rec parse_l3 p ~et ~off ~depth =
-    if et = ethertype_ipv4 then parse_ipv4 p ~off ~depth
-    else if et = ethertype_ipv6 then parse_ipv6 p ~off ~depth
-    else skipf Non_ip
-  and parse_ipv4 p ~off ~depth =
-    need off 20;
-    let vihl = u8 data off in
-    if vihl lsr 4 <> 4 then skipf Malformed;
-    let ihl = (vihl land 0xF) * 4 in
-    let total_len = u16 data (off + 2) in
-    if ihl < 20 || total_len < ihl then skipf Malformed;
-    need off ihl;
-    Packet.set p Field.Ip_ver 4;
-    Packet.set p Field.Src_ip (u32 data (off + 12));
-    Packet.set p Field.Dst_ip (u32 data (off + 16));
-    Packet.set p Field.Pkt_len total_len;
-    Packet.set p Field.Ttl (u8 data (off + 8));
-    let proto = u8 data (off + 9) in
-    Packet.set p Field.Proto proto;
-    let frag = u16 data (off + 6) land 0x1FFF in
-    if frag <> 0 then skipf Fragment;
-    parse_l4 p ~proto ~l4_off:(off + ihl) ~l4_len:(total_len - ihl) ~depth
-  and parse_ipv6 p ~off ~depth =
-    need off 40;
-    if u8 data off lsr 4 <> 6 then skipf Malformed;
-    let payload_len = u16 data (off + 4) in
-    Packet.set p Field.Ip_ver 6;
-    Packet.set p Field.Src_ip (fold_ip6 data (off + 8));
-    Packet.set p Field.Dst_ip (fold_ip6 data (off + 24));
-    Packet.set p Field.Pkt_len (Int.min (40 + payload_len) 0xFFFF);
-    Packet.set p Field.Ttl (u8 data (off + 7));
-    (* Bounded extension-header walk: [budget] is the IPv6 payload
-       remaining per the length field; overrunning it is Malformed,
-       running off the capture is Truncated. *)
-    let rec walk next ext_off budget hops =
-      if is_opt_ext next then begin
-        if hops >= max_ext_hops then skipf Malformed;
-        need ext_off 2;
-        let nh = u8 data ext_off in
-        let size = (u8 data (ext_off + 1) + 1) * 8 in
-        if size > budget then skipf Malformed;
-        need ext_off size;
-        walk nh (ext_off + size) (budget - size) (hops + 1)
-      end
-      else if next = ext_fragment then begin
-        if 8 > budget then skipf Malformed;
-        need ext_off 8;
-        if u16 data (ext_off + 2) lsr 3 <> 0 then skipf Fragment;
-        walk (u8 data ext_off) (ext_off + 8) (budget - 8) (hops + 1)
-      end
-      else begin
-        Packet.set p Field.Proto next;
-        if next <> ext_no_next then
-          parse_l4 p ~proto:next ~l4_off:ext_off ~l4_len:budget ~depth
-      end
-    in
-    walk (u8 data (off + 6)) (off + 40) payload_len 0
-  and parse_l4 p ~proto ~l4_off ~l4_len ~depth =
-    if proto = Field.Protocol.tcp then begin
-      need l4_off 20;
-      Packet.set p Field.Src_port (u16 data l4_off);
-      Packet.set p Field.Dst_port (u16 data (l4_off + 2));
-      Packet.set p Field.Tcp_seq (u32 data (l4_off + 4));
-      Packet.set p Field.Tcp_ack (u32 data (l4_off + 8));
-      Packet.set p Field.Tcp_flags (u8 data (l4_off + 13));
-      let dataofs = (u8 data (l4_off + 12) lsr 4) * 4 in
-      if dataofs < 20 || dataofs > l4_len then skipf Malformed;
-      need l4_off dataofs;
-      Packet.set p Field.Payload_len (l4_len - dataofs)
-    end
-    else if proto = Field.Protocol.udp then begin
-      need l4_off 8;
-      let sport = u16 data l4_off and dport = u16 data (l4_off + 2) in
-      Packet.set p Field.Src_port sport;
-      Packet.set p Field.Dst_port dport;
-      let udp_len = u16 data (l4_off + 4) in
-      if udp_len < 8 then skipf Malformed;
-      Packet.set p Field.Payload_len (udp_len - 8);
-      (* DNS header bits, when the capture includes them. *)
-      if (sport = 53 || dport = 53) && l4_off + 8 + 12 <= lim then begin
-        let flags = u16 data (l4_off + 8 + 2) in
-        Packet.set p Field.Dns_qr (flags lsr 15);
-        Packet.set p Field.Dns_ancount (u16 data (l4_off + 8 + 6))
-      end;
-      if depth = 0 && dport = vxlan_port && udp_len - 8 >= 8 then
-        parse_vxlan p ~off:(l4_off + 8)
-    end
-    else if proto = Field.Protocol.icmp || proto = Field.Protocol.icmpv6
-    then begin
-      need l4_off 4;
-      Packet.set p Field.Icmp_type (u8 data l4_off);
-      Packet.set p Field.Icmp_code (u8 data (l4_off + 1));
-      Packet.set p Field.Payload_len (Int.max 0 (l4_len - 8))
-    end
-    else if proto = Field.Protocol.gre && depth = 0 then
-      parse_gre p ~l4_off ~l4_len
-    (* other protocols: IP-level fields only *)
-  and parse_gre p ~l4_off ~l4_len =
-    need l4_off 4;
-    let fl = u16 data l4_off in
-    (* RFC 2784/2890: only C/K/S flags, version 0; anything else is a
-       header we would misparse. *)
-    if fl land lnot 0xB000 <> 0 then skipf Malformed;
-    let opt mask = if fl land mask <> 0 then 4 else 0 in
-    let hdr = 4 + opt 0x8000 + opt 0x2000 + opt 0x1000 in
-    if hdr > l4_len then skipf Malformed;
-    need l4_off hdr;
-    if fl land 0x2000 <> 0 then
-      Packet.set p Field.Tun_id (u32 data (l4_off + 4 + opt 0x8000));
-    let et = u16 data (l4_off + 2) in
-    if et = ethertype_ipv4 || et = ethertype_ipv6 then
-      parse_l3 p ~et ~off:(l4_off + hdr) ~depth:1
-    (* a payload type we don't model: keep the outer IP fields *)
-  and parse_vxlan p ~off =
-    need off 8;
-    (* RFC 7348: the flags octet of a VXLAN header is exactly 0x08 (VNI
-       valid, reserved bits zero).  Anything else on port 4789 is plain
-       UDP traffic, not a tunnel — leave it un-decapsulated. *)
-    if u8 data off <> 0x08 then ()
-    else begin
-    Packet.set p Field.Tun_id (u32 data (off + 4) lsr 8);
+(* The parsers below are top-level functions of the frame's bytes
+   [data], the bound [lim] (one past the frame's last byte; every bound
+   is checked against it, never against the buffer's end) and the field
+   words [w].  As closures local to [frame_at] they would cost a closure
+   block per frame, more than the packet itself.  Offsets are absolute
+   in [data]. *)
+
+let[@inline] need lim off n = if off + n > lim then skipf Truncated
+
+(* Ethernet type walk from an ethertype position, hopping over at most
+   two VLAN tags (QinQ).  Returns (l3 offset, ethertype, innermost
+   nonzero VID): for stacked 802.1ad/802.1Q tags the innermost customer
+   tag is the one that identifies the port. *)
+let rec eth_walk data lim off hops =
+  need lim off 2;
+  let et = u16 data off in
+  if (et = ethertype_vlan || et = ethertype_qinq) && hops < 2 then begin
+    need lim off 6;
+    let o, et', inner_vid = eth_walk data lim (off + 4) (hops + 1) in
+    let own = u16 data (off + 2) land 0xFFF in
+    (o, et', if inner_vid <> 0 then inner_vid else own)
+  end
+  else (off + 2, et, 0)
+
+(* Mutually recursive over one level of decapsulation: [depth] is 0 for
+   the outer packet, 1 inside a tunnel (no further decap). *)
+let rec parse_l3 data lim w ~et ~off ~depth =
+  if et = ethertype_ipv4 then parse_ipv4 data lim w ~off ~depth
+  else if et = ethertype_ipv6 then parse_ipv6 data lim w ~off ~depth
+  else skipf Non_ip
+
+and parse_ipv4 data lim w ~off ~depth =
+  need lim off 20;
+  let vihl = u8 data off in
+  if vihl lsr 4 <> 4 then skipf Malformed;
+  let ihl = (vihl land 0xF) * 4 in
+  let total_len = u16 data (off + 2) in
+  if ihl < 20 || total_len < ihl then skipf Malformed;
+  need lim off ihl;
+  put w f_ip_ver m_ip_ver 4;
+  put w f_src_ip m_src_ip (u32 data (off + 12));
+  put w f_dst_ip m_dst_ip (u32 data (off + 16));
+  put w f_pkt_len m_pkt_len total_len;
+  put w f_ttl m_ttl (u8 data (off + 8));
+  let proto = u8 data (off + 9) in
+  put w f_proto m_proto proto;
+  let frag = u16 data (off + 6) land 0x1FFF in
+  if frag <> 0 then skipf Fragment;
+  parse_l4 data lim w ~proto ~l4_off:(off + ihl) ~l4_len:(total_len - ihl) ~depth
+
+and parse_ipv6 data lim w ~off ~depth =
+  need lim off 40;
+  if u8 data off lsr 4 <> 6 then skipf Malformed;
+  let payload_len = u16 data (off + 4) in
+  put w f_ip_ver m_ip_ver 6;
+  put w f_src_ip m_src_ip (fold_ip6 data (off + 8));
+  put w f_dst_ip m_dst_ip (fold_ip6 data (off + 24));
+  put w f_pkt_len m_pkt_len (Int.min (40 + payload_len) 0xFFFF);
+  put w f_ttl m_ttl (u8 data (off + 7));
+  ext_walk data lim w ~depth (u8 data (off + 6)) (off + 40) payload_len 0
+
+(* Bounded IPv6 extension-header walk: [budget] is the IPv6 payload
+   remaining per the length field; overrunning it is Malformed, running
+   off the capture is Truncated. *)
+and ext_walk data lim w ~depth next ext_off budget hops =
+  if is_opt_ext next then begin
+    if hops >= max_ext_hops then skipf Malformed;
+    need lim ext_off 2;
+    let nh = u8 data ext_off in
+    let size = (u8 data (ext_off + 1) + 1) * 8 in
+    if size > budget then skipf Malformed;
+    need lim ext_off size;
+    ext_walk data lim w ~depth nh (ext_off + size) (budget - size) (hops + 1)
+  end
+  else if next = ext_fragment then begin
+    if 8 > budget then skipf Malformed;
+    need lim ext_off 8;
+    if u16 data (ext_off + 2) lsr 3 <> 0 then skipf Fragment;
+    ext_walk data lim w ~depth (u8 data ext_off) (ext_off + 8) (budget - 8) (hops + 1)
+  end
+  else begin
+    put w f_proto m_proto next;
+    if next <> ext_no_next then
+      parse_l4 data lim w ~proto:next ~l4_off:ext_off ~l4_len:budget ~depth
+  end
+
+and parse_l4 data lim w ~proto ~l4_off ~l4_len ~depth =
+  if proto = Field.Protocol.tcp then begin
+    need lim l4_off 20;
+    put w f_src_port m_src_port (u16 data l4_off);
+    put w f_dst_port m_dst_port (u16 data (l4_off + 2));
+    put w f_tcp_seq m_tcp_seq (u32 data (l4_off + 4));
+    put w f_tcp_ack m_tcp_ack (u32 data (l4_off + 8));
+    put w f_tcp_flags m_tcp_flags (u8 data (l4_off + 13));
+    let dataofs = (u8 data (l4_off + 12) lsr 4) * 4 in
+    if dataofs < 20 || dataofs > l4_len then skipf Malformed;
+    need lim l4_off dataofs;
+    put w f_payload_len m_payload_len (l4_len - dataofs)
+  end
+  else if proto = Field.Protocol.udp then begin
+    need lim l4_off 8;
+    let sport = u16 data l4_off and dport = u16 data (l4_off + 2) in
+    put w f_src_port m_src_port sport;
+    put w f_dst_port m_dst_port dport;
+    let udp_len = u16 data (l4_off + 4) in
+    if udp_len < 8 then skipf Malformed;
+    put w f_payload_len m_payload_len (udp_len - 8);
+    (* DNS header bits, when the capture includes them. *)
+    if (sport = 53 || dport = 53) && l4_off + 8 + 12 <= lim then begin
+      let flags = u16 data (l4_off + 8 + 2) in
+      put w f_dns_qr m_dns_qr (flags lsr 15);
+      put w f_dns_ancount m_dns_ancount (u16 data (l4_off + 8 + 6))
+    end;
+    if depth = 0 && dport = vxlan_port && udp_len - 8 >= 8 then
+      parse_vxlan data lim w ~off:(l4_off + 8)
+  end
+  else if proto = Field.Protocol.icmp || proto = Field.Protocol.icmpv6
+  then begin
+    need lim l4_off 4;
+    put w f_icmp_type m_icmp_type (u8 data l4_off);
+    put w f_icmp_code m_icmp_code (u8 data (l4_off + 1));
+    put w f_payload_len m_payload_len (Int.max 0 (l4_len - 8))
+  end
+  else if proto = Field.Protocol.gre && depth = 0 then
+    parse_gre data lim w ~l4_off ~l4_len
+  (* other protocols: IP-level fields only *)
+
+and parse_gre data lim w ~l4_off ~l4_len =
+  need lim l4_off 4;
+  let fl = u16 data l4_off in
+  (* RFC 2784/2890: only C/K/S flags, version 0; anything else is a
+     header we would misparse. *)
+  if fl land lnot 0xB000 <> 0 then skipf Malformed;
+  let opt mask = if fl land mask <> 0 then 4 else 0 in
+  let hdr = 4 + opt 0x8000 + opt 0x2000 + opt 0x1000 in
+  if hdr > l4_len then skipf Malformed;
+  need lim l4_off hdr;
+  if fl land 0x2000 <> 0 then
+    put w f_tun_id m_tun_id (u32 data (l4_off + 4 + opt 0x8000));
+  let et = u16 data (l4_off + 2) in
+  if et = ethertype_ipv4 || et = ethertype_ipv6 then
+    parse_l3 data lim w ~et ~off:(l4_off + hdr) ~depth:1
+  (* a payload type we don't model: keep the outer IP fields *)
+
+and parse_vxlan data lim w ~off =
+  need lim off 8;
+  (* RFC 7348: the flags octet of a VXLAN header is exactly 0x08 (VNI
+     valid, reserved bits zero).  Anything else on port 4789 is plain
+     UDP traffic, not a tunnel — leave it un-decapsulated. *)
+  if u8 data off <> 0x08 then ()
+  else begin
+    put w f_tun_id m_tun_id (u32 data (off + 4) lsr 8);
     (* The outer UDP header must not leak into the inner flow. *)
-    List.iter
-      (fun f -> Packet.set p f 0)
-      Field.
-        [ Src_port; Dst_port; Tcp_flags; Tcp_seq; Tcp_ack; Dns_qr;
-          Dns_ancount; Payload_len ];
+    Array.unsafe_set w f_src_port 0;
+    Array.unsafe_set w f_dst_port 0;
+    Array.unsafe_set w f_tcp_flags 0;
+    Array.unsafe_set w f_tcp_seq 0;
+    Array.unsafe_set w f_tcp_ack 0;
+    Array.unsafe_set w f_dns_qr 0;
+    Array.unsafe_set w f_dns_ancount 0;
+    Array.unsafe_set w f_payload_len 0;
     (* Inner Ethernet frame. *)
-    need (off + 8) 14;
-    let ip_off, et, vid = eth_walk (off + 8 + 12) 0 in
-    if vid <> 0 then Packet.set p Field.Ingress_port vid;
-    parse_l3 p ~et ~off:ip_off ~depth:1
-    end
-  in
+    need lim (off + 8) 14;
+    let ip_off, et, vid = eth_walk data lim (off + 8 + 12) 0 in
+    if vid <> 0 then put w f_ingress_port m_ingress_port vid;
+    parse_l3 data lim w ~et ~off:ip_off ~depth:1
+  end
+
+(** Decode the Ethernet frame [data] holds from [off], [len] bytes
+    long, into a packet stamped [ts]. *)
+let frame_at ~linktype ~ts data off len =
   if linktype <> Pcap.linktype_ethernet then Skipped Non_ip
   else if len < 14 then Skipped Truncated
   else
+    let lim = off + len in
     match
-      let ip_off, et, vid = eth_walk (off + 12) 0 in
-      let p = Packet.create ~ts () in
-      if vid <> 0 then Packet.set p Field.Ingress_port vid;
-      parse_l3 p ~et ~off:ip_off ~depth:0;
-      p
+      let ip_off, et, vid = eth_walk data lim (off + 12) 0 in
+      (* Allocated inline on the minor heap: a literal holding one
+         non-constant (the VID, in slot [f_ingress_port] = 13) is built
+         in place, where an all-constant one is a C call to copy. *)
+      let w =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; vid land m_ingress_port; 0; 0; 0; 0 |]
+      in
+      parse_l3 data lim w ~et ~off:ip_off ~depth:0;
+      w
     with
-    | p -> Decoded p
+    | w -> Decoded (Packet.of_array ~ts w)
     | exception Skip s -> Skipped s
 
 let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =

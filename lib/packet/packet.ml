@@ -15,6 +15,10 @@ let num_fields = Field.count
 
 let create ?(ts = 0.0) () = { ts; fields = Array.make num_fields 0 }
 
+let of_array ~ts fields =
+  if Array.length fields <> num_fields then invalid_arg "Packet.of_array: length";
+  { ts; fields }
+
 let get t f = t.fields.(Field.index f)
 let set t f v = t.fields.(Field.index f) <- v land Field.full_mask f
 

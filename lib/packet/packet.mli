@@ -9,6 +9,13 @@ val num_fields : int
 (** An all-zero packet. *)
 val create : ?ts:float -> unit -> t
 
+(** [of_array ~ts fields] is a packet over [fields] itself, not a
+    copy: [fields] holds the {!num_fields} values in {!Field.index}
+    order, each within its field's width, and the caller gives the
+    array up.  The decoder builds its packets this way.
+    @raise Invalid_argument unless [fields] has {!num_fields} slots. *)
+val of_array : ts:float -> int array -> t
+
 val get : t -> Field.t -> int
 
 (** Set a field; the value is truncated to the field's width. *)

@@ -1,9 +1,12 @@
 (** Per-packet, per-query execution context.
 
     Mirrors the PHV metadata of the compact module layout (§4.2): two
-    metadata sets — operation keys, hash result, state result — plus the
-    global result that R modules merge into.  [g2] is the second
-    accumulator combine read-backs use within a single R rule.
+    metadata sets — hash result, state result — plus the global result
+    that R modules merge into.  [g2] is the second accumulator combine
+    read-backs use within a single R rule.  A set's operation keys are
+    not here: the engine binds each H and R slot to its K slot's key
+    buffer at install, as a switch fixes their PHV place at compile
+    time.
 
     Cross-switch execution serialises the context into the 12-byte SP
     header ({!Newton_packet.Sp_header}) and restores it at the next
@@ -13,7 +16,6 @@
 open Newton_packet
 
 type t = {
-  mutable op_keys : int array array; (* [2] metadata sets *)
   mutable hash : int array;          (* [2] *)
   mutable state : int array;         (* [2] *)
   mutable g1 : int;
@@ -23,7 +25,6 @@ type t = {
 
 let create () =
   {
-    op_keys = [| [||]; [||] |];
     hash = [| 0; 0 |];
     state = [| 0; 0 |];
     g1 = 0;
@@ -33,8 +34,6 @@ let create () =
 
 (* In place: the engine resets a scratch context per packet. *)
 let reset t =
-  t.op_keys.(0) <- [||];
-  t.op_keys.(1) <- [||];
   t.hash.(0) <- 0;
   t.hash.(1) <- 0;
   t.state.(0) <- 0;
@@ -49,13 +48,11 @@ let to_sp t =
     ~state2:t.state.(1) ~global:t.g1
 
 (** The context the next switch's parser restores, in place: the result
-    sets saturated to the SP header's field widths, operation keys and
-    [g2] dropped (they do not cross switches), [stopped] kept.  Equal to
+    sets saturated to the SP header's field widths, [g2] dropped (it
+    does not cross switches), [stopped] kept.  Equal to
     [of_sp (Sp_header.decode (Sp_header.encode (to_sp t)))] with
     [stopped] carried over, without building the header. *)
 let apply_sp_widths t =
-  t.op_keys.(0) <- [||];
-  t.op_keys.(1) <- [||];
   t.hash.(0) <- Sp_header.sat16 t.hash.(0);
   t.hash.(1) <- Sp_header.sat16 t.hash.(1);
   t.state.(0) <- Sp_header.sat24 t.state.(0);

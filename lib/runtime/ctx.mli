@@ -1,12 +1,12 @@
 (** Per-packet, per-query execution context: the PHV metadata of the
-    compact module layout — two metadata sets (operation keys, hash
-    result, state result) plus the global-result accumulators — bridged
-    through the 12-byte SP header between switches. *)
+    compact module layout — two metadata sets (hash result, state
+    result) plus the global-result accumulators — bridged through the
+    12-byte SP header between switches.  Operation keys are not part of
+    it: the engine binds them to each slot at install. *)
 
 open Newton_packet
 
 type t = {
-  mutable op_keys : int array array; (** per metadata set *)
   mutable hash : int array;
   mutable state : int array;
   mutable g1 : int; (** the global result *)
@@ -17,13 +17,12 @@ type t = {
 val create : unit -> t
 val reset : t -> unit
 
-(** Snapshot into an SP header (the [newton_fin] action); [g2] and the
-    operation keys do not cross switches. *)
+(** Snapshot into an SP header (the [newton_fin] action); [g2] does not
+    cross switches. *)
 val to_sp : t -> Sp_header.t
 
 (** Cross a switch boundary in place: saturate the hashes and [g1] to
-    16 bits and the states to 24 bits, drop the operation keys and
-    [g2], keep [stopped] — what {!of_sp} restores from the encoded
+    16 bits and the states to 24 bits, drop [g2], keep [stopped] — what {!of_sp} restores from the encoded
     {!to_sp}, without building the header. *)
 val apply_sp_widths : t -> unit
 

@@ -52,17 +52,29 @@ end)
    indices into a packet's field words with a reusable projection
    buffer, register arrays become direct references, constant ALUs are
    prebuilt, and each branch's newton_init entry becomes (index, value,
-   mask) triples.  Every driver below runs this one program. *)
+   mask) triples.  Every driver below runs this one program.
+
+   Operation keys are bound at install, as a switch fixes each metadata
+   set's place in the PHV when the rules are compiled: every H slot and
+   reporting R slot holds the projection buffer of the K slot in effect
+   at its chain position — the chain-latest K of its metadata set, [||]
+   when there is none.  A K slot then only writes ints into its own
+   buffer, and the step stores no pointer per packet. *)
 
 type cslot =
   | C_key of {
-      ck_meta : int;
       ck_fidx : int array;   (* dense field indices *)
       ck_masks : int array;
       ck_buf : int array;    (* reused projection buffer *)
     }
-  | C_hash_direct of { chd_meta : int }
-  | C_hash of { ch_meta : int; ch_seed : int; ch_range : int }
+  | C_hash_direct of { chd_meta : int; chd_keys : int array }
+  | C_hash of {
+      ch_meta : int;
+      ch_seed : int;
+      ch_range : int;
+      ch_mask : int;  (* [ch_range - 1] for a power-of-two range, else -1 *)
+      ch_keys : int array;
+    }
   | C_s_pass of { csp_meta : int }
   | C_s_alu of {
       csa_meta : int;
@@ -78,6 +90,7 @@ type cslot =
       cr_combine : Ir.merge_op option;
       cr_guard : (Ir.guard_target * Ast.cmp_op * int) option;
       cr_report : bool;
+      cr_keys : int array;   (* the reported operation keys *)
     }
 
 type cbranch = {
@@ -231,7 +244,13 @@ let instance_array i key = Hashtbl.find_opt i.arrays key
 
 (* ---------------- slot compilation ---------------- *)
 
-let compile_slot arrays (s : Ir.slot) =
+(* [land mask] equals [mod range] on the non-negative hash values
+   exactly when [range] is a power of two. *)
+let range_mask range = if range > 0 && range land (range - 1) = 0 then range - 1 else -1
+
+(* [key_buf] is the projection buffer of the K slot in effect at [s]'s
+   chain position for its metadata set. *)
+let compile_slot arrays ~key_buf (s : Ir.slot) =
   let m = s.Ir.meta in
   let own_array () = Hashtbl.find arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
   match s.Ir.cfg with
@@ -240,12 +259,12 @@ let compile_slot arrays (s : Ir.slot) =
         Array.of_list (List.map (fun (k : Ast.key) -> Field.index k.Ast.field) keys)
       in
       let masks = Array.of_list (List.map (fun (k : Ast.key) -> k.Ast.mask) keys) in
-      C_key
-        { ck_meta = m; ck_fidx = fidx; ck_masks = masks;
-          ck_buf = Array.make (Array.length fidx) 0 }
-  | Ir.H_cfg { mode = `Direct; _ } -> C_hash_direct { chd_meta = m }
+      C_key { ck_fidx = fidx; ck_masks = masks; ck_buf = Array.make (Array.length fidx) 0 }
+  | Ir.H_cfg { mode = `Direct; _ } -> C_hash_direct { chd_meta = m; chd_keys = key_buf }
   | Ir.H_cfg { mode = `Hash seed; range } ->
-      C_hash { ch_meta = m; ch_seed = seed; ch_range = range }
+      C_hash
+        { ch_meta = m; ch_seed = seed; ch_range = range; ch_mask = range_mask range;
+          ch_keys = key_buf }
   | Ir.S_cfg { op; _ } -> (
       match op with
       | Ir.S_pass -> C_s_pass { csp_meta = m }
@@ -271,15 +290,22 @@ let compile_slot arrays (s : Ir.slot) =
   | Ir.R_cfg { merge; guard; report; combine } ->
       C_r
         { cr_meta = m; cr_merge = merge; cr_combine = combine; cr_guard = guard;
-          cr_report = report }
+          cr_report = report; cr_keys = (if report then key_buf else [||]) }
 
 let compile_branch arrays (entry : Ir.init_entry) slots =
   let ms = Array.of_list entry.Ir.ie_matches in
+  (* per metadata set, the buffer of the chain-latest K compiled so far *)
+  let in_effect = [| [||]; [||] |] in
+  let compile s =
+    let c = compile_slot arrays ~key_buf:in_effect.(s.Ir.meta) s in
+    (match c with C_key { ck_buf; _ } -> in_effect.(s.Ir.meta) <- ck_buf | _ -> ());
+    c
+  in
   {
     cbm_fidx = Array.map (fun (f, _, _) -> Field.index f) ms;
     cbm_value = Array.map (fun (_, v, _) -> v) ms;
     cbm_mask = Array.map (fun (_, _, m) -> m) ms;
-    cb_slots = Array.of_list (List.map (compile_slot arrays) slots);
+    cb_slots = Array.of_list (List.map compile slots);
   }
 
 (* A zeroed register array of [size]: a removed instance's if one is
@@ -606,11 +632,10 @@ let absorb_state ~op_of ~src ~dst =
 
 (* ---------------- packet processing ---------------- *)
 
-(* A report slot passed: dedup on the keys within the window [w] the
-   instance is in, then the mirror budget, then export. *)
-let emit t inst (c : Ctx.t) meta w ts =
+(* A report slot passed: dedup on its bound [keys] within the window
+   [w] the instance is in, then the mirror budget, then export. *)
+let emit t inst (c : Ctx.t) keys w ts =
   let tl = t.tally in
-  let keys = c.Ctx.op_keys.(meta) in
   if Keys_tbl.mem inst.reported keys then tl.deduped <- tl.deduped + 1
   else begin
     (* The projection buffer is reused across packets; the stored dedup
@@ -698,21 +723,20 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
         let si = ref 0 in
         while (not c.Ctx.stopped) && !si < nslots do
           (match Array.unsafe_get cb.cb_slots !si with
-          | C_key { ck_meta; ck_fidx; ck_masks; ck_buf } ->
+          | C_key { ck_fidx; ck_masks; ck_buf } ->
               tl.hits_k <- tl.hits_k + 1;
               for j = 0 to Array.length ck_fidx - 1 do
                 Array.unsafe_set ck_buf j
                   (Bigarray.Array1.unsafe_get words (base + Array.unsafe_get ck_fidx j)
                   land Array.unsafe_get ck_masks j)
-              done;
-              c.Ctx.op_keys.(ck_meta) <- ck_buf
-          | C_hash_direct { chd_meta } ->
+              done
+          | C_hash_direct { chd_meta; chd_keys } ->
               tl.hits_h <- tl.hits_h + 1;
-              c.Ctx.hash.(chd_meta) <- direct_value c.Ctx.op_keys.(chd_meta)
-          | C_hash { ch_meta; ch_seed; ch_range } ->
+              c.Ctx.hash.(chd_meta) <- direct_value chd_keys
+          | C_hash { ch_meta; ch_seed; ch_range; ch_mask; ch_keys } ->
               tl.hits_h <- tl.hits_h + 1;
-              c.Ctx.hash.(ch_meta) <-
-                Hash.hash_vector ~seed:ch_seed c.Ctx.op_keys.(ch_meta) mod ch_range
+              let h = Hash.hash_vector ~seed:ch_seed ch_keys in
+              c.Ctx.hash.(ch_meta) <- (if ch_mask >= 0 then h land ch_mask else h mod ch_range)
           | C_s_pass { csp_meta } ->
               tl.hits_s <- tl.hits_s + 1;
               c.Ctx.state.(csp_meta) <- c.Ctx.hash.(csp_meta)
@@ -736,7 +760,7 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
                 (match csr_arr with
                 | Some arr -> Register_array.get arr c.Ctx.hash.(csr_meta)
                 | None -> 0)
-          | C_r { cr_meta; cr_merge; cr_combine; cr_guard; cr_report } ->
+          | C_r { cr_meta; cr_merge; cr_combine; cr_guard; cr_report; cr_keys } ->
               tl.hits_r <- tl.hits_r + 1;
               (match cr_merge with
               | Some (acc, op) -> (
@@ -764,7 +788,7 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
                 c.Ctx.stopped <- true;
                 tl.guard_stops <- tl.guard_stops + 1
               end
-              else if cr_report then emit t inst c cr_meta !window ts);
+              else if cr_report then emit t inst c cr_keys !window ts);
           incr si
         done;
         if !b = 0 then stopped0 := c.Ctx.stopped

@@ -7,8 +7,10 @@
     deduplication.
 
     {!install} compiles each instance once into a flat program: dense
-    field indices, direct register-array references, prebuilt ALUs and
-    per-branch classifier triples.  One step runs that program over a
+    field indices, direct register-array references, prebuilt ALUs,
+    per-branch classifier triples, and each H/R slot bound to the key
+    buffer of the K slot in effect at its chain position; a
+    power-of-two hash range reduces with a mask.  One step runs that program over a
     packet's field words; {!process_flat}, {!process_packet} and
     {!process_instance} are drivers of this one compiled step, so they
     share report dedup, the mirror budget and window rolls, and fold
@@ -138,8 +140,7 @@ val absorb_state :
     a packet through one instance, resuming from [ctx] (fresh, or
     SP-restored under CQE), which serves as the branch-0 context without
     being reset.  Returns the post-slice context ([stopped] when a guard
-    ended the packet); its [op_keys] alias the instance's projection
-    buffers, which its next packet overwrites.  Does not count the packet in {!packets_seen};
+    ended the packet).  Does not count the packet in {!packets_seen};
     callers account path hops with {!record_packet_seen} and roll
     windows with {!maybe_roll_window}. *)
 val process_instance : t -> instance -> ctx:Ctx.t -> Packet.t -> Ctx.t

@@ -3,9 +3,10 @@
 
    All seventeen catalog intents are installed on one {!Device} and a
    fixed-seed trace carrying the extended attack suite is replayed
-   through it twice: once with an unlimited mirror budget and once with
-   at most five report exports per window, so the budget's drop path
-   runs too.  Each run prints the sorted reports, the K/H/S/R module
+   through it three times: once with an unlimited mirror budget, once
+   with at most five report exports per window, so the budget's drop
+   path runs too, and once with 1000 registers per state bank, so every
+   hash range is not a power of two and the H module reduces by [mod].  Each run prints the sorted reports, the K/H/S/R module
    hits, guard stops, emitted/deduped/dropped reports, window rolls,
    and every instance's register-array ALU execution total. *)
 
@@ -20,10 +21,10 @@ let packets =
        ~seed:21
        (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 2_500))
 
-let run name budget =
+let run ?options name budget =
   let d = Device.create () in
   List.iter
-    (fun q -> ignore (Device.add_query d q))
+    (fun q -> ignore (Device.add_query ?options d q))
     (Newton_query.Catalog.all () @ Newton_query.Catalog.extras ());
   let engine = Device.engine d in
   Engine.set_report_budget engine budget;
@@ -61,4 +62,7 @@ let run name budget =
 
 let () =
   run "catalog on one device, unlimited budget" None;
-  run "catalog on one device, budget 5 per window" (Some 5)
+  run "catalog on one device, budget 5 per window" (Some 5);
+  run
+    ~options:{ Newton_compiler.Decompose.default_options with registers = 1000 }
+    "catalog on one device, 1000 registers per bank" None

@@ -409,6 +409,37 @@ let test_bogus_gre_flags () =
   Alcotest.(check string) "gre reserved flag" "malformed"
     (skip_name (Decode.frame ~ts:0.0 b))
 
+(* Wire values wider than their PHV field are cut to the field's width:
+   a 12-bit VLAN VID to the 9-bit [Ingress_port], a 32-bit GRE key to
+   the 24-bit [Tun_id].  Encode never writes such values, so the
+   round-trip tests cannot see these masks. *)
+let test_decode_width_masks () =
+  let p =
+    Packet.make ~proto:Field.Protocol.udp ~src_port:40001 ~dst_port:443
+      ~ingress_port:5 ~pkt_len:128 ~payload_len:100 ()
+  in
+  let b = Encode.frame p in
+  checki "encoded vlan tci" 5 (Bytes.get_uint16_be b 14);
+  Bytes.set_uint16_be b 14 0xFFF;
+  (match Decode.frame ~ts:0.0 b with
+  | Decode.Decoded q ->
+      checki "vid 0xfff masked to 9 bits" 0x1FF (Packet.get q Field.Ingress_port)
+  | r -> Alcotest.failf "vlan frame skipped (%s)" (skip_name r));
+  let p =
+    Packet.make ~proto:Field.Protocol.udp ~src_port:40001 ~dst_port:443
+      ~tun_id:0x77 ~pkt_len:128 ~payload_len:100 ()
+  in
+  let b = Encode.frame ~tunnel:`Gre p in
+  (* Key-only GRE: the key word follows the 4-byte flag/type word. *)
+  let key_off = 14 + 20 + 4 in
+  checki "encoded gre key" 0x77 (Bytes.get_uint16_be b (key_off + 2));
+  Bytes.set_int32_be b key_off 0xFFFFFFFFl;
+  match Decode.frame ~ts:0.0 b with
+  | Decode.Decoded q ->
+      checki "gre key 0xffffffff masked to 24 bits" 0xFFFFFF
+        (Packet.get q Field.Tun_id)
+  | r -> Alcotest.failf "gre frame skipped (%s)" (skip_name r)
+
 (* decode ∘ encode over the extended attack corpus (IPv6, ICMPv6 and
    tunneled flows on top of background traffic), for both tunnel
    encodings. *)
@@ -1251,6 +1282,8 @@ let suite =
       test_ipv6_extension_headers;
     Alcotest.test_case "bogus gre flags are malformed" `Quick
       test_bogus_gre_flags;
+    Alcotest.test_case "vlan vid and gre key masked to field widths" `Quick
+      test_decode_width_masks;
     Alcotest.test_case "decode∘encode: extended corpus (v6/icmp6/tunnels)"
       `Quick test_decode_encode_extended;
     Alcotest.test_case "in-place decode = decode of the copy (property)"

@@ -118,27 +118,29 @@ let prop_cqe_slicing_equivalent =
       let trace = Lazy.force test_trace in
       let single = Engine.create ~switch_id:0 () in
       let _ = Engine.install single compiled in
+      (* CQE on [linear nslices], cut so the chain spans every switch;
+         each packet crosses them all, first host to last. *)
       let stages = compiled.Newton_compiler.Compose.stats.Newton_compiler.Compose.stages in
       let per = max 1 ((stages + nslices - 1) / nslices) in
-      let sliced =
-        List.init nslices (fun i ->
-            let e = Engine.create ~switch_id:(i + 1) () in
-            let lo = i * per in
-            let hi = if i = nslices - 1 then max_int else (lo + per) - 1 in
-            ignore (Engine.install e ~uid:1 ~stage_lo:lo ~stage_hi:hi compiled);
-            e)
+      let module Deploy = Newton_controller.Deploy in
+      let sliced = Deploy.create (Newton_network.Topo.linear nslices) in
+      ignore (Deploy.deploy ~mode:`Cqe ~stages_per_switch:per sliced compiled);
+      let src_host, dst_host =
+        match Newton_network.Topo.hosts (Deploy.topo sliced) with
+        | [ a; b ] -> (a, b)
+        | _ -> assert false
       in
       Array.iter
         (fun pkt ->
           Engine.process_packet single pkt;
-          Cqe.process_path sliced pkt)
+          Deploy.process_packet sliced ~src_host ~dst_host pkt)
         (Newton_trace.Gen.packets trace);
-      let keyset es =
-        List.concat_map Engine.reports es
-        |> List.map (fun r -> (r.Report.window, r.Report.keys))
+      let keyset reports =
+        List.map (fun r -> (r.Report.window, r.Report.keys)) reports
         |> List.sort_uniq compare
       in
-      keyset [ single ] = keyset sliced)
+      Deploy.software_deferrals sliced = 0
+      && keyset (Engine.reports single) = keyset (Deploy.all_reports sliced))
 
 let prop_window_isolation =
   QCheck.Test.make ~count:40

@@ -31,7 +31,7 @@ let test_ctx_sp_roundtrip () =
 
 (* The in-place restore the path executors use is the SP round trip:
    values beyond the header's widths (and negative ones) saturate alike,
-   operation keys and [g2] are dropped, [stopped] is carried over. *)
+   [g2] is dropped, [stopped] is carried over. *)
 let qcheck_apply_sp_widths =
   let value =
     QCheck.Gen.(
@@ -42,7 +42,7 @@ let qcheck_apply_sp_widths =
           map2 (fun b d -> (1 lsl b) + d) (int_range 0 40) (int_range (-2) 2);
           oneofl [ max_int; min_int ] ])
   in
-  let gen = QCheck.Gen.(pair (array_repeat 7 value) bool) in
+  let gen = QCheck.Gen.(pair (array_repeat 6 value) bool) in
   let print (v, stopped) =
     Printf.sprintf "[%s] stopped=%b"
       (String.concat "; " (Array.to_list (Array.map string_of_int v)))
@@ -52,8 +52,6 @@ let qcheck_apply_sp_widths =
     (QCheck.make ~print gen)
     (fun (v, stopped) ->
       let c = Ctx.create () in
-      c.Ctx.op_keys.(0) <- [| v.(0); v.(6) |];
-      c.Ctx.op_keys.(1) <- [| v.(1) |];
       c.Ctx.hash.(0) <- v.(0);
       c.Ctx.state.(0) <- v.(1);
       c.Ctx.hash.(1) <- v.(2);
@@ -63,7 +61,7 @@ let qcheck_apply_sp_widths =
       c.Ctx.stopped <- stopped;
       let r = Ctx.of_sp (Sp_header.decode (Sp_header.encode (Ctx.to_sp c))) in
       Ctx.apply_sp_widths c;
-      c.Ctx.op_keys = r.Ctx.op_keys && c.Ctx.hash = r.Ctx.hash
+      c.Ctx.hash = r.Ctx.hash
       && c.Ctx.state = r.Ctx.state && c.Ctx.g1 = r.Ctx.g1
       && c.Ctx.g2 = r.Ctx.g2 && c.Ctx.stopped = stopped)
 
@@ -194,21 +192,27 @@ let test_engine_matches_reference () =
 
 (* ---------------- CQE ---------------- *)
 
-let cqe_engines compiled n =
+(* [compiled] deployed in CQE mode on [linear n], cut so its chain
+   spans all [n] switches; [send] runs a packet from the host at the
+   first switch to the host at the last, across every slice. *)
+let cqe_linear compiled n =
+  let module Deploy = Newton_controller.Deploy in
   let stages = compiled.Newton_compiler.Compose.stats.Newton_compiler.Compose.stages in
   let per = max 1 ((stages + n - 1) / n) in
-  List.init n (fun i ->
-      let e = Engine.create ~switch_id:i () in
-      let lo = i * per in
-      let hi = if i = n - 1 then max_int else (lo + per) - 1 in
-      ignore (Engine.install e ~uid:1 ~stage_lo:lo ~stage_hi:hi compiled);
-      e)
+  let d = Deploy.create (Newton_network.Topo.linear n) in
+  ignore (Deploy.deploy ~mode:`Cqe ~stages_per_switch:per d compiled);
+  let src_host, dst_host =
+    match Newton_network.Topo.hosts (Deploy.topo d) with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  (d, Deploy.process_packet d ~src_host ~dst_host)
 
 let test_cqe_equivalent_to_single_switch () =
   let compiled = compile (Catalog.q1 ~th:10 ()) in
   let single = Engine.create ~switch_id:0 () in
   let _ = Engine.install single compiled in
-  let sliced = cqe_engines compiled 3 in
+  let sliced, send = cqe_linear compiled 3 in
   let trace =
     Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.default_suite ~seed:33
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 800)
@@ -216,27 +220,38 @@ let test_cqe_equivalent_to_single_switch () =
   Array.iter
     (fun pkt ->
       Engine.process_packet single pkt;
-      Cqe.process_path sliced pkt)
+      send pkt)
     (Newton_trace.Gen.packets trace);
-  let keyset es =
-    List.concat_map Engine.reports es
-    |> List.map (fun r -> (r.Report.window, r.Report.keys))
+  let keyset reports =
+    List.map (fun r -> (r.Report.window, r.Report.keys)) reports
     |> List.sort_uniq compare
   in
+  checki "no slice deferred to the analyzer" 0
+    (Newton_controller.Deploy.software_deferrals sliced);
   Alcotest.(check (list (pair int (array int))))
-    "sliced execution detects the same keys" (keyset [ single ]) (keyset sliced)
+    "sliced execution detects the same keys" (keyset (Engine.reports single))
+    (keyset (Newton_controller.Deploy.all_reports sliced))
 
 let test_cqe_reports_once_per_path () =
+  let module Deploy = Newton_controller.Deploy in
   let compiled = compile (Catalog.q1 ~th:5 ()) in
-  let sliced = cqe_engines compiled 2 in
-  let stats = Cqe.create_stats () in
+  let sliced, send = cqe_linear compiled 2 in
   for i = 1 to 20 do
-    Cqe.process_path ~stats sliced (syn ~ts:0.01 ~src:i ~dst:42)
+    send (syn ~ts:0.01 ~src:i ~dst:42)
   done;
-  checki "one report total" 1
-    (List.fold_left (fun acc e -> acc + Engine.report_count e) 0 sliced);
-  checki "SP header on each inter-switch hop" (20 * Sp_header.size_bytes) stats.Cqe.sp_bytes;
-  checkb "overhead accounted" true (Cqe.overhead_ratio stats > 0.0)
+  checki "one report total" 1 (List.length (Deploy.all_reports sliced));
+  let sp_bytes =
+    List.fold_left
+      (fun acc s ->
+        acc
+        + Newton_telemetry.Stats.get
+            (Engine.sink (Deploy.engine sliced s))
+            Newton_telemetry.Stats.Sp_header_bytes)
+      0
+      (Newton_network.Topo.switches (Deploy.topo sliced))
+  in
+  checki "SP header on each inter-switch hop" (20 * Sp_header.size_bytes) sp_bytes;
+  checkb "overhead accounted" true (Deploy.sp_overhead_ratio sliced > 0.0)
 
 let test_shadow_k_installed_for_slices () =
   let compiled = compile (Catalog.q1 ()) in
