@@ -111,34 +111,16 @@ let profile_of = function
   | `Caida -> Trace_profile.caida_like
   | `Mawi -> Trace_profile.mawi_like
 
-let trace_in_arg =
-  Arg.(value & opt (some file) None
-       & info [ "trace-in" ] ~docv:"FILE"
-           ~doc:"Replay a trace saved with --trace-out instead of generating one.")
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ] ~docv:"FILE" ~doc:"Save the generated trace to a file.")
-
-let make_trace ?pcap_in ?trace_in ?trace_out profile flows seed attacks =
-  let trace =
-    match (pcap_in, trace_in) with
-    | Some path, _ -> (
-        try Ingest.Capture.load path
-        with Ingest.Capture.Format_error m ->
-          Printf.eprintf "pcap: %s: %s\n" path m;
-          exit 1)
-    | None, Some path -> Newton_trace.Trace_io.load path
-    | None, None ->
-        Trace.generate ~attacks ~seed
-          (Trace_profile.with_flows (profile_of profile) flows)
-  in
-  (match trace_out with
-  | Some path ->
-      Newton_trace.Trace_io.save trace path;
-      Printf.printf "trace saved to %s\n" path
-  | None -> ());
-  trace
+let make_trace ?pcap_in profile flows seed attacks =
+  match pcap_in with
+  | Some path -> (
+      try Ingest.Capture.load path
+      with Ingest.Capture.Format_error m ->
+        Printf.eprintf "pcap: %s: %s\n" path m;
+        exit 1)
+  | None ->
+      Trace.generate ~attacks ~seed
+        (Trace_profile.with_flows (profile_of profile) flows)
 
 (* ---------------- validated numeric conversions ---------------- *)
 

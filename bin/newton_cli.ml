@@ -213,14 +213,13 @@ let p4_replay ~layout ~verbose qs packets =
   !bad
 
 let cmd_p4_run =
-  let run ids profile flows seed attacks verbose trace_in trace_out stages
-      registers =
+  let run ids profile flows seed attacks verbose pcap stages registers =
     match lookup_queries ids with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
         reject_invalid qs;
         let layout = p4_layout stages registers in
-        let trace = make_trace ?trace_in ?trace_out profile flows seed attacks in
+        let trace = make_trace ?pcap_in:pcap profile flows seed attacks in
         let packets = Array.to_list (Newton_trace.Gen.packets trace) in
         Printf.printf "trace: %d packets (%s)\n" (Trace.length trace)
           (Trace_profile.to_string (Trace.profile trace));
@@ -253,12 +252,12 @@ let cmd_p4_run =
           digest-decoded reports")
     Term.(
       const run $ queries_arg $ profile_arg $ flows_arg $ seed_arg
-      $ attacks_arg $ verbose_arg $ trace_in_arg $ trace_out_arg
-      $ p4_stages_arg $ p4_registers_arg)
+      $ attacks_arg $ verbose_arg $ pcap_arg $ p4_stages_arg
+      $ p4_registers_arg)
 
 let cmd_p4_diff =
-  let run ids all coverage profile flows seed attacks verbose trace_in
-      trace_out stages registers =
+  let run ids all coverage profile flows seed attacks verbose pcap stages
+      registers =
     match lookup_queries (p4_ids ids all) with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
@@ -269,7 +268,7 @@ let cmd_p4_diff =
           else
             Array.to_list
               (Newton_trace.Gen.packets
-                 (make_trace ?trace_in ?trace_out profile flows seed attacks))
+                 (make_trace ?pcap_in:pcap profile flows seed attacks))
         in
         Printf.printf "corpus: %d packets\n" (List.length packets);
         let bad = p4_replay ~layout ~verbose qs packets in
@@ -284,8 +283,8 @@ let cmd_p4_diff =
          & info [ "coverage-corpus" ]
              ~doc:
                "Replay the pinned mixed v4/v6/ICMPv6/tunnel corpus on which \
-                every catalog query reports at least once (overrides the \
-                trace-shaping flags except --seed).")
+                every catalog query reports at least once (overrides --pcap \
+                and the trace-shaping flags except --seed).")
   in
   Cmd.v
     (Cmd.info "diff"
@@ -295,8 +294,8 @@ let cmd_p4_diff =
           identical report multisets (exit 1 on divergence)")
     Term.(
       const run $ queries_arg $ p4_all_arg $ coverage_arg $ profile_arg
-      $ flows_arg $ seed_arg $ attacks_arg $ verbose_arg $ trace_in_arg
-      $ trace_out_arg $ p4_stages_arg $ p4_registers_arg)
+      $ flows_arg $ seed_arg $ attacks_arg $ verbose_arg $ pcap_arg
+      $ p4_stages_arg $ p4_registers_arg)
 
 let cmd_p4 =
   Cmd.group
@@ -310,25 +309,19 @@ let cmd_p4 =
 
 (* One query: shard on its aggregation key so shard-merged results
    match the sequential engine; several queries: 5-tuple sharding
-   (divergence documented in docs/PARALLELISM.md). *)
+   (divergence documented in docs/PARALLELISM.md).  The note goes to
+   stderr so that `stats` keeps its snapshot alone on stdout. *)
 let shard_key_for qs =
   match qs with
   | [ q ] -> Newton_runtime.Shard.for_compiled (Compiler.compile q)
   | _ ->
-      Printf.printf
+      prerr_endline
         "note: several queries — 5-tuple sharding; cross-flow aggregates \
-         split across shards (docs/PARALLELISM.md)\n";
+         split across shards (docs/PARALLELISM.md)";
       Newton_runtime.Shard.Flow
 
 let cmd_run =
-  let run ids dsl profile flows seed attacks verbose trace_in trace_out jobs
-      batch pcap iopts =
-    (* The pcap path never consults the synthetic-trace files; accepting
-       them silently would e.g. leave a --trace-out target unwritten. *)
-    if pcap <> None && (trace_in <> None || trace_out <> None) then begin
-      prerr_endline "newton: --pcap cannot be combined with --trace-in/--trace-out";
-      exit 1
-    end;
+  let run ids dsl profile flows seed attacks verbose jobs batch pcap iopts =
     match gather_queries ids dsl with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
@@ -377,9 +370,7 @@ let cmd_run =
               print_ingest_summary stats summary;
               summary.Ingest.Stream.delivered
           | None ->
-              let trace =
-                make_trace ?trace_in ?trace_out profile flows seed attacks
-              in
+              let trace = make_trace profile flows seed attacks in
               Printf.printf "trace: %d packets (%s)\n" (Trace.length trace)
                 (Trace_profile.to_string (Trace.profile trace));
               Trace.iter_chunks ~chunk:iopts.io_chunk sink_fn trace;
@@ -417,18 +408,14 @@ let cmd_run =
           ingested pcap capture")
     Term.(
       const run $ queries_arg $ dsl_arg $ profile_arg $ flows_arg $ seed_arg
-      $ attacks_arg $ verbose_arg $ trace_in_arg $ trace_out_arg $ jobs_arg
-      $ batch_arg $ pcap_arg $ ingest_opts_term)
+      $ attacks_arg $ verbose_arg $ jobs_arg $ batch_arg $ pcap_arg
+      $ ingest_opts_term)
 
 (* ---------------- stats (telemetry snapshot) ---------------- *)
 
 let cmd_stats =
-  let run ids dsl profile flows seed attacks trace_in jobs batch format output
-      pcap iopts =
-    if pcap <> None && trace_in <> None then begin
-      prerr_endline "newton: --pcap cannot be combined with --trace-in";
-      exit 1
-    end;
+  let run ids dsl profile flows seed attacks jobs batch format output pcap
+      iopts =
     match gather_queries ids dsl with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
@@ -441,11 +428,7 @@ let cmd_stats =
               fun () -> Device.metrics device )
           end
           else begin
-            let shard_key =
-              match qs with
-              | [ q ] -> Newton_runtime.Shard.for_compiled (Compiler.compile q)
-              | _ -> Newton_runtime.Shard.Flow
-            in
+            let shard_key = shard_key_for qs in
             let pdev = Parallel_device.create ~jobs ~batch ~shard_key () in
             List.iter (fun q -> ignore (Parallel_device.add_query pdev q)) qs;
             ( Parallel_device.process_packets pdev,
@@ -465,7 +448,7 @@ let cmd_stats =
                    ~labels:[ ("stage", "ingest") ]
                    stats)
           | None ->
-              let trace = make_trace ?trace_in profile flows seed attacks in
+              let trace = make_trace profile flows seed attacks in
               Trace.iter_chunks ~chunk:iopts.io_chunk sink_fn trace;
               metrics_fn ()
         in
@@ -501,8 +484,8 @@ let cmd_stats =
           text")
     Term.(
       const run $ queries_arg $ dsl_arg $ profile_arg $ flows_arg $ seed_arg
-      $ attacks_arg $ trace_in_arg $ jobs_arg $ batch_arg $ format_arg
-      $ output_arg $ pcap_arg $ ingest_opts_term)
+      $ attacks_arg $ jobs_arg $ batch_arg $ format_arg $ output_arg
+      $ pcap_arg $ ingest_opts_term)
 
 (* ---------------- netrun (network-wide) ---------------- *)
 
@@ -515,7 +498,7 @@ let fail_arg =
 
 let cmd_check =
   let run ids dsl all json strict output topo stages registers expected_keys
-      witness shard_fields =
+      witness =
     (* No explicit selection means "check everything", like --all. *)
     let whole_catalog = all || (ids = [] && dsl = []) in
     let queries =
@@ -526,30 +509,12 @@ let cmd_check =
       | Ok qs ->
           if whole_catalog then Catalog.all () @ Catalog.extras () @ qs else qs
     in
-    let shard =
-      match shard_fields with
-      | None -> None
-      | Some spec -> (
-          let names =
-            List.filter (fun s -> s <> "")
-              (String.split_on_char ',' spec)
-          in
-          match List.map Field.of_string names with
-          | [] ->
-              prerr_endline "check: --shard-fields needs at least one field";
-              exit 2
-          | fields -> Some (Analysis.Pass.Shard_fields fields)
-          | exception Invalid_argument msg ->
-              Printf.eprintf "check: --shard-fields: %s\n" msg;
-              exit 2)
-    in
     let cfg =
       {
         Analysis.Pass.default_config with
         Analysis.Pass.options =
           { Compile_options.default_options with Compile_options.registers };
         expected_keys;
-        shard;
       }
     in
     (* Mirrors [Analysis.Check.check_queries] — each query sees the
@@ -655,25 +620,17 @@ let cmd_check =
              ~doc:"Print (and embed in JSON) the concrete witness packets the \
                    exact packet-space passes attach to their findings.")
   in
-  let shard_fields_arg =
-    Arg.(value & opt (some string) None
-         & info [ "shard-fields" ] ~docv:"FIELDS"
-             ~doc:"Assume the replay path shards by hashing these \
-                   comma-separated header fields (e.g. dip,proto) and verify \
-                   every stateful primitive's per-key state stays within one \
-                   domain (NA095).")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Statically verify queries (structure, field widths, predicates, \
           exact packet-space satisfiability/overlap, dataflow, thresholds, \
-          sketch health, capacity, conflicts, shard coverage, cross-cut \
-          ordering) and report structured diagnostics")
+          sketch health, capacity, conflicts, cross-cut ordering) and \
+          report structured diagnostics")
     Term.(
       const run $ check_queries_arg $ dsl_arg $ all_arg $ json_arg $ strict_arg
       $ output_arg $ check_topo_arg $ stages_arg $ registers_arg $ keys_arg
-      $ witness_arg $ shard_fields_arg)
+      $ witness_arg)
 
 let cmd_netrun =
   let run ids topo stages profile flows seed attacks fail pcap =
@@ -842,48 +799,27 @@ let cmd_chaos =
 (* ---------------- gen (trace generation / export) ---------------- *)
 
 let cmd_gen =
-  let run profile flows seed attacks trace_in output format =
-    let trace = make_trace ?trace_in profile flows seed attacks in
-    let format =
-      match format with
-      | Some f -> f
-      | None -> (
-          (* Infer from the output extension when --format is omitted. *)
-          match Filename.extension output with
-          | ".pcap" | ".pcapng" | ".cap" -> `Pcap
-          | _ -> `Ntrc)
-    in
-    (match format with
-    | `Ntrc -> Newton_trace.Trace_io.save trace output
-    | `Pcap -> (
-        try Ingest.Capture.export trace output
-        with Ingest.Capture.Format_error m ->
-          Printf.eprintf "pcap export: %s\n" m;
-          exit 1));
-    Printf.printf "%d packets written to %s (%s)\n" (Trace.length trace)
+  let run profile flows seed attacks output =
+    let trace = make_trace profile flows seed attacks in
+    (try Ingest.Capture.export trace output
+     with Ingest.Capture.Format_error m ->
+       Printf.eprintf "pcap export: %s\n" m;
+       exit 1);
+    Printf.printf "%d packets written to %s (pcap)\n" (Trace.length trace)
       output
-      (match format with `Ntrc -> "ntrc" | `Pcap -> "pcap")
   in
   let output_arg =
     Arg.(required & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  let format_arg =
-    Arg.(value
-         & opt (some (enum [ ("ntrc", `Ntrc); ("pcap", `Pcap) ])) None
-         & info [ "format" ] ~docv:"FMT"
-             ~doc:"Output format: ntrc (native binary trace) or pcap \
-                   (standard capture, opens in tcpdump/Wireshark). Default: \
-                   inferred from the output extension, ntrc otherwise.")
-  in
   Cmd.v
     (Cmd.info "gen"
        ~doc:
-         "Generate a synthetic trace (or convert one given with --trace-in) \
-          and write it as a native trace or a standard pcap file")
+         "Generate a synthetic trace and write it as a standard pcap file \
+          (opens in tcpdump/Wireshark)")
     Term.(
       const run $ profile_arg $ flows_arg $ seed_arg $ attacks_arg
-      $ trace_in_arg $ output_arg $ format_arg)
+      $ output_arg)
 
 (* ---------------- pcap-info ---------------- *)
 
@@ -1115,24 +1051,21 @@ let listen_of socket port =
   | None, None -> Service.Daemon.Unix_socket "newton.sock"
 
 let cmd_serve =
-  let run socket port topo stages preload dsl pcap trace_in gen_trace profile
-      flows seed attacks iopts =
+  let run socket port topo stages preload dsl pcap gen_trace profile flows
+      seed attacks iopts =
     let pace =
       match iopts.io_pace with
       | `Asap -> Service.Replay.Asap
       | `Realtime -> Service.Replay.Realtime iopts.io_speedup
     in
     let replay =
-      match (pcap, trace_in) with
-      | Some _, Some _ ->
-          prerr_endline "newton: --pcap cannot be combined with --trace-in";
-          exit 1
-      | Some path, None | None, Some path -> (
+      match pcap with
+      | Some path -> (
           try Some (Service.Replay.load ~pace ~topo path)
           with Ingest.Capture.Format_error m ->
             Printf.eprintf "pcap: %s: %s\n" path m;
             exit 1)
-      | None, None ->
+      | None ->
           if not gen_trace then None
           else begin
             let trace =
@@ -1178,7 +1111,7 @@ let cmd_serve =
     Arg.(value & flag
          & info [ "gen-trace" ]
              ~doc:"Replay a synthetic trace (--profile/--flows/--seed/\
-                   --attacks) when no --pcap/--trace-in is given.")
+                   --attacks) when no --pcap is given.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1189,7 +1122,7 @@ let cmd_serve =
           replays through the deployment")
     Term.(
       const run $ socket_arg $ port_arg $ topo_arg $ stages_arg $ preload_arg
-      $ dsl_arg $ pcap_arg $ trace_in_arg $ gen_trace_arg $ profile_arg
+      $ dsl_arg $ pcap_arg $ gen_trace_arg $ profile_arg
       $ flows_arg $ seed_arg $ attacks_arg $ ingest_opts_term)
 
 let cmd_intent =

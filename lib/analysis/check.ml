@@ -23,7 +23,6 @@ let passes : (module Pass.S) list =
     (module Pass_sketch);
     (module Pass_capacity);
     (module Pass_conflicts);
-    (module Pass_shard);
     (module Pass_cuts);
     (module Pass_p4);
   ]

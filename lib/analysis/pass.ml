@@ -8,16 +8,8 @@
     run so an escaped exception becomes an NA099 diagnostic rather than
     a crash. *)
 
-open Newton_packet
 open Newton_query
 open Newton_compiler
-
-(** Planned shard strategy, as inspectable facts (see the mli). *)
-type shard_facts =
-  | Shard_flow
-  | Shard_fields of Field.t list
-  | Shard_branch_key
-  | Shard_custom
 
 (** Tunables the resource passes check against.  Defaults mirror the
     modelled switch: 256-entry rule cells, the register file of a
@@ -31,7 +23,6 @@ type config = {
   fpr_bound : float;            (** tolerated Bloom false-positive rate *)
   cm_epsilon : float;           (** tolerated CM relative error (of mass) *)
   cm_delta : float;             (** tolerated CM error probability *)
-  shard : shard_facts option;   (** planned shard strategy, when known *)
 }
 
 let default_config =
@@ -43,7 +34,6 @@ let default_config =
     fpr_bound = 0.05;
     cm_epsilon = 0.01;
     cm_delta = 0.2;
-    shard = None;
   }
 
 (** Placement facts, decoupled from the controller's [Placement.t] so

@@ -1,22 +1,8 @@
 (** The common surface every analysis pass implements, plus the shared
     analysis context the driver ({!Check}) builds once per query. *)
 
-open Newton_packet
 open Newton_query
 open Newton_compiler
-
-(** How the parallel replay plans to shard the packet stream, as facts
-    the shard-coverage pass (NA095) can reason about — decoupled from
-    [Newton_runtime.Shard.strategy] so the analysis library stays below
-    the runtime in the dependency order.  [Shard_flow] and
-    [Shard_branch_key] carry their own documented locality story;
-    [Shard_fields] names the hashed fields; [Shard_custom] is an opaque
-    user function the checker cannot inspect. *)
-type shard_facts =
-  | Shard_flow
-  | Shard_fields of Field.t list
-  | Shard_branch_key
-  | Shard_custom
 
 (** Tunables the resource passes check against. *)
 type config = {
@@ -27,7 +13,6 @@ type config = {
   fpr_bound : float;            (** tolerated Bloom false-positive rate *)
   cm_epsilon : float;           (** tolerated CM relative error (of mass) *)
   cm_delta : float;             (** tolerated CM error probability *)
-  shard : shard_facts option;   (** planned shard strategy, when known *)
 }
 
 val default_config : config

@@ -145,13 +145,13 @@ let with_source ?(stats = Stats.null) path f =
       in
       f next_packet)
 
-let export ?nsec trace path =
+let export trace path =
   let oc =
     try open_out_bin path
     with Sys_error m -> raise (Format_error m)
   in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      let w = Pcap.create_writer ?nsec oc in
+      let w = Pcap.create_writer oc in
       Gen.iter
         (fun p ->
           Pcap.write_record w ~ts:(Newton_packet.Packet.ts p) (Encode.frame p))

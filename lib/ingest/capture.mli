@@ -40,9 +40,9 @@ val with_source :
   (Stream.source -> 'a) ->
   'a
 
-(** Export a trace as a classic pcap file (nanosecond resolution by
-    default, see {!Pcap.create_writer}). *)
-val export : ?nsec:bool -> Newton_trace.Gen.t -> string -> unit
+(** Export a trace as a classic nanosecond-resolution Ethernet pcap
+    file (see {!Pcap.create_writer}). *)
+val export : Newton_trace.Gen.t -> string -> unit
 
 type info = {
   format : format;

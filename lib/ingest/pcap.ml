@@ -3,8 +3,8 @@
     The reader accepts all four magic variants — native or swapped byte
     order, microsecond or nanosecond timestamp resolution — and steps
     through records in a {!Reader} block buffer, so neither the file
-    nor any record is copied out.  The writer emits the
-    canonical little-endian form; nanosecond resolution by default, so
+    nor any record is copied out.  The writer emits one form only:
+    little-endian, nanosecond resolution, Ethernet link type, so
     sub-microsecond synthetic timestamps survive the round trip.
 
     A record's [ts] is seconds as a float ([ts_sec + subsec / resol]).
@@ -96,38 +96,36 @@ let read_record header r (f : Reader.frame) =
 
 type writer = {
   oc : out_channel;
-  w_nsec : bool;
   buf : Buffer.t;
 }
 
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int (v land 0xFFFFFFFF))
 
-(** Split float seconds into (sec, subsec) at the writer's resolution,
-    carrying rounded-up subseconds into the seconds field. *)
-let split_ts ~nsec ts =
-  let resol = if nsec then 1_000_000_000 else 1_000_000 in
+(** Split float seconds into (sec, nanoseconds), carrying rounded-up
+    nanoseconds into the seconds field. *)
+let split_ts ts =
+  let resol = 1_000_000_000 in
   let sec = int_of_float (Float.floor ts) in
   let sub =
     int_of_float (Float.round ((ts -. Float.floor ts) *. float_of_int resol))
   in
   if sub >= resol then (sec + 1, 0) else (sec, sub)
 
-let create_writer ?(nsec = true) ?(snaplen = 0xFFFF) ?(linktype = linktype_ethernet)
-    oc =
+let create_writer ?(snaplen = 0xFFFF) oc =
   let buf = Buffer.create 24 in
-  add_u32 buf (if nsec then magic_nsec else magic_usec);
+  add_u32 buf magic_nsec;
   Buffer.add_uint16_le buf 2;
   Buffer.add_uint16_le buf 4;
   add_u32 buf 0 (* thiszone *);
   add_u32 buf 0 (* sigfigs *);
   add_u32 buf snaplen;
-  add_u32 buf linktype;
+  add_u32 buf linktype_ethernet;
   Buffer.output_buffer oc buf;
   Buffer.clear buf;
-  { oc; w_nsec = nsec; buf }
+  { oc; buf }
 
 let write_record w ~ts ?orig_len data =
-  let sec, sub = split_ts ~nsec:w.w_nsec ts in
+  let sec, sub = split_ts ts in
   if sec < 0 then error "pcap cannot encode negative timestamp %g" ts;
   let caplen = Bytes.length data in
   add_u32 w.buf sec;

@@ -1,9 +1,9 @@
 (** Classic pcap (libpcap "savefile") reader and writer.
 
     The reader accepts all four magic variants (native / byte-swapped,
-    microsecond / nanosecond); the writer emits canonical little-endian
-    files, nanosecond-resolution by default so trace-relative float
-    timestamps (< ~2^22 s) round-trip bit-exactly. *)
+    microsecond / nanosecond); the writer always emits little-endian,
+    nanosecond-resolution Ethernet files, so trace-relative float
+    timestamps (< ~2^22 s) come back within half a nanosecond. *)
 
 val magic_usec : int
 val magic_nsec : int
@@ -30,10 +30,9 @@ val read_record : header -> Reader.t -> Reader.frame -> Reader.step
 
 type writer
 
-(** Write a global header and return a buffered writer.  Defaults:
-    nanosecond resolution, snaplen 65535, Ethernet link type. *)
-val create_writer :
-  ?nsec:bool -> ?snaplen:int -> ?linktype:int -> out_channel -> writer
+(** Write a nanosecond-resolution Ethernet pcap global header and
+    return a buffered writer.  [snaplen] defaults to 65535. *)
+val create_writer : ?snaplen:int -> out_channel -> writer
 
 (** Append one record.  [orig_len] defaults to the captured length.
     @raise Reader.Format_error on a negative timestamp. *)
@@ -42,6 +41,6 @@ val write_record : writer -> ts:float -> ?orig_len:int -> bytes -> unit
 (** Flush buffered records to the channel (does not close it). *)
 val flush_writer : writer -> unit
 
-(** Split float seconds at the writer resolution (sub-second carry
-    handled); exposed for tests. *)
-val split_ts : nsec:bool -> float -> int * int
+(** Split float seconds into (seconds, nanoseconds) as the writer
+    stores them (sub-second carry handled); exposed for tests. *)
+val split_ts : float -> int * int

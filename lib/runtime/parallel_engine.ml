@@ -3,11 +3,11 @@
     Wraps [jobs] replica {!Engine}s — one per shard, each owning the
     full rule layout of every installed query but only the state of the
     packets its shard key routes to it.  Replay partitions the packet
-    stream with a {!Shard} strategy (order-preserving per shard),
-    processes each shard's stream in fixed-size batches on its own
-    OCaml 5 domain ({!Domain_pool}), and folds the per-shard results
-    back together with {!Merge}: epoch-aligned report concatenation
-    plus ALU-merged sketch state.
+    stream with a {!Shard} strategy, [Flow] or [Branch_key]
+    (order-preserving per shard), processes each shard's stream in
+    fixed-size batches on its own OCaml 5 domain ({!Domain_pool}), and
+    folds the per-shard results back together with {!Merge}:
+    epoch-aligned report concatenation plus ALU-merged sketch state.
 
     With [jobs = 1] the engine degenerates to the sequential
     {!Engine} — same packets, same order, bit-identical reports — which

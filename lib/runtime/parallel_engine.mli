@@ -1,13 +1,13 @@
 (** Domain-pool sharded trace replay.
 
     [jobs] replica {!Engine}s, one per shard; replay partitions packets
-    with a {!Shard} strategy, runs each shard's stream in fixed-size
-    batches on its own OCaml 5 domain, and merges results with {!Merge}
-    (epoch-aligned reports, ALU-merged sketch state).  [jobs = 1] is
-    bit-identical to the sequential {!Engine}.  Divergences of sharded
-    replay (per-shard Bloom false-positive rates, per-shard report
-    budgets, Flow-sharded cross-flow aggregates) are documented in
-    docs/PARALLELISM.md. *)
+    with a {!Shard} strategy ([Flow] or [Branch_key]), runs each
+    shard's stream in fixed-size batches on its own OCaml 5 domain, and
+    merges results with {!Merge} (epoch-aligned reports, ALU-merged
+    sketch state).  [jobs = 1] is bit-identical to the sequential
+    {!Engine}.  Divergences of sharded replay (per-shard Bloom
+    false-positive rates, per-shard report budgets, Flow-sharded
+    cross-flow aggregates) are documented in docs/PARALLELISM.md. *)
 
 open Newton_packet
 open Newton_query

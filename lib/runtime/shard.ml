@@ -10,14 +10,12 @@
       local.  Queries that aggregate {e across} flows (per-[dip]
       counters, say) see split aggregates — fine for throughput replay,
       documented divergence for thresholds (docs/PARALLELISM.md).
-    - [Fields fs] hashes the given header fields' values.
     - [Branch_key c] derives per-branch key extraction from a compiled
       query: a packet is matched against each branch's [newton_init]
       entry and sharded on the {e value} of that branch's aggregation
       keys.  This keeps every aggregate of the query on one shard (the
       Sonata-style partition-by-query-key), so shard-merged results
-      match the sequential engine modulo sketch-collision noise.
-    - [Custom f] is an escape hatch; [f] must be pure. *)
+      match the sequential engine modulo sketch-collision noise. *)
 
 open Newton_packet
 open Newton_sketch
@@ -26,9 +24,7 @@ open Newton_compiler
 
 type strategy =
   | Flow
-  | Fields of Field.t list
   | Branch_key of Compose.t
-  | Custom of (Packet.t -> int)
 
 (* One seed for every strategy so that assignment is stable across
    runs, engines, and OCaml versions. *)
@@ -47,10 +43,6 @@ let flow_hash pkt =
     (Packet.get pkt Field.Proto)
     (Packet.get pkt Field.Src_port)
     (Packet.get pkt Field.Dst_port)
-
-let fields_hash fields pkt =
-  Hash.hash_vector ~seed:shard_seed
-    (Array.of_list (List.map (fun f -> Packet.get pkt f) fields))
 
 (* The aggregation keys of one branch: the keys of the last stateful
    primitive ([Reduce] wins over [Distinct] — reduce keys are the
@@ -108,19 +100,16 @@ let make ~jobs strategy =
   let assign_raw =
     match strategy with
     | Flow -> flow_hash
-    | Fields [] -> invalid_arg "Shard.make: Fields []"
-    | Fields fs -> fields_hash fs
     | Branch_key compiled -> branch_key_hash compiled
-    | Custom f -> f
   in
   { jobs; assign_raw }
 
 let jobs t = t.jobs
 
-(* [land max_int], not [abs]: [abs min_int = min_int] (two's
-   complement has no positive counterpart), so a raw hash of [min_int]
-   would yield a negative shard index.  Masking the sign bit keeps the
-   index in [0, jobs) for every input. *)
+(* Flow and branch-key hashes are never negative ([Hash.chain_fin]
+   shifts right), so the [land max_int] changes no index today; it keeps
+   [assign] in [0, jobs) for any raw hash, where [abs] would not
+   ([abs min_int = min_int]). *)
 let assign t pkt =
   if t.jobs = 1 then 0 else (t.assign_raw pkt land max_int) mod t.jobs
 
@@ -129,8 +118,4 @@ let for_compiled compiled = Branch_key compiled
 
 let strategy_to_string = function
   | Flow -> "flow"
-  | Fields fs ->
-      Printf.sprintf "fields(%s)"
-        (String.concat "," (List.map Field.to_string fs))
   | Branch_key c -> Printf.sprintf "branch-key(%s)" c.Compose.query.Ast.name
-  | Custom _ -> "custom"

@@ -12,17 +12,14 @@ open Newton_compiler
 
 type strategy =
   | Flow  (** 5-tuple hash: every flow's state is shard-local. *)
-  | Fields of Field.t list  (** hash of the given fields' values *)
   | Branch_key of Compose.t
       (** per-branch aggregation-key extraction from a compiled query:
           all state of every aggregate stays on one shard *)
-  | Custom of (Packet.t -> int)  (** must be pure *)
 
 (** A compiled sharder for a fixed shard count. *)
 type t
 
-(** @raise Invalid_argument if [jobs < 1] or the strategy is
-    [Fields []]. *)
+(** @raise Invalid_argument if [jobs < 1]. *)
 val make : jobs:int -> strategy -> t
 
 val jobs : t -> int

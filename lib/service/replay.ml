@@ -1,7 +1,7 @@
 (** The daemon's background replay driver.
 
-    Holds a time-sorted packet array (from a generated trace, a saved
-    trace file or a pcap via [lib/ingest]) and feeds it into
+    Holds a time-sorted packet array (from a generated trace or a
+    pcap/pcapng capture via [lib/ingest]) and feeds it into
     [Deploy.process_packet] in bounded steps between socket events, so
     intents install and withdraw {e while traffic is flowing}.  Pacing
     mirrors the ingest streamer: [Asap] replays as fast as the event
@@ -39,20 +39,8 @@ let of_packets ?(pace = Asap) ~topo ~desc packets =
 let of_trace ?pace ~topo ~desc trace =
   of_packets ?pace ~topo ~desc (Newton_trace.Gen.packets trace)
 
-let has_suffix s suf =
-  let ls = String.length s and lf = String.length suf in
-  ls >= lf && String.sub s (ls - lf) lf = suf
-
 let load ?pace ~topo path =
-  let is_capture =
-    has_suffix path ".pcap" || has_suffix path ".pcapng"
-    || has_suffix path ".cap"
-  in
-  let trace =
-    if is_capture then Newton_ingest.Capture.load path
-    else Newton_trace.Trace_io.load path
-  in
-  of_trace ?pace ~topo ~desc:path trace
+  of_trace ?pace ~topo ~desc:path (Newton_ingest.Capture.load path)
 
 let length t = Array.length t.packets
 let position t = t.pos

@@ -19,9 +19,9 @@ val of_trace :
   ?pace:pace -> topo:Newton_network.Topo.t -> desc:string ->
   Newton_trace.Gen.t -> t
 
-(** Load from disk: [.pcap]/[.pcapng]/[.cap] through the ingest decoder,
-    anything else through [Trace_io].  Raises as those loaders do on
-    unreadable input. *)
+(** Load a pcap or pcapng capture through the ingest decoder (the
+    format is read from the file's magic, not its name).
+    @raise Newton_ingest.Capture.Format_error on unreadable input. *)
 val load : ?pace:pace -> topo:Newton_network.Topo.t -> string -> t
 
 val length : t -> int

@@ -310,29 +310,6 @@ let test_sonata_concurrent_linear () =
     (10 * Sonata_cost.logical_tables q)
     (Sonata_cost.concurrent_tables q 10)
 
-let test_marple_stages_monotone () =
-  checkb "q7 needs more Marple stages than q1" true
-    (Marple_cost.pipeline_stages (Catalog.q7 ())
-    > Marple_cost.pipeline_stages (q1 ()))
-
-let test_marple_backing_store_spill () =
-  Alcotest.(check (float 1e-9)) "no spill when keys fit" 0.0
-    (Marple_cost.backing_store_spill ~on_chip_slots:1000 ~keys:500);
-  checkb "spill grows past capacity" true
-    (Marple_cost.backing_store_spill ~on_chip_slots:1000 ~keys:100_000
-    > Marple_cost.backing_store_spill ~on_chip_slots:1000 ~keys:10_000);
-  Alcotest.(check (float 1e-9)) "spill saturates at 1" 1.0
-    (Marple_cost.backing_store_spill ~on_chip_slots:10 ~keys:10_000_000);
-  checkb "marple also reloads on updates" true Marple_cost.update_requires_reload
-
-let test_newton_beats_static_compilers_on_stages () =
-  List.iter
-    (fun q ->
-      let c = compile q in
-      checkb (Printf.sprintf "Q%d: Newton stages <= Marple estimate" q.Ast.id) true
-        (c.Compose.stats.Compose.stages <= Marple_cost.pipeline_stages q + 2))
-    (Catalog.all ())
-
 let test_newton_beats_sonata_stages () =
   List.iter
     (fun q ->
@@ -365,9 +342,6 @@ let suite =
     ("rules count", `Quick, test_rules_count);
     ("resource usage positive", `Quick, test_resource_usage_positive);
     QCheck_alcotest.to_alcotest qcheck_options_invariants;
-    ("marple stages monotone", `Quick, test_marple_stages_monotone);
-    ("marple backing store spill", `Quick, test_marple_backing_store_spill);
-    ("newton vs static compilers", `Quick, test_newton_beats_static_compilers_on_stages);
     ("sonata tables monotone", `Quick, test_sonata_tables_monotone_in_primitives);
     ("sonata concurrent linear", `Quick, test_sonata_concurrent_linear);
     ("newton beats sonata stages", `Quick, test_newton_beats_sonata_stages);

@@ -104,12 +104,10 @@ let test_split_ts () =
   let check what exp got =
     Alcotest.(check (pair int int)) what exp got
   in
-  check "nsec 2.5" (2, 500_000_000) (Pcap.split_ts ~nsec:true 2.5);
-  check "usec 1.25" (1, 250_000) (Pcap.split_ts ~nsec:false 1.25);
-  check "nsec integer" (7, 0) (Pcap.split_ts ~nsec:true 7.0);
+  check "nsec 2.5" (2, 500_000_000) (Pcap.split_ts 2.5);
+  check "nsec integer" (7, 0) (Pcap.split_ts 7.0);
   (* Sub-second rounding that lands on the next second must carry. *)
-  check "nsec carry" (3, 0) (Pcap.split_ts ~nsec:true 2.999_999_999_9);
-  check "usec carry" (1, 0) (Pcap.split_ts ~nsec:false 0.999_999_9)
+  check "nsec carry" (3, 0) (Pcap.split_ts 2.999_999_999_9)
 
 (* Classic pcap is read in all four magic variants; exercise the
    big-endian microsecond one the writer never produces. *)
@@ -677,6 +675,40 @@ let test_export_reingest_differential () =
         (Printf.sprintf "identical reports under --jobs 2 (Q%d)" qid)
         (run_parallel trace) (run_parallel loaded))
     [ 1; 4 ];
+  Sys.remove path
+
+(* An empty trace exports to a header-only capture that loads back
+   empty. *)
+let test_export_reingest_empty () =
+  let path = tmp "empty.pcap" in
+  Capture.export (Gen.of_packets ~name:"none" [||]) path;
+  checki "empty round-trips" 0 (Gen.length (Capture.load path));
+  Sys.remove path
+
+(* Field values at or above 2^31 survive export and decode: the frame
+   carries 32-bit addresses, and reading them back must not
+   sign-extend bit 31. *)
+let test_export_reingest_high_bit () =
+  let big = [ 0x7FFFFFFF; 0x80000000; 0xDEADBEEF; 0xFFFFFFFF ] in
+  let pkts =
+    List.mapi
+      (fun i v ->
+        let p = Packet.create ~ts:(0.001 *. float_of_int i) () in
+        Packet.set p Field.Src_ip v;
+        Packet.set p Field.Dst_ip v;
+        p)
+      big
+  in
+  let path = tmp "bigvals.pcap" in
+  Capture.export (Gen.of_packets ~name:"big-values" (Array.of_list pkts)) path;
+  let loaded = Capture.load path in
+  checki "packet count" (List.length big) (Gen.length loaded);
+  List.iteri
+    (fun i v ->
+      let q = (Gen.packets loaded).(i) in
+      checki "src_ip" v (Packet.get q Field.Src_ip);
+      checki "dst_ip" v (Packet.get q Field.Dst_ip))
+    big;
   Sys.remove path
 
 (* ---------------- malformed input ---------------- *)
@@ -1296,6 +1328,10 @@ let suite =
       test_export_reingest_extended;
     Alcotest.test_case "export→re-ingest report differential" `Slow
       test_export_reingest_differential;
+    Alcotest.test_case "export→re-ingest: empty trace" `Quick
+      test_export_reingest_empty;
+    Alcotest.test_case "export→re-ingest: field values >= 2^31" `Quick
+      test_export_reingest_high_bit;
     Alcotest.test_case "malformed captures raise clean errors" `Quick
       test_malformed_errors;
     Alcotest.test_case "truncated frame body is a counted skip" `Quick

@@ -262,6 +262,7 @@ let test_shard_branch_key_locality () =
   for dst = 1 to 64 do
     let s1 = Shard.assign sharder (syn ~src:0x0A000001 ~sport:1234 ~dst) in
     let s2 = Shard.assign sharder (syn ~src:0x0A0000FF ~sport:4321 ~dst) in
+    checkb "shard in range" true (s1 >= 0 && s1 < 4);
     checki "same dip, same shard" s1 s2
   done
 

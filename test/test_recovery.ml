@@ -1,6 +1,6 @@
 (** Switch-failure recovery: state-carrying re-placement, the chaos
     differential harness, and the hot-path regressions that rode along
-    (shard assignment, merge-op strictness). *)
+    (merge-op strictness). *)
 
 open Newton_network
 open Newton_controller
@@ -33,22 +33,6 @@ let replay_deploy dep topo trace =
       in
       Deploy.process_packet dep ~src_host ~dst_host pkt)
     trace
-
-(* ---------------- shard assignment (hot-path regression) ---------------- *)
-
-(* [abs min_int = min_int]: a raw hash of [min_int] used to produce a
-   negative shard index and crash the replay engine. *)
-let test_shard_min_int () =
-  let sharder = Shard.make ~jobs:3 (Shard.Custom (fun _ -> min_int)) in
-  let pkt = Newton_packet.Packet.create ~ts:0.0 () in
-  let s = Shard.assign sharder pkt in
-  checkb "in range" true (s >= 0 && s < 3)
-
-let test_shard_negative_raw () =
-  let sharder = Shard.make ~jobs:4 (Shard.Custom (fun _ -> -7)) in
-  let pkt = Newton_packet.Packet.create ~ts:0.0 () in
-  let s = Shard.assign sharder pkt in
-  checkb "in range" true (s >= 0 && s < 4)
 
 (* ---------------- Placement ?usable ---------------- *)
 
@@ -378,8 +362,6 @@ let test_facade_fail_repair () =
 
 let suite =
   [
-    ("shard assign: min_int raw hash", `Quick, test_shard_min_int);
-    ("shard assign: negative raw hash", `Quick, test_shard_negative_raw);
     ("placement: usable blocks failed switch", `Quick, test_placement_usable_blocks_switch);
     ("placement: usable exact = memo", `Quick, test_placement_usable_exact_matches_memo);
     ("absorb_state = ALU merge", `Quick, test_absorb_state_is_alu_merge);

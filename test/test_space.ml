@@ -1,5 +1,5 @@
 (** Tests for the exact packet-space solver ({!Newton_analysis.Space})
-    and the space/shard pass families (NA090–NA095).
+    and the packet-space pass family (NA090–NA094).
 
     The solver is validated two ways: algebraic properties checked
     pointwise against the reference predicate evaluator on random
@@ -647,32 +647,6 @@ let test_na094_quiet_when_covered () =
   checkb "no NA094 when the set covers every packet" false
     (List.exists (fun d -> d.Diag.code = "NA094") ds)
 
-(* ---------------- NA095: shard coverage ---------------- *)
-
-let shard_cfg shard = { Pass.default_config with Pass.shard = Some shard }
-
-let na095 cfg q =
-  List.exists (fun d -> d.Diag.code = "NA095" && d.Diag.severity = Diag.Warning)
-    (Check.check_query ~cfg q)
-
-let test_na095_shard_coverage () =
-  let by_dip = Ast.chain ~id:958 ~name:"per_dst" ~description:"" (tail [ dip ] 5) in
-  checkb "hashing a non-key field splits state" true
-    (na095 (shard_cfg (Pass.Shard_fields [ Field.Src_ip ])) by_dip);
-  checkb "hashing the key field is safe" false
-    (na095 (shard_cfg (Pass.Shard_fields [ Field.Dst_ip ])) by_dip);
-  checkb "flow shard carries its own story" false
-    (na095 (shard_cfg Pass.Shard_flow) by_dip);
-  checkb "custom shard cannot be proven" true
-    (na095 (shard_cfg Pass.Shard_custom) by_dip);
-  (* a masked key hashes unmasked low bits into the domain choice *)
-  let masked = Ast.key ~mask:0xFFFFFF00 Field.Dst_ip in
-  let by_prefix =
-    Ast.chain ~id:959 ~name:"per_prefix" ~description:"" (tail [ masked ] 5)
-  in
-  checkb "masked key under a full-value hash splits state" true
-    (na095 (shard_cfg (Pass.Shard_fields [ Field.Dst_ip ])) by_prefix)
-
 (* ---------------- witness replay sweep over a mutated corpus ------ *)
 
 (* Every catalog intent, plus an unsatisfiable mutant of each (a
@@ -824,7 +798,6 @@ let suite =
      test_na093_quiet_on_disjoint_branches);
     ("NA094 coverage gap + witness", `Quick, test_na094_coverage_gap);
     ("NA094 quiet when covered", `Quick, test_na094_quiet_when_covered);
-    ("NA095 shard coverage", `Quick, test_na095_shard_coverage);
     ("witness replay sweep", `Quick, test_witness_replay_sweep);
     ("stable report order", `Quick, test_stable_report_order);
   ]
