@@ -4,9 +4,9 @@
     through both targets; this bench pins how much slower the
     interpreter side is — the number that bounds differential-run
     time in CI and locally.  Three shapes per query: the engine's
-    packets/s, the interpreter's packets/s over pre-synthesized wire
-    bytes, and the packet-synthesis ({!Newton_p4sim.Phv}) rate that a
-    differential run pays on top.
+    packets/s, the interpreter's packets/s over prebuilt frames, and
+    the rate of {!Newton_p4sim.Diff.wire} ([Encode.frame] plus the
+    [Decode] read-back), which a differential run pays on top.
 
     Results go to the table and a JSON artifact —
     out/bench_p4sim.json or the path in NEWTON_BENCH_P4SIM_JSON. *)
@@ -28,12 +28,12 @@ let run () =
   let packets = Newton_p4sim.Corpus.coverage_packets ~scale () in
   let n = List.length packets in
   Common.note "%d packets (pinned coverage corpus, scale %.2f)" n scale;
-  (* synthesis once: its rate is a shape of its own, and the
+  (* frames once: their rate is a shape of its own, and the
      interpreter shape should not re-pay it per query *)
   let t0 = Unix.gettimeofday () in
   let bytes =
     List.filter_map
-      (fun p -> Result.to_option (Newton_p4sim.Phv.synthesize p))
+      (fun p -> Result.to_option (Newton_p4sim.Diff.wire p))
       packets
   in
   let synth_s = Unix.gettimeofday () -. t0 in
@@ -83,7 +83,8 @@ let run () =
         Newton_query.Catalog.q12 () ]
   in
   Common.T.print t;
-  Common.note "phv synthesis: %.0f packets/s" synth_pps;
+  Common.note "wire frames (Encode.frame + read-back): %.0f packets/s"
+    synth_pps;
   Common.maybe_dat t "p4sim_throughput";
   let open Newton_util.Json in
   let json =

@@ -233,7 +233,7 @@ let cmd_p4_run =
                 exit 1
             | Ok r ->
                 Printf.printf
-                  "Q%d: %d/%d packets interpreted (%d unencodable), %d reports\n"
+                  "Q%d: %d/%d packets interpreted (%d skipped), %d reports\n"
                   q.Query.id r.Newton_p4sim.Diff.replayed
                   r.Newton_p4sim.Diff.total r.Newton_p4sim.Diff.skipped
                   (List.length r.Newton_p4sim.Diff.p4_reports);
@@ -800,6 +800,13 @@ let cmd_chaos =
 
 let cmd_gen =
   let run profile flows seed attacks output =
+    if Filename.check_suffix (String.lowercase_ascii output) ".pcapng" then begin
+      Printf.eprintf
+        "newton gen: %s: gen writes classic pcap, not pcapng; name the \
+         output FILE.pcap\n"
+        output;
+      exit 2
+    end;
     let trace = make_trace profile flows seed attacks in
     (try Ingest.Capture.export trace output
      with Ingest.Capture.Format_error m ->
@@ -810,7 +817,8 @@ let cmd_gen =
   in
   let output_arg =
     Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
+         & info [ "o"; "output" ] ~docv:"FILE"
+             ~doc:"Output pcap file; a $(b,.pcapng) name is refused.")
   in
   Cmd.v
     (Cmd.info "gen"

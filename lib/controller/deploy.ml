@@ -162,15 +162,11 @@ let target_of_placement (p : Placement.t) =
    refuses before any rule is installed (rejection counted).  Capacity
    is judged for the new query alone — saturation by many co-resident
    queries still surfaces at install time, where the rollback path
-   handles it.  [exclude] drops one deployment uid from the peer set
-   (the query an update is about to replace). *)
-let admit_result t ?exclude ?target compiled =
+   handles it. *)
+let admit_result t ?target compiled =
   let deployed =
-    List.filter_map
-      (fun d ->
-        match exclude with
-        | Some uid when uid = d.uid -> None
-        | _ -> Some (d.compiled.Newton_compiler.Compose.query, d.compiled))
+    List.map
+      (fun d -> (d.compiled.Newton_compiler.Compose.query, d.compiled))
       t.deployments
   in
   let diags = Newton_analysis.Check.admission ?target ~deployed compiled in
@@ -242,11 +238,6 @@ let install_deployment ~mode ~edge_switches ~stages_per_switch ~gate_placement
                 latencies := Switch.install_rules t.switches.(s) ~count:rules :: !latencies)
               ds)
           p.Placement.slices;
-        (* Slices beyond any path length run on the analyzer's CPU. *)
-        if p.Placement.num_slices > 0 then begin
-          let lo, _ = Placement.stage_range p p.Placement.num_slices in
-          ignore lo
-        end;
         Some p
   in
   t.deployments <-
@@ -323,7 +314,7 @@ let deploy ?mode ?edge_switches ?stages_per_switch t compiled =
 let undeploy t uid =
   match find_deployment t uid with
   | None -> None
-  | Some dep ->
+  | Some _ ->
       let latencies = ref [ 0.0 ] in
       Array.iteri
         (fun s engine ->
@@ -339,7 +330,6 @@ let undeploy t uid =
             latencies := Switch.remove_rules t.switches.(s) ~count:!removed :: !latencies)
         t.engines;
       t.deployments <- List.filter (fun d -> d.uid <> uid) t.deployments;
-      ignore dep;
       Some (List.fold_left max 0.0 !latencies)
 
 (** Deploy a scheduler plan: every admitted query is recompiled with
@@ -357,45 +347,6 @@ let deploy_plan ?(mode = `Cqe) ?edge_switches ?(stages_per_switch = 12)
       in
       fst (deploy ~mode ?edge_switches ~stages_per_switch t compiled))
     plan.Scheduler.admitted
-
-(** Update = atomic remove + install of a recompiled query (the paper's
-    query-update operation); forwarding is never interrupted.  The
-    replacement is admitted {e before} anything is removed — against
-    the deployed set minus the query being replaced — so a refused
-    update leaves the old deployment running untouched.  [Ok None] for
-    an unknown uid. *)
-let update_checked t uid compiled =
-  match find_deployment t uid with
-  | None -> Ok None
-  | Some _ -> (
-      let target =
-        match
-          Placement.place
-            ~enabled:(fun s -> t.enabled.(s))
-            ~stages_per_switch:12 ~topo:t.topo compiled
-        with
-        | p -> Some (target_of_placement p)
-        | exception _ -> None
-      in
-      match admit_result t ~exclude:uid ?target compiled with
-      | Error diags -> Error diags
-      | Ok _ -> (
-          let lat_rm = Option.value (undeploy t uid) ~default:0.0 in
-          match deploy_checked t compiled with
-          | Ok (uid', lat_in) -> Ok (Some (uid', lat_rm +. lat_in))
-          | Error diags ->
-              (* Only install-time exhaustion can land here (admission
-                 passed just above); the old deployment is gone, as
-                 with any failed rollout. *)
-              Error diags))
-
-(** Exception form of {!update_checked}.
-    @raise Rejected when the replacement fails admission (the old
-    deployment keeps running). *)
-let update t uid compiled =
-  match update_checked t uid compiled with
-  | Ok r -> r
-  | Error diags -> raise (Rejected diags)
 
 (* ---------------- software continuation ---------------- *)
 

@@ -97,19 +97,6 @@ val deploy_plan :
   ?options:Newton_compiler.Decompose.options -> t -> Scheduler.plan ->
   int list
 
-(** Atomic remove + redeploy of a recompiled query, refusals as
-    values.  The replacement is admitted against the deployed set minus
-    the query being replaced {e before} anything is removed, so a
-    refused update leaves the old deployment running.  [Ok None] for an
-    unknown uid. *)
-val update_checked :
-  t -> int -> Newton_compiler.Compose.t ->
-  ((int * float) option, Newton_analysis.Diag.t list) result
-
-(** Exception form of {!update_checked}.
-    @raise Rejected when the replacement fails admission. *)
-val update : t -> int -> Newton_compiler.Compose.t -> (int * float) option
-
 (** Process one packet along the forwarding path between two hosts:
     CQE deployments run slice d at the d-th Newton-enabled hop with the
     context in the SP header (lost across legacy switches); sole

@@ -111,14 +111,14 @@ let split_ts ts =
   in
   if sub >= resol then (sec + 1, 0) else (sec, sub)
 
-let create_writer ?(snaplen = 0xFFFF) oc =
+let create_writer oc =
   let buf = Buffer.create 24 in
   add_u32 buf magic_nsec;
   Buffer.add_uint16_le buf 2;
   Buffer.add_uint16_le buf 4;
   add_u32 buf 0 (* thiszone *);
   add_u32 buf 0 (* sigfigs *);
-  add_u32 buf snaplen;
+  add_u32 buf 0xFFFF (* snaplen *);
   add_u32 buf linktype_ethernet;
   Buffer.output_buffer oc buf;
   Buffer.clear buf;

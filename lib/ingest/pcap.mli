@@ -30,9 +30,9 @@ val read_record : header -> Reader.t -> Reader.frame -> Reader.step
 
 type writer
 
-(** Write a nanosecond-resolution Ethernet pcap global header and
-    return a buffered writer.  [snaplen] defaults to 65535. *)
-val create_writer : ?snaplen:int -> out_channel -> writer
+(** Write a nanosecond-resolution Ethernet pcap global header (snap
+    length 65535) and return a buffered writer. *)
+val create_writer : out_channel -> writer
 
 (** Append one record.  [orig_len] defaults to the captured length.
     @raise Reader.Format_error on a negative timestamp. *)

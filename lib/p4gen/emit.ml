@@ -381,9 +381,9 @@ let emit_parser b =
 (* ---------------- normalization prologue ---------------- *)
 
 (* Projects the parsed wire headers onto the engine's canonical field
-   set.  Must be the exact inverse of P4sim's PHV synthesis on every
-   packet the trace generators produce; the differential harness proves
-   that empirically. *)
+   set.  Must agree with Ingest's Decode on every frame Encode writes
+   for a packet the trace generators produce; the differential harness
+   proves that empirically. *)
 let emit_normalize b =
   buf_add b
     {|        // ---- canonical field normalization ----

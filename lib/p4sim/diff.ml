@@ -1,8 +1,9 @@
 (** Differential harness: the same trace through the simulator engine
     and the interpreted P4 pipeline, asserting report identity.
 
-    For one query it compiles once, installs on both targets, lowers
-    each packet to wire bytes ({!Phv}), replays it through
+    For one query it compiles once, installs on both targets, turns
+    each packet into the Ethernet frame a capture export writes
+    ({!Newton_ingest.Encode.frame}), replays it through
     {!Newton_runtime.Engine.process_packet} and {!Interp.run}, decodes
     the interpreter's digests into {!Newton_query.Report} values, and
     compares the two report multisets.  This is the repo's ground-truth
@@ -18,19 +19,52 @@
     - report dedup is first-occurrence-wins on (window, key vector);
     - [value2] is exported only for [Pair]-combined queries.
 
-    Packets whose field vectors have no wire encoding are skipped on
-    *both* sides (the comparison stays apples-to-apples); the skip
-    counts are part of the result so tests can assert full coverage on
-    curated corpora. *)
+    Packets with no frame the emitted parser reads back faithfully
+    (see {!wire}) are skipped on *both* sides (the comparison stays
+    apples-to-apples); the skip counts are part of the result so tests
+    can assert full coverage on curated corpora. *)
 
 open Newton_packet
 open Newton_query
+
+type skip = No_faithful_frame | Outside_parser
+
+let skip_to_string = function
+  | No_faithful_frame -> "no faithful frame"
+  | Outside_parser -> "outside the emitted parser"
+
+(* The headers newton.p4 cannot parse although Decode can: no inner
+   IPv6, DNS or non-L4 state under a tunnel (for a tunneled non-L4
+   packet the normalizer would keep the outer UDP length as
+   payload_len), and each IP version selects only its own ICMP. *)
+let outside_parser pkt =
+  let g = Packet.get pkt in
+  let proto = g Field.Proto and v6 = g Field.Ip_ver = 6 in
+  if g Field.Tun_id <> 0 then
+    v6
+    || g Field.Dns_qr <> 0
+    || g Field.Dns_ancount <> 0
+    || not
+         (proto = Field.Protocol.tcp || proto = Field.Protocol.udp
+        || proto = Field.Protocol.icmp)
+  else if v6 then proto = Field.Protocol.icmp
+  else proto = Field.Protocol.icmpv6
+
+let wire pkt =
+  let frame = Newton_ingest.Encode.frame pkt in
+  match Newton_ingest.Decode.frame ~ts:(Packet.ts pkt) frame with
+  | Newton_ingest.Decode.Decoded back
+    when List.for_all (fun f -> Packet.get back f = Packet.get pkt f) Field.all
+    ->
+      if outside_parser pkt then Error Outside_parser
+      else Ok (Bytes.unsafe_to_string frame)
+  | _ -> Error No_faithful_frame
 
 type outcome = {
   query_id : int;
   total : int;  (** packets offered *)
   replayed : int;  (** packets run on both targets *)
-  skipped : int;  (** packets with no wire encoding *)
+  skipped : int;  (** packets {!wire} skips *)
   skip_reasons : (string * int) list;
   engine_reports : Report.t list;
   p4_reports : Report.t list;
@@ -66,7 +100,7 @@ let report_to_string (r : Report.t) =
 
 let describe r =
   let head =
-    Printf.sprintf "q%d: %d/%d packets replayed (%d unencodable), %d vs %d reports"
+    Printf.sprintf "q%d: %d/%d packets replayed (%d skipped), %d vs %d reports"
       r.query_id r.replayed r.total r.skipped
       (List.length r.engine_reports)
       (List.length r.p4_reports)
@@ -144,10 +178,10 @@ let run_query ?class_id ?(layout = Newton_p4gen.Emit.default_layout) query
       List.iter
         (fun pkt ->
           incr total;
-          match Phv.synthesize pkt with
+          match wire pkt with
           | Error why ->
               incr skipped;
-              let key = Phv.error_to_string why in
+              let key = skip_to_string why in
               Hashtbl.replace skips key
                 (1 + Option.value (Hashtbl.find_opt skips key) ~default:0)
           | Ok bytes ->

@@ -428,7 +428,7 @@ and apply_table t env tbl =
 
 (* ---------------- parser execution ---------------- *)
 
-(* MSB-first bit cursor over the synthesized bytes. *)
+(* MSB-first bit cursor over the frame bytes. *)
 let read_bits bytes pos n =
   let v = ref 0 in
   for _ = 1 to n do
@@ -497,7 +497,7 @@ let parse_packet t env bytes =
 
 (* ---------------- packet execution ---------------- *)
 
-(** Run one packet (as synthesized bytes) through the pipeline,
+(** Run one packet (as Ethernet frame bytes) through the pipeline,
     following recirculations; returns the digest records emitted, in
     order.  Each digest is the evaluated field tuple of the emitted
     [newton_report_t]. *)

@@ -1,5 +1,5 @@
-(** Interpreter for the emitted v1model subset: parses synthesized
-    bytes into headers, runs the ingress apply block against
+(** Interpreter for the emitted v1model subset: parses Ethernet
+    frame bytes into headers, runs the ingress apply block against
     runtime-installed table entries, models the register/hash/digest
     externs with the engine's exact semantics, and follows
     [recirculate_preserving_field_list] loops. *)

@@ -58,14 +58,7 @@ let resolve_spec t ~name spec =
   | Api.Catalog n -> (
       match Newton_query.Catalog.find n with
       | Some q -> Ok q
-      | None -> (
-          match
-            List.find_opt
-              (fun q -> q.Newton_query.Ast.id = n)
-              (Newton_query.Catalog.extras ())
-          with
-          | Some q -> Ok q
-          | None -> Error (Printf.sprintf "unknown catalog query q%d" n)))
+      | None -> Error (Printf.sprintf "unknown catalog query q%d" n))
   | Api.Dsl text ->
       let id = dsl_query_id t.next_id in
       let name =

@@ -11,10 +11,10 @@
 
     [Withdrawn] and [Failed] are terminal.  Transitions are checked —
     an intent can never become [Active] without having been [Placed] —
-    and every transition is timestamped, so operators can read the full
-    admission/installation history off [status].  Diagnostics from the
-    static-analysis admission gate ride on the intent, as do the
-    install/uninstall latencies the dataplane reported. *)
+    and every transition is timestamped in {!history}.  Diagnostics
+    from the static-analysis admission gate ride on the intent, as do
+    the install/uninstall latencies the dataplane reported; [status]
+    returns those with the state and times ({!info}), not the history. *)
 
 open Newton_util
 

@@ -161,15 +161,6 @@ let test_deploy_and_undeploy () =
   checkb "gone" true (Deploy.find_deployment ctl uid = None);
   Alcotest.(check (option (float 1.0))) "double undeploy" None (Deploy.undeploy ctl uid)
 
-let test_deploy_update () =
-  let ctl = Deploy.create (Topo.linear 2) in
-  let uid, _ = Deploy.deploy ctl (q1 ()) in
-  match Deploy.update ctl uid (compile (Newton_query.Catalog.q1 ~th:50 ())) with
-  | Some (uid', lat) ->
-      checkb "new uid" true (uid' <> uid);
-      checkb "update latency ms-scale" true (lat > 0.0 && lat < 0.1)
-  | None -> Alcotest.fail "update failed"
-
 let test_sole_mode_installs_everywhere () =
   let topo = Topo.linear 3 in
   let ctl = Deploy.create topo in
@@ -370,7 +361,6 @@ let suite =
     ("deploy capacity rollback", `Quick, test_deploy_capacity_rollback);
     ("deploy plan", `Quick, test_deploy_plan);
     ("deploy and undeploy", `Quick, test_deploy_and_undeploy);
-    ("deploy update", `Quick, test_deploy_update);
     ("sole mode installs everywhere", `Quick, test_sole_mode_installs_everywhere);
     ("cqe flat vs sole linear", `Quick, test_cqe_messages_flat_sole_linear);
     ("sp overhead counted", `Quick, test_sp_overhead_counted);

@@ -67,14 +67,14 @@ let test_pcap_roundtrip_bits () =
       stamps
   in
   let oc = open_out_bin path in
-  let w = Pcap.create_writer ~snaplen:2222 oc in
+  let w = Pcap.create_writer oc in
   List.iter (fun (ts, d) -> Pcap.write_record w ~ts d) datas;
   Pcap.flush_writer w;
   close_out oc;
   let h, (recs, clean) = with_in path pcap_records in
   checkb "little-endian" false h.Pcap.big_endian;
   checkb "nanosecond" true h.Pcap.nsec;
-  checki "snaplen" 2222 h.Pcap.snaplen;
+  checki "snaplen" 0xFFFF h.Pcap.snaplen;
   checki "linktype" Pcap.linktype_ethernet h.Pcap.linktype;
   checkb "clean end" true clean;
   checki "record count" (List.length datas) (List.length recs);
@@ -89,7 +89,7 @@ let test_pcap_roundtrip_bits () =
      byte for byte. *)
   let path2 = tmp "rt2.pcap" in
   let oc = open_out_bin path2 in
-  let w = Pcap.create_writer ~snaplen:h.Pcap.snaplen oc in
+  let w = Pcap.create_writer oc in
   List.iter
     (fun (ts, data, orig_len) -> Pcap.write_record w ~ts ~orig_len data)
     recs;

@@ -1,5 +1,5 @@
-(** Tests for the P4 interpreter subsystem: program parsing, packet
-    synthesis, rule-document round-trips, and the differential harness
+(** Tests for the P4 interpreter subsystem: program parsing, wire
+    frames, rule-document round-trips, and the differential harness
     proving the interpreted pipeline reports exactly what the
     simulator engine reports on the pinned mixed corpus. *)
 
@@ -64,33 +64,138 @@ let test_bad_rule_document_rejected () =
     (try ignore (P4rules.of_json "{\"not\":\"an array\"}"); false
      with P4rules.Bad_document _ -> true)
 
-(* ---------------- packet synthesis ---------------- *)
+(* ---------------- wire frames ---------------- *)
 
-let test_phv_typed_errors () =
-  let expect what err pkt =
-    match Phv.synthesize pkt with
-    | Error e -> Alcotest.(check string) what err (Phv.error_to_string e)
-    | Ok _ -> Alcotest.failf "%s: expected %s" what err
+let make = Newton_packet.Packet.make
+
+(* One packet per skip condition, each with a frame Decode reads back
+   exactly unless the reason says otherwise. *)
+let test_wire_skip_reasons () =
+  let expect what reason pkt =
+    match Diff.wire pkt with
+    | Error why ->
+        Alcotest.(check string) what (Diff.skip_to_string reason)
+          (Diff.skip_to_string why)
+    | Ok _ -> Alcotest.failf "%s: expected a skip" what
   in
-  expect "dns needs port 53"
-    (Phv.error_to_string Phv.Dns_without_port_53)
-    (Newton_packet.Packet.make ~proto:17 ~src_port:1234 ~dst_port:4444
-       ~dns_qr:1 ());
-  expect "tunnels are v4-only"
-    (Phv.error_to_string Phv.Tunnel_over_ipv6)
-    (Newton_packet.Packet.make ~ip_ver:6 ~proto:17 ~tun_id:9 ());
-  expect "ip version is 4 or 6"
-    (Phv.error_to_string (Phv.Bad_ip_version 5))
-    (Newton_packet.Packet.make ~ip_ver:5 ())
+  expect "tunneled IPv6" Diff.Outside_parser
+    (make ~ip_ver:6 ~proto:17 ~tun_id:9 ());
+  expect "tunneled DNS" Diff.Outside_parser
+    (make ~proto:17 ~src_port:1234 ~dst_port:53 ~dns_qr:1 ~dns_ancount:2
+       ~pkt_len:48 ~payload_len:20 ~tun_id:9 ());
+  expect "inner protocol without an L4 header" Diff.Outside_parser
+    (make ~proto:50 ~tun_id:9 ());
+  expect "ICMPv6 over IPv4" Diff.Outside_parser
+    (make ~proto:58 ~icmp_type:128 ~pkt_len:28 ());
+  expect "DNS fields off port 53" Diff.No_faithful_frame
+    (make ~proto:17 ~src_port:1234 ~dst_port:4444 ~dns_qr:1 ());
+  expect "TCP length no header carries" Diff.No_faithful_frame
+    (make ~proto:6 ~pkt_len:64 ~payload_len:30 ())
 
-let test_phv_corpus_fully_encodable () =
-  (* Every packet the generator can produce has a wire encoding. *)
-  let n_bad = ref 0 in
+(* Count reports per distinct key vector: with threshold 0 every new
+   key in a window reports once. *)
+let keyed_query ~id fields =
+  let keys = Newton_query.Ast.keys fields in
+  Newton_query.Ast.chain ~id ~name:(Printf.sprintf "keyed%d" id)
+    ~description:""
+    [
+      Newton_query.Ast.Map keys;
+      Newton_query.Ast.Reduce { keys; agg = Newton_query.Ast.Count };
+      Newton_query.Ast.Filter [ Newton_query.Ast.result_gt 0 ];
+      Newton_query.Ast.Map keys;
+    ]
+
+(* The ingress port rides an 802.1Q tag in the frame; the parser steps
+   over the tag and the port comes from switch metadata. *)
+let test_wire_keeps_ingress_port () =
+  let pkt =
+    make ~proto:6 ~src_port:1000 ~dst_port:80 ~pkt_len:40 ~payload_len:0
+      ~ingress_port:7 ()
+  in
+  (match Diff.wire pkt with
+  | Ok frame ->
+      checki "802.1Q tag" 0x8100
+        (String.get_uint16_be frame 12)
+  | Error why -> Alcotest.failf "skipped: %s" (Diff.skip_to_string why));
+  match
+    Diff.run_query
+      (keyed_query ~id:901 [ Newton_packet.Field.Ingress_port ])
+      [ pkt ]
+  with
+  | Error _ -> Alcotest.fail "no rule encoding"
+  | Ok r ->
+      checki "kept" 1 r.Diff.replayed;
+      checkb "identical" true (Diff.matched r);
+      checkb "the port is the report key" true
+        (List.map (fun (rep : Newton_query.Report.t) -> rep.keys)
+           r.Diff.p4_reports
+        = [ [| 7 |] ])
+
+(* Field vectors drawn from few shapes with stray values mixed in, so
+   both skip reasons and every parser path occur. *)
+let random_packets ~seed n =
+  let rng = Random.State.make [| seed |] in
+  let int bound = Random.State.int rng bound in
+  let word () = Random.State.bits rng lor (int 4 lsl 30) in
+  let pick a = a.(int (Array.length a)) in
+  let stray v = if int 8 = 0 then v else 0 in
+  List.init n (fun i ->
+      let proto = pick [| 1; 6; 17; 58; 47; 50 |] in
+      let tcp = proto = 6 and icmp = proto = 1 || proto = 58 in
+      let l4 = tcp || proto = 17 in
+      let port () = if l4 then pick [| 53; 80; 4789; int 0x10000 |] else stray 53 in
+      let payload = pick [| 0; 0; 12; 100; 1400 |] in
+      let hdr =
+        pick [| 20; 28; 40; 48; 52; 60; 64; 80 |] + if tcp then pick [| 0; 20 |] else 0
+      in
+      let ip_ver = pick [| 4; 4; 4; 6; 6; 5 |] in
+      make ~ts:(float_of_int i *. 0.001) ~src_ip:(word ()) ~dst_ip:(word ())
+        ~proto ~src_port:(port ()) ~dst_port:(port ())
+        ~tcp_flags:(if tcp then int 0x100 else stray 2)
+        ~tcp_seq:(if tcp then word () else stray 1)
+        ~tcp_ack:(if tcp then word () else stray 1)
+        ~pkt_len:(hdr + payload + if ip_ver = 6 then 20 else 0)
+        ~payload_len:(if l4 || icmp then payload else stray payload)
+        ~ttl:(int 0x100)
+        ~dns_qr:(if proto = 17 then int 2 else stray 1)
+        ~dns_ancount:(if proto = 17 then pick [| 0; 1; 3 |] else stray 1)
+        ~ingress_port:(pick [| 0; 0; int 0x200 |])
+        ~ip_ver
+        ~icmp_type:(if icmp then int 0x100 else stray 8)
+        ~icmp_code:(if icmp then int 0x100 else stray 1)
+        ~tun_id:(pick [| 0; 0; 1 + int 0xFFFFFF |])
+        ())
+
+(* Every kept random vector reports identically on both targets, under
+   two queries that together key on all 18 fields. *)
+let test_random_vector_differential () =
+  let fields = Newton_packet.Field.all in
+  let first = List.filteri (fun i _ -> i < 9) fields in
+  let second = Newton_packet.Field.Src_ip :: List.filteri (fun i _ -> i >= 9) fields in
+  List.iter
+    (fun seed ->
+      let packets = random_packets ~seed 3000 in
+      List.iter
+        (fun (id, keys) ->
+          match Diff.run_query (keyed_query ~id keys) packets with
+          | Error _ -> Alcotest.fail "no rule encoding"
+          | Ok r ->
+              let what = Printf.sprintf "seed %d query %d" seed id in
+              checkb (what ^ ": some kept") true (r.Diff.replayed > 0);
+              checkb (what ^ ": some skipped") true (r.Diff.skipped > 0);
+              if not (Diff.matched r) then
+                Alcotest.failf "%s diverged: %s" what (Diff.describe r))
+        [ (902, first); (903, second) ])
+    [ 1; 2 ]
+
+let test_corpus_frames_all_kept () =
+  (* Every packet the generator can produce runs on both targets. *)
+  let n_skipped = ref 0 in
   List.iter
     (fun pkt ->
-      match Phv.synthesize pkt with Ok _ -> () | Error _ -> incr n_bad)
+      match Diff.wire pkt with Ok _ -> () | Error _ -> incr n_skipped)
     (Corpus.coverage_packets ~scale:0.02 ());
-  checki "unencodable packets" 0 !n_bad
+  checki "skipped packets" 0 !n_skipped
 
 (* ---------------- the differential ---------------- *)
 
@@ -109,7 +214,7 @@ let test_differential_all_queries () =
             (Newton_p4gen.Rules.issue_to_string issue)
       | Ok r ->
           checki
-            (Printf.sprintf "Q%d: all packets encodable" q.Newton_query.Ast.id)
+            (Printf.sprintf "Q%d: no packet skipped" q.Newton_query.Ast.id)
             0 r.Diff.skipped;
           checkb
             (Printf.sprintf "Q%d: engine actually reports"
@@ -240,8 +345,10 @@ let suite =
     ("parse rejects garbage", `Quick, test_parse_rejects_garbage);
     ("rules json round trip", `Quick, test_rules_json_round_trip);
     ("bad rule document rejected", `Quick, test_bad_rule_document_rejected);
-    ("phv typed errors", `Quick, test_phv_typed_errors);
-    ("phv corpus fully encodable", `Quick, test_phv_corpus_fully_encodable);
+    ("wire skip reasons", `Quick, test_wire_skip_reasons);
+    ("wire keeps the ingress port", `Quick, test_wire_keeps_ingress_port);
+    ("random-vector differential", `Quick, test_random_vector_differential);
+    ("corpus frames all kept", `Quick, test_corpus_frames_all_kept);
     ("differential detects divergence", `Quick, test_differential_detects_divergence);
     ("differential all queries", `Slow, test_differential_all_queries);
   ]

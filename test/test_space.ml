@@ -573,11 +573,10 @@ let replay_passes (q : Ast.t) pkt =
            (fun (r : Newton_p4gen.Rules.entry) ->
              r.Newton_p4gen.Rules.table <> "newton_recirc")
            rules);
-      match Newton_p4sim.Phv.synthesize pkt with
+      match Newton_p4sim.Diff.wire pkt with
       | Error why ->
           Alcotest.fail
-            ("witness not wire-encodable: "
-            ^ Newton_p4sim.Phv.error_to_string why)
+            ("witness has no frame: " ^ Newton_p4sim.Diff.skip_to_string why)
       | Ok bytes ->
           ignore
             (Newton_p4sim.Interp.run interp
