@@ -106,6 +106,88 @@ let test_recycled_arrays_start_clean () =
   List.iter (fun c -> ignore (Engine.install fresh c)) compiled;
   checkb "recycled engine replays like a fresh one" true (replay used = replay fresh)
 
+(* ---------------- split vs whole suites ----------------
+
+   One stage per switch cuts every H->S->R suite across switches, so
+   each CQE slice runs its modules one slot at a time; one engine
+   holding the whole chain runs each suite in one piece.  Both must
+   report the same (window, keys) multiset with no software deferral,
+   and every state bank must hold the same registers on both sides. *)
+
+let registers arr = Newton_sketch.Register_array.fold (fun acc v -> v :: acc) [] arr
+
+(* A combine reads the sibling branch's bank.  Cut at one stage per
+   switch, that bank sits on another switch and the read sees 0 (the
+   state dispersion of paper §7), so such an intent's reports may
+   differ from the whole chain's (Q6 and Q7 do on this trace); its
+   banks are still compared. *)
+let reads_sibling_bank (c : Newton_compiler.Compose.t) =
+  Array.exists
+    (List.exists (fun (s : Newton_compiler.Ir.slot) ->
+         match s.Newton_compiler.Ir.cfg with
+         | Newton_compiler.Ir.S_cfg { op = Newton_compiler.Ir.S_read _; _ } -> true
+         | _ -> false))
+    c.Newton_compiler.Compose.branches
+
+let test_split_suites_match_whole () =
+  let packets =
+    trace ~attacks:Newton_trace.Attack.extended_suite ~seed:17 ~flows:1_500
+  in
+  List.iter
+    (fun (q : Newton_query.Ast.t) ->
+      let compiled = Newton_compiler.Compose.compile q in
+      let name = Printf.sprintf "Q%d" q.Newton_query.Ast.id in
+      let whole = Engine.create ~switch_id:0 () in
+      ignore (Engine.install whole compiled);
+      let stages = compiled.Newton_compiler.Compose.stats.Newton_compiler.Compose.stages in
+      let split = Deploy.create (Topo.linear stages) in
+      ignore (Deploy.deploy ~mode:`Cqe ~stages_per_switch:1 split compiled);
+      let src_host, dst_host =
+        match Topo.hosts (Deploy.topo split) with
+        | [ a; b ] -> (a, b)
+        | _ -> Alcotest.failf "%s: linear topology without two hosts" name
+      in
+      Array.iter
+        (fun pkt ->
+          Engine.process_packet whole pkt;
+          Deploy.process_packet split ~src_host ~dst_host pkt)
+        packets;
+      (* An instance rolls its window only when a packet reaches it, so
+         roll every side to the last timestamp before reading banks. *)
+      let last_ts = Newton_packet.Packet.ts packets.(Array.length packets - 1) in
+      Engine.maybe_roll_window whole last_ts;
+      for s = 0 to stages - 1 do
+        Engine.maybe_roll_window (Deploy.engine split s) last_ts
+      done;
+      let multiset reports =
+        List.sort compare
+          (List.map
+             (fun r -> (r.Newton_query.Report.window, r.Newton_query.Report.keys))
+             reports)
+      in
+      checkb (name ^ ": no software deferral") true (Deploy.software_deferrals split = 0);
+      if not (reads_sibling_bank compiled) then
+        checkb (name ^ ": equal report multisets") true
+          (multiset (Engine.reports whole) = multiset (Deploy.all_reports split));
+      (* Switch [s] runs stage [s] of packets from the first host to
+         the last; its other slices serve the reverse path. *)
+      let split_arrays =
+        List.concat_map
+          (fun s ->
+            List.concat_map
+              (fun i -> if Engine.instance_stage_lo i = s then Engine.instance_arrays i else [])
+              (Engine.instances (Deploy.engine split s)))
+          (List.init stages Fun.id)
+      in
+      List.iter
+        (fun ((b, p, s), arr) ->
+          let bank = Printf.sprintf "%s: bank (%d,%d,%d)" name b p s in
+          match List.assoc_opt (b, p, s) split_arrays with
+          | Some arr' -> checkb (bank ^ " registers") true (registers arr = registers arr')
+          | None -> Alcotest.failf "%s missing from the split deployment" bank)
+        (List.concat_map Engine.instance_arrays (Engine.instances whole)))
+    catalog
+
 (* ---------------- uid index ---------------- *)
 
 (* [find_instance] answers exactly what a scan of [instances] in
@@ -211,6 +293,7 @@ let suite =
     ("device step minor words per packet", `Quick, test_device_minor_words);
     ("CQE walk minor words per packet", `Quick, test_cqe_minor_words);
     ("recycled register arrays start clean", `Quick, test_recycled_arrays_start_clean);
+    ("split suites replay like whole ones", `Quick, test_split_suites_match_whole);
     QCheck_alcotest.to_alcotest qcheck_engine_index;
     QCheck_alcotest.to_alcotest qcheck_deploy_index;
   ]
