@@ -116,19 +116,29 @@ let max_ext_hops = 8
 let[@inline] need lim off n = if off + n > lim then skipf Truncated
 
 (* Ethernet type walk from an ethertype position, hopping over at most
-   two VLAN tags (QinQ).  Returns (l3 offset, ethertype, innermost
-   nonzero VID): for stacked 802.1ad/802.1Q tags the innermost customer
-   tag is the one that identifies the port. *)
+   two VLAN tags (QinQ).  Returns the l3 offset, the ethertype and the
+   innermost nonzero VID (for stacked 802.1ad/802.1Q tags the innermost
+   customer tag is the one that identifies the port), packed into one
+   int so the walk allocates nothing: [off lsl 28 lor et lsl 12 lor
+   vid], read back with [walk_off], [walk_et] and [walk_vid].  An
+   offset has 34 bits, far past any capture buffer. *)
 let rec eth_walk data lim off hops =
   need lim off 2;
   let et = u16 data off in
   if (et = ethertype_vlan || et = ethertype_qinq) && hops < 2 then begin
     need lim off 6;
-    let o, et', inner_vid = eth_walk data lim (off + 4) (hops + 1) in
-    let own = u16 data (off + 2) land 0xFFF in
-    (o, et', if inner_vid <> 0 then inner_vid else own)
+    let inner = eth_walk data lim (off + 4) (hops + 1) in
+    if inner land 0xFFF <> 0 then inner else inner lor (u16 data (off + 2) land 0xFFF)
   end
-  else (off + 2, et, 0)
+  else ((off + 2) lsl 28) lor (et lsl 12)
+
+let[@inline] walk_off r = r lsr 28
+let[@inline] walk_et r = (r lsr 12) land 0xFFFF
+let[@inline] walk_vid r = r land 0xFFF
+
+(* Bytes a GRE optional word adds when its flag is set in [fl]; top
+   level, as a closure over [fl] would be allocated per frame. *)
+let[@inline] gre_opt fl mask = if fl land mask <> 0 then 4 else 0
 
 (* Mutually recursive over one level of decapsulation: [depth] is 0 for
    the outer packet, 1 inside a tunnel (no further decap). *)
@@ -239,12 +249,11 @@ and parse_gre data lim w ~l4_off ~l4_len =
   (* RFC 2784/2890: only C/K/S flags, version 0; anything else is a
      header we would misparse. *)
   if fl land lnot 0xB000 <> 0 then skipf Malformed;
-  let opt mask = if fl land mask <> 0 then 4 else 0 in
-  let hdr = 4 + opt 0x8000 + opt 0x2000 + opt 0x1000 in
+  let hdr = 4 + gre_opt fl 0x8000 + gre_opt fl 0x2000 + gre_opt fl 0x1000 in
   if hdr > l4_len then skipf Malformed;
   need lim l4_off hdr;
   if fl land 0x2000 <> 0 then
-    put w f_tun_id m_tun_id (u32 data (l4_off + 4 + opt 0x8000));
+    put w f_tun_id m_tun_id (u32 data (l4_off + 4 + gre_opt fl 0x8000));
   let et = u16 data (l4_off + 2) in
   if et = ethertype_ipv4 || et = ethertype_ipv6 then
     parse_l3 data lim w ~et ~off:(l4_off + hdr) ~depth:1
@@ -269,9 +278,9 @@ and parse_vxlan data lim w ~off =
     Array.unsafe_set w f_payload_len 0;
     (* Inner Ethernet frame. *)
     need lim (off + 8) 14;
-    let ip_off, et, vid = eth_walk data lim (off + 8 + 12) 0 in
-    if vid <> 0 then put w f_ingress_port m_ingress_port vid;
-    parse_l3 data lim w ~et ~off:ip_off ~depth:1
+    let r = eth_walk data lim (off + 8 + 12) 0 in
+    if walk_vid r <> 0 then put w f_ingress_port m_ingress_port (walk_vid r);
+    parse_l3 data lim w ~et:(walk_et r) ~off:(walk_off r) ~depth:1
   end
 
 (** Decode the Ethernet frame [data] holds from [off], [len] bytes
@@ -282,14 +291,14 @@ let frame_at ~linktype ~ts data off len =
   else
     let lim = off + len in
     match
-      let ip_off, et, vid = eth_walk data lim (off + 12) 0 in
+      let r = eth_walk data lim (off + 12) 0 in
       (* Allocated inline on the minor heap: a literal holding one
          non-constant (the VID, in slot [f_ingress_port] = 13) is built
          in place, where an all-constant one is a C call to copy. *)
       let w =
-        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; vid land m_ingress_port; 0; 0; 0; 0 |]
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; walk_vid r land m_ingress_port; 0; 0; 0; 0 |]
       in
-      parse_l3 data lim w ~et ~off:ip_off ~depth:0;
+      parse_l3 data lim w ~et:(walk_et r) ~off:(walk_off r) ~depth:0;
       w
     with
     | w -> Decoded (Packet.of_array ~ts w)

@@ -61,37 +61,49 @@ end)
    when there is none.  A K slot then only writes ints into its own
    buffer, and the step stores no pointer per packet. *)
 
+(* The parts of an H->S->R suite, each compiled once.  A chain runs a
+   part alone in its own slot, or all three in one [C_suite] slot when
+   the suite's modules are consecutive in the hosted chain; the step
+   runs either through one helper per part. *)
+type hpart =
+  | H_direct of { keys : int array }
+  | H_hash of {
+      seed : int;
+      range : int;
+      mask : int;  (* [range - 1] for a power-of-two range, else -1 *)
+      keys : int array;
+    }
+
+(* One state-bank kind per ALU, run on the array's cells by the step
+   itself with [Register_array.exec]'s bounds check and op count. *)
+type spart =
+  | S_pass
+  | S_or1 of { arr : Register_array.t }                  (* Bloom bit: Alu.Or 1 *)
+  | S_add of { arr : Register_array.t; k : int }         (* Alu.Add k *)
+  | S_max of { arr : Register_array.t; k : int }         (* Alu.Max k *)
+  | S_add_field of { arr : Register_array.t; fidx : int }
+  | S_max_field of { arr : Register_array.t; fidx : int }
+  | S_read of { arr : Register_array.t }
+  | S_read_remote  (* the read array is not hosted here: reads 0 *)
+
+type rpart = {
+  r_merge : (Ir.acc * Ir.merge_op) option;
+  r_combine : Ir.merge_op option;
+  r_guard : (Ir.guard_target * Ast.cmp_op * int) option;
+  r_report : bool;
+  r_keys : int array;  (* the reported operation keys *)
+}
+
 type cslot =
   | C_key of {
       ck_fidx : int array;   (* dense field indices *)
       ck_masks : int array;
       ck_buf : int array;    (* reused projection buffer *)
     }
-  | C_hash_direct of { chd_meta : int; chd_keys : int array }
-  | C_hash of {
-      ch_meta : int;
-      ch_seed : int;
-      ch_range : int;
-      ch_mask : int;  (* [ch_range - 1] for a power-of-two range, else -1 *)
-      ch_keys : int array;
-    }
-  | C_s_pass of { csp_meta : int }
-  | C_s_alu of {
-      csa_meta : int;
-      csa_arr : Register_array.t;
-      csa_alu : Alu.t;       (* prebuilt: Or 1 (Bloom), Add/Max const *)
-    }
-  | C_s_add_field of { caf_meta : int; caf_arr : Register_array.t; caf_fidx : int }
-  | C_s_max_field of { cmf_meta : int; cmf_arr : Register_array.t; cmf_fidx : int }
-  | C_s_read of { csr_meta : int; csr_arr : Register_array.t option }
-  | C_r of {
-      cr_meta : int;
-      cr_merge : (Ir.acc * Ir.merge_op) option;
-      cr_combine : Ir.merge_op option;
-      cr_guard : (Ir.guard_target * Ast.cmp_op * int) option;
-      cr_report : bool;
-      cr_keys : int array;   (* the reported operation keys *)
-    }
+  | C_hash of { meta : int; h : hpart }
+  | C_state of { meta : int; s : spart }
+  | C_result of { meta : int; r : rpart }
+  | C_suite of { meta : int; h : hpart; s : spart; r : rpart }
 
 type cbranch = {
   (* newton_init entry as parallel arrays (no per-check pointer chase) *)
@@ -248,11 +260,36 @@ let instance_array i key = Hashtbl.find_opt i.arrays key
    exactly when [range] is a power of two. *)
 let range_mask range = if range > 0 && range land (range - 1) = 0 then range - 1 else -1
 
+let hash_part ~key_buf mode range =
+  match mode with
+  | `Direct -> H_direct { keys = key_buf }
+  | `Hash seed -> H_hash { seed; range; mask = range_mask range; keys = key_buf }
+
+let state_part arrays (s : Ir.slot) op =
+  let own_array () = Hashtbl.find arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
+  match op with
+  | Ir.S_pass -> S_pass
+  | Ir.S_bf -> S_or1 { arr = own_array () }
+  | Ir.S_cm (Ir.Const k) -> S_add { arr = own_array (); k }
+  | Ir.S_cm (Ir.Field_val f) -> S_add_field { arr = own_array (); fidx = Field.index f }
+  | Ir.S_max (Ir.Const k) -> S_max { arr = own_array (); k }
+  | Ir.S_max (Ir.Field_val f) -> S_max_field { arr = own_array (); fidx = Field.index f }
+  | Ir.S_read { ar_branch; ar_prim; ar_suite } -> (
+      (* Reads the sibling branch's array when hosted locally; a remote
+         array (CQE slicing) reads as 0 — the state-dispersion
+         limitation of §7, which NA071 warns of at admission. *)
+      match Hashtbl.find_opt arrays (ar_branch, ar_prim, ar_suite) with
+      | Some arr -> S_read { arr }
+      | None -> S_read_remote)
+
+let result_part ~key_buf ({ merge; guard; report; combine } : Ir.r_cfg) =
+  { r_merge = merge; r_combine = combine; r_guard = guard; r_report = report;
+    r_keys = (if report then key_buf else [||]) }
+
 (* [key_buf] is the projection buffer of the K slot in effect at [s]'s
    chain position for its metadata set. *)
 let compile_slot arrays ~key_buf (s : Ir.slot) =
-  let m = s.Ir.meta in
-  let own_array () = Hashtbl.find arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
+  let meta = s.Ir.meta in
   match s.Ir.cfg with
   | Ir.K_cfg keys ->
       let fidx =
@@ -260,52 +297,46 @@ let compile_slot arrays ~key_buf (s : Ir.slot) =
       in
       let masks = Array.of_list (List.map (fun (k : Ast.key) -> k.Ast.mask) keys) in
       C_key { ck_fidx = fidx; ck_masks = masks; ck_buf = Array.make (Array.length fidx) 0 }
-  | Ir.H_cfg { mode = `Direct; _ } -> C_hash_direct { chd_meta = m; chd_keys = key_buf }
-  | Ir.H_cfg { mode = `Hash seed; range } ->
-      C_hash
-        { ch_meta = m; ch_seed = seed; ch_range = range; ch_mask = range_mask range;
-          ch_keys = key_buf }
-  | Ir.S_cfg { op; _ } -> (
-      match op with
-      | Ir.S_pass -> C_s_pass { csp_meta = m }
-      | Ir.S_bf ->
-          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Or 1 }
-      | Ir.S_cm (Ir.Const k) ->
-          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Add k }
-      | Ir.S_cm (Ir.Field_val f) ->
-          C_s_add_field
-            { caf_meta = m; caf_arr = own_array (); caf_fidx = Field.index f }
-      | Ir.S_max (Ir.Const k) ->
-          C_s_alu { csa_meta = m; csa_arr = own_array (); csa_alu = Alu.Max k }
-      | Ir.S_max (Ir.Field_val f) ->
-          C_s_max_field
-            { cmf_meta = m; cmf_arr = own_array (); cmf_fidx = Field.index f }
-      | Ir.S_read { ar_branch; ar_prim; ar_suite } ->
-          (* Reads the sibling branch's array when hosted locally; a
-             remote array (CQE slicing) reads as 0 and the analyzer
-             refines — the state-dispersion limitation of §7. *)
-          C_s_read
-            { csr_meta = m;
-              csr_arr = Hashtbl.find_opt arrays (ar_branch, ar_prim, ar_suite) })
-  | Ir.R_cfg { merge; guard; report; combine } ->
-      C_r
-        { cr_meta = m; cr_merge = merge; cr_combine = combine; cr_guard = guard;
-          cr_report = report; cr_keys = (if report then key_buf else [||]) }
+  | Ir.H_cfg { mode; range } -> C_hash { meta; h = hash_part ~key_buf mode range }
+  | Ir.S_cfg { op; _ } -> C_state { meta; s = state_part arrays s op }
+  | Ir.R_cfg r -> C_result { meta; r = result_part ~key_buf r }
 
+(* [a] and [b] belong to one suite and use one metadata set. *)
+let same_suite (a : Ir.slot) (b : Ir.slot) =
+  a.Ir.branch = b.Ir.branch && a.Ir.prim = b.Ir.prim && a.Ir.suite = b.Ir.suite
+  && a.Ir.meta = b.Ir.meta
+
+(* A suite whose H, S and R follow each other in the hosted chain
+   compiles to one [C_suite] slot; a suite a CQE cut splits keeps one
+   slot per hosted module.  No slot runs between a suite's modules and
+   neither H nor S can stop a packet, so both forms run the same
+   updates in the same order. *)
 let compile_branch arrays (entry : Ir.init_entry) slots =
   let ms = Array.of_list entry.Ir.ie_matches in
   (* per metadata set, the buffer of the chain-latest K compiled so far *)
   let in_effect = [| [||]; [||] |] in
-  let compile s =
-    let c = compile_slot arrays ~key_buf:in_effect.(s.Ir.meta) s in
-    (match c with C_key { ck_buf; _ } -> in_effect.(s.Ir.meta) <- ck_buf | _ -> ());
-    c
+  let rec compile = function
+    | [] -> []
+    | ({ Ir.cfg = Ir.H_cfg { mode; range }; meta; _ } as h)
+      :: ({ Ir.cfg = Ir.S_cfg { op; _ }; _ } as s)
+      :: ({ Ir.cfg = Ir.R_cfg rc; _ } as r)
+      :: rest
+      when same_suite h s && same_suite h r ->
+        let key_buf = in_effect.(meta) in
+        C_suite
+          { meta; h = hash_part ~key_buf mode range; s = state_part arrays s op;
+            r = result_part ~key_buf rc }
+        :: compile rest
+    | s :: rest ->
+        let c = compile_slot arrays ~key_buf:in_effect.(s.Ir.meta) s in
+        (match c with C_key { ck_buf; _ } -> in_effect.(s.Ir.meta) <- ck_buf | _ -> ());
+        c :: compile rest
   in
   {
     cbm_fidx = Array.map (fun (f, _, _) -> Field.index f) ms;
     cbm_value = Array.map (fun (_, v, _) -> v) ms;
     cbm_mask = Array.map (fun (_, _, m) -> m) ms;
-    cb_slots = Array.of_list (List.map compile slots);
+    cb_slots = Array.of_list (compile slots);
   }
 
 (* A zeroed register array of [size]: a removed instance's if one is
@@ -545,7 +576,7 @@ let direct_value keys =
 
 (* Int-typed throughout: the polymorphic [min]/[max] would compile to
    a [compare_val] C call per merge. *)
-let merge_value op (acc : int) (v : int) =
+let[@inline] merge_value op (acc : int) (v : int) =
   match op with
   | Ir.M_set -> v
   | Ir.M_min -> if acc <= v then acc else v
@@ -678,6 +709,119 @@ let emit t inst (c : Ctx.t) keys w ts =
     end
   end
 
+(* ---------------- one suite's modules ----------------
+
+   The step runs every module in this module: under [-opaque] a call
+   into another compilation unit is never inlined, and a curried one
+   of three arguments goes through [caml_apply3].  The lone H, S and R
+   slots and the fused suite slot share these helpers; only the hash
+   chain itself ([Hash.hash_vector]) is called out. *)
+
+let[@inline] hash_value = function
+  | H_direct { keys } -> direct_value keys
+  | H_hash { seed; range; mask; keys } ->
+      let h = Hash.hash_vector ~seed keys in
+      if mask >= 0 then h land mask else h mod range
+
+(* Out-of-range indices raise from here, out of [step]: calling
+   [Register_array] there would put a [caml_apply3] in it.  Constant
+   ALUs report as "exec", field-valued ones as "add" and "max". *)
+let[@inline never] index_error fn arr idx : int = Register_array.index_error fn arr idx
+let[@inline never] read_error arr idx = Register_array.get arr idx
+
+(* One ALU execution at [idx]: bounds-checked and counted in [ops] as
+   [Register_array.exec] does. *)
+let[@inline] count_op fn (arr : Register_array.t) idx =
+  if idx < 0 || idx >= arr.Register_array.size then ignore (index_error fn arr idx);
+  arr.Register_array.ops <- arr.Register_array.ops + 1
+
+(* [Alu.Add v]: the new value. *)
+let[@inline] alu_add fn (arr : Register_array.t) idx v =
+  count_op fn arr idx;
+  let regs = arr.Register_array.regs in
+  let r = Array.unsafe_get regs idx + v in
+  Array.unsafe_set regs idx r;
+  r
+
+(* [Alu.Max v]: the new value. *)
+let[@inline] alu_max fn (arr : Register_array.t) idx v =
+  count_op fn arr idx;
+  let regs = arr.Register_array.regs in
+  let cur = Array.unsafe_get regs idx in
+  let r = if v > cur then v else cur in
+  Array.unsafe_set regs idx r;
+  r
+
+(* The state result of bank [s] indexed by the hash result [idx]. *)
+let[@inline] state_value s (words : Packet.words) base idx =
+  match s with
+  | S_pass -> idx
+  | S_or1 { arr } ->
+      (* [Alu.Or 1]: the previous value *)
+      count_op "exec" arr idx;
+      let regs = arr.Register_array.regs in
+      let prev = Array.unsafe_get regs idx in
+      Array.unsafe_set regs idx (prev lor 1);
+      prev
+  | S_add { arr; k } -> alu_add "exec" arr idx k
+  | S_max { arr; k } -> alu_max "exec" arr idx k
+  | S_add_field { arr; fidx } ->
+      alu_add "add" arr idx (Bigarray.Array1.unsafe_get words (base + fidx))
+  | S_max_field { arr; fidx } ->
+      alu_max "max" arr idx (Bigarray.Array1.unsafe_get words (base + fidx))
+  | S_read { arr } ->
+      if idx < 0 || idx >= arr.Register_array.size then read_error arr idx
+      else Array.unsafe_get arr.Register_array.regs idx
+  | S_read_remote -> 0
+
+(* [Ast.cmp_holds], in-module. *)
+let[@inline] cmp_holds op (a : int) (b : int) =
+  match op with
+  | Ast.Eq -> a = b
+  | Ast.Neq -> a <> b
+  | Ast.Gt -> a > b
+  | Ast.Ge -> a >= b
+  | Ast.Lt -> a < b
+  | Ast.Le -> a <= b
+
+(* R: merge the state result into an accumulator, combine, then guard
+   (a failed guard stops the packet) or report. *)
+let[@inline] run_result t inst (c : Ctx.t) meta r w ts =
+  (match r.r_merge with
+  | Some (Ir.G1, op) -> c.Ctx.g1 <- merge_value op c.Ctx.g1 c.Ctx.state.(meta)
+  | Some (Ir.G2, op) -> c.Ctx.g2 <- merge_value op c.Ctx.g2 c.Ctx.state.(meta)
+  | None -> ());
+  (match r.r_combine with
+  | Some op -> c.Ctx.g1 <- merge_value op c.Ctx.g1 c.Ctx.g2
+  | None -> ());
+  let passes =
+    match r.r_guard with
+    | None -> true
+    | Some (target, op, value) ->
+        let v =
+          match target with
+          | Ir.On_state -> c.Ctx.state.(meta)
+          | Ir.On_g1 -> c.Ctx.g1
+          | Ir.On_g2 -> c.Ctx.g2
+        in
+        cmp_holds op v value
+  in
+  if not passes then begin
+    c.Ctx.stopped <- true;
+    t.tally.guard_stops <- t.tally.guard_stops + 1
+  end
+  else if r.r_report then emit t inst c r.r_keys w ts
+
+(* [Ctx.reset], in-module. *)
+let[@inline] reset_ctx (c : Ctx.t) =
+  c.Ctx.hash.(0) <- 0;
+  c.Ctx.hash.(1) <- 0;
+  c.Ctx.state.(0) <- 0;
+  c.Ctx.state.(1) <- 0;
+  c.Ctx.g1 <- 0;
+  c.Ctx.g2 <- 0;
+  c.Ctx.stopped <- false
+
 (* The one slot executor: run the packet whose field words start at
    [base] in [words], with timestamp [tss.(i)], through [inst]'s compiled
    branches.  The first matching branch rolls the instance's window.
@@ -719,7 +863,7 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
       let nslots = Array.length cb.cb_slots in
       if nslots > 0 then begin
         let c = if !b = 0 then ctx0 else inst.bctx in
-        if fresh || !b > 0 then Ctx.reset c;
+        if fresh || !b > 0 then reset_ctx c;
         let si = ref 0 in
         while (not c.Ctx.stopped) && !si < nslots do
           (match Array.unsafe_get cb.cb_slots !si with
@@ -730,65 +874,23 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
                   (Bigarray.Array1.unsafe_get words (base + Array.unsafe_get ck_fidx j)
                   land Array.unsafe_get ck_masks j)
               done
-          | C_hash_direct { chd_meta; chd_keys } ->
+          | C_suite { meta; h; s; r } ->
               tl.hits_h <- tl.hits_h + 1;
-              c.Ctx.hash.(chd_meta) <- direct_value chd_keys
-          | C_hash { ch_meta; ch_seed; ch_range; ch_mask; ch_keys } ->
-              tl.hits_h <- tl.hits_h + 1;
-              let h = Hash.hash_vector ~seed:ch_seed ch_keys in
-              c.Ctx.hash.(ch_meta) <- (if ch_mask >= 0 then h land ch_mask else h mod ch_range)
-          | C_s_pass { csp_meta } ->
               tl.hits_s <- tl.hits_s + 1;
-              c.Ctx.state.(csp_meta) <- c.Ctx.hash.(csp_meta)
-          | C_s_alu { csa_meta; csa_arr; csa_alu } ->
-              tl.hits_s <- tl.hits_s + 1;
-              c.Ctx.state.(csa_meta) <-
-                Register_array.exec csa_arr csa_alu c.Ctx.hash.(csa_meta)
-          | C_s_add_field { caf_meta; caf_arr; caf_fidx } ->
-              tl.hits_s <- tl.hits_s + 1;
-              c.Ctx.state.(caf_meta) <-
-                Register_array.add caf_arr c.Ctx.hash.(caf_meta)
-                  (Bigarray.Array1.unsafe_get words (base + caf_fidx))
-          | C_s_max_field { cmf_meta; cmf_arr; cmf_fidx } ->
-              tl.hits_s <- tl.hits_s + 1;
-              c.Ctx.state.(cmf_meta) <-
-                Register_array.max cmf_arr c.Ctx.hash.(cmf_meta)
-                  (Bigarray.Array1.unsafe_get words (base + cmf_fidx))
-          | C_s_read { csr_meta; csr_arr } ->
-              tl.hits_s <- tl.hits_s + 1;
-              c.Ctx.state.(csr_meta) <-
-                (match csr_arr with
-                | Some arr -> Register_array.get arr c.Ctx.hash.(csr_meta)
-                | None -> 0)
-          | C_r { cr_meta; cr_merge; cr_combine; cr_guard; cr_report; cr_keys } ->
               tl.hits_r <- tl.hits_r + 1;
-              (match cr_merge with
-              | Some (acc, op) -> (
-                  let v = c.Ctx.state.(cr_meta) in
-                  match acc with
-                  | Ir.G1 -> c.Ctx.g1 <- merge_value op c.Ctx.g1 v
-                  | Ir.G2 -> c.Ctx.g2 <- merge_value op c.Ctx.g2 v)
-              | None -> ());
-              (match cr_combine with
-              | Some op -> c.Ctx.g1 <- merge_value op c.Ctx.g1 c.Ctx.g2
-              | None -> ());
-              let passes =
-                match cr_guard with
-                | None -> true
-                | Some (target, op, value) ->
-                    let v =
-                      match target with
-                      | Ir.On_state -> c.Ctx.state.(cr_meta)
-                      | Ir.On_g1 -> c.Ctx.g1
-                      | Ir.On_g2 -> c.Ctx.g2
-                    in
-                    Ast.cmp_holds op v value
-              in
-              if not passes then begin
-                c.Ctx.stopped <- true;
-                tl.guard_stops <- tl.guard_stops + 1
-              end
-              else if cr_report then emit t inst c cr_keys !window ts);
+              let hv = hash_value h in
+              c.Ctx.hash.(meta) <- hv;
+              c.Ctx.state.(meta) <- state_value s words base hv;
+              run_result t inst c meta r !window ts
+          | C_hash { meta; h } ->
+              tl.hits_h <- tl.hits_h + 1;
+              c.Ctx.hash.(meta) <- hash_value h
+          | C_state { meta; s } ->
+              tl.hits_s <- tl.hits_s + 1;
+              c.Ctx.state.(meta) <- state_value s words base c.Ctx.hash.(meta)
+          | C_result { meta; r } ->
+              tl.hits_r <- tl.hits_r + 1;
+              run_result t inst c meta r !window ts);
           incr si
         done;
         if !b = 0 then stopped0 := c.Ctx.stopped

@@ -7,11 +7,15 @@
     deduplication.
 
     {!install} compiles each instance once into a flat program: dense
-    field indices, direct register-array references, prebuilt ALUs,
-    per-branch classifier triples, and each H/R slot bound to the key
-    buffer of the K slot in effect at its chain position; a
-    power-of-two hash range reduces with a mask.  One step runs that program over a
-    packet's field words; {!process_flat}, {!process_packet} and
+    field indices, direct register-array references, one state-bank
+    slot kind per ALU, per-branch classifier triples, and each H/R slot
+    bound to the key buffer of the K slot in effect at its chain
+    position; a power-of-two hash range reduces with a mask.  An H, S
+    and R of one suite that follow each other in the hosted chain
+    compile to one slot; a suite a CQE cut splits keeps one slot per
+    module.  One step runs that program over a packet's field words,
+    executing the ALUs on the register cells, the guards and the
+    context resets itself; {!process_flat}, {!process_packet} and
     {!process_instance} are drivers of this one compiled step, so they
     share report dedup, the mirror budget and window rolls, and fold
     counter telemetry into the sink once per call.

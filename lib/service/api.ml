@@ -175,7 +175,7 @@ type response =
   | Refused of { id : int; diags : Newton_analysis.Diag.t list }
   | Withdrawn_ok of { id : int; latency : float }
   | Intent_list of Intent.info list
-  | Intent_status of Intent.info
+  | Intent_status of { info : Intent.info; history : (Intent.state * float) list }
   | Stats_payload of { format : stats_format; body : string }
   | Recovery_done of recovery_info option
   | Stopping
@@ -260,12 +260,22 @@ let response_to_json = function
           ("kind", Json.String "intents");
           ("intents", Json.List (List.map Intent.info_to_json infos));
         ]
-  | Intent_status info ->
+  | Intent_status { info; history } ->
       Json.Obj
         [
           ("ok", Json.Bool true);
           ("kind", Json.String "intent");
           ("intent", Intent.info_to_json info);
+          ( "history",
+            Json.List
+              (List.map
+                 (fun (state, at) ->
+                   Json.Obj
+                     [
+                       ("state", Json.String (Intent.state_to_string state));
+                       ("at_us", us_of_s at);
+                     ])
+                 history) );
         ]
   | Stats_payload { format; body } ->
       Json.Obj
@@ -341,7 +351,30 @@ let response_of_json j =
               | _, (Error _ as e) -> e)
             (Ok []) items
           |> Result.map (fun is -> Intent_list (List.rev is)))
-  | Some "intent" -> Result.map (fun i -> Intent_status i) (intent_member ())
+  | Some "intent" ->
+      let* info = intent_member () in
+      let entry e =
+        match
+          ( Option.bind (Option.bind (Json.member "state" e) Json.to_string_opt)
+              Intent.state_of_string,
+            Option.bind (Json.member "at_us" e) s_of_us )
+        with
+        | Some state, Some at -> Ok (state, at)
+        | _ -> Error "intent: bad \"history\" entry"
+      in
+      let* history =
+        match Option.bind (Json.member "history" j) Json.to_list with
+        | None -> Error "intent: missing \"history\" array"
+        | Some items ->
+            List.fold_left
+              (fun acc e ->
+                let* hs = acc in
+                let* h = entry e in
+                Ok (h :: hs))
+              (Ok []) items
+            |> Result.map List.rev
+      in
+      Ok (Intent_status { info; history })
   | Some "stats" ->
       let* format =
         match
@@ -407,8 +440,13 @@ let response_summary = function
   | Intent_list [] -> "no intents"
   | Intent_list infos ->
       String.concat "\n" (List.map Intent.info_to_string infos)
-  | Intent_status info ->
-      Json.to_string (Intent.info_to_json info)
+  | Intent_status { info; history } ->
+      String.concat "\n"
+        (Json.to_string (Intent.info_to_json info)
+        :: List.map
+             (fun (state, at) ->
+               Printf.sprintf "  %-9s at %.6f" (Intent.state_to_string state) at)
+             history)
   | Stats_payload { body; _ } -> body
   | Recovery_done None -> "no-op (switch already in that state)"
   | Recovery_done (Some r) ->

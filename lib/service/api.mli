@@ -59,7 +59,9 @@ type response =
       (** submit refused; the intent is [Failed] with these diagnostics *)
   | Withdrawn_ok of { id : int; latency : float }
   | Intent_list of Intent.info list
-  | Intent_status of Intent.info
+  | Intent_status of { info : Intent.info; history : (Intent.state * float) list }
+      (** the intent's summary and every state it entered with the
+          time it entered it, oldest first ({!Intent.history}) *)
   | Stats_payload of { format : stats_format; body : string }
   | Recovery_done of recovery_info option
       (** [None] when the switch was already in the requested state *)

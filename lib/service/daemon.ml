@@ -195,7 +195,9 @@ let handle t request =
   | Api.List_intents -> Api.Intent_list (intents t)
   | Api.Status id -> (
       match Hashtbl.find_opt t.intents id with
-      | Some intent -> Api.Intent_status (intent_info (report_counts t) intent)
+      | Some intent ->
+          Api.Intent_status
+            { info = intent_info (report_counts t) intent; history = Intent.history intent }
       | None ->
           Api.Error_resp
             {

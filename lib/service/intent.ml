@@ -14,7 +14,7 @@
     and every transition is timestamped in {!history}.  Diagnostics
     from the static-analysis admission gate ride on the intent, as do
     the install/uninstall latencies the dataplane reported; [status]
-    returns those with the state and times ({!info}), not the history. *)
+    returns those with the state and times ({!info}) and the history. *)
 
 open Newton_util
 

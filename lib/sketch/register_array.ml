@@ -26,32 +26,15 @@ let set t idx v =
   if idx < 0 || idx >= t.size then invalid_arg "Register_array.set: index out of range";
   t.regs.(idx) <- v
 
-(* Bounds-check one ALU execution at [idx] and count it. *)
-let count_op t fn idx =
-  if idx < 0 || idx >= t.size then
-    invalid_arg
-      (Printf.sprintf "Register_array.%s: index %d out of range [0,%d)" fn idx t.size);
-  t.ops <- t.ops + 1
+let index_error fn t idx =
+  invalid_arg
+    (Printf.sprintf "Register_array.%s: index %d out of range [0,%d)" fn idx t.size)
 
 (** Execute a stateful ALU at [idx]; returns the ALU result. *)
 let exec t alu idx =
-  count_op t "exec" idx;
+  if idx < 0 || idx >= t.size then index_error "exec" t idx;
+  t.ops <- t.ops + 1;
   Alu.exec alu t.regs idx
-
-(** [exec t (Alu.Add v) idx] without building the ALU value. *)
-let add t idx v =
-  count_op t "add" idx;
-  let r = t.regs.(idx) + v in
-  t.regs.(idx) <- r;
-  r
-
-(** [exec t (Alu.Max v) idx] without building the ALU value. *)
-let max t idx v =
-  count_op t "max" idx;
-  let cur = t.regs.(idx) in
-  let r = if v > cur then v else cur in
-  t.regs.(idx) <- r;
-  r
 
 let clear t = Array.fill t.regs 0 t.size 0
 

@@ -4,7 +4,16 @@
     fixed-size, word-wide registers, one transactional ALU execution per
     packet.  Windowed queries reset arrays via {!clear}. *)
 
-type t
+(** Exposed so the engine's compiled step can run its state banks'
+    ALUs on [regs] without a call per packet.  Such a caller keeps the
+    contract of {!exec}: check the index against [size] (raising
+    {!index_error} when it is out of range) and bump [ops] once per
+    ALU execution. *)
+type t = {
+  size : int;
+  regs : int array; (** [size] registers *)
+  mutable ops : int; (** lifetime ALU executions *)
+}
 
 (** @raise Invalid_argument if the size is not positive. *)
 val create : int -> t
@@ -23,12 +32,11 @@ val set : t -> int -> int -> unit
     @raise Invalid_argument when the index is out of range. *)
 val exec : t -> Alu.t -> int -> int
 
-(** [add t idx v] = [exec t (Alu.Add v) idx]: same bounds check and
-    op count, no {!Alu.t} built (field-valued Count-Min increments). *)
-val add : t -> int -> int -> int
-
-(** [max t idx v] = [exec t (Alu.Max v) idx] (field-valued maxima). *)
-val max : t -> int -> int -> int
+(** [index_error fn t idx] raises the [Invalid_argument] that the ALU
+    entry point named [fn] reports for the out-of-range index [idx]
+    ("Register_array.exec: index 9 out of range [0,8)").
+    @raise Invalid_argument always. *)
+val index_error : string -> t -> int -> 'a
 
 (** Zero every register (window reset). *)
 val clear : t -> unit

@@ -468,6 +468,46 @@ let test_decode_encode_extended () =
   checkb "trace exercises tunnels" true (!saw_tun > 0);
   checkb "trace exercises icmpv6" true (!saw_icmp6 > 0)
 
+(* Decoding allocates the packet and nothing else: the field words, the
+   packet record and the result, 24 minor words per frame on 64-bit
+   OCaml.  The frames are the extended corpus, plain, VXLAN- and
+   GRE-tunneled and behind a QinQ stack, laid out in one buffer and
+   decoded in place. *)
+let test_decode_minor_words () =
+  let frames =
+    List.concat_map
+      (fun p ->
+        [ Encode.frame p; Encode.frame ~tunnel:`Vxlan p; Encode.frame ~tunnel:`Gre p;
+          push_svlan_tags 2 500 (Encode.frame p) ])
+      (Array.to_list (Gen.packets (extended_trace ())))
+  in
+  let buf = Bytes.concat Bytes.empty frames in
+  let spans =
+    Array.of_list
+      (List.rev
+         (snd
+            (List.fold_left
+               (fun (off, acc) f -> (off + Bytes.length f, (off, Bytes.length f) :: acc))
+               (0, []) frames)))
+  in
+  let decoded = ref 0 in
+  (* a reading boxes its float: take that out of the total *)
+  let reading =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length spans - 1 do
+    let off, len = spans.(i) in
+    match Decode.frame_at ~linktype:Pcap.linktype_ethernet ~ts:0.0 buf off len with
+    | Decode.Decoded _ -> incr decoded
+    | Decode.Skipped _ -> ()
+  done;
+  let words = (Gc.minor_words () -. before -. reading) /. float_of_int !decoded in
+  checki "every frame decodes" (Array.length spans) !decoded;
+  checkb (Printf.sprintf "%.1f minor words per decoded frame <= 24" words) true
+    (words <= 24.0)
+
 (* In-place decode is copied decode: a frame embedded at an offset in a
    larger buffer, random bytes before and after it, decodes exactly as
    the frame copied out on its own — and neither ever raises.  The
@@ -1318,6 +1358,8 @@ let suite =
       test_decode_width_masks;
     Alcotest.test_case "decode∘encode: extended corpus (v6/icmp6/tunnels)"
       `Quick test_decode_encode_extended;
+    Alcotest.test_case "decode allocates only the packet" `Quick
+      test_decode_minor_words;
     Alcotest.test_case "in-place decode = decode of the copy (property)"
       `Quick test_decode_in_place;
     Alcotest.test_case "tunneled flows attribute to the inner 5-tuple" `Quick

@@ -187,7 +187,13 @@ let test_response_roundtrips () =
       Api.Withdrawn_ok { id = 9; latency = 0.0061 };
       Api.Intent_list [];
       Api.Intent_list [ sample_info (); sample_info ~state:Intent.Failed () ];
-      Api.Intent_status (sample_info ~state:Intent.Failed ());
+      Api.Intent_status
+        {
+          info = sample_info ~state:Intent.Failed ();
+          history =
+            [ (Intent.Submitted, 1754650000.123456); (Intent.Analyzed, 1754650000.2);
+              (Intent.Failed, 1754650000.300001) ];
+        };
       Api.Stats_payload { format = Api.Prometheus_format; body = "# HELP x\n" };
       Api.Recovery_done None;
       Api.Recovery_done
@@ -269,11 +275,44 @@ let test_submit_withdraw_lifecycle () =
   | Api.Error_resp { code; _ } -> checks "second withdraw" "bad-state" code
   | other -> Alcotest.fail (Api.response_summary other));
   match Daemon.handle d (Api.Status 1) with
-  | Api.Intent_status info ->
+  | Api.Intent_status { info; _ } ->
       checkb "status shows withdrawn" true
         (info.Intent.i_state = Intent.Withdrawn);
       checkb "uninstall latency recorded" true
         (info.Intent.i_uninstall_latency <> None)
+  | other -> Alcotest.fail (Api.response_summary other)
+
+(* [status] returns every state the intent entered, oldest first, each
+   stamped with the daemon clock: it starts at the summary's submit
+   time, enters [active] at its install time and ends at its finish
+   time, and it survives the wire codec. *)
+let test_status_history () =
+  let d = make_daemon () in
+  (match Daemon.handle d (Api.Submit { spec = Api.Catalog 4; name = None }) with
+  | Api.Accepted _ -> ()
+  | other -> Alcotest.fail (Api.response_summary other));
+  (match Daemon.handle d (Api.Withdraw 1) with
+  | Api.Withdrawn_ok _ -> ()
+  | other -> Alcotest.fail (Api.response_summary other));
+  match Daemon.handle d (Api.Status 1) with
+  | Api.Intent_status { info; history } as r ->
+      Alcotest.(check (list string))
+        "states, oldest first"
+        [ "submitted"; "analyzed"; "placed"; "active"; "withdrawn" ]
+        (List.map (fun (s, _) -> Intent.state_to_string s) history);
+      let times = List.map snd history in
+      checkb "times never go back" true
+        (List.for_all2 ( <= ) (List.filteri (fun i _ -> i < 4) times) (List.tl times));
+      checkb "starts at the submit time" true
+        (List.hd times = info.Intent.i_submitted_at);
+      checkb "ends at the finish time" true
+        (Some (List.nth times 4) = info.Intent.i_finished_at);
+      checkb "active at the install time" true
+        (Some (List.nth times 3) = info.Intent.i_installed_at);
+      (* times travel as whole microseconds: compare the lines *)
+      let line = Api.response_to_line r in
+      checkb "round-trips the wire" true
+        (Result.map Api.response_to_line (Api.response_of_line line) = Ok line)
   | other -> Alcotest.fail (Api.response_summary other)
 
 let test_rejected_intent_fails_with_diags () =
@@ -287,7 +326,7 @@ let test_rejected_intent_fails_with_diags () =
         (List.exists (fun g -> g.Newton_analysis.Diag.code = "NA030") diags)
   | other -> Alcotest.fail (Api.response_summary other));
   match Daemon.handle d (Api.Status 1) with
-  | Api.Intent_status info ->
+  | Api.Intent_status { info; _ } ->
       checkb "failed" true (info.Intent.i_state = Intent.Failed);
       checkb "diags ride on the intent" true
         (List.exists
@@ -499,6 +538,8 @@ let suite =
     Alcotest.test_case "request of tokens" `Quick test_request_of_tokens;
     Alcotest.test_case "submit/withdraw lifecycle" `Quick
       test_submit_withdraw_lifecycle;
+    Alcotest.test_case "status returns the lifecycle history" `Quick
+      test_status_history;
     Alcotest.test_case "rejected intent fails with diags" `Quick
       test_rejected_intent_fails_with_diags;
     Alcotest.test_case "unknown ids are errors" `Quick

@@ -130,24 +130,18 @@ let test_reg_array_exec_counts_ops () =
   ignore (Register_array.exec a (Alu.Add 1) 1);
   checki "two ops" 2 (Register_array.ops a)
 
-(* The field-valued ALU entry points behave as [exec] with the built
-   ALU: same results, registers, op counts and bounds check. *)
-let test_reg_array_add_max_match_exec () =
-  let a = Register_array.create 4 and b = Register_array.create 4 in
-  List.iter
-    (fun (idx, v) ->
-      checki "add" (Register_array.exec a (Alu.Add v) idx) (Register_array.add b idx v);
-      checki "max" (Register_array.exec a (Alu.Max v) idx) (Register_array.max b idx v))
-    [ (0, 5); (1, -3); (0, 2); (3, 1 lsl 40); (1, 7) ];
-  for i = 0 to 3 do
-    checki "register" (Register_array.get a i) (Register_array.get b i)
-  done;
-  checki "ops" (Register_array.ops a) (Register_array.ops b);
-  checkb "add bounds" true
-    (try ignore (Register_array.add b 4 1); false with Invalid_argument _ -> true);
-  checkb "max bounds" true
-    (try ignore (Register_array.max b (-1) 1); false with Invalid_argument _ -> true);
-  checki "rejected ops not counted" (Register_array.ops a) (Register_array.ops b)
+(* An out-of-range ALU execution names the entry point, the index and
+   the size, and is not counted. *)
+let test_reg_array_exec_bounds () =
+  let a = Register_array.create 4 in
+  ignore (Register_array.exec a (Alu.Add 1) 3);
+  Alcotest.check_raises "exec out of range"
+    (Invalid_argument "Register_array.exec: index 4 out of range [0,4)") (fun () ->
+      ignore (Register_array.exec a (Alu.Add 1) 4));
+  Alcotest.check_raises "exec negative"
+    (Invalid_argument "Register_array.exec: index -1 out of range [0,4)") (fun () ->
+      ignore (Register_array.exec a (Alu.Max 1) (-1)));
+  checki "rejected ops not counted" 1 (Register_array.ops a)
 
 let test_reg_array_clear_and_occupancy () =
   let a = Register_array.create 8 in
@@ -307,7 +301,7 @@ let suite =
     ("register array basic", `Quick, test_reg_array_basic);
     ("register array bounds", `Quick, test_reg_array_bounds);
     ("register array op count", `Quick, test_reg_array_exec_counts_ops);
-    ("register array add/max = exec", `Quick, test_reg_array_add_max_match_exec);
+    ("register array exec bounds", `Quick, test_reg_array_exec_bounds);
     ("register array clear/occupancy", `Quick, test_reg_array_clear_and_occupancy);
     ("register array sram bytes", `Quick, test_reg_array_sram_bytes);
     ("register array rejects nonpositive", `Quick, test_reg_array_rejects_nonpositive);
