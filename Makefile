@@ -1,6 +1,6 @@
 # Conventional entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-check examples doc clean data ci check p4-diff
+.PHONY: all build test bench bench-check examples doc clean data ci check p4-diff unused-vals
 
 # Maximum shard count the parallel replay bench measures (powers of two
 # up to this value); see EXPERIMENTS.md.
@@ -52,6 +52,13 @@ check:
 # must produce identical report multisets (docs/P4GEN.md).
 p4-diff:
 	dune exec bin/newton_cli.exe -- p4 diff --all --coverage-corpus
+
+# Name-level scan of lib/**/*.mli: how many exported values no program
+# code (lib, bin, bench, perfbench, examples) names outside their own
+# module, and how many of those no test names either.  Reports only;
+# `python3 scripts/unused_vals.py --list` names them.
+unused-vals:
+	@python3 scripts/unused_vals.py
 
 # Exactly what .github/workflows/ci.yml runs: artifact-hygiene guard,
 # .mli interface guard, build, tests, static analysis, example

@@ -51,22 +51,31 @@ let gather_queries ids dsl =
       | Ok all -> Ok all
       | Error m -> Error m)
 
-(* Static-analysis gate for the execution commands: error-severity
-   intents are rejected with diagnostics (exit 2), never a backtrace
-   from deeper in the pipeline. *)
-let reject_invalid qs =
-  let diags = Analysis.Check.check_queries qs in
-  if Analysis.Diag.has_errors diags then begin
-    prerr_endline
-      (Analysis.Check.explain
-         (List.filter
-            (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error)
-            diags));
-    prerr_endline
-      "newton: rejected by static analysis (run `newton check` for the full \
-       report)";
-    exit 2
-  end
+(* The admission every install runs (Check.admit): each query is
+   compiled and analysed once against the queries admitted before it,
+   as peers and co-residents.  A refused intent prints its errors and
+   exits 2, never a backtrace from deeper in the pipeline.  Returns the
+   queries with their compiled programs, in order. *)
+let admit_all qs =
+  let admit admitted q =
+    match
+      Analysis.Check.admit
+        ~peers:(List.map (fun (p, c) -> (p, Some c)) admitted)
+        ~co_resident:(List.map snd admitted) q
+    with
+    | Ok (compiled, _) -> (q, compiled) :: admitted
+    | Error diags ->
+        prerr_endline
+          (Analysis.Check.explain
+             (List.filter
+                (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error)
+                diags));
+        prerr_endline
+          "newton: rejected by static analysis (run `newton check` for the \
+           full report)";
+        exit 2
+  in
+  List.rev (List.fold_left admit [] qs)
 
 (* ---------------- trace shaping ---------------- *)
 

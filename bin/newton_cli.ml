@@ -109,8 +109,7 @@ let cmd_p4_emit =
         let entries =
           List.concat
             (List.mapi
-               (fun i q ->
-                 let compiled = Compiler.compile q in
+               (fun i (q, compiled) ->
                  match
                    Newton_p4gen.Rules.entries ~class_id:(1 + (i * 10)) ~layout
                      ~alloc compiled
@@ -121,7 +120,7 @@ let cmd_p4_emit =
                        q.Query.id
                        (Newton_p4gen.Rules.issue_to_string issue);
                      exit 1)
-               qs)
+               (admit_all qs))
         in
         let state_words =
           max
@@ -193,11 +192,11 @@ let cmd_p4_emit =
 (* Replay a packet list through the differential harness for each
    query, printing one line per query; returns the number of queries
    whose report multisets diverged (or had no rule encoding). *)
-let p4_replay ~layout ~verbose qs packets =
+let p4_replay ~layout ~verbose admitted packets =
   let bad = ref 0 in
   List.iter
-    (fun q ->
-      match Newton_p4sim.Diff.run_query ~layout q packets with
+    (fun (q, compiled) ->
+      match Newton_p4sim.Diff.run_query ~layout compiled packets with
       | Error issue ->
           incr bad;
           Printf.printf "Q%d: no rule encoding: %s\n" q.Query.id
@@ -209,7 +208,7 @@ let p4_replay ~layout ~verbose qs packets =
             List.iter
               (fun (why, n) -> Printf.printf "    skipped %dx: %s\n" n why)
               r.Newton_p4sim.Diff.skip_reasons)
-    qs;
+    admitted;
   !bad
 
 let cmd_p4_run =
@@ -217,15 +216,15 @@ let cmd_p4_run =
     match lookup_queries ids with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
-        reject_invalid qs;
+        let admitted = admit_all qs in
         let layout = p4_layout stages registers in
         let trace = make_trace ?pcap_in:pcap profile flows seed attacks in
         let packets = Array.to_list (Newton_trace.Gen.packets trace) in
         Printf.printf "trace: %d packets (%s)\n" (Trace.length trace)
           (Trace_profile.to_string (Trace.profile trace));
         List.iter
-          (fun q ->
-            match Newton_p4sim.Diff.run_query ~layout q packets with
+          (fun (q, compiled) ->
+            match Newton_p4sim.Diff.run_query ~layout compiled packets with
             | Error issue ->
                 Printf.eprintf "newton p4: Q%d has no rule encoding: %s\n"
                   q.Query.id
@@ -243,7 +242,7 @@ let cmd_p4_run =
                       print_endline
                         ("  " ^ Newton_p4sim.Diff.report_to_string rep))
                     r.Newton_p4sim.Diff.p4_reports)
-          qs
+          admitted
   in
   Cmd.v
     (Cmd.info "run"
@@ -261,7 +260,7 @@ let cmd_p4_diff =
     match lookup_queries (p4_ids ids all) with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
-        reject_invalid qs;
+        let admitted = admit_all qs in
         let layout = p4_layout stages registers in
         let packets =
           if coverage then Newton_p4sim.Corpus.coverage_packets ~seed ()
@@ -271,7 +270,7 @@ let cmd_p4_diff =
                  (make_trace ?pcap_in:pcap profile flows seed attacks))
         in
         Printf.printf "corpus: %d packets\n" (List.length packets);
-        let bad = p4_replay ~layout ~verbose qs packets in
+        let bad = p4_replay ~layout ~verbose admitted packets in
         if bad > 0 then begin
           Printf.eprintf "newton p4 diff: %d quer%s diverged\n" bad
             (if bad = 1 then "y" else "ies");
@@ -311,9 +310,9 @@ let cmd_p4 =
    match the sequential engine; several queries: 5-tuple sharding
    (divergence documented in docs/PARALLELISM.md).  The note goes to
    stderr so that `stats` keeps its snapshot alone on stdout. *)
-let shard_key_for qs =
-  match qs with
-  | [ q ] -> Newton_runtime.Shard.for_compiled (Compiler.compile q)
+let shard_key_for admitted =
+  match admitted with
+  | [ (_, compiled) ] -> Newton_runtime.Shard.for_compiled compiled
   | _ ->
       prerr_endline
         "note: several queries — 5-tuple sharding; cross-flow aggregates \
@@ -325,7 +324,7 @@ let cmd_run =
     match gather_queries ids dsl with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
-        reject_invalid qs;
+        let admitted = admit_all qs in
         (* Set up the engine (sequential or sharded) behind a chunk sink
            so both the synthetic and the pcap-streaming path feed it the
            same way. *)
@@ -333,23 +332,23 @@ let cmd_run =
           if jobs = 1 then begin
             let device = Device.create () in
             List.iter
-              (fun q ->
-                let _, lat = Device.add_query device q in
+              (fun (q, compiled) ->
+                let _, lat = Device.install device compiled in
                 Printf.printf "installed Q%d (%s) in %.1f ms\n" q.Query.id
                   q.Query.name (lat *. 1e3))
-              qs;
+              admitted;
             ( (fun batch -> Array.iter (Device.process_packet device) batch),
               fun () -> Device.reports device )
           end
           else begin
-            let shard_key = shard_key_for qs in
+            let shard_key = shard_key_for admitted in
             let pdev = Parallel_device.create ~jobs ~batch ~shard_key () in
             List.iter
-              (fun q ->
-                ignore (Parallel_device.add_query pdev q);
+              (fun (q, compiled) ->
+                ignore (Parallel_device.install pdev compiled);
                 Printf.printf "installed Q%d (%s) on %d shards\n" q.Query.id
                   q.Query.name jobs)
-              qs;
+              admitted;
             ( Parallel_device.process_packets pdev,
               fun () ->
                 Printf.printf "shard loads: [%s] (%s)\n"
@@ -419,18 +418,18 @@ let cmd_stats =
     match gather_queries ids dsl with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
-        reject_invalid qs;
+        let admitted = admit_all qs in
         let sink_fn, metrics_fn =
           if jobs = 1 then begin
             let device = Device.create () in
-            List.iter (fun q -> ignore (Device.add_query device q)) qs;
+            List.iter (fun (_, c) -> ignore (Device.install device c)) admitted;
             ( (fun batch -> Array.iter (Device.process_packet device) batch),
               fun () -> Device.metrics device )
           end
           else begin
-            let shard_key = shard_key_for qs in
+            let shard_key = shard_key_for admitted in
             let pdev = Parallel_device.create ~jobs ~batch ~shard_key () in
-            List.iter (fun q -> ignore (Parallel_device.add_query pdev q)) qs;
+            List.iter (fun (_, c) -> ignore (Parallel_device.install pdev c)) admitted;
             ( Parallel_device.process_packets pdev,
               fun () -> Parallel_device.metrics pdev )
           end
@@ -517,38 +516,21 @@ let cmd_check =
         expected_keys;
       }
     in
-    (* Mirrors [Analysis.Check.check_queries] — each query sees the
-       others as peers/co-residents — but adds a per-query placement
-       target when --topo is given, so slice-boundary and switch
-       commitment checks run against the actual deployment shape. *)
-    let compiled =
-      List.map
-        (fun q ->
-          ( q,
-            match Compiler.compile ~options:cfg.Analysis.Pass.options q with
-            | c -> Some c
-            | exception _ -> None ))
-        queries
+    (* With --topo, each compiled program is also judged against its
+       placement, so slice-boundary and switch commitment checks run
+       against the actual deployment shape. *)
+    let target =
+      Option.map
+        (fun topo c ->
+          try
+            Some
+              (Newton_controller.Deploy.target_of_placement
+                 (Newton_controller.Placement.place ~stages_per_switch:stages
+                    ~topo c))
+          with _ -> None)
+        topo
     in
-    let diags =
-      List.concat_map
-        (fun (q, c) ->
-          let peers = List.filter (fun (p, _) -> p != q) compiled in
-          let co_resident = List.filter_map snd peers in
-          let target =
-            match (topo, c) with
-            | Some topo, Some c -> (
-                try
-                  Some
-                    (Newton_controller.Deploy.target_of_placement
-                       (Newton_controller.Placement.place
-                          ~stages_per_switch:stages ~topo c))
-                with _ -> None)
-            | _ -> None
-          in
-          Analysis.Check.check_query ~cfg ?target ~peers ~co_resident q)
-        compiled
-    in
+    let diags = Analysis.Check.check_queries ~cfg ?target queries in
     let diags = List.sort Analysis.Diag.compare diags in
     let e, w, i = Analysis.Check.severity_counts diags in
     let text =
@@ -637,20 +619,25 @@ let cmd_netrun =
     match lookup_queries ids with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
-        reject_invalid qs;
         let net = Network.create topo in
+        let deploy = Network.controller net in
         Printf.printf "topology: %s\n" (Topo.to_string topo);
-        (try
-           List.iter
-             (fun q ->
-               let _, lat = Network.add_query net ~stages_per_switch:stages q in
-               Printf.printf "deployed Q%d network-wide in %.1f ms\n" q.Query.id
-                 (lat *. 1e3))
-             qs
-         with Newton_controller.Deploy.Rejected diags ->
-           prerr_endline (Analysis.Check.explain diags);
-           prerr_endline "newton: deployment rejected by static analysis";
-           exit 2);
+        List.iter
+          (fun q ->
+            match
+              Result.bind
+                (Network.Deploy.admit deploy ~mode:`Cqe
+                   ~stages_per_switch:stages q)
+                (fun (admitted, _) -> Network.Deploy.install deploy admitted)
+            with
+            | Ok (_, lat) ->
+                Printf.printf "deployed Q%d network-wide in %.1f ms\n"
+                  q.Query.id (lat *. 1e3)
+            | Error diags ->
+                prerr_endline (Analysis.Check.explain diags);
+                prerr_endline "newton: deployment rejected by static analysis";
+                exit 2)
+          qs;
         let trace = make_trace ?pcap_in:pcap profile flows seed attacks in
         Network.process_trace net trace;
         (match fail with
@@ -878,164 +865,6 @@ let cmd_pcap_info =
           accounting (frames, decoded, skipped)")
     Term.(const run $ file_arg)
 
-(* ---------------- shell (interactive operator console) ---------------- *)
-
-let cmd_shell =
-  let run () =
-    let device = Device.create () in
-    let handles : (int, handle) Hashtbl.t = Hashtbl.create 8 in
-    let next_id = ref 1 in
-    let shown_reports = ref 0 in
-    let help () =
-      print_string
-        "commands:\n\
-        \  install q<N>         install catalog query N (1-9 paper, 10-17 extensions)\n\
-        \  install <dsl>        install an ad-hoc DSL query\n\
-        \  remove <id>          remove an installed query\n\
-        \  list                 installed queries\n\
-        \  stats [json|prom]    runtime statistics: per-instance lines plus\n\
-        \                       counters and sketch-health gauges; json/prom\n\
-        \                       dumps the full telemetry snapshot\n\
-        \  gen [flows] [seed]   generate an attack trace and run it\n\
-        \  reports              print reports since the last call\n\
-        \  help | quit\n"
-    in
-    let install q =
-      let h, lat = Device.add_query device q in
-      let id = !next_id in
-      incr next_id;
-      Hashtbl.replace handles id h;
-      Printf.printf "installed #%d (%s) in %.1f ms\n%!" id q.Query.name (lat *. 1e3)
-    in
-    let handle_line line =
-      match Service.Command.tokenize line with
-      | Error m ->
-          Printf.printf "parse error: %s\n%!" m;
-          true
-      | Ok tokens -> (
-          match tokens with
-          | [] -> true
-        | [ "quit" ] | [ "exit" ] -> false
-        | [ "help" ] -> help (); true
-        | "install" :: rest -> (
-            let arg = String.concat " " rest in
-            (if String.length arg > 1 && arg.[0] = 'q'
-                && String.for_all (fun c -> c >= '0' && c <= '9')
-                     (String.sub arg 1 (String.length arg - 1))
-             then
-               match
-                 Catalog.find
-                   (int_of_string (String.sub arg 1 (String.length arg - 1)))
-               with
-               | Some q -> install q
-               | None ->
-                   Printf.printf "no catalog query %s (valid: q%d-q%d)\n%!" arg
-                     Catalog.min_id Catalog.max_id
-             else
-               match Newton_query.Parser.parse_result ~id:(90 + !next_id) arg with
-               | Ok q -> install q
-               | Error m -> Printf.printf "parse error: %s\n%!" m);
-            true)
-        | [ "remove"; id ] -> (
-            (match int_of_string_opt id with
-            | Some id -> (
-                match Hashtbl.find_opt handles id with
-                | Some h -> (
-                    match Device.remove_query device h with
-                    | Some lat ->
-                        Hashtbl.remove handles id;
-                        Printf.printf "removed #%d in %.1f ms\n%!" id (lat *. 1e3)
-                    | None -> print_endline "remove failed")
-                | None -> Printf.printf "no query #%d\n%!" id)
-            | None -> print_endline "usage: remove <id>");
-            true)
-        | [ "list" ] ->
-            Hashtbl.iter
-              (fun id (h : handle) ->
-                Printf.printf "  #%d %s: %s\n" id h.query.Query.name
-                  h.query.Query.description)
-              handles;
-            print_string "";
-            true
-        | [ "stats" ] ->
-            List.iter
-              (fun s ->
-                print_endline ("  " ^ Newton_runtime.Engine.stats_to_string s))
-              (Newton_runtime.Engine.stats (Device.engine device));
-            let snap = Device.metrics device in
-            let show name =
-              match Telemetry.Snapshot.find name snap with
-              | None -> ()
-              | Some m ->
-                  List.iter
-                    (fun (s : Telemetry.Metric.sample) ->
-                      match s.Telemetry.Metric.value with
-                      | Telemetry.Metric.V f ->
-                          Printf.printf "  %s%s %s\n" name
-                            (Telemetry.Metric.labels_to_string
-                               s.Telemetry.Metric.labels)
-                            (Telemetry.Metric.string_of_value f)
-                      | Telemetry.Metric.Buckets _ -> ())
-                    m.Telemetry.Metric.samples
-            in
-            List.iter show
-              [
-                "newton_packets_processed_total";
-                "newton_module_hits_total";
-                "newton_reports_emitted_total";
-                "newton_reports_deduped_total";
-                "newton_reports_dropped_total";
-                "newton_monitor_rules";
-                "newton_module_cell_utilization";
-                "newton_bloom_fill_ratio";
-                "newton_bloom_fpr_estimate";
-                "newton_cm_error_bound";
-              ];
-            true
-        | [ "stats"; "json" ] ->
-            print_endline (Telemetry.Export.to_json_string (Device.metrics device));
-            true
-        | [ "stats"; "prom" ] ->
-            print_string (Telemetry.Export.to_prometheus (Device.metrics device));
-            true
-        | "gen" :: rest -> (
-            let flows =
-              match rest with f :: _ -> Option.value (int_of_string_opt f) ~default:2000 | [] -> 2000
-            in
-            let seed =
-              match rest with _ :: s :: _ -> Option.value (int_of_string_opt s) ~default:42 | _ -> 42
-            in
-            let trace =
-              Trace.generate ~attacks:Newton_trace.Attack.default_suite ~seed
-                (Trace_profile.with_flows Trace_profile.caida_like flows)
-            in
-            Device.process_trace device trace;
-            Printf.printf "ran %d packets; %d total reports\n%!" (Trace.length trace)
-              (Device.message_count device);
-            true)
-        | [ "reports" ] ->
-            let all = Device.reports device in
-            let fresh = List.filteri (fun i _ -> i >= !shown_reports) all in
-            shown_reports := List.length all;
-            List.iter (fun r -> print_endline ("  " ^ Report.to_string r)) fresh;
-            Printf.printf "(%d new)\n%!" (List.length fresh);
-            true
-        | _ ->
-            print_endline "unknown command (try help)";
-            true)
-    in
-    print_endline "newton shell — 'help' for commands";
-    let rec loop () =
-      print_string "newton> ";
-      match In_channel.input_line stdin with
-      | None -> ()
-      | Some line -> if handle_line line then loop ()
-    in
-    loop ()
-  in
-  Cmd.v (Cmd.info "shell" ~doc:"Interactive operator console on one switch")
-    Term.(const run $ const ())
-
 (* ---------------- serve / intent (controller daemon) ---------------- *)
 
 let socket_arg =
@@ -1058,9 +887,12 @@ let listen_of socket port =
   | Some path, None -> Service.Daemon.Unix_socket path
   | None, None -> Service.Daemon.Unix_socket "newton.sock"
 
-let cmd_serve =
-  let run socket port topo stages preload dsl pcap gen_trace profile flows
-      seed attacks iopts =
+(* The daemon behind both [serve] and [shell]: topology, stages, replay
+   source, and the intents named on the command line, submitted before
+   the first request so the daemon comes up monitoring. *)
+let daemon_term =
+  let make topo stages preload dsl pcap gen_trace profile flows seed attacks
+      iopts =
     let pace =
       match iopts.io_pace with
       | `Asap -> Service.Replay.Asap
@@ -1096,8 +928,6 @@ let cmd_serve =
         Printf.printf "replay: %s (%d packets)\n%!" (Service.Replay.source r)
           (Service.Replay.length r)
     | None -> ());
-    (* Intents named on the command line are submitted before the loop
-       starts, so the daemon comes up monitoring. *)
     List.iter
       (fun spec ->
         let resp =
@@ -1108,7 +938,7 @@ let cmd_serve =
         if not (Service.Api.response_is_ok resp) then exit 2)
       (List.map (fun n -> Service.Api.Catalog n) preload
       @ List.map (fun text -> Service.Api.Dsl text) dsl);
-    Service.Daemon.serve ~log:print_endline daemon (listen_of socket port)
+    daemon
   in
   let preload_arg =
     Arg.(value & opt (list int) []
@@ -1121,6 +951,15 @@ let cmd_serve =
              ~doc:"Replay a synthetic trace (--profile/--flows/--seed/\
                    --attacks) when no --pcap is given.")
   in
+  Term.(
+    const make $ topo_arg $ stages_arg $ preload_arg $ dsl_arg $ pcap_arg
+    $ gen_trace_arg $ profile_arg $ flows_arg $ seed_arg $ attacks_arg
+    $ ingest_opts_term)
+
+let cmd_serve =
+  let run socket port daemon =
+    Service.Daemon.serve ~log:print_endline daemon (listen_of socket port)
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1128,10 +967,43 @@ let cmd_serve =
           (or plain operator text) over a Unix/TCP socket, with intents \
           installing and withdrawing while a background trace or pcap \
           replays through the deployment")
-    Term.(
-      const run $ socket_arg $ port_arg $ topo_arg $ stages_arg $ preload_arg
-      $ dsl_arg $ pcap_arg $ gen_trace_arg $ profile_arg
-      $ flows_arg $ seed_arg $ attacks_arg $ ingest_opts_term)
+    Term.(const run $ socket_arg $ port_arg $ daemon_term)
+
+(* ---------------- shell (interactive operator console) ---------------- *)
+
+(* The daemon loop on stdin: each line is one request through
+   [Daemon.handle_line], followed by one bounded replay step, as the
+   socket loop takes after each round. *)
+let cmd_shell =
+  let run daemon =
+    print_endline
+      "newton shell: submit q<N>|<dsl> [as <name>], withdraw <id>, list, \
+       status <id>, stats [json|prom], fail-switch <s>, repair-switch <s>; \
+       shutdown or end of input quits";
+    let rec loop () =
+      if not (Service.Daemon.stopping daemon) then begin
+        print_string "newton> ";
+        flush stdout;
+        match In_channel.input_line stdin with
+        | None -> print_newline ()
+        | Some line ->
+            if String.trim line <> "" then
+              print_endline
+                (Service.Api.response_summary
+                   (Service.Daemon.handle_line daemon line));
+            ignore (Service.Daemon.replay_step daemon);
+            loop ()
+      end
+    in
+    loop ()
+  in
+  Cmd.v
+    (Cmd.info "shell"
+       ~doc:
+         "Interactive operator console: the daemon's request grammar read \
+          from stdin, with the same topology, replay source and preloaded \
+          intents as serve")
+    Term.(const run $ daemon_term)
 
 let cmd_intent =
   let run socket port json words =

@@ -32,14 +32,18 @@ let passes : (module Pass.S) list =
 let rules_of compiled =
   lazy (Option.map (fun c -> Newton_p4gen.Rules.entries c) compiled)
 
-let make_ctx ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = [])
-    query =
+(* Compile once; a failure is recorded as its message, not raised. *)
+let compile (cfg : Pass.config) query =
+  match Compose.compile ~options:cfg.Pass.options query with
+  | c -> Ok c
+  | exception Decompose.Unsupported msg -> Error msg
+  | exception Ast.Invalid { errors; _ } -> Error (Ast.errors_to_string errors)
+
+(* The one context builder: every entry point below hands it a query
+   whose compile it has already attempted. *)
+let ctx_of ~cfg ~target ~peers ~co_resident query compiled =
   let compiled, compile_error =
-    match Compose.compile ~options:cfg.Pass.options query with
-    | c -> (Some c, None)
-    | exception Decompose.Unsupported msg -> (None, Some msg)
-    | exception Ast.Invalid { errors; _ } ->
-        (None, Some (Ast.errors_to_string errors))
+    match compiled with Ok c -> (Some c, None) | Error msg -> (None, Some msg)
   in
   {
     Pass.query;
@@ -51,6 +55,10 @@ let make_ctx ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = 
     co_resident;
     target;
   }
+
+let make_ctx ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = [])
+    query =
+  ctx_of ~cfg ~target ~peers ~co_resident query (compile cfg query)
 
 (** Run every pass over a prepared context. *)
 let check_ctx (ctx : Pass.ctx) =
@@ -83,23 +91,40 @@ let check_ctx (ctx : Pass.ctx) =
 let check_query ?cfg ?target ?peers ?co_resident query =
   check_ctx (make_ctx ?cfg ?target ?peers ?co_resident query)
 
-(** Analyse a set together: each query sees the others as peers and
-    co-residents, so conflicts and stacked capacity surface. *)
-let check_queries ?(cfg = Pass.default_config) ?target queries =
-  let compiled =
-    List.map
-      (fun q ->
-        (q, match Compose.compile ~options:cfg.Pass.options q with
-           | c -> Some c
-           | exception _ -> None))
-      queries
+(* A placement target is computed from the compiled program, so a query
+   that does not compile has none. *)
+let target_for target compiled =
+  match (target, compiled) with Some f, Ok c -> f c | _ -> None
+
+(** The admission step: compile once, analyse once. *)
+let admit ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = [])
+    query =
+  let compiled = compile cfg query in
+  let diags =
+    check_ctx
+      (ctx_of ~cfg ~target:(target_for target compiled) ~peers ~co_resident
+         query compiled)
   in
+  match compiled with
+  | Ok c when not (Diag.has_errors diags) -> Ok (c, diags)
+  | _ -> Error diags
+
+(** Analyse a set together: each query sees the others as peers and
+    co-residents, so conflicts and stacked capacity surface.  Every
+    query compiles once. *)
+let check_queries ?(cfg = Pass.default_config) ?target queries =
+  let compiled = List.map (fun q -> (q, compile cfg q)) queries in
   List.concat_map
-    (fun q ->
-      let peers = List.filter (fun (p, _) -> p != q) compiled in
+    (fun (q, c) ->
+      let peers =
+        List.filter_map
+          (fun (p, c') -> if p != q then Some (p, Result.to_option c') else None)
+          compiled
+      in
       let co_resident = List.filter_map snd peers in
-      check_query ~cfg ?target ~peers ~co_resident q)
-    queries
+      check_ctx
+        (ctx_of ~cfg ~target:(target_for target c) ~peers ~co_resident q c))
+    compiled
 
 (** The deployment gate: analyse an already-compiled query against the
     deployed set.  The compiled artifact (with its actual options) is
@@ -110,16 +135,9 @@ let check_queries ?(cfg = Pass.default_config) ?target queries =
 let admission ?(cfg = Pass.default_config) ?target ~deployed compiled =
   let cfg = { cfg with Pass.options = compiled.Compose.options } in
   check_ctx
-    {
-      Pass.query = compiled.Compose.query;
-      cfg;
-      compiled = Some compiled;
-      compile_error = None;
-      rules = rules_of (Some compiled);
-      peers = List.map (fun (q, c) -> (q, Some c)) deployed;
-      co_resident = [];
-      target;
-    }
+    (ctx_of ~cfg ~target
+       ~peers:(List.map (fun (q, c) -> (q, Some c)) deployed)
+       ~co_resident:[] compiled.Compose.query (Ok compiled))
 
 (** Human rendering of a report (one diagnostic per paragraph);
     [?witness] appends witness-packet lines. *)

@@ -16,23 +16,34 @@ val make_ctx :
   ?peers:(Ast.t * Compose.t option) list -> ?co_resident:Compose.t list ->
   Ast.t -> Pass.ctx
 
-(** Run every pass over a prepared context; sorted, deterministic. *)
-val check_ctx : Pass.ctx -> Diag.t list
-
 (** Analyse one query. *)
 val check_query :
   ?cfg:Pass.config -> ?target:Pass.target ->
   ?peers:(Ast.t * Compose.t option) list -> ?co_resident:Compose.t list ->
   Ast.t -> Diag.t list
 
-(** Analyse a set together: each query sees the others as peers and
-    co-residents, so conflicts and stacked capacity surface. *)
-val check_queries :
-  ?cfg:Pass.config -> ?target:Pass.target -> Ast.t list -> Diag.t list
+(** The admission step every front-end runs before an install: compile
+    [query] once, build the placement target from the compiled program
+    ([target], when given), run every pass once against [peers] and
+    [co_resident], and return the compiled program with its
+    diagnostics, or [Error diags] when any is an error.  A query that
+    does not compile is refused with its structural or NA045
+    diagnostics. *)
+val admit :
+  ?cfg:Pass.config -> ?target:(Compose.t -> Pass.target option) ->
+  ?peers:(Ast.t * Compose.t option) list -> ?co_resident:Compose.t list ->
+  Ast.t -> (Compose.t * Diag.t list, Diag.t list) result
 
-(** The deployment gate: analyse an already-compiled query (with its
-    actual compile options) against the deployed set — conflicts see
-    the peers; capacity judges the query alone. *)
+(** Analyse a set together: each query sees the others as peers and
+    co-residents, so conflicts and stacked capacity surface; [target]
+    is computed per compiled program, as in {!admit}. *)
+val check_queries :
+  ?cfg:Pass.config -> ?target:(Compose.t -> Pass.target option) ->
+  Ast.t list -> Diag.t list
+
+(** The deployment gate for a program that is already compiled:
+    analyse it (with its actual compile options) against the deployed
+    set — conflicts see the peers; capacity judges the query alone. *)
 val admission :
   ?cfg:Pass.config -> ?target:Pass.target ->
   deployed:(Ast.t * Compose.t) list -> Compose.t -> Diag.t list

@@ -156,32 +156,75 @@ let target_of_placement (p : Placement.t) =
     ~switch_slices:p.Placement.slices
     ~slice_ranges:p.Placement.slice_stage_ranges ~max_path_depth:max_depth
 
-(* The mandatory admission gate as a value: every deployment passes
-   static analysis first.  [Ok diags] admits (warnings counted on the
-   controller sink, stage="analysis" in the snapshot); [Error diags]
-   refuses before any rule is installed (rejection counted).  Capacity
-   is judged for the new query alone — saturation by many co-resident
-   queries still surfaces at install time, where the rollback path
-   handles it. *)
-let admit_result t ?target compiled =
+(* What passed the gate, ready to install: the compiled program and
+   the placement the gate judged it with. *)
+type admitted = {
+  a_compiled : Newton_compiler.Compose.t;
+  a_mode : mode;
+  a_edge_switches : int list option;
+  a_stages_per_switch : int;
+  a_placement : Placement.t option;
+}
+
+let place t ~mode ~edge_switches ~stages_per_switch compiled =
+  match mode with
+  | `Sole -> None
+  | `Cqe ->
+      Some
+        (Placement.place ?edge_switches
+           ~enabled:(fun s -> t.enabled.(s))
+           ~stages_per_switch ~topo:t.topo compiled)
+
+(* The admission gate: [analyse] runs the passes once, with the
+   placement of the compiled program as its target and the deployed set
+   as its peers.  Capacity is judged for the new query alone —
+   saturation by many co-resident queries still surfaces at install
+   time, where the rollback path handles it.  The verdict is counted on
+   the controller sink (stage="analysis" in the snapshot): a refusal
+   once, an admission by its warnings. *)
+let gate t ~mode ~edge_switches ~stages_per_switch analyse =
+  let placement = ref None in
+  let target compiled =
+    placement := place t ~mode ~edge_switches ~stages_per_switch compiled;
+    Option.map target_of_placement !placement
+  in
   let deployed =
     List.map
       (fun d -> (d.compiled.Newton_compiler.Compose.query, d.compiled))
       t.deployments
   in
-  let diags = Newton_analysis.Check.admission ?target ~deployed compiled in
-  if Newton_analysis.Diag.has_errors diags then begin
-    Newton_telemetry.Stats.bump t.c_sink
-      Newton_telemetry.Stats.Analysis_rejections 1;
-    Error diags
-  end
-  else begin
-    let _, warnings, _ = Newton_analysis.Check.severity_counts diags in
-    if warnings > 0 then
+  match analyse ~target ~deployed with
+  | Error diags ->
       Newton_telemetry.Stats.bump t.c_sink
-        Newton_telemetry.Stats.Analysis_warnings warnings;
-    Ok diags
-  end
+        Newton_telemetry.Stats.Analysis_rejections 1;
+      Error diags
+  | Ok (compiled, diags) ->
+      let _, warnings, _ = Newton_analysis.Check.severity_counts diags in
+      if warnings > 0 then
+        Newton_telemetry.Stats.bump t.c_sink
+          Newton_telemetry.Stats.Analysis_warnings warnings;
+      Ok
+        ( { a_compiled = compiled; a_mode = mode; a_edge_switches = edge_switches;
+            a_stages_per_switch = stages_per_switch; a_placement = !placement },
+          diags )
+
+(** The gate for a query: one {!Newton_analysis.Check.admit} pass that
+    compiles it, places the compiled program and analyses it. *)
+let admit t ~mode ~stages_per_switch query =
+  gate t ~mode ~edge_switches:None ~stages_per_switch (fun ~target ~deployed ->
+      Newton_analysis.Check.admit ~target
+        ~peers:(List.map (fun (q, c) -> (q, Some c)) deployed)
+        query)
+
+(* The gate for a program already compiled. *)
+let gate_compiled t ~mode ~edge_switches ~stages_per_switch compiled =
+  gate t ~mode ~edge_switches ~stages_per_switch (fun ~target ~deployed ->
+      let diags =
+        Newton_analysis.Check.admission ?target:(target compiled) ~deployed
+          compiled
+      in
+      if Newton_analysis.Diag.has_errors diags then Error diags
+      else Ok (compiled, diags))
 
 (* Install-time capacity overflow rendered as a diagnostic, so the
    result-typed entry points report it as a value.  The code rides the
@@ -199,49 +242,45 @@ let exhausted_diag compiled ~stage ~kind =
        "install-time capacity: %s module cell exhausted at stage %d; partial \
         installs rolled back" kind stage)
 
-(* Install a gated deployment (placement already computed by the
-   caller).  Returns (uid, latency in seconds) — the latency is the
-   slowest switch's rule-install time (switch drivers work in
-   parallel).
+(* Install an admitted deployment at the placement its gate judged.
+   Returns (uid, latency in seconds) — the latency is the slowest
+   switch's rule-install time (switch drivers work in parallel).
    @raise Engine.Rules_exhausted when a module cell overflows
    mid-rollout (the caller rolls back). *)
-let install_deployment ~mode ~edge_switches ~stages_per_switch ~gate_placement
-    t compiled =
+let install_deployment t a =
+  let compiled = a.a_compiled in
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   let latencies = ref [] in
   let total_rules = ref 0 in
-  let placement =
-    match mode with
-    | `Sole ->
-        Array.iteri
-          (fun s engine ->
-            if t.enabled.(s) then begin
-              let _, rules = Engine.install engine ~uid:(slice_uid uid 1) compiled in
+  (* a CQE deployment has its placement, a sole one has none *)
+  (match a.a_placement with
+  | None ->
+      Array.iteri
+        (fun s engine ->
+          if t.enabled.(s) then begin
+            let _, rules = Engine.install engine ~uid:(slice_uid uid 1) compiled in
+            total_rules := !total_rules + rules;
+            latencies := Switch.install_rules t.switches.(s) ~count:rules :: !latencies
+          end)
+        t.engines
+  | Some p ->
+      Array.iteri
+        (fun s ds ->
+          List.iter
+            (fun d ->
+              let lo, hi = Placement.stage_range p d in
+              let _, rules =
+                Engine.install t.engines.(s) ~uid:(slice_uid uid d) ~stage_lo:lo
+                  ~stage_hi:hi compiled
+              in
               total_rules := !total_rules + rules;
-              latencies := Switch.install_rules t.switches.(s) ~count:rules :: !latencies
-            end)
-          t.engines;
-        None
-    | `Cqe ->
-        let p = Option.get gate_placement in
-        Array.iteri
-          (fun s ds ->
-            List.iter
-              (fun d ->
-                let lo, hi = Placement.stage_range p d in
-                let _, rules =
-                  Engine.install t.engines.(s) ~uid:(slice_uid uid d) ~stage_lo:lo
-                    ~stage_hi:hi compiled
-                in
-                total_rules := !total_rules + rules;
-                latencies := Switch.install_rules t.switches.(s) ~count:rules :: !latencies)
-              ds)
-          p.Placement.slices;
-        Some p
-  in
+              latencies := Switch.install_rules t.switches.(s) ~count:rules :: !latencies)
+            ds)
+        p.Placement.slices);
   t.deployments <-
-    { uid; compiled; mode; placement; edge_switches; stages_per_switch;
+    { uid; compiled; mode = a.a_mode; placement = a.a_placement;
+      edge_switches = a.a_edge_switches; stages_per_switch = a.a_stages_per_switch;
       installed_rules = !total_rules }
     :: t.deployments;
   let latency = List.fold_left max 0.0 !latencies in
@@ -259,35 +298,29 @@ let rollback_partial t uid =
     t.engines;
   t.deployments <- List.filter (fun d -> d.uid <> uid) t.deployments
 
-(* Gate + install, with failures as values the two public entry points
-   render their own way: [`Refused] keeps the original diagnostics,
-   [`Exhausted] keeps both the engine exception (for the raising
-   wrapper) and its NA054 rendering (for the checked one). *)
+(* Install with the capacity failure as a value: the engine exception
+   (for the raising wrapper) and its NA054 rendering (for the checked
+   entry points). *)
+let install_impl t a =
+  match install_deployment t a with
+  | r -> Ok r
+  | exception (Engine.Rules_exhausted { stage; kind } as e) ->
+      rollback_partial t (t.next_uid - 1);
+      Error (e, exhausted_diag a.a_compiled ~stage ~kind)
+
+(** Install what {!admit} returned; [Error [NA054]] when a module cell
+    overflows mid-rollout (partial installs rolled back). *)
+let install t a = Result.map_error (fun (_, diag) -> [ diag ]) (install_impl t a)
+
+(* Gate + install, failures as values the two public entry points
+   render their own way: [`Refused] keeps the gate's diagnostics,
+   [`Exhausted] the engine exception and its NA054 rendering. *)
 let deploy_impl ?(mode = `Cqe) ?edge_switches ?(stages_per_switch = 12) t
     compiled =
-  let gate_placement =
-    match mode with
-    | `Sole -> None
-    | `Cqe ->
-        Some
-          (Placement.place ?edge_switches
-             ~enabled:(fun s -> t.enabled.(s))
-             ~stages_per_switch ~topo:t.topo compiled)
-  in
-  match
-    admit_result t ?target:(Option.map target_of_placement gate_placement)
-      compiled
-  with
+  match gate_compiled t ~mode ~edge_switches ~stages_per_switch compiled with
   | Error diags -> Error (`Refused diags)
-  | Ok _warnings -> (
-      match
-        install_deployment ~mode ~edge_switches ~stages_per_switch
-          ~gate_placement t compiled
-      with
-      | r -> Ok r
-      | exception (Engine.Rules_exhausted { stage; kind } as e) ->
-          rollback_partial t (t.next_uid - 1);
-          Error (`Exhausted (e, exhausted_diag compiled ~stage ~kind)))
+  | Ok (a, _) ->
+      Result.map_error (fun e -> `Exhausted e) (install_impl t a)
 
 (** Deploy a compiled query network-wide, admission failures as values:
     [Error diags] when the static-analysis gate refuses the query or a
@@ -331,22 +364,6 @@ let undeploy t uid =
         t.engines;
       t.deployments <- List.filter (fun d -> d.uid <> uid) t.deployments;
       Some (List.fold_left max 0.0 !latencies)
-
-(** Deploy a scheduler plan: every admitted query is recompiled with
-    its assigned register budget and deployed.  Returns the deployment
-    uids in plan order. *)
-let deploy_plan ?(mode = `Cqe) ?edge_switches ?(stages_per_switch = 12)
-    ?(options = Newton_compiler.Decompose.default_options) t
-    (plan : Scheduler.plan) =
-  List.map
-    (fun (a : Scheduler.assignment) ->
-      let compiled =
-        Newton_compiler.Compose.compile
-          ~options:{ options with Newton_compiler.Decompose.registers = a.Scheduler.registers }
-          a.Scheduler.a_query
-      in
-      fst (deploy ~mode ?edge_switches ~stages_per_switch t compiled))
-    plan.Scheduler.admitted
 
 (* ---------------- software continuation ---------------- *)
 

@@ -63,16 +63,32 @@ exception Rejected of Newton_analysis.Diag.t list
     placement. *)
 val target_of_placement : Placement.t -> Newton_analysis.Pass.target
 
-(** Deploy a compiled query network-wide with admission failures as
-    values; returns [Ok (uid, slowest switch's install latency in
-    seconds)].  Every deployment first passes the static-analysis
-    admission gate: error diagnostics return [Error diags] before any
-    rule is installed; warnings are admitted and counted on the
-    controller sink ([newton_analysis_warnings_total], labelled
-    [stage="analysis"]).  A module cell overflowing mid-rollout rolls
-    the partial installs back and returns [Error] with a single NA054
-    diagnostic.  Never raises on admission or capacity — the entry
-    point for callers (the service loop) that treat refusals as data. *)
+(** A query that passed the admission gate, with the compiled program
+    and the placement the gate judged; {!install} it before the
+    deployed set changes. *)
+type admitted
+
+(** The admission gate for a query: compile it once, place the
+    compiled program ([`Cqe]), and analyse it once against the deployed
+    set ({!Newton_analysis.Check.admit}).  [Ok (admitted, diags)]
+    admits with warnings and infos; [Error diags] refuses, and nothing
+    is installed.  Rejections and warnings are counted on the
+    controller sink ([newton_analysis_rejections_total],
+    [newton_analysis_warnings_total], labelled [stage="analysis"]). *)
+val admit :
+  t -> mode:mode -> stages_per_switch:int -> Newton_query.Ast.t ->
+  (admitted * Newton_analysis.Diag.t list, Newton_analysis.Diag.t list) result
+
+(** Install an admitted query; returns [Ok (uid, slowest switch's
+    install latency in seconds)].  A module cell overflowing
+    mid-rollout rolls the partial installs back and returns [Error]
+    with a single NA054 diagnostic. *)
+val install : t -> admitted -> (int * float, Newton_analysis.Diag.t list) result
+
+(** Deploy a compiled query network-wide: the admission gate of
+    {!admit} on the compiled program ({!Newton_analysis.Check.admission}),
+    then {!install}.  Refusals and capacity overflow come back as
+    [Error diags]; never raises on admission or capacity. *)
 val deploy_checked :
   ?mode:mode -> ?edge_switches:int list -> ?stages_per_switch:int -> t ->
   Newton_compiler.Compose.t ->
@@ -89,13 +105,6 @@ val deploy :
 (** Remove a deployment everywhere; returns the slowest removal
     latency. *)
 val undeploy : t -> int -> float option
-
-(** Deploy a scheduler plan: each admitted query recompiled with its
-    assigned register budget; returns deployment uids in plan order. *)
-val deploy_plan :
-  ?mode:mode -> ?edge_switches:int list -> ?stages_per_switch:int ->
-  ?options:Newton_compiler.Decompose.options -> t -> Scheduler.plan ->
-  int list
 
 (** Process one packet along the forwarding path between two hosts:
     CQE deployments run slice d at the d-th Newton-enabled hop with the

@@ -70,17 +70,20 @@ module Device = struct
   let switch t = t.switch
   let queries t = List.map (fun h -> h.query) t.handles
 
-  (** Compile and install a query at runtime.  Returns the handle and
-      the rule-install latency in seconds; forwarding is never
+  (** Install a compiled query at runtime.  Returns the handle and the
+      rule-install latency in seconds; forwarding is never
       interrupted. *)
-  let add_query ?options t query =
-    let options = Option.value options ~default:t.options in
-    let compiled = Newton_compiler.Compose.compile ~options query in
+  let install t compiled =
     let uid, rules = Engine.install t.engine compiled in
     let latency = Switch.install_rules t.switch ~count:rules in
-    let h = { uid; query } in
+    let h = { uid; query = compiled.Newton_compiler.Compose.query } in
     t.handles <- h :: t.handles;
     (h, latency)
+
+  (** Compile and install a query at runtime. *)
+  let add_query ?options t query =
+    let options = Option.value options ~default:t.options in
+    install t (Newton_compiler.Compose.compile ~options query)
 
   (** Remove an installed query; returns the rule-removal latency, or
       [None] for an unknown handle. *)
@@ -135,14 +138,17 @@ module Parallel_device = struct
   let jobs t = Parallel_engine.jobs t.engine
   let queries t = List.map (fun h -> h.query) t.handles
 
+  (** Install a compiled query on every shard. *)
+  let install t compiled =
+    let uid, _rules = Parallel_engine.install t.engine compiled in
+    let h = { uid; query = compiled.Newton_compiler.Compose.query } in
+    t.handles <- h :: t.handles;
+    h
+
   (** Compile and install a query on every shard. *)
   let add_query ?options t query =
     let options = Option.value options ~default:t.options in
-    let compiled = Newton_compiler.Compose.compile ~options query in
-    let uid, _rules = Parallel_engine.install t.engine compiled in
-    let h = { uid; query } in
-    t.handles <- h :: t.handles;
-    h
+    install t (Newton_compiler.Compose.compile ~options query)
 
   let remove_query t h =
     match Parallel_engine.remove t.engine h.uid with
@@ -225,11 +231,6 @@ module Network = struct
   (** Packets whose query outlived the path and were deferred to the
       analyzer. *)
   let software_deferrals t = Deploy.software_deferrals t.deploy
-
-  (** Deploy a scheduler plan (each query recompiled with its assigned
-      register budget). *)
-  let deploy_plan ?mode ?edge_switches ?stages_per_switch t plan =
-    Deploy.deploy_plan ?mode ?edge_switches ?stages_per_switch t.deploy plan
 
   (** Network-wide telemetry snapshot: every switch's engine metrics
       (labelled [switch=<id>]) plus the analyzer's software engine. *)

@@ -48,8 +48,12 @@ module Device : sig
   val switch : t -> Newton_dataplane.Switch.t
   val queries : t -> Newton_query.Ast.t list
 
-  (** Compile and install a query at runtime.  Returns the handle and
-      the rule-install latency in seconds. *)
+  (** Install a compiled query at runtime.  Returns the handle and the
+      rule-install latency in seconds. *)
+  val install : t -> Newton_compiler.Compose.t -> handle * float
+
+  (** Compile and install a query: {!install} of
+      [Compose.compile ~options query]. *)
   val add_query :
     ?options:Newton_compiler.Decompose.options ->
     t ->
@@ -91,6 +95,9 @@ module Parallel_device : sig
   val engine : t -> Newton_runtime.Parallel_engine.t
   val jobs : t -> int
   val queries : t -> Newton_query.Ast.t list
+
+  (** Install a compiled query on every shard. *)
+  val install : t -> Newton_compiler.Compose.t -> handle
 
   (** Compile and install a query on every shard. *)
   val add_query :
@@ -164,16 +171,6 @@ module Network : sig
   (** Packets whose query outlived the path and were deferred to the
       analyzer. *)
   val software_deferrals : t -> int
-
-  (** Deploy a scheduler plan (each query recompiled with its assigned
-      register budget). *)
-  val deploy_plan :
-    ?mode:[ `Cqe | `Sole ] ->
-    ?edge_switches:int list ->
-    ?stages_per_switch:int ->
-    t ->
-    Newton_controller.Scheduler.plan ->
-    int list
 
   (** Network-wide telemetry snapshot: every switch's engine metrics
       (labelled [switch=<id>]) plus the analyzer's software engine. *)

@@ -148,9 +148,9 @@ let init_entry_matches pkt (ie : Newton_compiler.Ir.init_entry) =
     (fun (f, v, m) -> Packet.get pkt f land m = v)
     ie.Newton_compiler.Ir.ie_matches
 
-let run_query ?class_id ?(layout = Newton_p4gen.Emit.default_layout) query
+let run_query ?class_id ?(layout = Newton_p4gen.Emit.default_layout) compiled
     packets =
-  let compiled = Newton_compiler.Compose.compile query in
+  let query = compiled.Newton_compiler.Compose.query in
   match Newton_p4gen.Rules.entries ?class_id ~layout compiled with
   | Error issue -> Error issue
   | Ok rules ->

@@ -49,7 +49,7 @@ val report_to_string : Newton_query.Report.t -> string
 (** One-line human summary (coverage, report counts, first divergence). *)
 val describe : outcome -> string
 
-(** Compile [query], install it on a fresh engine and a fresh
+(** Install a compiled query on a fresh engine and a fresh
     interpreter over the emitted program, replay [packets] (timestamp
     order) through both, and collect reports.  Packets {!wire} skips
     run on neither side and are counted.  [Error] when the
@@ -57,6 +57,6 @@ val describe : outcome -> string
 val run_query :
   ?class_id:int ->
   ?layout:Newton_p4gen.Emit.layout ->
-  Newton_query.Ast.t ->
+  Newton_compiler.Compose.t ->
   Newton_packet.Packet.t list ->
   (outcome, Newton_p4gen.Rules.issue) Stdlib.result

@@ -215,8 +215,6 @@ let switch_id t = t.switch_id
 (** Cap the mirror sessions: at most [n] report exports per window. *)
 let set_report_budget t n = t.report_budget <- n
 
-let report_budget t = t.report_budget
-
 (** Reports dropped because the mirror budget was exhausted. *)
 let dropped_reports t = t.dropped_reports
 let instances t = t.instances
@@ -237,11 +235,9 @@ let record_packet_seen t =
 (* ---------------- instance accessors ---------------- *)
 
 let instance_uid i = i.uid
-let instance_compiled i = i.compiled
 let instance_query i = i.compiled.Compose.query
 let instance_rules i = i.rules
 let instance_stage_lo i = i.stage_lo
-let instance_stage_hi i = i.stage_hi
 let instance_window i = i.window_index
 let instance_reported_keys i = Keys_tbl.length i.reported
 let instance_slots i = i.slots
@@ -968,43 +964,3 @@ let drain_reports t =
   t.reports <- [];
   r
 
-(* ---------------- observability ---------------- *)
-
-(** Per-instance runtime statistics for operator dashboards. *)
-type instance_stats = {
-  st_uid : int;
-  st_query : string;
-  st_rules : int;
-  st_stage_lo : int;
-  st_stage_hi : int;
-  st_arrays : int;            (** register arrays owned by this slice *)
-  st_registers : int;         (** registers across those arrays *)
-  st_occupancy : int;         (** non-zero registers right now *)
-  st_window : int;            (** current window index *)
-  st_reported_keys : int;     (** keys reported in the current window *)
-}
-
-let instance_stats (inst : instance) =
-  let arrays = Hashtbl.fold (fun _ a acc -> a :: acc) inst.arrays [] in
-  {
-    st_uid = inst.uid;
-    st_query = inst.compiled.Compose.query.Ast.name;
-    st_rules = inst.rules;
-    st_stage_lo = inst.stage_lo;
-    st_stage_hi = inst.stage_hi;
-    st_arrays = List.length arrays;
-    st_registers = List.fold_left (fun acc a -> acc + Register_array.size a) 0 arrays;
-    st_occupancy = List.fold_left (fun acc a -> acc + Register_array.occupancy a) 0 arrays;
-    st_window = inst.window_index;
-    st_reported_keys = Keys_tbl.length inst.reported;
-  }
-
-(** Statistics for every installed instance. *)
-let stats t = List.map instance_stats t.instances
-
-let stats_to_string s =
-  Printf.sprintf
-    "#%d %-22s rules=%d stages=[%d,%s] arrays=%d regs=%d occ=%d w=%d reported=%d"
-    s.st_uid s.st_query s.st_rules s.st_stage_lo
-    (if s.st_stage_hi = max_int then "end" else string_of_int s.st_stage_hi)
-    s.st_arrays s.st_registers s.st_occupancy s.st_window s.st_reported_keys

@@ -60,8 +60,6 @@ val set_sink : t -> Stats.sink -> unit
     the wire. *)
 val set_report_budget : t -> int option -> unit
 
-val report_budget : t -> int option
-
 (** Reports dropped because the mirror budget was exhausted. *)
 val dropped_reports : t -> int
 
@@ -115,10 +113,6 @@ val init_table_size : t -> int
 val cell_usage :
   t -> ((int * Newton_dataplane.Module_cost.kind * int) * int) list
 
-(** Roll an instance's window if [now] crossed a boundary (resets its
-    sketch state and report dedup). *)
-val roll_instance_window : t -> instance -> float -> unit
-
 (** Roll every instance whose window boundary [now] crossed (used by
     the path executor / controller).  Each instance uses its own query's
     window length — deliberately no per-call window parameter. *)
@@ -166,16 +160,14 @@ val drain_reports : t -> Report.t list
 (** {2 Instance accessors} *)
 
 val instance_uid : instance -> int
-val instance_compiled : instance -> Compose.t
 
-(** The instance's source query ([instance_compiled].query). *)
+(** The instance's source query. *)
 val instance_query : instance -> Ast.t
 
 (** Table entries this slice holds. *)
 val instance_rules : instance -> int
 
 val instance_stage_lo : instance -> int
-val instance_stage_hi : instance -> int
 
 (** Current window index. *)
 val instance_window : instance -> int
@@ -196,22 +188,3 @@ val instance_arrays :
 val instance_array :
   instance -> array_key -> Newton_sketch.Register_array.t option
 
-(** {2 Operator dashboards} *)
-
-(** Per-instance runtime statistics. *)
-type instance_stats = {
-  st_uid : int;
-  st_query : string;
-  st_rules : int;
-  st_stage_lo : int;
-  st_stage_hi : int;
-  st_arrays : int;
-  st_registers : int;
-  st_occupancy : int;
-  st_window : int;
-  st_reported_keys : int;
-}
-
-val instance_stats : instance -> instance_stats
-val stats : t -> instance_stats list
-val stats_to_string : instance_stats -> string

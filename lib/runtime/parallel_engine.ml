@@ -190,9 +190,6 @@ let merged_arrays t uid =
   in
   match instances with [] -> None | l -> Some (Merge.instance_arrays l)
 
-(** Per-shard engine statistics (one list per shard). *)
-let stats t = Array.to_list (Array.map Engine.stats t.shards)
-
 let to_string t =
   Printf.sprintf "parallel-engine jobs=%d batch=%d shard=%s%s" t.jobs t.batch
     (Shard.strategy_to_string t.strategy)

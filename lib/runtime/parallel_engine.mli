@@ -87,7 +87,4 @@ val packets_seen : t -> int
 val merged_arrays :
   t -> int -> (Engine.array_key * Register_array.t) list option
 
-(** Per-shard engine statistics. *)
-val stats : t -> Engine.instance_stats list list
-
 val to_string : t -> string

@@ -156,7 +156,12 @@ let request_of_tokens tokens =
   | "repair-switch" :: rest ->
       Result.map (fun s -> Repair_switch s) (int_arg "repair-switch" rest)
   | [ "shutdown" ] -> Ok Shutdown
-  | cmd :: _ -> Error (Printf.sprintf "unknown command %S (try help)" cmd)
+  | cmd :: _ ->
+      Error
+        (Printf.sprintf
+           "unknown command %S (commands: submit, withdraw, list, status, \
+            stats, fail-switch, repair-switch, shutdown)"
+           cmd)
 
 (* ---------------- responses ---------------- *)
 

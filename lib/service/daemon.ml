@@ -12,8 +12,6 @@ module Deploy = Newton_controller.Deploy
 module Stats = Newton_telemetry.Stats
 module Snapshot = Newton_telemetry.Snapshot
 module Export = Newton_telemetry.Export
-module Diag = Newton_analysis.Diag
-module Check = Newton_analysis.Check
 
 type t = {
   deploy : Deploy.t;
@@ -23,6 +21,7 @@ type t = {
   replay_budget : int;
   sink : Stats.sink;  (* service-level counters, stage="service" *)
   intents : (int, Intent.t) Hashtbl.t;
+  query_ids : (int, unit) Hashtbl.t;  (* query ids any intent has used *)
   mutable order : int list;  (* submission order, newest first *)
   mutable next_id : int;
   mutable stopping : bool;
@@ -39,6 +38,7 @@ let create ?(clock = Unix.gettimeofday) ?(stages_per_switch = 12)
     replay_budget;
     sink = Stats.create ();
     intents = Hashtbl.create 16;
+    query_ids = Hashtbl.create 16;
     order = [];
     next_id = 1;
     stopping = false;
@@ -110,33 +110,34 @@ let submit t ~spec ~name =
       Hashtbl.replace t.intents id intent;
       t.order <- id :: t.order;
       Stats.bump t.sink Stats.Intents_submitted 1;
-      (* Analysis stage: solo diagnostics ride on the intent whatever
-         happens next.  The context compiles the query once; that
-         artifact is the one deployed. *)
-      let ctx = Check.make_ctx query in
-      let solo = Check.check_ctx ctx in
-      intent.Intent.diags <- solo;
+      let query_id = query.Newton_query.Ast.id in
+      let reused = Hashtbl.mem t.query_ids query_id in
+      Hashtbl.replace t.query_ids query_id ();
+      (* One gate: compile, place and analyse against the deployed set
+         once; its diagnostics ride on the intent whatever happens
+         next, and its compiled program is the one installed. *)
+      let verdict =
+        Deploy.admit t.deploy ~mode:t.mode ~stages_per_switch:t.stages_per_switch
+          query
+      in
+      intent.Intent.diags <- (match verdict with Ok (_, d) | Error d -> d);
       must_transition intent ~now:(t.clock ()) Intent.Analyzed;
-      match ctx.Newton_analysis.Pass.compiled with
-      | Some compiled when not (Diag.has_errors solo) -> (
-          match
-            Deploy.deploy_checked ~mode:t.mode
-              ~stages_per_switch:t.stages_per_switch t.deploy compiled
-          with
-          | Error diags ->
-              (* the admission gate saw the deployed set; its verdict
-                 supersedes the solo diagnostics *)
-              fail_intent t intent ~now:(t.clock ()) diags
-          | Ok (uid, latency) ->
-              must_transition intent ~now:(t.clock ()) Intent.Placed;
-              intent.Intent.uid <- Some uid;
-              intent.Intent.install_latency <- Some latency;
-              (match Deploy.find_deployment t.deploy uid with
-              | Some d -> intent.Intent.rules <- d.Deploy.installed_rules
-              | None -> ());
-              must_transition intent ~now:(t.clock ()) Intent.Active;
-              Api.Accepted (intent_info (report_counts t) intent))
-      | _ -> fail_intent t intent ~now:(t.clock ()) solo
+      match
+        Result.bind verdict (fun (admitted, _) -> Deploy.install t.deploy admitted)
+      with
+      | Error diags -> fail_intent t intent ~now:(t.clock ()) diags
+      | Ok (uid, latency) ->
+          must_transition intent ~now:(t.clock ()) Intent.Placed;
+          intent.Intent.uid <- Some uid;
+          intent.Intent.install_latency <- Some latency;
+          (match Deploy.find_deployment t.deploy uid with
+          | Some d -> intent.Intent.rules <- d.Deploy.installed_rules
+          | None -> ());
+          must_transition intent ~now:(t.clock ()) Intent.Active;
+          (* Nothing has replayed since the install, so only a query id
+             an earlier intent used can have reports yet. *)
+          let counts = if reused then report_counts t else fun _ -> 0 in
+          Api.Accepted (intent_info counts intent)
 
 let withdraw t id =
   match Hashtbl.find_opt t.intents id with

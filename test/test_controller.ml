@@ -303,7 +303,20 @@ let test_deploy_plan () =
       [ Scheduler.demand ~weight:4.0 (Newton_query.Catalog.q1 ());
         Scheduler.demand (Newton_query.Catalog.q4 ()) ]
   in
-  let uids = Deploy.deploy_plan ctl plan in
+  (* a plan deploys one assignment at a time, each compiled with its
+     assigned register budget *)
+  let uids =
+    List.map
+      (fun (a : Scheduler.assignment) ->
+        let options =
+          { Newton_compiler.Decompose.default_options with
+            Newton_compiler.Decompose.registers = a.Scheduler.registers }
+        in
+        fst
+          (Deploy.deploy ctl
+             (Newton_compiler.Compose.compile ~options a.Scheduler.a_query)))
+      plan.Scheduler.admitted
+  in
   checki "two deployments" 2 (List.length uids);
   (* run traffic and both fire *)
   let trace =

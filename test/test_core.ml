@@ -197,7 +197,16 @@ let test_network_facade_extensions () =
     Newton_controller.Scheduler.plan ~register_pool:30_000
       [ Newton_controller.Scheduler.demand (Catalog.q1 ()) ]
   in
-  let uids = Network.deploy_plan net plan in
+  let uids =
+    List.map
+      (fun (a : Newton_controller.Scheduler.assignment) ->
+        let options =
+          { Compile_options.default_options with
+            Compile_options.registers = a.Newton_controller.Scheduler.registers }
+        in
+        fst (Network.add_query ~options net a.Newton_controller.Scheduler.a_query))
+      plan.Newton_controller.Scheduler.admitted
+  in
   checki "plan deployed through the facade" 1 (List.length uids);
   checki "legacy switch untouched" 0
     (List.length

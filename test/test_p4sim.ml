@@ -119,7 +119,8 @@ let test_wire_keeps_ingress_port () =
   | Error why -> Alcotest.failf "skipped: %s" (Diff.skip_to_string why));
   match
     Diff.run_query
-      (keyed_query ~id:901 [ Newton_packet.Field.Ingress_port ])
+      (Newton_compiler.Compose.compile
+         (keyed_query ~id:901 [ Newton_packet.Field.Ingress_port ]))
       [ pkt ]
   with
   | Error _ -> Alcotest.fail "no rule encoding"
@@ -177,7 +178,11 @@ let test_random_vector_differential () =
       let packets = random_packets ~seed 3000 in
       List.iter
         (fun (id, keys) ->
-          match Diff.run_query (keyed_query ~id keys) packets with
+          match
+            Diff.run_query
+              (Newton_compiler.Compose.compile (keyed_query ~id keys))
+              packets
+          with
           | Error _ -> Alcotest.fail "no rule encoding"
           | Ok r ->
               let what = Printf.sprintf "seed %d query %d" seed id in
@@ -208,7 +213,7 @@ let test_differential_all_queries () =
   let packets = Corpus.coverage_packets () in
   List.iter
     (fun q ->
-      match Diff.run_query q packets with
+      match Diff.run_query (Newton_compiler.Compose.compile q) packets with
       | Error issue ->
           Alcotest.failf "Q%d has no rule encoding: %s" q.Newton_query.Ast.id
             (Newton_p4gen.Rules.issue_to_string issue)
@@ -230,7 +235,11 @@ let test_differential_all_queries () =
    report and the harness must flag the outcome. *)
 let test_differential_detects_divergence () =
   let packets = Corpus.coverage_packets ~scale:0.02 () in
-  match Diff.run_query (Newton_query.Catalog.q1 ()) packets with
+  match
+    Diff.run_query
+      (Newton_compiler.Compose.compile (Newton_query.Catalog.q1 ()))
+      packets
+  with
   | Error _ -> Alcotest.fail "q1 must have a rule encoding"
   | Ok r ->
       checkb "baseline matches" true (Diff.matched r);

@@ -364,15 +364,20 @@ let test_instance_stats () =
   for i = 1 to 10 do
     Engine.process_packet e (syn ~ts:0.01 ~src:i ~dst:7)
   done;
-  match Engine.stats e with
-  | [ s ] ->
-      checkb "query named" true (s.Engine.st_query = "new_tcp_connections");
-      checkb "arrays allocated" true (s.Engine.st_arrays >= 2);
-      checkb "registers counted" true (s.Engine.st_registers >= 8192);
-      checkb "occupancy after traffic" true (s.Engine.st_occupancy > 0);
-      checki "one key reported this window" 1 s.Engine.st_reported_keys;
-      checkb "renders" true (String.length (Engine.stats_to_string s) > 0)
-  | l -> Alcotest.failf "expected one stats row, got %d" (List.length l)
+  match Engine.instances e with
+  | [ inst ] ->
+      let arrays = List.map snd (Engine.instance_arrays inst) in
+      let sum f = List.fold_left (fun acc a -> acc + f a) 0 arrays in
+      checkb "query named" true
+        ((Engine.instance_query inst).Ast.name = "new_tcp_connections");
+      checkb "arrays allocated" true (List.length arrays >= 2);
+      checkb "registers counted" true
+        (sum Newton_sketch.Register_array.size >= 8192);
+      checkb "occupancy after traffic" true
+        (sum Newton_sketch.Register_array.occupancy > 0);
+      checki "one key reported this window" 1
+        (Engine.instance_reported_keys inst)
+  | l -> Alcotest.failf "expected one instance, got %d" (List.length l)
 
 (* ---------------- Analyzer ---------------- *)
 

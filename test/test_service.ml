@@ -484,6 +484,104 @@ let test_replay_budget_bounds_step () =
   checki "position advanced" 5 (Replay.position replay)
 
 
+(* [Accepted] carries the same report count that [status] returns right
+   after it: a fresh query id has none yet, and a catalog intent
+   withdrawn and re-submitted sees the reports its first deployment
+   left behind. *)
+let test_accepted_reports_match_status () =
+  let topo () = Newton_network.Topo.linear 4 in
+  let trace =
+    Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.default_suite
+      ~seed:7
+      (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 800)
+  in
+  let third = Newton_trace.Gen.length trace / 3 in
+  let replay = Replay.of_trace ~topo:(topo ()) ~desc:"reports" trace in
+  let clock, _ = make_clock () in
+  let d = Daemon.create ~clock ~replay ~replay_budget:max_int (topo ()) in
+  let step () =
+    ignore (Replay.step replay ~now:infinity ~budget:third (Daemon.deploy d))
+  in
+  let submit what spec =
+    match Daemon.handle d (Api.Submit { spec; name = None }) with
+    | Api.Accepted info -> (
+        match Daemon.handle d (Api.Status info.Intent.i_id) with
+        | Api.Intent_status { info = now; _ } ->
+            checki what now.Intent.i_reports info.Intent.i_reports;
+            info.Intent.i_reports
+        | other -> Alcotest.fail (Api.response_summary other))
+    | other -> Alcotest.fail (Api.response_summary other)
+  in
+  checki "q1 starts with no reports" 0 (submit "q1" (Api.Catalog 1));
+  step ();
+  checki "a DSL intent submitted mid-replay has none" 0
+    (submit "DSL mid-replay"
+       (Api.Dsl
+          "filter(proto == udp) | map(dip) | reduce(dip, count) | \
+           filter(count > 100) | map(dip)"));
+  step ();
+  (match Daemon.handle d (Api.Withdraw 1) with
+  | Api.Withdrawn_ok _ -> ()
+  | other -> Alcotest.fail (Api.response_summary other));
+  checkb "re-submitted q1 sees the reports of its first deployment" true
+    (submit "q1 re-submitted" (Api.Catalog 1) > 0)
+
+(* A DSL intent the compiler cannot host: two aggregate predicates in
+   one filter (NA045). *)
+let uncompilable_dsl =
+  "map(dip) | reduce(dip, count) | filter(count > 5, count > 7) | map(dip)"
+
+let error_codes diags =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun g ->
+         if g.Newton_analysis.Diag.severity = Newton_analysis.Diag.Error then
+           Some g.Newton_analysis.Diag.code
+         else None)
+       diags)
+
+(* Every front-end gives one verdict: a daemon submit (placed on
+   linear:4, analysed against the deployed set) and the CLI's
+   single-switch admission of the same query ([Check.admit], no peers)
+   accept and refuse the same intents with the same error codes. *)
+let test_one_verdict_for_every_front_end () =
+  let daemon spec =
+    match Daemon.handle (make_daemon ()) (Api.Submit { spec; name = None }) with
+    | Api.Accepted info -> (true, error_codes info.Intent.i_diags)
+    | Api.Refused { diags; _ } -> (false, error_codes diags)
+    | other -> Alcotest.fail (Api.response_summary other)
+  in
+  let cli query =
+    match Newton_analysis.Check.admit query with
+    | Ok (_, diags) -> (true, error_codes diags)
+    | Error diags -> (false, error_codes diags)
+  in
+  let same what spec query =
+    let ((accepted, codes) as verdict) = daemon spec in
+    checkb (what ^ ": same verdict") true (verdict = cli query);
+    (accepted, codes)
+  in
+  List.iter
+    (fun n ->
+      checkb
+        (Printf.sprintf "Q%d accepted" n)
+        true
+        (same (Printf.sprintf "Q%d" n) (Api.Catalog n)
+           (Newton_query.Catalog.by_id n)
+        = (true, [])))
+    (List.init 17 (fun i -> i + 1));
+  let dsl text =
+    match Newton_query.Parser.parse_result ~id:100 ~name:"adhoc0" text with
+    | Ok q -> same text (Api.Dsl text) q
+    | Error m -> Alcotest.fail m
+  in
+  let refused_with code (accepted, codes) =
+    checkb (code ^ " refuses") false accepted;
+    checkb (code ^ " named") true (List.mem code codes)
+  in
+  refused_with "NA030" (dsl rejectable_dsl);
+  refused_with "NA045" (dsl uncompilable_dsl)
+
 (* ---------------- client input buffering ---------------- *)
 
 let feed pending s = Daemon.take_lines pending (Bytes.of_string s) (String.length s)
@@ -548,6 +646,10 @@ let suite =
       test_handle_line_text_and_json;
     Alcotest.test_case "shutdown sets stopping" `Quick
       test_shutdown_sets_stopping;
+    Alcotest.test_case "accepted reports match status" `Quick
+      test_accepted_reports_match_status;
+    Alcotest.test_case "one verdict for every front-end" `Quick
+      test_one_verdict_for_every_front_end;
     Alcotest.test_case "churn matches static deploy" `Quick
       test_churn_matches_static;
     Alcotest.test_case "replay budget bounds step" `Quick
