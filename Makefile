@@ -61,8 +61,8 @@ unused-vals:
 	@python3 scripts/unused_vals.py
 
 # Exactly what .github/workflows/ci.yml runs: artifact-hygiene guard,
-# .mli interface guard, build, tests, static analysis, example
-# smoke-runs.
+# .mli interface guard, unused-export guard, build, tests, static
+# analysis, example smoke-runs.
 ci:
 	@test -z "$$(git ls-files _build)" || \
 	  { echo "error: _build artifacts are tracked in git"; exit 1; }
@@ -72,6 +72,9 @@ ci:
 	    missing=1; \
 	  fi; \
 	done; exit $$missing
+	@scan=$$(python3 scripts/unused_vals.py); echo "$$scan"; \
+	  case "$$scan" in *"unused and untested: 0") ;; \
+	  *) echo "error: an exported val is named by no program code and no test"; exit 1 ;; esac
 	$(MAKE) build
 	$(MAKE) test
 	$(MAKE) check

@@ -6,11 +6,6 @@ open Newton_packet
 
 type severity = Info | Warning | Error
 
-val severity_to_string : severity -> string
-
-(** info 0, warning 1, error 2. *)
-val severity_rank : severity -> int
-
 (** Where in the query (or its compiled/placed form) a finding sits. *)
 type span =
   | Query                                  (** the query as a whole *)
@@ -40,10 +35,6 @@ val make :
   code:string -> severity:severity -> ?span:span -> ?hint:string ->
   ?witness:Packet.t -> query:Newton_query.Ast.t -> string -> t
 
-(** Compact [field=value] rendering of a witness packet (non-zero
-    fields only, IPs as dotted quads). *)
-val witness_to_string : Packet.t -> string
-
 (** [?witness] (default false) appends the witness line, when the
     diagnostic carries one. *)
 val to_string : ?witness:bool -> t -> string
@@ -60,9 +51,6 @@ val compare : t -> t -> int
 (** (query, span, code)-major order for machine output: stable under
     pass additions and severity retunes. *)
 val compare_stable : t -> t -> int
-
-(** [Info] for an empty list. *)
-val max_severity : t list -> severity
 
 val has_errors : t list -> bool
 

@@ -25,8 +25,6 @@ val messages : t -> int
 
 val packets : t -> int
 
-val feature_of : Packet.t -> feature
-
 val process : t -> Packet.t -> unit
 
 (** Ship all resident partial GPVs. *)

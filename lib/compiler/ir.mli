@@ -65,7 +65,6 @@ val make_slot :
 (** Used and not removed. *)
 val is_active : slot -> bool
 
-val kind_char : slot -> string
 val slot_to_string : slot -> string
 
 (** A newton_init classifier entry (ternary over 5-tuple + TCP flags)

@@ -92,14 +92,6 @@ let run ?(mode = `Cqe) ?(stages_per_switch = 12) ?edge_switches ~topo ~queries
   in
   let base_reports = Deploy.reconciled_reports baseline in
   let chaos_reports = Deploy.reconciled_reports chaos in
-  (* Report identity, the analyzer's dedup key. *)
-  let key (r : Report.t) = (r.Report.query_id, r.Report.window, r.Report.keys) in
-  let index reports =
-    let tbl = Hashtbl.create 1024 in
-    List.iter (fun r -> Hashtbl.replace tbl (key r) ()) reports;
-    tbl
-  in
-  let base_tbl = index base_reports and chaos_tbl = index chaos_reports in
   let explained (r : Report.t) =
     match window_of r.Report.query_id with
     | None -> false
@@ -108,11 +100,10 @@ let run ?(mode = `Cqe) ?(stages_per_switch = 12) ?edge_switches ~topo ~queries
           (fun e -> int_of_float (e.at /. w) = r.Report.window)
           events
   in
-  let missing =
-    List.filter (fun r -> not (Hashtbl.mem chaos_tbl (key r))) base_reports
-  in
-  let extra =
-    List.filter (fun r -> not (Hashtbl.mem base_tbl (key r))) chaos_reports
+  (* By identity: a report whose aggregate moved under failures is
+     neither missing nor extra ([changed] goes unread). *)
+  let { Report.missing; extra; _ } =
+    Report.diff ~reference:base_reports ~measured:chaos_reports
   in
   let diff kind r = { d_report = r; d_kind = kind; d_explained = explained r } in
   {

@@ -550,7 +550,6 @@ let repair_link t l = Route.repair_link t.route l
 
 (* ---------------- switch failure recovery ---------------- *)
 
-let is_switch_failed t s = Route.is_node_failed t.route s
 let failed_switches t = Route.failed_nodes t.route
 let recoveries t = List.rev t.recoveries
 

@@ -162,7 +162,6 @@ val fail_switch : t -> int -> recovery option
     @raise Invalid_argument if [s] is not a switch. *)
 val repair_switch : t -> int -> recovery option
 
-val is_switch_failed : t -> int -> bool
 val failed_switches : t -> int list
 
 (** Failure / repair events in occurrence order. *)

@@ -9,10 +9,6 @@ type demand = {
   max_registers : int;   (** per-array ceiling beyond which memory stops helping *)
 }
 
-(** Default per-array register ceiling (two state banks must fit a
-    physical stage's SRAM). *)
-val default_max_registers : int
-
 (** @raise Invalid_argument on non-positive weight or an inverted band. *)
 val demand :
   ?weight:float -> ?min_registers:int -> ?max_registers:int ->

@@ -3,19 +3,6 @@
     reloads (Sonata — seconds of outage growing linearly with the
     forwarding-table population; Fig. 10/11). *)
 
-(** Fixed driver round-trip cost per batched install, seconds. *)
-val install_base : float
-
-(** Mean per-rule install latency within a batch, seconds. *)
-val rule_install_mean : float
-
-val remove_base : float
-val rule_remove_mean : float
-
-(** Fixed drain + reload + bring-up time of a full program reload,
-    seconds. *)
-val reload_fixed : float
-
 (** Per-forwarding-entry restore cost after a reload, seconds. *)
 val reload_per_entry : float
 

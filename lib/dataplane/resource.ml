@@ -99,17 +99,6 @@ let stage_budget =
     gateway = 16.;
   }
 
-let to_assoc t =
-  [
-    ("Crossbar", t.crossbar);
-    ("SRAM", t.sram);
-    ("TCAM", t.tcam);
-    ("VLIW", t.vliw);
-    ("Hash Bits", t.hash_bits);
-    ("SALU", t.salu);
-    ("Gateway", t.gateway);
-  ]
-
 let names = [ "Crossbar"; "SRAM"; "TCAM"; "VLIW"; "Hash Bits"; "SALU"; "Gateway" ]
 
 let pp fmt t =

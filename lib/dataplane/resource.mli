@@ -31,9 +31,7 @@ val utilization : t -> t -> t
 (** Per-stage budget of the modelled switch (Tofino-like proportions). *)
 val stage_budget : t
 
-val to_assoc : t -> (string * float) list
-
-(** Column names matching {!to_assoc}'s order. *)
+(** Column names of the seven resource types, in the record's field order. *)
 val names : string list
 
 val pp : Format.formatter -> t -> unit

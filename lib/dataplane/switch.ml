@@ -41,9 +41,7 @@ let num_stages t = Array.length t.stages
 let stage t i = t.stages.(i)
 let stages t = t.stages
 let fwd_entries t = t.fwd_entries
-let set_fwd_entries t n = t.fwd_entries <- n
 let monitor_rules t = t.monitor_rules
-let rule_ops t = t.rule_ops
 let outage_time t = t.outage_time
 
 (** Place a component (module table / register array) into a stage.

@@ -20,13 +20,9 @@ val num_stages : t -> int
 val stage : t -> int -> Stage.t
 val stages : t -> Stage.t array
 val fwd_entries : t -> int
-val set_fwd_entries : t -> int -> unit
 
 (** Monitoring rules currently installed. *)
 val monitor_rules : t -> int
-
-(** Lifetime rule install+remove operations. *)
-val rule_ops : t -> int
 
 (** Cumulative forwarding outage, seconds (always 0 for rule-level
     reconfiguration). *)

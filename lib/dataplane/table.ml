@@ -98,7 +98,6 @@ let lookup t keys =
       Some r.action
   | None -> None
 
-let iter_rules f t = List.iter f t.rules
 let rules t = t.rules
 
 (** Find ids of rules whose action satisfies [pred] (e.g. "belongs to

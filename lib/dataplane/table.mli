@@ -48,7 +48,6 @@ val clear : 'a t -> unit
     @raise Invalid_argument on a key-arity mismatch. *)
 val lookup : 'a t -> int array -> 'a option
 
-val iter_rules : ('a rule -> unit) -> 'a t -> unit
 val rules : 'a t -> 'a rule list
 
 (** Rule ids whose action satisfies a predicate (e.g. "belongs to query

@@ -18,14 +18,9 @@ type result = Decoded of Packet.t | Skipped of skip
 val ethertype_ipv4 : int
 val ethertype_ipv6 : int
 val ethertype_vlan : int
-val ethertype_qinq : int
 
 (** The IANA VXLAN UDP destination port (4789). *)
 val vxlan_port : int
-
-(** XOR-fold of a 128-bit IPv6 address at [off] into the 32-bit word
-    the PHV carries (exposed for tests). *)
-val fold_ip6 : bytes -> int -> int
 
 (** [frame_at ~linktype ~ts data off len] decodes the captured frame
     held in [data] from [off], [len] bytes long, into a packet stamped

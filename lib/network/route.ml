@@ -213,8 +213,6 @@ let all_paths_bounded t ~src ~dst ~max_hops =
   in
   go src [ src ] 0
 
-let path_length path = List.length path - 1
-
 (** Hop count between two hosts under current failures. *)
 let hop_count ?flow_hash t ~src_host ~dst_host =
   Option.map List.length (switch_path ?flow_hash t ~src_host ~dst_host)

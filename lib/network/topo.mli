@@ -60,10 +60,6 @@ val fat_tree : ?hosts_per_edge:int -> int -> t
 
 val fat_tree_num_core : int -> int
 
-(** City names of the ISP backbone, index-aligned with its switches;
-    index 0/1 are the California edges. *)
-val isp_cities : string array
-
 (** 25-city North-America backbone modelled on the AT&T OC-768 map. *)
 val isp : unit -> t
 

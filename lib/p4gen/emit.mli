@@ -12,9 +12,6 @@ type layout = {
 
 val default_layout : layout
 
-(** EtherType carrying the SP header between Newton hops. *)
-val sp_ethertype : int
-
 (** Default size in 32-bit words of the global [newton_state] register
     file for a layout: one array-sized bank per (stage, metadata set). *)
 val state_words_of_layout : layout -> int
@@ -37,7 +34,6 @@ val meta_field : Newton_packet.Field.t -> string
 (** Metadata field name of a (set, global field) operation key. *)
 val key_field : set:int -> Newton_packet.Field.t -> string
 
-val hash_result : set:int -> string
 val state_result : set:int -> string
 
 (** Number of 5-bit positions in a key descriptor. *)

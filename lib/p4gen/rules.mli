@@ -38,10 +38,6 @@ type issue =
 
 val issue_to_string : issue -> string
 
-(** Maximum parallel branches per intent (classifier-product / pending
-    bitmap limit). *)
-val max_branches : int
-
 (** Allocator for the global resources entries consume: [newton_state]
     register-file words and pending-bitmap bit positions.  Share one
     allocator across {!entries} calls to build a co-resident deployment
@@ -89,8 +85,6 @@ val entries_exn :
   ?alloc:allocator ->
   Newton_compiler.Compose.t ->
   entry list
-
-val entry_to_json : entry -> string
 
 (** Render entries as a JSON array, one entry per line — the wire
     format [newton p4 emit --rules-out] writes and {!Newton_p4sim}

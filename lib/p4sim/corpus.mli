@@ -2,10 +2,6 @@
     which every catalog query Q1-Q17 reports at least once.  Tests, the
     bench, and [newton p4 diff --coverage-corpus] all replay this. *)
 
-(** The extended attack suite plus the three scenarios (ICMP flood,
-    port-53 amplification, SYN-ACK reflection) that Q12/Q13/Q14 need. *)
-val coverage_attacks : Newton_trace.Attack.t list
-
 (** Generate the corpus, timestamp-ordered.  Defaults ([seed]=7,
     [scale]=0.15 of the CAIDA-like profile, ~62k packets) are the
     pinned full-coverage recipe; changing either voids the every-query-

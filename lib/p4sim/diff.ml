@@ -6,7 +6,8 @@
     ({!Newton_ingest.Encode.frame}), replays it through
     {!Newton_runtime.Engine.process_packet} and {!Interp.run}, decodes
     the interpreter's digests into {!Newton_query.Report} values, and
-    compares the two report multisets.  This is the repo's ground-truth
+    compares the two report multisets with {!Newton_query.Report.diff}
+    (identity and aggregate values).  This is the repo's ground-truth
     check that emission + rule generation preserve engine semantics —
     any divergence in hashing, window rolls, guard evaluation, branch
     recirculation or report dedup shows up as a report mismatch.
@@ -70,27 +71,14 @@ type outcome = {
   p4_reports : Report.t list;
 }
 
-let sorted reports = List.sort Report.compare reports
+let report_diff r =
+  Report.diff ~reference:r.engine_reports ~measured:r.p4_reports
 
-let matched r =
-  let a = sorted r.engine_reports and b = sorted r.p4_reports in
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> Report.compare x y = 0) a b
+let empty = function
+  | { Report.missing = []; extra = []; changed = [] } -> true
+  | _ -> false
 
-(* First report present in exactly one sorted multiset, if any. *)
-let first_disagreement r =
-  let rec go a b =
-    match a, b with
-    | [], [] -> None
-    | x :: _, [] -> Some (`Engine_only x)
-    | [], y :: _ -> Some (`P4_only y)
-    | x :: a', y :: b' ->
-        let c = Report.compare x y in
-        if c = 0 then go a' b'
-        else if c < 0 then Some (`Engine_only x)
-        else Some (`P4_only y)
-  in
-  go (sorted r.engine_reports) (sorted r.p4_reports)
+let matched r = empty (report_diff r)
 
 let report_to_string (r : Report.t) =
   Printf.sprintf "q%d w%d keys[%s] value %d%s" r.query_id r.window
@@ -105,14 +93,23 @@ let describe r =
       (List.length r.engine_reports)
       (List.length r.p4_reports)
   in
-  if matched r then head ^ " — identical"
+  let d = report_diff r in
+  if empty d then head ^ " — identical"
   else
-    match first_disagreement r with
-    | Some (`Engine_only rep) ->
-        Printf.sprintf "%s — engine-only report: %s" head (report_to_string rep)
-    | Some (`P4_only rep) ->
-        Printf.sprintf "%s — p4-only report: %s" head (report_to_string rep)
-    | None -> head ^ " — multiset mismatch"
+    let first what show = function
+      | [] -> []
+      | x :: _ -> [ Printf.sprintf "first %s: %s" what (show x) ]
+    in
+    String.concat "; "
+      (Printf.sprintf "%s — %d engine-only, %d p4-only, %d changed" head
+         (List.length d.missing) (List.length d.extra) (List.length d.changed)
+      :: first "engine-only report" report_to_string d.missing
+      @ first "p4-only report" report_to_string d.extra
+      @ first "changed report"
+          (fun (e, p) ->
+            Printf.sprintf "engine %s, p4 %s" (report_to_string e)
+              (report_to_string p))
+          d.changed)
 
 (* ---------------- digest decoding ---------------- *)
 

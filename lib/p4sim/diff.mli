@@ -34,19 +34,16 @@ type outcome = {
   p4_reports : Newton_query.Report.t list;
 }
 
-(** Report multisets identical? *)
+(** Report multisets identical, aggregate values included
+    ({!Newton_query.Report.diff} of the P4 reports against the
+    engine's is empty)? *)
 val matched : outcome -> bool
-
-(** First report present on exactly one side (sorted order), if any. *)
-val first_disagreement :
-  outcome ->
-  [ `Engine_only of Newton_query.Report.t
-  | `P4_only of Newton_query.Report.t ]
-  option
 
 val report_to_string : Newton_query.Report.t -> string
 
-(** One-line human summary (coverage, report counts, first divergence). *)
+(** One-line human summary: coverage, report counts and, on a
+    mismatch, the engine-only/P4-only/changed counts with the first
+    report of each kind. *)
 val describe : outcome -> string
 
 (** Install a compiled query on a fresh engine and a fresh

@@ -195,10 +195,6 @@ let install t (rules : Newton_p4gen.Rules.entry list) =
           cell := inst :: !cell)
     rules
 
-let clear_entries t =
-  Hashtbl.iter (fun _ cell -> cell := []) t.entries;
-  t.seq <- 0
-
 let clear_state t =
   Hashtbl.iter (fun _ arr -> Array.fill arr 0 (Array.length arr) 0) t.registers
 
@@ -529,6 +525,3 @@ let run t ?(ingress_port = 0) bytes =
 (** Pipeline passes (1 + recirculations) the most recent {!run} packet
     took; 0 before any run. *)
 let last_passes t = t.last_passes
-
-let register_words t =
-  Hashtbl.fold (fun _ arr acc -> acc + Array.length arr) t.registers 0

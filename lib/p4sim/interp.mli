@@ -7,10 +7,6 @@
 exception Runtime_error of string
 exception Install_error of string
 
-(** Recirculation-pass cap per packet; exceeding it raises
-    {!Runtime_error} (a rule-generation bug, not traffic-dependent). *)
-val max_passes : int
-
 type t
 
 (** Instantiate a parsed program: resolves the ingress control (the one
@@ -25,14 +21,8 @@ val create : P4ast.program -> t
     one is unbounded). *)
 val install : t -> Newton_p4gen.Rules.entry list -> unit
 
-(** Remove all installed entries (tables fall back to defaults). *)
-val clear_entries : t -> unit
-
 (** Zero the register file — the window-roll reset. *)
 val clear_state : t -> unit
-
-(** Total register words across the program's register declarations. *)
-val register_words : t -> int
 
 (** Run one packet through the pipeline (recirculations included);
     returns emitted digests in order, each the evaluated field tuple of
@@ -45,4 +35,3 @@ val run : t -> ?ingress_port:int -> string -> int array list
     took; 0 before any run.  The observable NA093's witness replay
     asserts against. *)
 val last_passes : t -> int
-

@@ -93,12 +93,7 @@ type program = {
 
 (* ---------------- lookups ---------------- *)
 
-let find_header_type p name =
-  List.find_opt (fun h -> h.h_name = name) p.header_types
-
 let find_struct p name = List.find_opt (fun s -> s.s_name = name) p.structs
-
-let find_control p name = List.find_opt (fun c -> c.c_name = name) p.controls
 
 let find_state p name =
   List.find_opt (fun s -> s.ps_name = name) p.parser_states

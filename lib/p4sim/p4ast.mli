@@ -83,9 +83,7 @@ type program = {
   controls : control list;
 }
 
-val find_header_type : program -> string -> header_type option
 val find_struct : program -> string -> struct_type option
-val find_control : program -> string -> control option
 val find_state : program -> string -> pstate option
 
 (** Render a dotted path back to source form. *)

@@ -93,7 +93,6 @@ module Tcp_flag = struct
   let rst = 0x04
   let psh = 0x08
   let ack = 0x10
-  let urg = 0x20
   let syn_ack = syn lor ack
 end
 

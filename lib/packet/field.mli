@@ -55,7 +55,6 @@ module Tcp_flag : sig
   val rst : int
   val psh : int
   val ack : int
-  val urg : int
   val syn_ack : int
 end
 

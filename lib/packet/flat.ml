@@ -68,11 +68,6 @@ let get t i f =
   check_index t i "get";
   Bigarray.Array1.get t.fields ((i * t.stride) + Field.index f)
 
-(** Field by dense {!Field.index} (no bounds check on the field). *)
-let get_idx t i fidx =
-  check_index t i "get_idx";
-  Bigarray.Array1.get t.fields ((i * t.stride) + fidx)
-
 let ts t i =
   check_index t i "ts";
   t.ts.(i)

@@ -5,22 +5,19 @@
 
 type t
 
-(** Words per packet in the field buffer ([= Packet.num_fields]). *)
-val stride_words : int
-
 (** An all-zero arena of [len] packets.
     @raise Invalid_argument on a negative length. *)
 val create : int -> t
 
 val length : t -> int
 
-(** Words per packet ([stride_words]). *)
+(** Words per packet ([= Packet.num_fields]). *)
 val stride : t -> int
 
 (** The raw packet-major word buffer (a {!Packet.words} Bigarray, off
     the scanned OCaml heap): packet [i]'s field [f] is at
     [i * stride t + Field.index f].  Hot-loop access only — other
-    callers should use {!get}/{!get_idx}. *)
+    callers should use {!get}. *)
 val field_words : t -> Packet.words
 
 (** The raw timestamp buffer, parallel to the packet index.  Hot-loop
@@ -36,10 +33,6 @@ val of_packets : Packet.t array -> t
 
 (** @raise Invalid_argument when the index is out of range. *)
 val get : t -> int -> Field.t -> int
-
-(** Field by dense {!Field.index}.
-    @raise Invalid_argument when the packet index is out of range. *)
-val get_idx : t -> int -> int -> int
 
 (** @raise Invalid_argument when the index is out of range. *)
 val ts : t -> int -> float

@@ -79,7 +79,6 @@ let is_udp t = get t Proto = Field.Protocol.udp
 let has_flags t mask = get t Tcp_flags land mask = mask
 let is_syn t = is_tcp t && get t Tcp_flags = Field.Tcp_flag.syn
 let is_syn_ack t = is_tcp t && has_flags t Field.Tcp_flag.syn_ack
-let is_fin t = is_tcp t && has_flags t Field.Tcp_flag.fin
 
 (** Pretty-print an IPv4 address stored as an int. *)
 let ip_to_string ip =

@@ -57,14 +57,10 @@ val make :
 val is_tcp : t -> bool
 val is_udp : t -> bool
 
-(** [has_flags p mask] — all bits of [mask] set in the TCP flags. *)
-val has_flags : t -> int -> bool
-
 (** TCP with flags exactly SYN. *)
 val is_syn : t -> bool
 
 val is_syn_ack : t -> bool
-val is_fin : t -> bool
 
 (** Dotted-quad rendering of an int-encoded IPv4. *)
 val ip_to_string : int -> string

@@ -233,12 +233,6 @@ let to_string t =
 let num_primitives t =
   List.fold_left (fun acc b -> acc + List.length b) 0 t.branches
 
-(** Keys a primitive operates on, if any. *)
-let primitive_keys = function
-  | Filter _ -> None
-  | Map ks | Distinct ks -> Some ks
-  | Reduce { keys; _ } -> Some keys
-
 let keys_equal a b =
   List.length a = List.length b
   && List.for_all2 (fun x y -> Field.equal x.field y.field && x.mask = y.mask) a b

@@ -105,18 +105,11 @@ val validate : t -> error list
 val is_valid : t -> bool
 
 val cmp_to_string : cmp_op -> string
-val key_to_string : key -> string
 val pred_to_string : pred -> string
-val keys_to_string : key list -> string
-val primitive_to_string : primitive -> string
-val combine_op_to_string : combine_op -> string
 val to_string : t -> string
 
 (** Total primitives across branches. *)
 val num_primitives : t -> int
-
-(** Keys a primitive operates on, if any. *)
-val primitive_keys : primitive -> key list option
 
 (** Field-and-mask equality of key lists (order-sensitive). *)
 val keys_equal : key list -> key list -> bool

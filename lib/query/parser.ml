@@ -245,9 +245,6 @@ let parse ?(id = 0) ?(name = "adhoc") ?(description = "ad-hoc query")
   | errs ->
       fail "invalid query: %s" (String.concat "; " (List.map Ast.error_to_string errs))
 
-(** [parse_exn] alias kept for symmetry with conventions. *)
-let parse_exn = parse
-
 (** Result-typed wrapper. *)
 let parse_result ?id ?name ?description ?window src =
   match parse ?id ?name ?description ?window src with

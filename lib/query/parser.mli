@@ -23,10 +23,6 @@ val parse :
   ?id:int -> ?name:string -> ?description:string -> ?window:float -> string ->
   Ast.t
 
-val parse_exn :
-  ?id:int -> ?name:string -> ?description:string -> ?window:float -> string ->
-  Ast.t
-
 (** Result-typed wrapper collecting lex and parse errors. *)
 val parse_result :
   ?id:int -> ?name:string -> ?description:string -> ?window:float -> string ->

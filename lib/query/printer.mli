@@ -3,13 +3,5 @@
     combine (ids, names and windows are metadata the text does not
     carry). *)
 
-val key_to_dsl : Ast.key -> string
-val pred_to_dsl : Ast.pred -> string
-val agg_to_dsl : Ast.agg -> string
-val primitive_to_dsl : Ast.primitive -> string
-
-(** @raise Ast.Invalid for a combine with a field threshold. *)
-val combine_to_dsl : Ast.combine -> string
-
 (** @raise Ast.Invalid for a combine with a field threshold. *)
 val to_dsl : Ast.t -> string

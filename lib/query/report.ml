@@ -25,9 +25,6 @@ let compare a b =
       | c -> c)
   | c -> c
 
-let equal_identity a b =
-  a.query_id = b.query_id && a.window = b.window && a.keys = b.keys
-
 (** Deduplicate by (query, window, keys), keeping the first occurrence. *)
 let dedup reports =
   let seen = Hashtbl.create 64 in
@@ -44,6 +41,50 @@ let dedup reports =
 (** The set of distinct key vectors reported by a query (across windows). *)
 let reported_keys reports =
   List.sort_uniq Stdlib.compare (List.map (fun r -> r.keys) reports)
+
+type diff = { missing : t list; extra : t list; changed : (t * t) list }
+
+(* Each reference report first takes a measured one of the same
+   identity and value, then one of the same identity alone ([changed]);
+   what either side has left over is [missing] or [extra]. *)
+let diff ~reference ~measured =
+  let measured = Array.of_list measured in
+  let used = Array.make (Array.length measured) false in
+  (* identity -> indices of the unpaired measured reports, ascending *)
+  let by_identity = Hashtbl.create 64 in
+  for i = Array.length measured - 1 downto 0 do
+    let r = measured.(i) in
+    let k = (r.query_id, r.window, r.keys) in
+    match Hashtbl.find_opt by_identity k with
+    | Some l -> l := i :: !l
+    | None -> Hashtbl.add by_identity k (ref [ i ])
+  done;
+  let take r ok =
+    match Hashtbl.find_opt by_identity (r.query_id, r.window, r.keys) with
+    | None -> None
+    | Some l -> (
+        match List.find_opt (fun i -> ok measured.(i)) !l with
+        | None -> None
+        | Some i ->
+            l := List.filter (( <> ) i) !l;
+            used.(i) <- true;
+            Some measured.(i))
+  in
+  let unpaired =
+    List.filter
+      (fun r -> take r (fun m -> m.value = r.value && m.value2 = r.value2) = None)
+      reference
+  in
+  let missing, changed =
+    List.partition_map
+      (fun r ->
+        match take r (fun _ -> true) with
+        | None -> Either.Left r
+        | Some m -> Either.Right (r, m))
+      unpaired
+  in
+  let extra = List.filteri (fun i _ -> not used.(i)) (Array.to_list measured) in
+  { missing; extra; changed }
 
 let to_string t =
   let keys = Array.to_list t.keys |> List.map string_of_int |> String.concat "," in

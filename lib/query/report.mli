@@ -16,14 +16,23 @@ val make :
 
 val compare : t -> t -> int
 
-(** Same (query, window, keys)? *)
-val equal_identity : t -> t -> bool
-
 (** Deduplicate by identity, keeping first occurrences. *)
 val dedup : t list -> t list
 
 (** Distinct key vectors across all given reports. *)
 val reported_keys : t list -> int array list
+
+(** How a measured report multiset differs from a reference one.  A
+    report's identity is its (query, window, keys); duplicates count. *)
+type diff = {
+  missing : t list;  (** identities only the reference has (reference order) *)
+  extra : t list;  (** identities only the measured side has (measured order) *)
+  changed : (t * t) list;
+      (** (reference, measured) pairs of one identity whose [value] or
+          [value2] differ *)
+}
+
+val diff : reference:t list -> measured:t list -> diff
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

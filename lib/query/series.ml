@@ -45,8 +45,6 @@ let of_reports reports =
     reports;
   t
 
-let total t = t.total
-
 (** Query ids that produced at least one report, ascending. *)
 let query_ids t =
   Hashtbl.fold (fun q _ acc -> q :: acc) t.keys [] |> List.sort_uniq compare

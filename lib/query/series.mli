@@ -5,29 +5,6 @@ type t
 
 val of_reports : Report.t list -> t
 
-val total : t -> int
-
-(** Query ids with at least one report, ascending. *)
-val query_ids : t -> int list
-
-(** Window range covered by any report; [None] when empty. *)
-val window_span : t -> (int * int) option
-
-val count : t -> query_id:int -> window:int -> int
-
-(** First/last window in which the query reported. *)
-val active_span : t -> query_id:int -> (int * int) option
-
-(** Most-reported key vectors, descending, at most [n]. *)
-val top_keys : t -> query_id:int -> n:int -> (int array * int) list
-
-(** Density glyphs used by {!sparkline}, in increasing order. *)
-val spark_chars : char array
-
-(** One glyph per window across the series span, scaled to the query's
-    peak; [""] when the query never reported. *)
-val sparkline : t -> query_id:int -> string
-
 (** Multi-line operator summary (span + sparkline + top keys per
     query). *)
 val summary : ?top:int -> t -> string

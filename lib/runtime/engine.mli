@@ -123,7 +123,7 @@ val maybe_roll_window : t -> float -> unit
     first: a [dst] behind [src] is cleared and adopts [src]'s window; a
     [src] behind [dst] is stale and contributes nothing.  Arrays merge
     under [op_of]'s per-bank ALU op (see
-    {!Newton_runtime.Merge.slot_merge_op}); [src]'s dedup entries carry
+    {!Newton_runtime.Merge.array_ops}); [src]'s dedup entries carry
     over so the replacement does not re-emit already-exported reports.
     Returns (banks merged, occupied cells moved).
     @raise Invalid_argument on an array-key mismatch or a bank [op_of]

@@ -3,16 +3,7 @@
     utilization vs cell capacity, stage occupancy, per-instance
     footprints, Bloom / Count-Min health). *)
 
-open Newton_compiler
 open Newton_telemetry
-
-(** Sketch-health gauges of one instance layout over [arrays] — live
-    per-shard banks or their ALU merge, evaluated identically. *)
-val sketch_metrics :
-  labels:(string * string) list ->
-  slots:Ir.slot list array ->
-  arrays:(Engine.array_key * Newton_sketch.Register_array.t) list ->
-  Snapshot.t
 
 (** Full snapshot of a sequential engine, every sample tagged with
     [labels] (e.g. [("switch", "0")]). *)

@@ -4,11 +4,6 @@
 
 open Newton_query
 open Newton_sketch
-open Newton_compiler
-
-(** The cross-shard combine op of a state slot, when it carries
-    mergeable state. *)
-val slot_merge_op : Ir.slot -> Register_array.merge_op option
 
 (** Resolve the merge op of each state-bank key from an instance's slot
     layout — suitable as the [op_of] argument of

@@ -23,15 +23,6 @@ type request =
 
 val spec_to_string : query_spec -> string
 
-(** ["q<digits>"] reads as {!Catalog}, anything else as {!Dsl}. *)
-val spec_of_string : string -> query_spec
-
-val stats_format_to_string : stats_format -> string
-val stats_format_of_string : string -> stats_format option
-
-val request_to_json : request -> Newton_util.Json.t
-val request_of_json : Newton_util.Json.t -> (request, string) result
-
 (** Operator-text form (tokens from {!Command.tokenize}), shared by the
     daemon's plain-text protocol and the [newton intent] CLI:
     {v
@@ -67,9 +58,6 @@ type response =
       (** [None] when the switch was already in the requested state *)
   | Stopping
   | Error_resp of { code : string; message : string }
-
-val response_to_json : response -> Newton_util.Json.t
-val response_of_json : Newton_util.Json.t -> (response, string) result
 
 (** Line framing: parse/render one newline-delimited JSON message. *)
 val request_of_line : string -> (request, string) result

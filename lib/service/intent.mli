@@ -79,11 +79,6 @@ val info_to_json : info -> Newton_util.Json.t
 
 val info_of_json : Newton_util.Json.t -> (info, string) result
 
-(** Diagnostics decoder (inverse of {!Newton_analysis.Diag.to_json}),
-    shared with the response codecs. *)
-val diag_of_json :
-  Newton_util.Json.t -> (Newton_analysis.Diag.t, string) result
-
 val diags_of_json :
   Newton_util.Json.t -> (Newton_analysis.Diag.t list, string) result
 

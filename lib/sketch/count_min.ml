@@ -73,9 +73,3 @@ let merge a b =
     hashes = a.hashes;
     total = a.total + b.total;
   }
-
-(** Standard CM error bound: estimate <= true + (e/w) * total with
-    probability 1 - (1/e)^d. *)
-let error_bound t =
-  let w = float_of_int (width t) in
-  Float.exp 1.0 /. w *. float_of_int t.total

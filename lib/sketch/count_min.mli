@@ -27,7 +27,3 @@ val clear : t -> unit
     stream.
     @raise Invalid_argument on a geometry or seed mismatch. *)
 val merge : t -> t -> t
-
-(** Standard CM bound: estimate <= truth + (e/width) * total with
-    probability 1 - (1/e)^depth. *)
-val error_bound : t -> float

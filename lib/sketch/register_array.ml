@@ -54,8 +54,6 @@ let copy t = { t with regs = Array.copy t.regs }
    folds in any order. *)
 type merge_op = [ `Add | `Or | `Max ]
 
-let merge_op_to_string = function `Add -> "+" | `Or -> "|" | `Max -> "max"
-
 (** Fold [src] into [dst] register-by-register with the merge op's ALU
     update ([Alu.Add]/[Or]/[Max] by the source register); merging is
     not counted as packet ALU executions. *)

@@ -53,8 +53,6 @@ val copy : t -> t
     maxima.  All are associative and commutative. *)
 type merge_op = [ `Add | `Or | `Max ]
 
-val merge_op_to_string : merge_op -> string
-
 (** Fold [src] into [dst] register-by-register.
     @raise Invalid_argument on a size mismatch. *)
 val merge_into : op:merge_op -> dst:t -> src:t -> unit

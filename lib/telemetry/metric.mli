@@ -41,7 +41,5 @@ val histogram : name:string -> help:string -> sample list -> t
 (** Deterministic float rendering shared by both exporters. *)
 val string_of_value : float -> string
 
-val label_to_string : string * string -> string
-
 (** [{k="v",...}] or [""] when empty. *)
 val labels_to_string : (string * string) list -> string

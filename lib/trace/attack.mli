@@ -34,10 +34,8 @@ val generate : Newton_util.Prng.t -> duration:float -> t -> Packet.t list
     positives in each 100 ms window of a 1-second trace. *)
 val default_suite : t list
 
-(** The IPv6/ICMPv6/tunnel attacks behind extension queries Q15–Q17
-    (NTP + SSDP amplification, ICMPv6 sweep, tunneled exfiltration).
-    Kept separate so {!default_suite} traces stay byte-stable. *)
-val extras_suite : t list
-
-(** {!default_suite} plus {!extras_suite}. *)
+(** {!default_suite} plus the IPv6/ICMPv6/tunnel attacks behind
+    extension queries Q15–Q17 (NTP + SSDP amplification, ICMPv6 sweep,
+    tunneled exfiltration); kept apart so {!default_suite} traces stay
+    byte-stable. *)
 val extended_suite : t list

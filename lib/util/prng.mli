@@ -11,14 +11,8 @@ val create : ?seed:int64 -> unit -> t
 (** Seed from an [int]. *)
 val of_int : int -> t
 
-(** Raw 64-bit output (advances the state). *)
-val next_int64 : t -> int64
-
 (** A new generator statistically independent of [t]'s later outputs. *)
 val split : t -> t
-
-(** Non-negative int uniform over 62 bits. *)
-val next_int : t -> int
 
 (** [int t bound] is uniform in [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)

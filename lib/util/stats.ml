@@ -5,10 +5,6 @@ let mean xs =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let mean_arr xs =
-  if Array.length xs = 0 then nan
-  else Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
 let variance xs =
   match xs with
   | [] | [ _ ] -> 0.0
@@ -34,7 +30,6 @@ let percentile p xs =
         sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
 
 let median xs = percentile 50.0 xs
-let min_l xs = List.fold_left min infinity xs
 let max_l xs = List.fold_left max neg_infinity xs
 
 (** Empirical CDF as (value, fraction<=value) points, one per distinct value. *)

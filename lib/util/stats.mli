@@ -3,11 +3,6 @@
 (** Arithmetic mean; [nan] on empty input. *)
 val mean : float list -> float
 
-val mean_arr : float array -> float
-
-(** Sample variance (n-1 denominator); 0 for fewer than two points. *)
-val variance : float list -> float
-
 val stddev : float list -> float
 
 (** Percentile with linear interpolation, [p] in [0, 100]; [nan] on
@@ -15,7 +10,6 @@ val stddev : float list -> float
 val percentile : float -> float list -> float
 
 val median : float list -> float
-val min_l : float list -> float
 val max_l : float list -> float
 
 (** Empirical CDF as (value, fraction <= value), one point per distinct

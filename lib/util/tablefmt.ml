@@ -27,8 +27,6 @@ let add_row t cells =
     invalid_arg "Tablefmt.add_row: cell count mismatch";
   t.rows <- cells :: t.rows
 
-let add_rowf t fmts = add_row t fmts
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in
@@ -80,8 +78,3 @@ let write_dat t path =
 let banner title =
   let line = String.make (String.length title + 8) '=' in
   Printf.printf "\n%s\n==  %s  ==\n%s\n" line title line
-
-let fpct x = Printf.sprintf "%.1f%%" (100.0 *. x)
-let f2 x = Printf.sprintf "%.2f" x
-let f4 x = Printf.sprintf "%.4f" x
-let sci x = Printf.sprintf "%.2e" x

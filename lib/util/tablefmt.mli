@@ -11,8 +11,6 @@ val create : ?aligns:align list -> string list -> t
 (** @raise Invalid_argument on a cell-count mismatch. *)
 val add_row : t -> string list -> unit
 
-val add_rowf : t -> string list -> unit
-
 val render : t -> string
 val print : t -> unit
 
@@ -22,8 +20,3 @@ val write_dat : t -> string -> unit
 
 (** Section banner between experiments. *)
 val banner : string -> unit
-
-val fpct : float -> string
-val f2 : float -> string
-val f4 : float -> string
-val sci : float -> string

@@ -256,7 +256,7 @@ let narrow registers =
   }
 
 let test_na040_bloom_fpr () =
-  let diags = Check.check_query ~cfg:(narrow 512) (Catalog.q3 ()) in
+  let diags = Check.check_query ~cfg:(narrow 512) (Catalog.by_id 3) in
   checkb "NA040" true (has_sev "NA040" Diag.Warning diags)
 
 let test_na041_cm_bounds () =
@@ -304,7 +304,7 @@ let shallow_target =
 let test_na053_tail_beyond_path () =
   (* Q6 needs 7 stages = 2 slices of 4; a path one switch deep cannot
      host the second. *)
-  let diags = Check.check_query ~target:shallow_target (Catalog.q6 ()) in
+  let diags = Check.check_query ~target:shallow_target (Catalog.by_id 6) in
   checkb "NA053" true (has_sev "NA053" Diag.Warning diags)
 
 let overcommit_target =
@@ -314,7 +314,7 @@ let overcommit_target =
     ~max_path_depth:2
 
 let test_na051_switch_overcommit () =
-  let diags = Check.check_query ~target:overcommit_target (Catalog.q6 ()) in
+  let diags = Check.check_query ~target:overcommit_target (Catalog.by_id 6) in
   checkb "NA051" true (has_sev "NA051" Diag.Warning diags)
 
 (* ---------------- conflicts (NA060-NA061) ---------------- *)
@@ -337,7 +337,7 @@ let test_na061_exact_duplicate () =
 let test_na071_cross_slice_read () =
   (* At 4 stages per slice Q6's combine read-back lands one slice after
      the sibling's array: admitted, but it reads zeros remotely. *)
-  let diags = Check.check_query ~target:overcommit_target (Catalog.q6 ()) in
+  let diags = Check.check_query ~target:overcommit_target (Catalog.by_id 6) in
   checkb "NA071" true (has_sev "NA071" Diag.Warning diags)
 
 (* ---------------- report rendering ---------------- *)

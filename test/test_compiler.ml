@@ -88,7 +88,7 @@ let test_distinct_uses_bloom_rows () =
   checki "3 BF rows" 3 (List.length bf_rows)
 
 let test_combine_query_reads_sibling () =
-  let d = Decompose.decompose ~options:default (Catalog.q6 ()) in
+  let d = Decompose.decompose ~options:default (Catalog.by_id 6) in
   let reads =
     List.filter
       (fun s -> match s.cfg with S_cfg { op = S_read _; _ } -> true | _ -> false)
@@ -110,7 +110,7 @@ let test_min_combine_mirrors_both_branches () =
   checkb "branch 1 reads too (Min)" true (has_read 1)
 
 let test_sub_combine_single_side () =
-  let d = Decompose.decompose ~options:default (Catalog.q9 ()) in
+  let d = Decompose.decompose ~options:default (Catalog.by_id 9) in
   let has_read b =
     List.exists
       (fun s -> match s.cfg with S_cfg { op = S_read _; _ } -> true | _ -> false)
@@ -164,7 +164,7 @@ let test_opt1_eight_of_nine () =
   checkb "Q3 is the exception" true
     (not (List.exists (fun q -> q.Ast.id = 3) absorbed));
   (* Q9 branch 0 (the DNS branch) stays unabsorbed. *)
-  let q9 = compile (Catalog.q9 ()) in
+  let q9 = compile (Catalog.by_id 9) in
   checkb "Q9 dns branch keeps its filter" true
     (q9.Compose.init_entries.(0).ie_matches = [])
 

@@ -51,7 +51,7 @@ let test_q10_matches_reference () =
 
 let test_q11_max_aggregation () =
   let d = Device.create () in
-  let _ = Device.add_query d (Catalog.q11 ~th:1400 ()) in
+  let _ = Device.add_query d (Catalog.by_id 11) in
   (* One jumbo sender among small-packet hosts. *)
   for i = 1 to 5 do
     Device.process_packet d
@@ -77,7 +77,7 @@ let test_q11_max_reference_equivalence () =
     Newton_trace.Gen.generate ~seed:12
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 600)
   in
-  let q = Catalog.q11 ~th:1400 () in
+  let q = Catalog.by_id 11 in
   let truth = Ref_eval.evaluate q (Newton_trace.Gen.packets trace) in
   let d = Device.create () in
   let _ = Device.add_query d q in
@@ -116,7 +116,7 @@ let test_q13_icmp_flood () =
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 400)
   in
   let d = Device.create () in
-  let _ = Device.add_query d (Catalog.q13 ~th:50 ()) in
+  let _ = Device.add_query d (Catalog.by_id 13) in
   Device.process_trace d trace;
   let victims =
     Device.reports d |> List.map (fun r -> r.Report.keys.(0)) |> List.sort_uniq compare
@@ -132,7 +132,7 @@ let test_q14_reflection () =
       ~seed:15
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 400)
   in
-  let q = Catalog.q14 ~th:30 () in
+  let q = Catalog.by_id 14 in
   (* ground truth agrees with the data plane *)
   let truth = Ref_eval.evaluate q (Newton_trace.Gen.packets trace) in
   checkb "reference finds the reflection victim" true
@@ -175,7 +175,7 @@ let test_q15_ntp_amplification () =
       (Newton_trace.Attack.Amplification
          { victim; reflectors = 50; pkts_each = 10; port = 123 })
     ~culprit:victim
-    (Catalog.q15 ())
+    (Catalog.by_id 15)
 
 let test_q15_ssdp_amplification () =
   let victim = Newton_trace.Attack.host_of 10 in
@@ -191,7 +191,7 @@ let test_q16_icmp6_scan () =
   detection_accuracy ~what:"icmp6 scan" ~seed:18
     ~attack:(Newton_trace.Attack.Icmp6_scan { scanner; fanout = 900 })
     ~culprit:scanner
-    (Catalog.q16 ());
+    (Catalog.by_id 16);
   (* Background traffic has no ICMPv6, so nothing else can be named:
      the scanner is the only host ever reported. *)
   let trace =
@@ -201,7 +201,7 @@ let test_q16_icmp6_scan () =
       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like 400)
   in
   let d = Device.create () in
-  let _ = Device.add_query d (Catalog.q16 ()) in
+  let _ = Device.add_query d (Catalog.by_id 16) in
   Device.process_trace d trace;
   let hosts =
     Device.reports d |> List.map (fun r -> r.Report.keys.(0))
@@ -216,7 +216,7 @@ let test_q17_tunnel_exfiltration () =
       (Newton_trace.Attack.Tunnel_exfil
          { src; dst = Newton_trace.Attack.host_of 13; tun_id = 0xBEEF; pkts = 400 })
     ~culprit:src
-    (Catalog.q17 ())
+    (Catalog.by_id 17)
 
 (* The detection survives the wire: export the trace to pcap, re-ingest
    it through the decoder (VXLAN decap included), and the tunneled
@@ -240,7 +240,7 @@ let test_q17_detects_after_pcap_roundtrip () =
   Newton_ingest.Capture.export trace path;
   let loaded = Newton_ingest.Capture.load path in
   let d = Device.create () in
-  let _ = Device.add_query d (Catalog.q17 ()) in
+  let _ = Device.add_query d (Catalog.by_id 17) in
   Device.process_trace d loaded;
   let hosts =
     Device.reports d |> List.map (fun r -> r.Report.keys.(0))

@@ -65,7 +65,7 @@ let test_accessors () =
 
 let test_parses_rule_documents () =
   (* The generator's own output parses. *)
-  let c = Newton_compiler.Compose.compile (Newton_query.Catalog.q6 ()) in
+  let c = Newton_compiler.Compose.compile (Newton_query.Catalog.by_id 6) in
   let json = Newton_p4gen.Rules.to_json (Newton_p4gen.Rules.entries_exn c) in
   match Json.of_string json with
   | Json.List entries ->

@@ -171,7 +171,7 @@ let test_rules_threshold_becomes_range () =
   checkb "count > 30 compiles to a [31, max] range match" true has_range
 
 let test_rules_distinct_classes_per_branch () =
-  let c = compile (Newton_query.Catalog.q6 ()) in
+  let c = compile (Newton_query.Catalog.by_id 6) in
   let inits =
     List.filter (fun (e : Rules.entry) -> e.Rules.table = "newton_init") (Rules.entries_exn c)
   in

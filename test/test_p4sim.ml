@@ -57,7 +57,7 @@ let test_rules_json_round_trip () =
         true
         (entries = back))
     [ Newton_query.Catalog.q4 (); Newton_query.Catalog.q12 ();
-      Newton_query.Catalog.q17 () ]
+      Newton_query.(Catalog.by_id 17) ]
 
 let test_bad_rule_document_rejected () =
   checkb "malformed document is typed" true
@@ -249,9 +249,54 @@ let test_differential_detects_divergence () =
       in
       checkb "dropped report detected" false (Diff.matched broken);
       checkb "disagreement localized" true
-        (match Diff.first_disagreement broken with
-        | Some (`Engine_only _) -> true
+        (match
+           Newton_query.Report.diff ~reference:broken.Diff.engine_reports
+             ~measured:broken.Diff.p4_reports
+         with
+        | { missing = [ _ ]; extra = []; changed = [] } -> true
         | _ -> false)
+
+(* Values are compared, not only identities: the same report on both
+   sides with a different [value], or a different [value2], is a
+   mismatch that [describe] names. *)
+let test_differential_compares_values () =
+  let report = Newton_query.Report.make ~query_id:1 ~window:3 ~keys:[| 7 |] in
+  let outcome engine p4 =
+    {
+      Diff.query_id = 1;
+      total = 1;
+      replayed = 1;
+      skipped = 0;
+      skip_reasons = [];
+      engine_reports = [ engine ];
+      p4_reports = [ p4 ];
+    }
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (what, engine, p4) ->
+      let o = outcome engine p4 in
+      checkb (what ^ ": same identity") true
+        (Newton_query.Report.compare engine p4 = 0);
+      checkb (what ^ ": mismatch") false (Diff.matched o);
+      let text = Diff.describe o in
+      checkb (what ^ ": 1 changed") true (contains text "1 changed");
+      checkb (what ^ ": names the engine report") true
+        (contains text (Diff.report_to_string engine));
+      checkb (what ^ ": names the p4 report") true
+        (contains text (Diff.report_to_string p4)))
+    [
+      ("value", report ~value:5 (), report ~value:6 ());
+      ( "value2",
+        report ~value2:(Some 1) ~value:5 (),
+        report ~value2:(Some 2) ~value:5 () );
+    ]
 
 (* ---------------- deployment-artifact lint ---------------- *)
 
@@ -359,6 +404,7 @@ let suite =
     ("random-vector differential", `Quick, test_random_vector_differential);
     ("corpus frames all kept", `Quick, test_corpus_frames_all_kept);
     ("differential detects divergence", `Quick, test_differential_detects_divergence);
+    ("differential compares values", `Quick, test_differential_compares_values);
     ("differential all queries", `Slow, test_differential_all_queries);
   ]
 

@@ -162,6 +162,47 @@ let prop_window_isolation =
       burst 0.15;
       Engine.report_count e = 2 * w0)
 
+(* The engine's [distinct] is a Bloom filter over register rows with no
+   false negatives: a key seen once in a window is never counted again
+   in that window, and a window roll forgets it.  Random sources hit
+   one victim in two windows; counting distinct sources per victim
+   gives exactly the number [k] of distinct sources, so [count > k]
+   never reports and [count > k - 1] reports once per window (wide
+   rows keep false positives, which would undercount, out of reach). *)
+let prop_distinct_counts_each_key_once =
+  QCheck.Test.make ~count:100
+    ~name:"distinct: a key seen in a window is never counted again"
+    QCheck.(list_of_size Gen.(int_range 1 60) (int_range 1 40))
+    (fun sources ->
+      let k = List.length (List.sort_uniq compare sources) in
+      let pair = [ Ast.key Field.Src_ip; Ast.key Field.Dst_ip ] in
+      let victim = [ Ast.key Field.Dst_ip ] in
+      let reports threshold =
+        let q =
+          Ast.chain ~id:43 ~name:"distinct" ~description:"sources per victim"
+            [ Ast.Map pair; Ast.Distinct pair; Ast.Map victim;
+              Ast.Reduce { keys = victim; agg = Ast.Count };
+              Ast.Filter [ Ast.result_gt threshold ];
+              Ast.Map victim ]
+        in
+        let e = Engine.create ~switch_id:0 () in
+        ignore
+          (Engine.install e
+             (Newton_compiler.Compose.compile
+                ~options:{ options with registers = 65536 } q));
+        List.iter
+          (fun ts ->
+            List.iter
+              (fun src_ip ->
+                Engine.process_packet e
+                  (Packet.make ~ts ~src_ip ~dst_ip:7 ~proto:6 ~src_port:99
+                     ~dst_port:80 ~tcp_flags:2 ~pkt_len:200 ()))
+              sources)
+          [ 0.01; 0.15 ];
+        Engine.report_count e
+      in
+      reports k = 0 && reports (k - 1) = 2)
+
 let prop_dsl_roundtrip =
   QCheck.Test.make ~count:150 ~name:"random queries: DSL print/parse roundtrip"
     arb_query
@@ -209,4 +250,5 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_valid; prop_compile_invariants; prop_engine_matches_reference;
       prop_cqe_slicing_equivalent; prop_window_isolation;
-      prop_single_failure_coverage; prop_dsl_roundtrip ]
+      prop_single_failure_coverage; prop_distinct_counts_each_key_once;
+      prop_dsl_roundtrip ]

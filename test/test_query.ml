@@ -71,7 +71,7 @@ let test_keys_equal () =
 
 let test_num_primitives () =
   checki "q1 has 5" 5 (num_primitives (Catalog.q1 ()));
-  checki "q6 spans branches" 6 (num_primitives (Catalog.q6 ()))
+  checki "q6 spans branches" 6 (num_primitives (Catalog.by_id 6))
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -82,7 +82,7 @@ let test_to_string_plain () =
   let s = to_string (Catalog.q4 ()) in
   checkb "mentions distinct" true (contains s "distinct");
   checkb "mentions reduce" true (contains s "reduce");
-  let s6 = to_string (Catalog.q6 ()) in
+  let s6 = to_string (Catalog.by_id 6) in
   checkb "mentions combine" true (contains s6 "combine")
 
 (* ---------------- Catalog ---------------- *)
@@ -134,6 +134,30 @@ let test_report_reported_keys () =
   let r2 = Report.make ~query_id:1 ~window:3 ~keys:[| 5 |] ~value:1 () in
   let r3 = Report.make ~query_id:1 ~window:0 ~keys:[| 6 |] ~value:1 () in
   checki "distinct key vectors" 2 (List.length (Report.reported_keys [ r1; r2; r3 ]))
+
+(* Identity and value are attributed separately, duplicates count, and
+   [missing]/[extra] keep their side's order. *)
+let test_report_diff () =
+  let r ?(w = 0) ?value2 k v =
+    Report.make ?value2 ~query_id:1 ~window:w ~keys:[| k |] ~value:v ()
+  in
+  let d =
+    Report.diff
+      ~reference:[ r 1 10; r 2 20; r 2 20; r 3 30; r ~value2:(Some 1) 4 40; r 5 50 ]
+      ~measured:[ r 6 60; r 2 20; r 3 31; r ~value2:(Some 2) 4 40; r 1 10; r ~w:1 5 50 ]
+  in
+  let show = List.map Report.to_string in
+  Alcotest.(check (list string)) "missing" (show [ r 2 20; r 5 50 ]) (show d.missing);
+  Alcotest.(check (list string)) "extra" (show [ r 6 60; r ~w:1 5 50 ]) (show d.extra);
+  Alcotest.(check (list (pair string string)))
+    "changed"
+    [ (Report.to_string (r 3 30), Report.to_string (r 3 31));
+      (Report.to_string (r ~value2:(Some 1) 4 40),
+       Report.to_string (r ~value2:(Some 2) 4 40)) ]
+    (List.map (fun (a, b) -> (Report.to_string a, Report.to_string b)) d.changed);
+  checkb "same multiset in another order: empty" true
+    (Report.diff ~reference:[ r 1 10; r 2 20 ] ~measured:[ r 2 20; r 1 10 ]
+     = { Report.missing = []; extra = []; changed = [] })
 
 (* ---------------- Ref_eval ---------------- *)
 
@@ -244,7 +268,7 @@ let test_ref_eval_rejects_invalid () =
      with Ast.Invalid { errors; _ } -> List.mem Ast.Empty_query errors)
 
 let test_ref_eval_finish_idempotent () =
-  let t = Ref_eval.create (Catalog.q6 ()) in
+  let t = Ref_eval.create (Catalog.by_id 6) in
   Ref_eval.feed t (syn ~ts:0.01 ~src:1 ~dst:9);
   Ref_eval.finish t;
   Ref_eval.finish t;
@@ -271,6 +295,7 @@ let suite =
     ("catalog combine queries", `Quick, test_catalog_combine_queries);
     ("report dedup", `Quick, test_report_dedup);
     ("report reported_keys", `Quick, test_report_reported_keys);
+    ("report diff", `Quick, test_report_diff);
     ("ref_eval filter drops", `Quick, test_ref_eval_filter_drops);
     ("ref_eval map reports keys", `Quick, test_ref_eval_map_reports_keys);
     ("ref_eval map masks", `Quick, test_ref_eval_map_masks);

@@ -312,7 +312,7 @@ let test_rejected_install_leaves_no_residue () =
 
 let test_init_table_entries_tracked () =
   let e = Engine.create ~switch_id:0 () in
-  let uid, _ = Engine.install e (compile (Catalog.q6 ())) in
+  let uid, _ = Engine.install e (compile (Catalog.by_id 6)) in
   (* Q6 has two branches -> two classifier entries. *)
   checki "two init entries" 2 (Engine.init_table_size e);
   ignore (Engine.remove e uid);

@@ -125,7 +125,7 @@ let test_allocation_improves_skewed_accuracy () =
   let plan =
     Scheduler.plan ~register_pool:(2 * 2048 * 2 (* arrays *) )
       [ Scheduler.demand ~weight:8.0 ~min_registers:256 ~max_registers:4096 q;
-        Scheduler.demand ~weight:1.0 ~min_registers:256 ~max_registers:4096 (Catalog.q10 ()) ]
+        Scheduler.demand ~weight:1.0 ~min_registers:256 ~max_registers:4096 (Catalog.by_id 10) ]
   in
   let planned = Option.get (Scheduler.registers_of plan q) in
   checkb "heavy query gets more than an even split" true (planned > 1024);

@@ -8,28 +8,30 @@ let checki = Alcotest.check Alcotest.int
 let r ?(q = 1) ?(w = 0) ?(keys = [| 7 |]) () =
   Report.make ~query_id:q ~window:w ~keys ~value:1 ()
 
-let test_empty () =
-  let s = Series.of_reports [] in
-  checki "no reports" 0 (Series.total s);
-  checkb "no span" true (Series.window_span s = None);
-  Alcotest.(check (list int)) "no queries" [] (Series.query_ids s);
-  Alcotest.(check string) "empty sparkline" "" (Series.sparkline s ~query_id:1)
+let lines s = List.filter (( <> ) "") (String.split_on_char '\n' s)
 
+let test_empty () =
+  Alcotest.(check string) "no reports, no summary" ""
+    (Series.summary (Series.of_reports []))
+
+(* One line per query (span and one sparkline glyph per window of the
+   whole series' span, scaled to the query's peak), then its top keys. *)
 let test_counts_and_span () =
   let s =
     Series.of_reports [ r ~w:2 (); r ~w:2 (); r ~w:5 (); r ~q:2 ~w:3 () ]
   in
-  checki "total" 4 (Series.total s);
-  checki "count q1 w2" 2 (Series.count s ~query_id:1 ~window:2);
-  checki "count q1 w3" 0 (Series.count s ~query_id:1 ~window:3);
-  checkb "global span" true (Series.window_span s = Some (2, 5));
-  checkb "q1 active span" true (Series.active_span s ~query_id:1 = Some (2, 5));
-  checkb "q2 active span" true (Series.active_span s ~query_id:2 = Some (3, 3));
-  checkb "absent query" true (Series.active_span s ~query_id:9 = None)
+  Alcotest.(check (list string))
+    "summary"
+    [ "Q1   windows 2-5    [#  =]"; "      7: 3 reports";
+      "Q2   windows 3-3    [ #  ]"; "      7: 1 reports" ]
+    (lines (Series.summary s))
 
 let test_query_ids_sorted () =
   let s = Series.of_reports [ r ~q:5 (); r ~q:1 (); r ~q:5 () ] in
-  Alcotest.(check (list int)) "sorted unique" [ 1; 5 ] (Series.query_ids s)
+  Alcotest.(check (list string))
+    "ascending query lines"
+    [ "Q1   windows 0-0    [#]"; "Q5   windows 0-0    [#]" ]
+    (List.filter (fun l -> l.[0] = 'Q') (lines (Series.summary s)))
 
 let test_top_keys () =
   let s =
@@ -37,24 +39,20 @@ let test_top_keys () =
       [ r ~keys:[| 1 |] (); r ~keys:[| 1 |] (); r ~keys:[| 1 |] ~w:1 ();
         r ~keys:[| 2 |] (); r ~keys:[| 3 |] () ]
   in
-  (match Series.top_keys s ~query_id:1 ~n:2 with
-  | [ (k1, 3); (_, 1) ] -> Alcotest.(check (array int)) "hottest key" [| 1 |] k1
-  | l -> Alcotest.failf "unexpected top-keys shape (%d entries)" (List.length l));
-  checki "n bounds the list" 1 (List.length (Series.top_keys s ~query_id:1 ~n:1))
+  (match lines (Series.summary ~top:2 s) with
+  | [ _; hottest; _ ] ->
+      Alcotest.(check string) "hottest key first" "      1: 3 reports" hottest
+  | l -> Alcotest.failf "unexpected summary shape (%d lines)" (List.length l));
+  checki "top bounds the key lines" 2 (List.length (lines (Series.summary ~top:1 s)))
 
 let test_sparkline_shape () =
   let s =
     Series.of_reports
       [ r ~w:0 (); r ~w:0 (); r ~w:0 (); r ~w:0 (); r ~w:2 () ]
   in
-  let sl = Series.sparkline s ~query_id:1 in
-  checki "one char per window in span" 3 (String.length sl);
-  checkb "quiet window is blank" true (sl.[1] = ' ');
-  let density c =
-    let rec go i = if Series.spark_chars.(i) = c then i else go (i + 1) in
-    go 0
-  in
-  checkb "peak window is densest" true (density sl.[0] > density sl.[2])
+  (* peak window densest, quiet window blank, one glyph per window *)
+  Alcotest.(check string) "sparkline" "Q1   windows 0-2    [# :]"
+    (List.hd (lines (Series.summary s)))
 
 let test_summary_mentions_queries () =
   let s = Series.of_reports [ r (); r ~q:4 ~w:1 () ] in
@@ -73,11 +71,16 @@ let test_end_to_end_with_device () =
   let d = Newton.Device.create () in
   let _ = Newton.Device.add_query d (Catalog.q1 ()) in
   Newton.Device.process_trace d trace;
-  let s = Series.of_reports (Newton.Device.reports d) in
-  checkb "series covers the attack" true (Series.active_span s ~query_id:1 <> None);
-  let top = Series.top_keys s ~query_id:1 ~n:5 in
+  let text = Series.summary ~top:5 (Series.of_reports (Newton.Device.reports d)) in
+  let victim = Printf.sprintf "      %d: " (Newton_trace.Attack.host_of 1) in
+  checkb "series covers the attack" true
+    (String.length text > 0 && String.sub text 0 13 = "Q1   windows ");
   checkb "flood victim among the top keys" true
-    (List.exists (fun (k, _) -> k.(0) = Newton_trace.Attack.host_of 1) top)
+    (List.exists
+       (fun l ->
+         String.length l > String.length victim
+         && String.sub l 0 (String.length victim) = victim)
+       (lines text))
 
 let suite =
   [

@@ -375,16 +375,6 @@ let test_shutdown_sets_stopping () =
 
 (* ---------------- churn vs static equivalence ---------------- *)
 
-let report_key r =
-  let open Newton_query.Report in
-  ( r.query_id,
-    r.window,
-    Array.to_list r.keys,
-    r.value,
-    r.value2 )
-
-let sorted_keys rs = List.sort compare (List.map report_key rs)
-
 (* Submitting an intent while a trace replays, then withdrawing a
    different one mid-replay, must leave the surviving intent's
    reconciled reports identical to a static deploy-everything-first
@@ -451,25 +441,14 @@ let test_churn_matches_static () =
       (fun r -> r.Newton_query.Report.query_id = 4)
       (Newton_controller.Deploy.reconciled_reports deploy)
   in
-  let early_keys = sorted_keys early in
-  let static_keys =
-    List.filter
-      (fun k -> not (List.mem k early_keys))
-      (sorted_keys static_all)
-  in
-  let churned_keys = sorted_keys churned in
+  let static_after = List.filter (fun r -> not (List.mem r early)) static_all in
+  let d = Newton_query.Report.diff ~reference:static_after ~measured:churned in
   (* zero report loss: everything the static run reports after the
-     install point is present in the churned run *)
-  let lost =
-    List.filter (fun k -> not (List.mem k churned_keys)) static_keys
-  in
-  checki "zero report loss" 0 (List.length lost);
-  let extra =
-    List.filter (fun k -> not (List.mem k static_keys)) churned_keys
-  in
+     install point is present in the churned run, with the same value *)
+  checki "zero report loss" 0 (List.length d.missing + List.length d.changed);
   (* window boundaries at the install point may add one partial-window
      report; nothing beyond that *)
-  checkb "no spurious report flood" true (List.length extra <= 2)
+  checkb "no spurious report flood" true (List.length d.extra <= 2)
 
 let test_replay_budget_bounds_step () =
   let topo = Newton_network.Topo.linear 4 in

@@ -1,5 +1,7 @@
-(** Tests for Newton_sketch: hashes, ALUs, register arrays, Bloom
-    filters, Count-Min sketches, exact oracles. *)
+(** Tests for Newton_sketch: hashes, ALUs, register arrays, Count-Min
+    sketches, exact oracles.  The engine's [distinct] is a Bloom filter
+    built from register-array rows ([Alu.Or]); its no-false-negative
+    behaviour is pinned end to end in [test_properties]. *)
 
 open Newton_sketch
 
@@ -159,49 +161,6 @@ let test_reg_array_rejects_nonpositive () =
     (Invalid_argument "Register_array.create: size must be positive") (fun () ->
       ignore (Register_array.create 0))
 
-(* ---------------- Bloom ---------------- *)
-
-let test_bloom_no_false_negatives () =
-  let b = Bloom.create ~width:1024 ~depth:3 ~seed:5 in
-  for i = 0 to 99 do
-    ignore (Bloom.test_and_set b [| i |])
-  done;
-  for i = 0 to 99 do
-    checkb "inserted key found" true (Bloom.mem b [| i |])
-  done
-
-let test_bloom_test_and_set_semantics () =
-  let b = Bloom.create ~width:1024 ~depth:3 ~seed:5 in
-  checkb "first insert: absent" false (Bloom.test_and_set b [| 42 |]);
-  checkb "second insert: present" true (Bloom.test_and_set b [| 42 |])
-
-let test_bloom_clear () =
-  let b = Bloom.create ~width:64 ~depth:2 ~seed:6 in
-  ignore (Bloom.test_and_set b [| 1 |]);
-  Bloom.clear b;
-  checkb "cleared" false (Bloom.mem b [| 1 |]);
-  checki "inserted reset" 0 (Bloom.inserted b)
-
-let test_bloom_fpr_low_when_sparse () =
-  let b = Bloom.create ~width:8192 ~depth:3 ~seed:7 in
-  for i = 0 to 99 do
-    ignore (Bloom.test_and_set b [| i |])
-  done;
-  let fp = ref 0 in
-  for i = 1000 to 1999 do
-    if Bloom.mem b [| i |] then incr fp
-  done;
-  checkb "few false positives when sparse" true (!fp < 10);
-  checkb "expected fpr small" true (Bloom.expected_fpr b < 0.01)
-
-let qcheck_bloom_no_false_negatives =
-  QCheck.Test.make ~count:100 ~name:"bloom: no false negatives"
-    QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 1_000_000))
-    (fun keys ->
-      let b = Bloom.create ~width:4096 ~depth:3 ~seed:11 in
-      List.iter (fun k -> ignore (Bloom.test_and_set b [| k |])) keys;
-      List.for_all (fun k -> Bloom.mem b [| k |]) keys)
-
 (* ---------------- Count_min ---------------- *)
 
 let test_cm_exact_when_sparse () =
@@ -305,11 +264,6 @@ let suite =
     ("register array clear/occupancy", `Quick, test_reg_array_clear_and_occupancy);
     ("register array sram bytes", `Quick, test_reg_array_sram_bytes);
     ("register array rejects nonpositive", `Quick, test_reg_array_rejects_nonpositive);
-    ("bloom no false negatives", `Quick, test_bloom_no_false_negatives);
-    ("bloom test_and_set semantics", `Quick, test_bloom_test_and_set_semantics);
-    ("bloom clear", `Quick, test_bloom_clear);
-    ("bloom fpr low when sparse", `Quick, test_bloom_fpr_low_when_sparse);
-    QCheck_alcotest.to_alcotest qcheck_bloom_no_false_negatives;
     ("cm exact when sparse", `Quick, test_cm_exact_when_sparse);
     ("cm add returns estimate", `Quick, test_cm_add_returns_estimate);
     ("cm weighted add", `Quick, test_cm_weighted_add);

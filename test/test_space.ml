@@ -293,16 +293,16 @@ let test_catalog_containment () =
         Space.union acc (Space.of_preds (List.map snd (Ast.cmp_atoms b))))
       Space.empty q.Ast.branches
   in
-  let q17 = space (Catalog.q17 ()) in
+  let q17 = space (Catalog.by_id 17) in
   List.iter
     (fun (name, q, expected) ->
       checkb
         (Printf.sprintf "Q17 %s %s" (if expected then "⊆" else "⊄") name)
         expected (Space.subset q17 (space q)))
     [
-      ("Q3", Catalog.q3 (), true);
-      ("Q10", Catalog.q10 (), true);
-      ("Q11", Catalog.q11 (), true);
+      ("Q3", Catalog.by_id 3, true);
+      ("Q10", Catalog.by_id 10, true);
+      ("Q11", Catalog.by_id 11, true);
       ("Q12", Catalog.q12 (), false);
       ("Q1", Catalog.q1 (), false);
     ]
@@ -605,7 +605,7 @@ let test_na093_witness_recirculates () =
 let test_na093_quiet_on_disjoint_branches () =
   (* Q6 (SYN minus FIN) has disjoint branch classifiers: no packet is
      both, so no recirculation and no NA093. *)
-  let ds = Check.check_query (Catalog.q6 ()) in
+  let ds = Check.check_query (Catalog.by_id 6) in
   checkb "no NA093 on disjoint branches" false
     (List.exists (fun d -> d.Diag.code = "NA093") ds)
 

@@ -13,13 +13,13 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 let test_prng_deterministic () =
   let a = Prng.of_int 42 and b = Prng.of_int 42 in
   for _ = 1 to 100 do
-    checki "same seed, same stream" (Prng.next_int a) (Prng.next_int b)
+    checki "same seed, same stream" (Prng.int a max_int) (Prng.int b max_int)
   done
 
 let test_prng_seeds_differ () =
   let a = Prng.of_int 1 and b = Prng.of_int 2 in
-  let va = List.init 10 (fun _ -> Prng.next_int a) in
-  let vb = List.init 10 (fun _ -> Prng.next_int b) in
+  let va = List.init 10 (fun _ -> Prng.int a max_int) in
+  let vb = List.init 10 (fun _ -> Prng.int b max_int) in
   checkb "different seeds diverge" true (va <> vb)
 
 let test_prng_int_bounds () =
@@ -54,8 +54,8 @@ let test_prng_float_mean () =
 let test_prng_split_independent () =
   let a = Prng.of_int 5 in
   let b = Prng.split a in
-  let va = List.init 10 (fun _ -> Prng.next_int a) in
-  let vb = List.init 10 (fun _ -> Prng.next_int b) in
+  let va = List.init 10 (fun _ -> Prng.int a max_int) in
+  let vb = List.init 10 (fun _ -> Prng.int b max_int) in
   checkb "split stream differs" true (va <> vb)
 
 let test_prng_bernoulli_extremes () =
