@@ -13,10 +13,10 @@
        two stages per switch: the SP header is lost crossing it.
 
    Each scenario prints its deployment outcomes, the sorted reports,
-   the message count, the SP overhead ratio, the software deferrals and
-   the switches' window-roll, CQE-hop and SP-byte totals.  The
-   packets-processed counter is left out on purpose: it counts a
-   switch's packets, not its deployments' slices. *)
+   the message count, the SP overhead ratio, the software deferrals,
+   the switches' window-roll, CQE-hop and SP-byte totals, and every
+   engine counter from packets processed through software
+   continuations, per switch and for the analyzer's software engine. *)
 
 module Deploy = Newton_controller.Deploy
 module Stats = Newton_telemetry.Stats
@@ -80,7 +80,21 @@ let print_outcome name d =
   in
   List.iter
     (fun key -> Printf.printf "%s %d\n" (Stats.name key) (total key))
-    [ Stats.Window_rolls; Stats.Cqe_hops; Stats.Sp_header_bytes ]
+    [ Stats.Window_rolls; Stats.Cqe_hops; Stats.Sp_header_bytes ];
+  let counters name engine =
+    List.iter
+      (fun key ->
+        if Stats.index key <= Stats.index Stats.Software_continuations then
+          Printf.printf "%s %s%s %d\n" name (Stats.name key)
+            (String.concat ""
+               (List.map (fun (k, v) -> Printf.sprintf "{%s=%s}" k v) (Stats.labels key)))
+            (Stats.get (Newton_runtime.Engine.sink engine) key))
+      Stats.all
+  in
+  for s = 0 to Topo.num_switches (Deploy.topo d) - 1 do
+    counters (Printf.sprintf "switch %d" s) (Deploy.engine d s)
+  done;
+  counters "analyzer" (Deploy.software_engine d)
 
 let churn () =
   let d = Deploy.create (Topo.linear 4) in
