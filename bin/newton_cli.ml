@@ -239,8 +239,7 @@ let cmd_p4_run =
                 if verbose then
                   List.iter
                     (fun rep ->
-                      print_endline
-                        ("  " ^ Newton_p4sim.Diff.report_to_string rep))
+                      print_endline ("  " ^ Newton_query.Report.to_string rep))
                     r.Newton_p4sim.Diff.p4_reports)
           admitted
   in

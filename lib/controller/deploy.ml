@@ -60,6 +60,8 @@ type t = {
   touched : int array; (* per switch: the last packet number it ran a slice of *)
   path : int array; (* the current packet's switch path *)
   ctx : Ctx.t; (* the current packet's context, reset per deployment *)
+  row : Newton_packet.Flat.t; (* the current packet, written once for every slice *)
+  mutable software_packet : int; (* the last packet number the analyzer continued *)
 }
 
 (* The module layout is loaded once per switch at initialization (§3
@@ -107,6 +109,8 @@ let create ?(fwd_entries = Switch.default_fwd_entries) topo =
     touched = Array.make n 0;
     path = Array.make (Topo.num_nodes topo) 0;
     ctx = Ctx.create ();
+    row = Newton_packet.Flat.create 1;
+    software_packet = 0;
   }
 
 let topo t = t.topo
@@ -371,7 +375,7 @@ let undeploy t uid =
    forwarding path: it lazily instantiates the tail (slices
    [next_slice..M] as one stage range) and resumes from the exported
    execution status. *)
-let software_continue t dep ~next_slice ~ctx pkt =
+let software_continue t dep ~next_slice pkt =
   match dep.placement with
   | None -> ()
   | Some p ->
@@ -385,16 +389,18 @@ let software_continue t dep ~next_slice ~ctx pkt =
             Option.get (Engine.find_instance t.software uid)
       in
       Engine.maybe_roll_window t.software (Newton_packet.Packet.ts pkt);
-      Newton_telemetry.Stats.bump
-        (Engine.sink t.software)
-        Newton_telemetry.Stats.Software_continuations 1;
-      ignore (Engine.process_instance t.software inst ~ctx pkt)
+      Engine.count_continuation t.software;
+      t.software_packet <- t.packets;
+      Engine.process_slice t.software inst ~ctx:t.ctx t.row
 
 (* ---------------- packet processing ----------------
 
    One packet's walk over the deployments and its switch path
    ([t.path], [n] switches), written as top-level recursions over
-   explicit parameters so that nothing is allocated per packet. *)
+   explicit parameters so that nothing is allocated per packet.  As a
+   switch parses a packet once for every slice it hosts, the packet is
+   written once into [t.row] and every slice runs on that row; counter
+   events wait in each engine's tally until the walk ends. *)
 
 (* A switch's first slice of a packet counts the packet and rolls its
    engine's windows; rolling again at the same timestamp would change
@@ -416,7 +422,7 @@ let rec run_sole t uid pkt n i =
     | Some inst ->
         touch t s engine pkt;
         Ctx.reset t.ctx;
-        ignore (Engine.process_instance engine inst ~ctx:t.ctx pkt)
+        Engine.process_slice engine inst ~ctx:t.ctx t.row
     | None -> ());
     run_sole t uid pkt n (i + 1)
   end
@@ -436,8 +442,7 @@ let rec run_cqe t dep pkt m n i d prev =
     else begin
       let d = d + 1 in
       let engine = t.engines.(s) in
-      Newton_telemetry.Stats.bump (Engine.sink engine)
-        Newton_telemetry.Stats.Cqe_hops 1;
+      Engine.count_cqe_hop engine;
       (match Engine.find_instance engine (slice_uid dep.uid d) with
       | Some inst ->
           touch t s engine pkt;
@@ -445,16 +450,14 @@ let rec run_cqe t dep pkt m n i d prev =
             if i = prev + 1 then begin
               (* SP header between adjacent Newton hops. *)
               t.sp_bytes <- t.sp_bytes + Newton_packet.Sp_header.size_bytes;
-              Newton_telemetry.Stats.bump (Engine.sink engine)
-                Newton_telemetry.Stats.Sp_header_bytes
-                Newton_packet.Sp_header.size_bytes;
+              Engine.count_sp_header engine Newton_packet.Sp_header.size_bytes;
               Ctx.apply_sp_widths ctx
             end
             else
               (* snapshot lost crossing a legacy switch *)
               Ctx.reset ctx
           end;
-          ignore (Engine.process_instance engine inst ~ctx pkt)
+          Engine.process_slice engine inst ~ctx t.row
       | None ->
           (* Placement gap (should not happen under Algorithm 2): defer
              to the analyzer. *)
@@ -479,9 +482,18 @@ let rec run_deps t pkt n = function
              (§5.2). *)
           if m > d && d > 0 && not t.ctx.Ctx.stopped then begin
             t.software_status_msgs <- t.software_status_msgs + 1;
-            software_continue t dep ~next_slice:(d + 1) ~ctx:t.ctx pkt
+            software_continue t dep ~next_slice:(d + 1) pkt
           end);
       run_deps t pkt n rest
+
+(* Fold the packet's tallies into the sinks of the switches on path
+   indices [i, n); a switch the packet did not reach has nothing to
+   fold. *)
+let rec flush_path t n i =
+  if i < n then begin
+    Engine.flush t.engines.(t.path.(i));
+    flush_path t n (i + 1)
+  end
 
 (** Process one packet whose flow enters at [src_host] and leaves at
     [dst_host].  Executes every deployment along the forwarding path:
@@ -489,13 +501,18 @@ let rec run_deps t pkt n = function
     through the SP header; sole deployments run the full query
     independently at every hop.  A disconnected packet is dropped by
     routing; one between two ports of the same host never enters the
-    fabric. *)
+    fabric.  Every engine counter is up to date when it returns. *)
 let process_packet t ~src_host ~dst_host pkt =
   t.packets <- t.packets + 1;
   t.wire_bytes <- t.wire_bytes + Newton_packet.Packet.get pkt Newton_packet.Field.Pkt_len;
   let flow_hash = Newton_packet.Fivetuple.hash_packet pkt in
   let n = Route.switch_path_into t.route ~flow_hash ~src_host ~dst_host t.path in
-  if n > 0 then run_deps t pkt n t.deployments
+  if n > 0 then begin
+    Newton_packet.Flat.set_packet t.row 0 pkt;
+    run_deps t pkt n t.deployments;
+    flush_path t n 0;
+    if t.software_packet = t.packets then Engine.flush t.software
+  end
 
 (** All reports produced so far: data-plane reports network-wide plus
     the analyzer's software-continuation results. *)

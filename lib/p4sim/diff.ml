@@ -80,12 +80,6 @@ let empty = function
 
 let matched r = empty (report_diff r)
 
-let report_to_string (r : Report.t) =
-  Printf.sprintf "q%d w%d keys[%s] value %d%s" r.query_id r.window
-    (String.concat ";" (Array.to_list (Array.map string_of_int r.keys)))
-    r.value
-    (match r.value2 with Some v -> Printf.sprintf " value2 %d" v | None -> "")
-
 let describe r =
   let head =
     Printf.sprintf "q%d: %d/%d packets replayed (%d skipped), %d vs %d reports"
@@ -103,12 +97,12 @@ let describe r =
     String.concat "; "
       (Printf.sprintf "%s — %d engine-only, %d p4-only, %d changed" head
          (List.length d.missing) (List.length d.extra) (List.length d.changed)
-      :: first "engine-only report" report_to_string d.missing
-      @ first "p4-only report" report_to_string d.extra
+      :: first "engine-only report" Report.to_string d.missing
+      @ first "p4-only report" Report.to_string d.extra
       @ first "changed report"
           (fun (e, p) ->
-            Printf.sprintf "engine %s, p4 %s" (report_to_string e)
-              (report_to_string p))
+            Printf.sprintf "engine %s, p4 %s" (Report.to_string e)
+              (Report.to_string p))
           d.changed)
 
 (* ---------------- digest decoding ---------------- *)

@@ -39,11 +39,9 @@ type outcome = {
     engine's is empty)? *)
 val matched : outcome -> bool
 
-val report_to_string : Newton_query.Report.t -> string
-
 (** One-line human summary: coverage, report counts and, on a
     mismatch, the engine-only/P4-only/changed counts with the first
-    report of each kind. *)
+    report of each kind, printed by {!Newton_query.Report.to_string}. *)
 val describe : outcome -> string
 
 (** Install a compiled query on a fresh engine and a fresh

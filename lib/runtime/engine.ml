@@ -37,15 +37,6 @@ module Keys_tbl = Hashtbl.Make (struct
   let hash keys = Hash.hash_vector ~seed:0 keys
 end)
 
-(* uid -> the instance [find_instance] answers, boxed once at install
-   so a lookup returns it without allocating. *)
-module Uid_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash u = u land max_int
-end)
-
 (* ---------------- compiled slots ----------------
 
    [install] compiles each hosted IR slot once: key fields become dense
@@ -123,12 +114,14 @@ type instance = {
   reported : unit Keys_tbl.t;     (** keys reported in [window_index] *)
   mutable rules : int;             (** table entries this slice holds *)
   mutable window_index : int;      (** this instance's current window *)
+  mutable window_slot : int;       (** its window length's index in [window_lens] *)
   branches : cbranch array;        (** [slots], compiled *)
   ctx0 : Ctx.t;                    (** branch-0 scratch (device-level) *)
   bctx : Ctx.t;                    (** scratch for branches > 0 *)
 }
 
-(* Counter events of one driver call, folded into the sink at its end. *)
+(* Counter events of one driver call — or, for the path executors, of
+   one packet's walk — folded into the sink by [flush]. *)
 type tally = {
   mutable hits_k : int;
   mutable hits_h : int;
@@ -139,6 +132,10 @@ type tally = {
   mutable deduped : int;
   mutable dropped : int;
   mutable rolls : int;
+  mutable seen : int;           (* packets counted by [record_packet_seen] *)
+  mutable cqe_hops : int;
+  mutable sp_header_bytes : int;
+  mutable continuations : int;
 }
 
 type t = {
@@ -157,7 +154,15 @@ type t = {
   mutable sink : Stats.sink;
   tally : tally;
   mutable instances : instance list;
-  by_uid : instance option Uid_tbl.t; (* first-installed instance per uid *)
+  (* The distinct window lengths of [instances], and scratch for the
+     window index [maybe_roll_window] computes for each. *)
+  mutable window_lens : float array;
+  mutable window_now : int array;
+  (* uid -> the first-installed instance of that uid, open addressing:
+     slot [i] holds uid [uid_keys.(i)] when [uid_vals.(i)] is [Some _]
+     (boxed once, so a lookup allocates nothing). *)
+  mutable uid_keys : int array;
+  mutable uid_vals : instance option array;
   (* newton_init: ternary match over the 5-tuple + TCP flags (§4.1
      "Concurrency"), dispatching packets to instance/branch chains.
      Bounded like any hardware table: it models the classifier's
@@ -177,7 +182,7 @@ type t = {
   mutable report_count : int;
   mutable packets_seen : int;
   mutable next_uid : int;
-  one : Flat.t; (* 1-slot arena the per-packet drivers run from *)
+  one : Flat.t; (* 1-slot arena the device-level packet driver runs from *)
 }
 
 (** Raised when a module table cannot accept another query's rule; the
@@ -195,9 +200,13 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     sink;
     tally =
       { hits_k = 0; hits_h = 0; hits_s = 0; hits_r = 0; guard_stops = 0;
-        emitted = 0; deduped = 0; dropped = 0; rolls = 0 };
+        emitted = 0; deduped = 0; dropped = 0; rolls = 0; seen = 0;
+        cqe_hops = 0; sp_header_bytes = 0; continuations = 0 };
     instances = [];
-    by_uid = Uid_tbl.create 16;
+    window_lens = [||];
+    window_now = [||];
+    uid_keys = [| 0 |];
+    uid_vals = [| None |];
     init_table =
       Newton_dataplane.Table.create ~capacity:1024 ~name:"newton_init"
         ~key_width:(List.length Ir.init_fields) ();
@@ -226,11 +235,19 @@ let sink t = t.sink
 let set_sink t s = t.sink <- s
 
 (** Count a packet against this engine without executing it — the CQE
-    path executor and the controller count each packet that runs a
-    slice here once this way. *)
+    path executor counts each packet that runs a slice here once this
+    way.  The sink sees it at the next [flush]. *)
 let record_packet_seen t =
   t.packets_seen <- t.packets_seen + 1;
-  Stats.bump t.sink Stats.Packets_processed 1
+  t.tally.seen <- t.tally.seen + 1
+
+(* Path events the executor tallies for the next [flush]. *)
+let count_cqe_hop t = t.tally.cqe_hops <- t.tally.cqe_hops + 1
+
+let count_sp_header t bytes =
+  t.tally.sp_header_bytes <- t.tally.sp_header_bytes + bytes
+
+let count_continuation t = t.tally.continuations <- t.tally.continuations + 1
 
 (* ---------------- instance accessors ---------------- *)
 
@@ -344,6 +361,46 @@ let take_array t size =
       Register_array.reset arr;
       arr
   | Some [] | None -> Register_array.create size
+
+let window_len inst = inst.compiled.Compose.query.Ast.window
+
+(* The uid table's home slot for [uid]: high product bits, so the
+   controller's [uid * 1000 + depth] uids spread. *)
+let uid_slot mask uid = ((uid * 0x9E3779B1) lsr 20) land mask
+
+(* Rebuild the per-instance indexes from [instances], on every install
+   and remove: the uid table (at most half full, so every probe ends at
+   an empty slot; the first-installed instance of a uid wins), and the
+   distinct window lengths with each instance's slot among them, so
+   [maybe_roll_window] divides once per length. *)
+let index_instances t =
+  let cap = ref 8 in
+  while !cap < 2 * List.length t.instances do cap := 2 * !cap done;
+  let keys = Array.make !cap 0 and vals = Array.make !cap None in
+  let mask = !cap - 1 in
+  List.iter
+    (fun inst ->
+      let rec put i =
+        match vals.(i) with
+        | None ->
+            keys.(i) <- inst.uid;
+            vals.(i) <- Some inst
+        | Some _ -> if keys.(i) <> inst.uid then put ((i + 1) land mask)
+      in
+      put (uid_slot mask inst.uid))
+    t.instances;
+  t.uid_keys <- keys;
+  t.uid_vals <- vals;
+  let lens =
+    Array.of_list (List.sort_uniq Float.compare (List.map window_len t.instances))
+  in
+  t.window_lens <- lens;
+  t.window_now <- Array.make (Array.length lens) 0;
+  List.iter
+    (fun inst ->
+      let rec slot k = if Float.equal lens.(k) (window_len inst) then k else slot (k + 1) in
+      inst.window_slot <- slot 0)
+    t.instances
 
 (** Install a slice [stage_lo, stage_hi] of a compiled query.  Returns
     the instance uid and the number of table entries installed (module
@@ -504,6 +561,7 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
       reported = Keys_tbl.create 64;
       rules = nrules;
       window_index = 0;
+      window_slot = 0;
       branches =
         Array.mapi
           (fun b -> compile_branch arrays compiled.Compose.init_entries.(b))
@@ -513,7 +571,7 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
     }
   in
   t.instances <- t.instances @ [ inst ];
-  if not (Uid_tbl.mem t.by_uid uid) then Uid_tbl.add t.by_uid uid (Some inst);
+  index_instances t;
   (uid, nrules)
 
 (** Remove an instance; returns how many table entries were freed, or
@@ -523,7 +581,7 @@ let remove t uid =
   | None -> None
   | Some inst ->
       t.instances <- List.filter (fun i -> i.uid <> uid) t.instances;
-      Uid_tbl.remove t.by_uid uid;
+      index_instances t;
       Hashtbl.iter
         (fun _ arr ->
           let size = Register_array.size arr in
@@ -544,10 +602,19 @@ let remove t uid =
         (Newton_dataplane.Table.find_ids t.init_table (fun (u, _) -> u = uid));
       Some inst.rules
 
+let rec probe_uid (keys : int array) vals mask (uid : int) i =
+  match Array.unsafe_get vals i with
+  | None -> None
+  | found ->
+      if Array.unsafe_get keys i = uid then found
+      else probe_uid keys vals mask uid ((i + 1) land mask)
+
 (* The first-installed instance of [uid], as [List.find_opt] over
    [instances] would find it ([remove] drops every instance of a uid). *)
 let find_instance t uid =
-  match Uid_tbl.find t.by_uid uid with found -> found | exception Not_found -> None
+  let keys = t.uid_keys in
+  let mask = Array.length keys - 1 in
+  probe_uid keys t.uid_vals mask uid (uid_slot mask uid)
 
 let total_rules t = List.fold_left (fun acc i -> acc + i.rules) 0 t.instances
 
@@ -586,7 +653,7 @@ let[@inline] merge_value op (acc : int) (v : int) =
 
 (* Each instance keeps its own window clock: concurrent queries may use
    different window lengths (Ast.window). *)
-let[@inline] window_of inst now = int_of_float (now /. inst.compiled.Compose.query.Ast.window)
+let[@inline] window_of inst now = int_of_float (now /. window_len inst)
 
 (* Move [inst] to window [w], clearing its sketch state and report
    dedup; [false] if it is already there. *)
@@ -599,20 +666,23 @@ let enter_window inst w =
        true
      end
 
-let roll_instance_window t inst now =
-  if enter_window inst (window_of inst now) then
-    Stats.bump t.sink Stats.Window_rolls 1
-
-(* Wrapper used by the path executor and the controller: rolls every
-   instance of the engine.  Window lengths are per-instance
-   ([query.window]); there is no per-call override. *)
-let rec roll_windows t now = function
+let rec roll_windows t = function
   | [] -> ()
   | inst :: rest ->
-      roll_instance_window t inst now;
-      roll_windows t now rest
+      if enter_window inst t.window_now.(inst.window_slot) then
+        Stats.bump t.sink Stats.Window_rolls 1;
+      roll_windows t rest
 
-let maybe_roll_window t now = roll_windows t now t.instances
+(* Used by the path executor: rolls every instance of the engine.
+   Window lengths are per-instance ([query.window]); there is no
+   per-call override.  [now] is divided once per distinct length, by
+   the expression [window_of] uses. *)
+let maybe_roll_window t now =
+  let lens = t.window_lens and ws = t.window_now in
+  for k = 0 to Array.length lens - 1 do
+    Array.unsafe_set ws k (int_of_float (now /. Array.unsafe_get lens k))
+  done;
+  roll_windows t t.instances
 
 (* ---------------- state migration ---------------- *)
 
@@ -895,9 +965,10 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
     incr b
   done
 
-let bump_nonzero sink key n = if n > 0 then Stats.bump sink key n
+let[@inline] bump_nonzero sink key n = if n > 0 then Stats.bump sink key n
 
-(* Fold the tallied counter events into the sink, once per driver call. *)
+(* Fold the tallied counter events into the sink: once per driver call,
+   or once per packet for the path executors. *)
 let flush t =
   let tl = t.tally and sink = t.sink in
   bump_nonzero sink Stats.Module_hits_k tl.hits_k;
@@ -909,6 +980,10 @@ let flush t =
   bump_nonzero sink Stats.Reports_deduped tl.deduped;
   bump_nonzero sink Stats.Reports_dropped tl.dropped;
   bump_nonzero sink Stats.Window_rolls tl.rolls;
+  bump_nonzero sink Stats.Packets_processed tl.seen;
+  bump_nonzero sink Stats.Cqe_hops tl.cqe_hops;
+  bump_nonzero sink Stats.Sp_header_bytes tl.sp_header_bytes;
+  bump_nonzero sink Stats.Software_continuations tl.continuations;
   tl.hits_k <- 0;
   tl.hits_h <- 0;
   tl.hits_s <- 0;
@@ -917,7 +992,11 @@ let flush t =
   tl.emitted <- 0;
   tl.deduped <- 0;
   tl.dropped <- 0;
-  tl.rolls <- 0
+  tl.rolls <- 0;
+  tl.seen <- 0;
+  tl.cqe_hops <- 0;
+  tl.sp_header_bytes <- 0;
+  tl.continuations <- 0
 
 (* Packet [i] of an arena through every first-slice instance, in
    install order. *)
@@ -949,14 +1028,13 @@ let process_packet t pkt =
   Flat.set_packet t.one 0 pkt;
   process_flat t t.one
 
-(** Process a packet through one instance, resuming from [ctx] (fresh or
-    SP-restored).  Returns the context after the slice (for [newton_fin]);
-    [ctx.stopped] is set if a guard stopped the packet. *)
-let process_instance t inst ~ctx pkt =
-  Flat.set_packet t.one 0 pkt;
-  step t inst ~fresh:false ctx (Flat.field_words t.one) 0 (Flat.timestamps t.one) 0;
-  flush t;
-  ctx
+(** Run the first packet of [row] through one instance, resuming from
+    [ctx] (fresh or SP-restored); [ctx.stopped] is set if a guard
+    stopped the packet.  Every arena holds room for one packet, so the
+    read is in bounds.  Counter events stay in the tally until
+    [flush]. *)
+let process_slice t inst ~ctx row =
+  step t inst ~fresh:false ctx (Flat.field_words row) 0 (Flat.timestamps row) 0
 
 (** Drain collected reports (e.g. per measurement interval). *)
 let drain_reports t =

@@ -16,9 +16,12 @@
     module.  One step runs that program over a packet's field words,
     executing the ALUs on the register cells, the guards and the
     context resets itself; {!process_flat}, {!process_packet} and
-    {!process_instance} are drivers of this one compiled step, so they
-    share report dedup, the mirror budget and window rolls, and fold
-    counter telemetry into the sink once per call.
+    {!process_slice} are drivers of this one compiled step, so they
+    share report dedup, the mirror budget and window rolls.  The first
+    two fold counter telemetry into the sink once per call; the CQE
+    path executor runs {!process_slice} on a packet row it writes once
+    per packet and calls {!flush} once per packet for each engine the
+    packet reached.
 
     Both {!t} and {!instance} are abstract: every observable — budgets,
     counters, rules, arrays — is reached through accessor functions, so
@@ -71,11 +74,21 @@ val reports : t -> Report.t list
 val report_count : t -> int
 val packets_seen : t -> int
 
-(** Count a packet against this engine without executing it: the path
-    executors (the CQE executor and the controller) call it once per
-    packet that runs at least one slice on this switch, however many
-    deployments' slices that is. *)
+(** Count a packet against this engine without executing it: the CQE
+    path executor calls it once per packet that runs at least one slice
+    on this switch, however many deployments' slices that is.
+    {!packets_seen} counts it at once, the sink at the next {!flush}. *)
 val record_packet_seen : t -> unit
+
+(** Tally one CQE hop reaching this switch, for the next {!flush}. *)
+val count_cqe_hop : t -> unit
+
+(** Tally SP-header bytes carried into this switch, for the next
+    {!flush}. *)
+val count_sp_header : t -> int -> unit
+
+(** Tally one software continuation run here, for the next {!flush}. *)
+val count_continuation : t -> unit
 
 (** Install a slice [stage_lo, stage_hi] of a compiled query (defaults:
     the whole chain).  Non-first slices re-install shadow K/H modules
@@ -114,8 +127,9 @@ val cell_usage :
   t -> ((int * Newton_dataplane.Module_cost.kind * int) * int) list
 
 (** Roll every instance whose window boundary [now] crossed (used by
-    the path executor / controller).  Each instance uses its own query's
-    window length — deliberately no per-call window parameter. *)
+    the path executor).  Each instance uses its own query's window
+    length — deliberately no per-call window parameter; [now] is
+    divided once per distinct length among the installed instances. *)
 val maybe_roll_window : t -> float -> unit
 
 (** Merge [src]'s sketch state and report-dedup memory into [dst] (the
@@ -135,13 +149,19 @@ val absorb_state :
   int * int
 
 (** Driver of the compiled step for CQE and software continuation: run
-    a packet through one instance, resuming from [ctx] (fresh, or
-    SP-restored under CQE), which serves as the branch-0 context without
-    being reset.  Returns the post-slice context ([stopped] when a guard
-    ended the packet).  Does not count the packet in {!packets_seen};
-    callers account path hops with {!record_packet_seen} and roll
-    windows with {!maybe_roll_window}. *)
-val process_instance : t -> instance -> ctx:Ctx.t -> Packet.t -> Ctx.t
+    the first packet of [row] through one instance, resuming from [ctx]
+    (fresh, or SP-restored under CQE), which serves as the branch-0
+    context without being reset; [ctx.stopped] is set when a guard ended
+    the packet.  Neither copies the packet nor touches the sink: counter
+    events wait in the engine's tally for {!flush}.  Does not count the
+    packet in {!packets_seen}; callers account path hops with
+    {!record_packet_seen} and roll windows with {!maybe_roll_window}. *)
+val process_slice : t -> instance -> ctx:Ctx.t -> Flat.t -> unit
+
+(** Fold the tallied counter events into the sink.  The path executor
+    calls it once per packet for every engine the packet reached, so
+    after each packet the sink holds every event. *)
+val flush : t -> unit
 
 (** Device-level driver of the compiled step: run one packet through
     every instance whose [newton_init] entry it matches (first-slice

@@ -288,9 +288,9 @@ let test_differential_compares_values () =
       let text = Diff.describe o in
       checkb (what ^ ": 1 changed") true (contains text "1 changed");
       checkb (what ^ ": names the engine report") true
-        (contains text (Diff.report_to_string engine));
+        (contains text (Newton_query.Report.to_string engine));
       checkb (what ^ ": names the p4 report") true
-        (contains text (Diff.report_to_string p4)))
+        (contains text (Newton_query.Report.to_string p4)))
     [
       ("value", report ~value:5 (), report ~value:6 ());
       ( "value2",
