@@ -55,14 +55,15 @@ p4-diff:
 
 # Name-level scan of lib/**/*.mli: how many exported values no program
 # code (lib, bin, bench, perfbench, examples) names outside their own
-# module, and how many of those no test names either.  Reports only;
+# module, how many optional labels no program code passes, and how many
+# of each no test names either.  Reports only;
 # `python3 scripts/unused_vals.py --list` names them.
 unused-vals:
 	@python3 scripts/unused_vals.py
 
 # Exactly what .github/workflows/ci.yml runs: artifact-hygiene guard,
-# .mli interface guard, unused-export guard, build, tests, static
-# analysis, example smoke-runs.
+# .mli interface guard, unused-export and unpassed-label guards, build,
+# tests, static analysis, example smoke-runs.
 ci:
 	@test -z "$$(git ls-files _build)" || \
 	  { echo "error: _build artifacts are tracked in git"; exit 1; }
@@ -75,6 +76,9 @@ ci:
 	@scan=$$(python3 scripts/unused_vals.py); echo "$$scan"; \
 	  case "$$scan" in *"unused and untested: 0") ;; \
 	  *) echo "error: an exported val is named by no program code and no test"; exit 1 ;; esac
+	@scan=$$(python3 scripts/unused_vals.py); \
+	  case "$$scan" in *"passed by no program and no test: 0"*) ;; \
+	  *) echo "error: an optional label is passed by no program code and no test"; exit 1 ;; esac
 	$(MAKE) build
 	$(MAKE) test
 	$(MAKE) check

@@ -13,19 +13,9 @@
                 other sixteen, with linear:4 placement facts: the
                 exact deploy-time path (mean and slowest intent)
 
-    Results go to the table and a JSON artifact —
-    out/bench_analysis.json or the path in NEWTON_BENCH_ANALYSIS_JSON —
+    Results go to the table and a JSON artifact, out/bench_analysis.json,
     which tracks the analysis perf trajectory alongside the other
     benches. *)
-
-let getenv_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v > 0 -> v
-  | _ -> default
-
-let json_path () =
-  Option.value (Sys.getenv_opt "NEWTON_BENCH_ANALYSIS_JSON")
-    ~default:"out/bench_analysis.json"
 
 (* Mean seconds per call over [iters] runs of [f]. *)
 let time_mean iters f =
@@ -38,7 +28,7 @@ let time_mean iters f =
 
 let run () =
   Common.banner "Static-analysis latency (newton check / admission gate)";
-  let iters = getenv_int "NEWTON_BENCH_ANALYSIS_ITERS" 200 in
+  let iters = Common.getenv_int "NEWTON_BENCH_ANALYSIS_ITERS" 200 in
   let queries = Newton_query.Catalog.all () @ Newton_query.Catalog.extras () in
   let compiled = List.map (fun q -> (q, Common.compile q)) queries in
   Common.note "%d queries, %d iterations per shape" (List.length queries) iters;
@@ -152,11 +142,4 @@ let run () =
             ] );
       ]
   in
-  let out = json_path () in
-  let dir = Filename.dirname out in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out out in
-  output_string oc (to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Common.note "[json written to %s]" out
+  Common.write_json "analysis" json

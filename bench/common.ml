@@ -30,6 +30,23 @@ let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
 let note fmt = Printf.printf ("  " ^^ fmt ^^ "\n")
 
+(** A positive integer from the environment, [default] when unset or
+    not one. *)
+let getenv_int name default =
+  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
+  | Some v when v > 0 -> v
+  | _ -> default
+
+(** Write a bench's JSON artifact to out/bench_[name].json. *)
+let write_json name json =
+  let path = Printf.sprintf "out/bench_%s.json" name in
+  if not (Sys.file_exists "out") then Sys.mkdir "out" 0o755;
+  let oc = open_out path in
+  output_string oc (Newton_util.Json.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  note "[json written to %s]" path
+
 (** When NEWTON_BENCH_DATA is set to a directory, benches also write
     their tables as gnuplot-friendly .dat files there. *)
 let maybe_dat table name =

@@ -8,12 +8,7 @@
     the rate of {!Newton_p4sim.Diff.wire} ([Encode.frame] plus the
     [Decode] read-back), which a differential run pays on top.
 
-    Results go to the table and a JSON artifact —
-    out/bench_p4sim.json or the path in NEWTON_BENCH_P4SIM_JSON. *)
-
-let json_path () =
-  Option.value (Sys.getenv_opt "NEWTON_BENCH_P4SIM_JSON")
-    ~default:"out/bench_p4sim.json"
+    Results go to the table and a JSON artifact, out/bench_p4sim.json. *)
 
 let getenv_float name default =
   match Option.bind (Sys.getenv_opt name) float_of_string_opt with
@@ -107,11 +102,4 @@ let run () =
                per_query) );
       ]
   in
-  let out = json_path () in
-  let dir = Filename.dirname out in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out out in
-  output_string oc (to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Common.note "[json written to %s]" out
+  Common.write_json "p4sim" json

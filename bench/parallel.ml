@@ -15,24 +15,15 @@
     Shard counts come from NEWTON_BENCH_JOBS (the maximum; powers of
     two up to it are measured, default 8).  The trace defaults to
     ~2.1M packets (NEWTON_BENCH_FLOWS = 150000 flows); CI and the perf
-    gate run this default.  Results are written as a JSON artifact —
-    out/bench_parallel.json, or the path in NEWTON_BENCH_JSON — which
-    bench/compare.ml diffs against bench/baselines/parallel.json.  The
-    sequential row and every shard run the engine's one compiled step,
-    so the speedup is the domain fan-out net of the arena build: about
-    1x on a single core, growing with real cores. *)
-
-let getenv_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v > 0 -> v
-  | _ -> default
-
-let json_path () =
-  Option.value (Sys.getenv_opt "NEWTON_BENCH_JSON")
-    ~default:"out/bench_parallel.json"
+    gate run this default.  Results are written as a JSON artifact,
+    out/bench_parallel.json, which bench/compare.ml diffs against
+    bench/baselines/parallel.json.  The sequential row and every shard
+    run the engine's one compiled step, so the speedup is the domain
+    fan-out net of the arena build: about 1x on a single core, growing
+    with real cores. *)
 
 let jobs_to_measure () =
-  let max_jobs = getenv_int "NEWTON_BENCH_JOBS" 8 in
+  let max_jobs = Common.getenv_int "NEWTON_BENCH_JOBS" 8 in
   let rec powers j acc = if j >= max_jobs then acc else powers (2 * j) (j :: acc) in
   List.rev (max_jobs :: powers 1 [])
 
@@ -63,7 +54,7 @@ type staged = {
 
 let run () =
   Common.banner "Parallel replay speedup (arena-sharded engine, Zipf trace)";
-  let flows = getenv_int "NEWTON_BENCH_FLOWS" 150_000 in
+  let flows = Common.getenv_int "NEWTON_BENCH_FLOWS" 150_000 in
   let t_gen, trace = time (fun () -> Common.caida_trace ~flows ()) in
   let packets = Newton_trace.Gen.packets trace in
   let npkts = Array.length packets in
@@ -170,21 +161,10 @@ let run () =
                results) );
       ]
   in
-  let path = json_path () in
-  let dir = Filename.dirname path in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out path in
-  output_string oc (to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Common.note "[json written to %s]" path;
+  Common.write_json "parallel" json;
   (* Telemetry snapshot artifact: the sequential engine's metrics next
      to the widest sharded run's merged metrics, so CI can diff counter
      totals (and sketch health) between the two per run. *)
-  let stats_path =
-    Option.value (Sys.getenv_opt "NEWTON_STATS_JSON")
-      ~default:"out/bench_stats.json"
-  in
   let snap =
     Newton_telemetry.Snapshot.merge
       (Newton_runtime.Introspect.engine_metrics
@@ -197,10 +177,4 @@ let run () =
             par
       | None -> Newton_telemetry.Snapshot.empty)
   in
-  let dir = Filename.dirname stats_path in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out stats_path in
-  output_string oc (Newton_telemetry.Export.to_json_string snap);
-  output_char oc '\n';
-  close_out oc;
-  Common.note "[stats json written to %s]" stats_path
+  Common.write_json "stats" (Newton_telemetry.Export.to_json snap)

@@ -14,20 +14,10 @@
       marginal price of exactness is visible next to the interval
       baseline bench/analysis.ml pins
 
-    Results go to the table and a JSON artifact —
-    out/bench_space.json or the path in NEWTON_BENCH_SPACE_JSON. *)
+    Results go to the table and a JSON artifact, out/bench_space.json. *)
 
 open Newton_query
 module Space = Newton_analysis.Space
-
-let getenv_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v > 0 -> v
-  | _ -> default
-
-let json_path () =
-  Option.value (Sys.getenv_opt "NEWTON_BENCH_SPACE_JSON")
-    ~default:"out/bench_space.json"
 
 (* Ops per second over [iters] runs of [f]. *)
 let ops_per_s iters f =
@@ -56,7 +46,7 @@ let query_space q =
 
 let run () =
   Common.banner "Exact packet-space solver (NA090-NA094)";
-  let iters = getenv_int "NEWTON_BENCH_SPACE_ITERS" 2000 in
+  let iters = Common.getenv_int "NEWTON_BENCH_SPACE_ITERS" 2000 in
   let queries = Catalog.all () @ Catalog.extras () in
   let spaces = List.map query_space queries in
   Common.note "%d catalog intents, %d iterations per op" (List.length queries)
@@ -102,7 +92,7 @@ let run () =
   Common.T.print t;
   (* per-intent pass latency: the space passes alone, and the marginal
      cost inside a full check next to the interval baseline. *)
-  let check_iters = getenv_int "NEWTON_BENCH_SPACE_CHECK_ITERS" 200 in
+  let check_iters = Common.getenv_int "NEWTON_BENCH_SPACE_CHECK_ITERS" 200 in
   let mean_over f =
     List.fold_left (fun acc q -> acc +. time_mean check_iters (fun () -> f q)) 0.0
       queries
@@ -143,11 +133,4 @@ let run () =
             ] );
       ]
   in
-  let out = json_path () in
-  let dir = Filename.dirname out in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out out in
-  output_string oc (to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Common.note "[json written to %s]" out
+  Common.write_json "space" json

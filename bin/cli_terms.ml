@@ -152,22 +152,16 @@ let pcap_arg =
            ~doc:"Ingest packets from a pcap/pcapng capture instead of a \
                  synthetic trace.")
 
-(* Streaming-replay knobs, bundled so every replay command takes one
-   term. *)
-type ingest_opts = {
-  io_pace : [ `Asap | `Realtime ];
-  io_speedup : float;
-  io_depth : int;
-  io_chunk : int;
-  io_policy : Ingest.Stream.policy;
-}
+(* Replay pacing and batch size, which every command that replays a
+   trace takes. *)
+type ingest_opts = { io_pace : Ingest.Stream.pace; io_chunk : int }
 
 let ingest_opts_term =
   let pace_arg =
     Arg.(value & opt (enum [ ("asap", `Asap); ("realtime", `Realtime) ]) `Asap
          & info [ "pace" ] ~docv:"MODE"
              ~doc:"Replay pacing: asap (as fast as the engine drains) or \
-                   realtime (follow capture timestamps).")
+                   realtime (follow packet timestamps).")
   in
   let speedup_arg =
     Arg.(value & opt float 1.0
@@ -175,17 +169,35 @@ let ingest_opts_term =
              ~doc:"Time-compression factor for --pace realtime (2.0 replays \
                    twice as fast as captured).")
   in
-  let depth_arg =
-    Arg.(value
-         & opt (pos_int ~what:"--queue-depth") Ingest.Stream.default_depth
-         & info [ "queue-depth" ] ~docv:"N"
-             ~doc:"Bounded ingest-queue capacity between the capture reader \
-                   and the engine.")
-  in
   let chunk_arg =
     Arg.(value & opt (pos_int ~what:"--chunk") Ingest.Stream.default_chunk
          & info [ "chunk" ] ~docv:"N"
              ~doc:"Packets handed to the engine per batch.")
+  in
+  let mk pace speedup io_chunk =
+    if speedup <= 0.0 then begin
+      prerr_endline "--speedup must be positive";
+      exit 1
+    end;
+    let io_pace =
+      match pace with
+      | `Asap -> Ingest.Stream.Asap
+      | `Realtime -> Ingest.Stream.Realtime speedup
+    in
+    { io_pace; io_chunk }
+  in
+  Term.(const mk $ pace_arg $ speedup_arg $ chunk_arg)
+
+(* The bounded queue between the trace source and the engine, which
+   [run] and [stats] stream through: its depth and its backpressure
+   policy. *)
+let queue_term =
+  let depth_arg =
+    Arg.(value
+         & opt (pos_int ~what:"--queue-depth") Ingest.Stream.default_depth
+         & info [ "queue-depth" ] ~docv:"N"
+             ~doc:"Bounded ingest-queue capacity between the trace source \
+                   and the engine.")
   in
   let policy_arg =
     Arg.(value
@@ -195,33 +207,41 @@ let ingest_opts_term =
              Ingest.Stream.Block
          & info [ "on-full" ] ~docv:"POLICY"
              ~doc:"Backpressure policy when the ingest queue fills: block \
-                   the reader (lossless) or drop (count-and-discard, live \
+                   the source (lossless) or drop (count-and-discard, live \
                    capture semantics).")
   in
-  let mk io_pace io_speedup io_depth io_chunk io_policy =
-    if io_speedup <= 0.0 then begin
-      prerr_endline "--speedup must be positive";
-      exit 1
-    end;
-    { io_pace; io_speedup; io_depth; io_chunk; io_policy }
-  in
-  Term.(const mk $ pace_arg $ speedup_arg $ depth_arg $ chunk_arg $ policy_arg)
+  Term.(const (fun depth policy -> (depth, policy)) $ depth_arg $ policy_arg)
 
-(* Stream a capture into [sink_fn] under the chosen pacing/backpressure,
-   accounting every frame in [stats]. *)
-let stream_pcap ~opts ~stats path sink_fn =
-  let pace =
-    match opts.io_pace with
-    | `Asap -> Ingest.Stream.Asap
-    | `Realtime -> Ingest.Stream.Realtime opts.io_speedup
+(* The trace a replay streams: a capture, decoded as it is read, or the
+   synthetic trace the shaping flags describe. *)
+type source = Capture of string | Synthetic of Trace.t
+
+let source_of pcap profile flows seed attacks =
+  match pcap with
+  | Some path -> Capture path
+  | None -> Synthetic (make_trace profile flows seed attacks)
+
+(* Stream [source] into [sink_fn] under the chosen pacing and queue,
+   accounting every capture frame in [stats]. *)
+let stream ~opts ~queue:(depth, policy) ~stats source sink_fn =
+  let run src =
+    Ingest.Stream.run ~depth ~chunk:opts.io_chunk ~pace:opts.io_pace ~policy
+      ~stats src sink_fn
   in
-  try
-    Ingest.Capture.with_source ~stats path (fun src ->
-        Ingest.Stream.run ~depth:opts.io_depth ~chunk:opts.io_chunk ~pace
-          ~policy:opts.io_policy ~stats src sink_fn)
-  with Ingest.Capture.Format_error m ->
-    Printf.eprintf "pcap: %s: %s\n" path m;
-    exit 1
+  match source with
+  | Synthetic trace -> run (Ingest.Stream.of_trace trace)
+  | Capture path -> (
+      try Ingest.Capture.with_source ~stats path run
+      with Ingest.Capture.Format_error m ->
+        Printf.eprintf "pcap: %s: %s\n" path m;
+        exit 1)
+
+(* A synthetic trace has no ingest line: say when its stream dropped
+   packets. *)
+let print_drops oc (s : Ingest.Stream.summary) =
+  if s.Ingest.Stream.dropped > 0 then
+    Printf.fprintf oc "stream: %d packets dropped on backpressure\n"
+      s.Ingest.Stream.dropped
 
 let print_ingest_summary stats (s : Ingest.Stream.summary) =
   let get k = Telemetry.Stats.get stats k in

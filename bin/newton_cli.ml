@@ -319,14 +319,14 @@ let shard_key_for admitted =
       Newton_runtime.Shard.Flow
 
 let cmd_run =
-  let run ids dsl profile flows seed attacks verbose jobs batch pcap iopts =
+  let run ids dsl profile flows seed attacks verbose jobs batch pcap iopts
+      queue =
     match gather_queries ids dsl with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
         let admitted = admit_all qs in
         (* Set up the engine (sequential or sharded) behind a chunk sink
-           so both the synthetic and the pcap-streaming path feed it the
-           same way. *)
+           that the stream feeds from a capture or a synthetic trace. *)
         let sink_fn, finish =
           if jobs = 1 then begin
             let device = Device.create () in
@@ -360,20 +360,18 @@ let cmd_run =
                 Parallel_device.reports pdev )
           end
         in
-        let n_packets =
-          match pcap with
-          | Some path ->
-              let stats = Telemetry.Stats.create () in
-              let summary = stream_pcap ~opts:iopts ~stats path sink_fn in
-              print_ingest_summary stats summary;
-              summary.Ingest.Stream.delivered
-          | None ->
-              let trace = make_trace profile flows seed attacks in
-              Printf.printf "trace: %d packets (%s)\n" (Trace.length trace)
-                (Trace_profile.to_string (Trace.profile trace));
-              Trace.iter_chunks ~chunk:iopts.io_chunk sink_fn trace;
-              Trace.length trace
-        in
+        let source = source_of pcap profile flows seed attacks in
+        (match source with
+        | Synthetic trace ->
+            Printf.printf "trace: %d packets (%s)\n" (Trace.length trace)
+              (Trace_profile.to_string (Trace.profile trace))
+        | Capture _ -> ());
+        let stats = Telemetry.Stats.create () in
+        let summary = stream ~opts:iopts ~queue ~stats source sink_fn in
+        (match source with
+        | Synthetic _ -> print_drops stdout summary
+        | Capture _ -> print_ingest_summary stats summary);
+        let n_packets = summary.Ingest.Stream.delivered in
         let reports = finish () in
         Printf.printf "monitoring messages: %d (%.4f%% of packets)\n"
           (List.length reports)
@@ -407,13 +405,13 @@ let cmd_run =
     Term.(
       const run $ queries_arg $ dsl_arg $ profile_arg $ flows_arg $ seed_arg
       $ attacks_arg $ verbose_arg $ jobs_arg $ batch_arg $ pcap_arg
-      $ ingest_opts_term)
+      $ ingest_opts_term $ queue_term)
 
 (* ---------------- stats (telemetry snapshot) ---------------- *)
 
 let cmd_stats =
   let run ids dsl profile flows seed attacks jobs batch format output pcap
-      iopts =
+      iopts queue =
     match gather_queries ids dsl with
     | Error msg -> prerr_endline msg; exit 2
     | Ok qs ->
@@ -433,21 +431,21 @@ let cmd_stats =
               fun () -> Parallel_device.metrics pdev )
           end
         in
+        let source = source_of pcap profile flows seed attacks in
+        let stats = Telemetry.Stats.create () in
+        let summary = stream ~opts:iopts ~queue ~stats source sink_fn in
         let snap =
-          match pcap with
-          | Some path ->
+          match source with
+          | Capture _ ->
               (* Ingestion health rides along in the same snapshot,
                  labelled stage=ingest to keep it apart from the
                  engine-side counter families. *)
-              let stats = Telemetry.Stats.create () in
-              ignore (stream_pcap ~opts:iopts ~stats path sink_fn);
               Telemetry.Snapshot.merge (metrics_fn ())
                 (Telemetry.Snapshot.of_sink
                    ~labels:[ ("stage", "ingest") ]
                    stats)
-          | None ->
-              let trace = make_trace profile flows seed attacks in
-              Trace.iter_chunks ~chunk:iopts.io_chunk sink_fn trace;
+          | Synthetic _ ->
+              print_drops stderr summary;
               metrics_fn ()
         in
         let text =
@@ -483,7 +481,7 @@ let cmd_stats =
     Term.(
       const run $ queries_arg $ dsl_arg $ profile_arg $ flows_arg $ seed_arg
       $ attacks_arg $ jobs_arg $ batch_arg $ format_arg $ output_arg
-      $ pcap_arg $ ingest_opts_term)
+      $ pcap_arg $ ingest_opts_term $ queue_term)
 
 (* ---------------- netrun (network-wide) ---------------- *)
 
@@ -625,8 +623,7 @@ let cmd_netrun =
           (fun q ->
             match
               Result.bind
-                (Network.Deploy.admit deploy ~mode:`Cqe
-                   ~stages_per_switch:stages q)
+                (Network.Deploy.admit deploy ~stages_per_switch:stages q)
                 (fun (admitted, _) -> Network.Deploy.install deploy admitted)
             with
             | Ok (_, lat) ->
@@ -892,30 +889,17 @@ let listen_of socket port =
 let daemon_term =
   let make topo stages preload dsl pcap gen_trace profile flows seed attacks
       iopts =
-    let pace =
-      match iopts.io_pace with
-      | `Asap -> Service.Replay.Asap
-      | `Realtime -> Service.Replay.Realtime iopts.io_speedup
-    in
     let replay =
-      match pcap with
-      | Some path -> (
-          try Some (Service.Replay.load ~pace ~topo path)
-          with Ingest.Capture.Format_error m ->
-            Printf.eprintf "pcap: %s: %s\n" path m;
-            exit 1)
-      | None ->
-          if not gen_trace then None
-          else begin
-            let trace =
-              Trace.generate ~attacks ~seed
-                (Trace_profile.with_flows (profile_of profile) flows)
-            in
-            Some
-              (Service.Replay.of_trace ~pace ~topo
-                 ~desc:(Printf.sprintf "synthetic(flows=%d,seed=%d)" flows seed)
-                 trace)
-          end
+      if pcap = None && not gen_trace then None
+      else
+        let desc =
+          match pcap with
+          | Some path -> path
+          | None -> Printf.sprintf "synthetic(flows=%d,seed=%d)" flows seed
+        in
+        Some
+          (Service.Replay.of_trace ~pace:iopts.io_pace ~topo ~desc
+             (make_trace ?pcap_in:pcap profile flows seed attacks))
     in
     let daemon =
       Service.Daemon.create ~stages_per_switch:stages

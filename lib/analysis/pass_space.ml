@@ -24,9 +24,10 @@
       (Info; emitted once per deployment, from the lexicographically
       first intent; the witness matches no installed intent).
 
-    NA091/NA092 witnesses come from the containment search itself
-    ({!Space.witness_outside}); only NA094's complement builds a
-    difference.  Every space computation runs under the solver's cube
+    NA091, NA092 and NA094 witnesses come from the containment search
+    itself ({!Space.witness_outside}; NA094 searches the universe
+    against the covered set), so the pass never builds a difference.
+    Every space computation runs under the solver's cube
     budget: {!Space.Too_complex} silently drops the affected finding —
     exact or absent, never approximate. *)
 
@@ -238,7 +239,7 @@ let coverage_diags ~query ~peers =
               (fun acc q -> Space.union acc (query_space q))
               Space.empty intents
           in
-          match Space.model (Space.compl covered) with
+          match Space.witness_outside Space.universe covered with
           | None -> []
           | Some pkt ->
               [

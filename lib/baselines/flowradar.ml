@@ -14,20 +14,20 @@ type t = {
   array_size : int;
   cells_per_msg : int;
   interval : float;
-  num_hashes : int;
   cells : int array; (* packet counts per cell; flow-set encoding elided *)
   mutable window : int;
   mutable messages : int;
   mutable packets : int;
 }
 
-let create ?(array_size = 4096) ?(cells_per_msg = 64) ?(interval = 0.1)
-    ?(num_hashes = 3) () =
+(* Cells each flow's packets update (the encoded flowset's hash count). *)
+let num_hashes = 3
+
+let create ?(array_size = 4096) ?(cells_per_msg = 64) ?(interval = 0.1) () =
   {
     array_size;
     cells_per_msg;
     interval;
-    num_hashes;
     cells = Array.make array_size 0;
     window = 0;
     messages = 0;
@@ -50,7 +50,7 @@ let process t pkt =
   end;
   let key = Fivetuple.of_packet pkt in
   let h = Fivetuple.hash key in
-  for i = 0 to t.num_hashes - 1 do
+  for i = 0 to num_hashes - 1 do
     let idx = Newton_sketch.Hash.hash_int ~seed:i h mod t.array_size in
     t.cells.(idx) <- t.cells.(idx) + 1
   done

@@ -5,8 +5,7 @@
 type t
 
 val create :
-  ?array_size:int -> ?cells_per_msg:int -> ?interval:float ->
-  ?num_hashes:int -> unit -> t
+  ?array_size:int -> ?cells_per_msg:int -> ?interval:float -> unit -> t
 
 val messages : t -> int
 val packets : t -> int

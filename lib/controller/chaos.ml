@@ -38,12 +38,10 @@ let unexplained r = List.filter (fun d -> not d.d_explained) r.diffs
 
 (* One replay: deploy every compiled query, then walk the trace firing
    due schedule events between packets. *)
-let replay ~mode ~stages_per_switch ?edge_switches ~topo ~compiled ~events
-    trace =
+let replay ~stages_per_switch ~topo ~compiled ~events trace =
   let dep = Deploy.create topo in
   List.iter
-    (fun c ->
-      ignore (Deploy.deploy ~mode ?edge_switches ~stages_per_switch dep c))
+    (fun c -> ignore (Deploy.deploy ~stages_per_switch dep c))
     compiled;
   let pending = ref (List.stable_sort (fun a b -> compare a.at b.at) events) in
   Newton_trace.Gen.iter
@@ -72,8 +70,7 @@ let replay ~mode ~stages_per_switch ?edge_switches ~topo ~compiled ~events
     trace;
   dep
 
-let run ?(mode = `Cqe) ?(stages_per_switch = 12) ?edge_switches ~topo ~queries
-    ~events trace =
+let run ?(stages_per_switch = 12) ~topo ~queries ~events trace =
   let compiled = List.map Newton_compiler.Compose.compile queries in
   let window_of =
     let tbl = Hashtbl.create 8 in
@@ -82,14 +79,8 @@ let run ?(mode = `Cqe) ?(stages_per_switch = 12) ?edge_switches ~topo ~queries
       queries;
     fun qid -> Hashtbl.find_opt tbl qid
   in
-  let baseline =
-    replay ~mode ~stages_per_switch ?edge_switches ~topo ~compiled ~events:[]
-      trace
-  in
-  let chaos =
-    replay ~mode ~stages_per_switch ?edge_switches ~topo ~compiled ~events
-      trace
-  in
+  let baseline = replay ~stages_per_switch ~topo ~compiled ~events:[] trace in
+  let chaos = replay ~stages_per_switch ~topo ~compiled ~events trace in
   let base_reports = Deploy.reconciled_reports baseline in
   let chaos_reports = Deploy.reconciled_reports chaos in
   let explained (r : Report.t) =

@@ -32,9 +32,7 @@ val unexplained : result -> diff list
 (** Deploy [queries], replay the trace twice (with and without the
     event schedule) and diff the reconciled reports by identity. *)
 val run :
-  ?mode:Deploy.mode ->
   ?stages_per_switch:int ->
-  ?edge_switches:int list ->
   topo:Topo.t ->
   queries:Ast.t list ->
   events:event list ->

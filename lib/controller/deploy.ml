@@ -25,7 +25,6 @@ type deployment = {
   compiled : Newton_compiler.Compose.t;
   mode : mode;
   mutable placement : Placement.t option; (* None for `Sole; re-placed on failure *)
-  edge_switches : int list option; (* deploy-time S_e, replayed on re-placement *)
   stages_per_switch : int;
   mutable installed_rules : int;
 }
@@ -84,7 +83,7 @@ let place_layout sw =
       [ 0; 1 ]
   done
 
-let create ?(fwd_entries = Switch.default_fwd_entries) topo =
+let create topo =
   let n = Topo.num_switches topo in
   {
     topo;
@@ -92,7 +91,7 @@ let create ?(fwd_entries = Switch.default_fwd_entries) topo =
     engines = Array.init n (fun i -> Engine.create ~switch_id:i ());
     switches =
       Array.init n (fun id ->
-          let sw = Switch.create ~id ~fwd_entries () in
+          let sw = Switch.create ~id () in
           place_layout sw;
           sw);
     analyzer = Analyzer.create ();
@@ -165,17 +164,16 @@ let target_of_placement (p : Placement.t) =
 type admitted = {
   a_compiled : Newton_compiler.Compose.t;
   a_mode : mode;
-  a_edge_switches : int list option;
   a_stages_per_switch : int;
   a_placement : Placement.t option;
 }
 
-let place t ~mode ~edge_switches ~stages_per_switch compiled =
+let place t ~mode ~stages_per_switch compiled =
   match mode with
   | `Sole -> None
   | `Cqe ->
       Some
-        (Placement.place ?edge_switches
+        (Placement.place
            ~enabled:(fun s -> t.enabled.(s))
            ~stages_per_switch ~topo:t.topo compiled)
 
@@ -186,10 +184,10 @@ let place t ~mode ~edge_switches ~stages_per_switch compiled =
    time, where the rollback path handles it.  The verdict is counted on
    the controller sink (stage="analysis" in the snapshot): a refusal
    once, an admission by its warnings. *)
-let gate t ~mode ~edge_switches ~stages_per_switch analyse =
+let gate t ~mode ~stages_per_switch analyse =
   let placement = ref None in
   let target compiled =
-    placement := place t ~mode ~edge_switches ~stages_per_switch compiled;
+    placement := place t ~mode ~stages_per_switch compiled;
     Option.map target_of_placement !placement
   in
   let deployed =
@@ -208,21 +206,21 @@ let gate t ~mode ~edge_switches ~stages_per_switch analyse =
         Newton_telemetry.Stats.bump t.c_sink
           Newton_telemetry.Stats.Analysis_warnings warnings;
       Ok
-        ( { a_compiled = compiled; a_mode = mode; a_edge_switches = edge_switches;
+        ( { a_compiled = compiled; a_mode = mode;
             a_stages_per_switch = stages_per_switch; a_placement = !placement },
           diags )
 
 (** The gate for a query: one {!Newton_analysis.Check.admit} pass that
     compiles it, places the compiled program and analyses it. *)
-let admit t ~mode ~stages_per_switch query =
-  gate t ~mode ~edge_switches:None ~stages_per_switch (fun ~target ~deployed ->
+let admit t ~stages_per_switch query =
+  gate t ~mode:`Cqe ~stages_per_switch (fun ~target ~deployed ->
       Newton_analysis.Check.admit ~target
         ~peers:(List.map (fun (q, c) -> (q, Some c)) deployed)
         query)
 
 (* The gate for a program already compiled. *)
-let gate_compiled t ~mode ~edge_switches ~stages_per_switch compiled =
-  gate t ~mode ~edge_switches ~stages_per_switch (fun ~target ~deployed ->
+let gate_compiled t ~mode ~stages_per_switch compiled =
+  gate t ~mode ~stages_per_switch (fun ~target ~deployed ->
       let diags =
         Newton_analysis.Check.admission ?target:(target compiled) ~deployed
           compiled
@@ -284,8 +282,7 @@ let install_deployment t a =
         p.Placement.slices);
   t.deployments <-
     { uid; compiled; mode = a.a_mode; placement = a.a_placement;
-      edge_switches = a.a_edge_switches; stages_per_switch = a.a_stages_per_switch;
-      installed_rules = !total_rules }
+      stages_per_switch = a.a_stages_per_switch; installed_rules = !total_rules }
     :: t.deployments;
   let latency = List.fold_left max 0.0 !latencies in
   (uid, latency)
@@ -319,9 +316,8 @@ let install t a = Result.map_error (fun (_, diag) -> [ diag ]) (install_impl t a
 (* Gate + install, failures as values the two public entry points
    render their own way: [`Refused] keeps the gate's diagnostics,
    [`Exhausted] the engine exception and its NA054 rendering. *)
-let deploy_impl ?(mode = `Cqe) ?edge_switches ?(stages_per_switch = 12) t
-    compiled =
-  match gate_compiled t ~mode ~edge_switches ~stages_per_switch compiled with
+let deploy_impl ?(mode = `Cqe) ?(stages_per_switch = 12) t compiled =
+  match gate_compiled t ~mode ~stages_per_switch compiled with
   | Error diags -> Error (`Refused diags)
   | Ok (a, _) ->
       Result.map_error (fun e -> `Exhausted e) (install_impl t a)
@@ -330,8 +326,8 @@ let deploy_impl ?(mode = `Cqe) ?edge_switches ?(stages_per_switch = 12) t
     [Error diags] when the static-analysis gate refuses the query or a
     module cell overflows mid-rollout (NA054; partial installs rolled
     back).  Never raises on admission or capacity. *)
-let deploy_checked ?mode ?edge_switches ?stages_per_switch t compiled =
-  match deploy_impl ?mode ?edge_switches ?stages_per_switch t compiled with
+let deploy_checked ?mode ?stages_per_switch t compiled =
+  match deploy_impl ?mode ?stages_per_switch t compiled with
   | Ok r -> Ok r
   | Error (`Refused diags) -> Error diags
   | Error (`Exhausted (_, diag)) -> Error [ diag ]
@@ -340,8 +336,8 @@ let deploy_checked ?mode ?edge_switches ?stages_per_switch t compiled =
     @raise Rejected when static analysis refuses the query.
     @raise Engine.Rules_exhausted on install-time capacity overflow
     (after rollback). *)
-let deploy ?mode ?edge_switches ?stages_per_switch t compiled =
-  match deploy_impl ?mode ?edge_switches ?stages_per_switch t compiled with
+let deploy ?mode ?stages_per_switch t compiled =
+  match deploy_impl ?mode ?stages_per_switch t compiled with
   | Ok r -> r
   | Error (`Refused diags) -> raise (Rejected diags)
   | Error (`Exhausted (e, _)) -> raise e
@@ -579,7 +575,7 @@ let bump_c t k n = Newton_telemetry.Stats.bump t.c_sink k n
 
 (* Re-run Algorithm 2 for [dep] over the currently usable topology. *)
 let replace_placement t dep =
-  Placement.place ?edge_switches:dep.edge_switches
+  Placement.place
     ~enabled:(fun x -> t.enabled.(x))
     ~usable:(fun x -> not (Route.is_node_failed t.route x))
     ~stages_per_switch:dep.stages_per_switch ~topo:t.topo dep.compiled

@@ -15,8 +15,6 @@ type deployment = {
   mode : mode;
   mutable placement : Placement.t option;
       (** [None] for sole-switch mode; re-placed on switch failure *)
-  edge_switches : int list option;
-      (** deploy-time S_e, replayed on re-placement *)
   stages_per_switch : int;
   mutable installed_rules : int;
 }
@@ -34,7 +32,7 @@ type recovery = {
 
 type t
 
-val create : ?fwd_entries:int -> Topo.t -> t
+val create : Topo.t -> t
 
 val topo : t -> Topo.t
 val route : t -> Route.t
@@ -69,14 +67,14 @@ val target_of_placement : Placement.t -> Newton_analysis.Pass.target
 type admitted
 
 (** The admission gate for a query: compile it once, place the
-    compiled program ([`Cqe]), and analyse it once against the deployed
-    set ({!Newton_analysis.Check.admit}).  [Ok (admitted, diags)]
+    compiled program (always [`Cqe]), and analyse it once against the
+    deployed set ({!Newton_analysis.Check.admit}).  [Ok (admitted, diags)]
     admits with warnings and infos; [Error diags] refuses, and nothing
     is installed.  Rejections and warnings are counted on the
     controller sink ([newton_analysis_rejections_total],
     [newton_analysis_warnings_total], labelled [stage="analysis"]). *)
 val admit :
-  t -> mode:mode -> stages_per_switch:int -> Newton_query.Ast.t ->
+  t -> stages_per_switch:int -> Newton_query.Ast.t ->
   (admitted * Newton_analysis.Diag.t list, Newton_analysis.Diag.t list) result
 
 (** Install an admitted query; returns [Ok (uid, slowest switch's
@@ -90,7 +88,7 @@ val install : t -> admitted -> (int * float, Newton_analysis.Diag.t list) result
     then {!install}.  Refusals and capacity overflow come back as
     [Error diags]; never raises on admission or capacity. *)
 val deploy_checked :
-  ?mode:mode -> ?edge_switches:int list -> ?stages_per_switch:int -> t ->
+  ?mode:mode -> ?stages_per_switch:int -> t ->
   Newton_compiler.Compose.t ->
   (int * float, Newton_analysis.Diag.t list) result
 
@@ -99,7 +97,7 @@ val deploy_checked :
     @raise Newton_runtime.Engine.Rules_exhausted on install-time
     capacity overflow (after rollback). *)
 val deploy :
-  ?mode:mode -> ?edge_switches:int list -> ?stages_per_switch:int -> t ->
+  ?mode:mode -> ?stages_per_switch:int -> t ->
   Newton_compiler.Compose.t -> int * float
 
 (** Remove a deployment everywhere; returns the slowest removal

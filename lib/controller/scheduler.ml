@@ -53,7 +53,7 @@ type plan = {
 (* Rule-capacity admission: per (stage, kind, set) cell usage of already
    admitted queries plus the candidate must stay within the module-table
    capacity. *)
-let rules_fit ~rules_per_table admitted_cells compiled =
+let rules_fit admitted_cells compiled =
   let open Newton_compiler in
   let needed = Hashtbl.create 16 in
   Array.iter
@@ -66,7 +66,7 @@ let rules_fit ~rules_per_table admitted_cells compiled =
     (fun cell n ok ->
       ok
       && Option.value (Hashtbl.find_opt admitted_cells cell) ~default:0 + n
-         <= rules_per_table)
+         <= Newton_dataplane.Module_cost.rules_per_module)
     needed true
 
 let commit_rules admitted_cells compiled =
@@ -144,12 +144,9 @@ let waterfill ~pool demands =
 (** Plan admission and register allocation for one switch.
 
     [register_pool] is the total state-bank registers the switch grants
-    Newton; [rules_per_table] the module-table capacity; [compile]
-    lets the caller inject compilation options (depths etc.). *)
-let plan ?(rules_per_table = Newton_dataplane.Module_cost.rules_per_module)
-    ~register_pool
-    ?(compile = fun q -> Newton_compiler.Compose.compile q)
-    demands =
+    Newton; each query compiles with the default options and must fit
+    the module-table capacity. *)
+let plan ~register_pool demands =
   (* Greedy admission by descending weight: heavier queries (more keys,
      more operator value) get in first. *)
   let sorted =
@@ -160,10 +157,10 @@ let plan ?(rules_per_table = Newton_dataplane.Module_cost.rules_per_module)
   let admitted = ref [] and rejected = ref [] in
   List.iter
     (fun d ->
-      let compiled = compile d.query in
+      let compiled = Newton_compiler.Compose.compile d.query in
       let arrays = max 1 (arrays_needed compiled) in
       let min_regs = arrays * d.min_registers in
-      if rules_fit ~rules_per_table admitted_cells compiled && min_regs <= !pool_left
+      if rules_fit admitted_cells compiled && min_regs <= !pool_left
       then begin
         commit_rules admitted_cells compiled;
         pool_left := !pool_left - min_regs;

@@ -27,14 +27,10 @@ type plan = {
 }
 
 (** Plan one switch: greedy admission by descending weight under the
-    per-cell rule capacity and the register pool, then water-fill the
-    pool across admitted queries within their bands. *)
-val plan :
-  ?rules_per_table:int ->
-  register_pool:int ->
-  ?compile:(Newton_query.Ast.t -> Newton_compiler.Compose.t) ->
-  demand list ->
-  plan
+    per-cell rule capacity ({!Newton_dataplane.Module_cost.rules_per_module})
+    and the register pool, then water-fill the pool across admitted
+    queries within their bands. *)
+val plan : register_pool:int -> demand list -> plan
 
 (** Registers assigned to a (physically identical) query in a plan. *)
 val registers_of : plan -> Newton_query.Ast.t -> int option

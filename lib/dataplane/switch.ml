@@ -23,17 +23,16 @@ let default_stages = 12
 (** Typical switch.p4 forwarding-table population. *)
 let default_fwd_entries = 6000
 
-let create ?(stages = default_stages) ?(fwd_entries = default_fwd_entries)
-    ?(stage_budget = Resource.stage_budget) ?(seed = 7) ~id () =
+let create ?(fwd_entries = default_fwd_entries) ~id () =
   {
     id;
-    stages = Array.init stages (fun i -> Stage.create ~budget:stage_budget i);
+    stages = Array.init default_stages Stage.create;
     fwd_entries;
     monitor_rules = 0;
     rule_ops = 0;
     outage_time = 0.0;
     dropped_during_outage = 0;
-    rng = Newton_util.Prng.of_int (seed + (id * 65537));
+    rng = Newton_util.Prng.of_int (7 + (id * 65537));
   }
 
 let id t = t.id

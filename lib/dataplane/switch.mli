@@ -11,9 +11,7 @@ val default_stages : int
 (** Typical switch.p4 forwarding-table population. *)
 val default_fwd_entries : int
 
-val create :
-  ?stages:int -> ?fwd_entries:int -> ?stage_budget:Resource.t -> ?seed:int ->
-  id:int -> unit -> t
+val create : ?fwd_entries:int -> id:int -> unit -> t
 
 val id : t -> int
 val num_stages : t -> int

@@ -16,6 +16,3 @@ open Newton_packet
     default): outer endpoints are synthesized from the tunnel id and
     {!Decode} recovers the inner 5-tuple. *)
 val frame : ?tunnel:[ `Vxlan | `Gre ] -> Packet.t -> bytes
-
-(** RFC 1071 internet checksum over a byte range (exposed for tests). *)
-val checksum : ?init:int -> bytes -> int -> int -> int

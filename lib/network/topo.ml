@@ -100,7 +100,7 @@ let bypass ?(short = 1) ?(long = 2) () =
 (** k-ary fat-tree: k pods, (k/2)^2 core switches, k/2 aggregation and
     k/2 edge switches per pod, k/2 hosts per edge switch (scaled-down
     host count keeps experiments fast while preserving path structure). *)
-let fat_tree ?(hosts_per_edge = 2) k =
+let fat_tree k =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topo.fat_tree: k must be even and >= 2";
   let half = k / 2 in
   let num_core = half * half in
@@ -123,6 +123,7 @@ let fat_tree ?(hosts_per_edge = 2) k =
       done
     done
   done;
+  let hosts_per_edge = 2 in
   let num_hosts = num_edge * hosts_per_edge in
   let host_links =
     List.concat
@@ -165,7 +166,8 @@ let isp () =
     link probability decaying with distance; extra edges ensure
     connectivity.  One host per switch.  Used to check that placement
     and routing hold beyond the structured topologies. *)
-let waxman ?(alpha = 0.4) ?(beta = 0.25) ~switches ~seed () =
+let waxman ~switches ~seed =
+  let alpha = 0.4 and beta = 0.25 in
   if switches < 1 then invalid_arg "Topo.waxman: need at least one switch";
   let rng = Newton_util.Prng.of_int seed in
   let xs = Array.init switches (fun _ -> Newton_util.Prng.float rng) in

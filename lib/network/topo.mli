@@ -54,17 +54,18 @@ val linear : int -> t
 val bypass : ?short:int -> ?long:int -> unit -> t
 
 (** k-ary fat-tree: (k/2)² core, k·k/2 aggregation and edge switches,
-    [hosts_per_edge] hosts per edge switch.
+    two hosts per edge switch.
     @raise Invalid_argument for odd or non-positive k. *)
-val fat_tree : ?hosts_per_edge:int -> int -> t
+val fat_tree : int -> t
 
 val fat_tree_num_core : int -> int
 
 (** 25-city North-America backbone modelled on the AT&T OC-768 map. *)
 val isp : unit -> t
 
-(** Waxman random graph (connected; one host per switch).
+(** Waxman random graph (connected; one host per switch; link
+    probability 0.4·exp(-d / (0.25·√2)) at distance d).
     @raise Invalid_argument if [switches < 1]. *)
-val waxman : ?alpha:float -> ?beta:float -> switches:int -> seed:int -> unit -> t
+val waxman : switches:int -> seed:int -> t
 
 val to_string : t -> string

@@ -57,11 +57,10 @@ module Device = struct
     mutable handles : handle list;
   }
 
-  let create ?(options = Newton_compiler.Decompose.default_options)
-      ?(fwd_entries = Switch.default_fwd_entries) () =
+  let create ?(options = Newton_compiler.Decompose.default_options) () =
     {
       engine = Engine.create ~switch_id:0 ();
-      switch = Switch.create ~id:0 ~fwd_entries ();
+      switch = Switch.create ~id:0 ();
       options;
       handles = [];
     }
@@ -185,17 +184,13 @@ module Network = struct
   let controller t = t.deploy
   let topo t = Deploy.topo t.deploy
 
-  (** Deploy a query network-wide.  [mode] defaults to CQE;
-      [stages_per_switch] is how many pipeline stages each switch grants
-      Newton. Returns the handle and the slowest switch's install
-      latency. *)
-  let add_query ?(mode = `Cqe) ?edge_switches ?(stages_per_switch = 12)
-      ?options t query =
+  (** Deploy a query network-wide with CQE; [stages_per_switch] is how
+      many pipeline stages each switch grants Newton. Returns the handle
+      and the slowest switch's install latency. *)
+  let add_query ?(stages_per_switch = 12) ?options t query =
     let options = Option.value options ~default:t.options in
     let compiled = Newton_compiler.Compose.compile ~options query in
-    let uid, latency =
-      Deploy.deploy ~mode ?edge_switches ~stages_per_switch t.deploy compiled
-    in
+    let uid, latency = Deploy.deploy ~stages_per_switch t.deploy compiled in
     let h = { uid; query } in
     t.handles <- h :: t.handles;
     (h, latency)

@@ -40,7 +40,6 @@ module Device : sig
 
   val create :
     ?options:Newton_compiler.Decompose.options ->
-    ?fwd_entries:int ->
     unit ->
     t
 
@@ -131,10 +130,8 @@ module Network : sig
   val controller : t -> Deploy.t
   val topo : t -> Newton_network.Topo.t
 
-  (** Deploy a query network-wide.  [mode] defaults to CQE. *)
+  (** Deploy a query network-wide with CQE (cross-switch execution). *)
   val add_query :
-    ?mode:[ `Cqe | `Sole ] ->
-    ?edge_switches:int list ->
     ?stages_per_switch:int ->
     ?options:Newton_compiler.Decompose.options ->
     t ->

@@ -37,15 +37,15 @@ let ingest t batch =
 
 (** Deduplicated reports, applying CPU-side post-filters: for Pair
     queries (Q8), keep only reports whose bytes/connection ratio is
-    below [pair_ratio] — many connections, few bytes each. *)
-let results ?(pair_ratio = 200.0) t =
+    below 200 — many connections, few bytes each. *)
+let results t =
   List.rev t.reports
   |> List.filter (fun (r : Report.t) ->
          match r.Report.value2 with
          | None -> true
          | Some bytes ->
              r.Report.value > 0
-             && float_of_int bytes /. float_of_int r.Report.value < pair_ratio)
+             && float_of_int bytes /. float_of_int r.Report.value < 200.0)
 
 (** Render reports as CSV (header + one line per report), for offline
     analysis pipelines. *)

@@ -16,8 +16,8 @@ val received : t -> int
 val ingest : t -> Report.t list -> unit
 
 (** Deduplicated results; [Pair] reports are kept only when
-    bytes/connections falls below [pair_ratio]. *)
-val results : ?pair_ratio:float -> t -> Report.t list
+    bytes/connections falls below 200. *)
+val results : t -> Report.t list
 
 (** Reports as CSV (header + one line per report; keys joined with
     ';'). *)

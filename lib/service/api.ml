@@ -165,16 +165,6 @@ let request_of_tokens tokens =
 
 (* ---------------- responses ---------------- *)
 
-type recovery_info = {
-  rc_switch : int;
-  rc_event : [ `Fail | `Repair ];
-  rc_slices_migrated : int;
-  rc_cells_moved : int;
-  rc_software_fallbacks : int;
-  rc_rules_installed : int;
-  rc_latency : float;
-}
-
 type response =
   | Accepted of Intent.info
   | Refused of { id : int; diags : Newton_analysis.Diag.t list }
@@ -182,7 +172,7 @@ type response =
   | Intent_list of Intent.info list
   | Intent_status of { info : Intent.info; history : (Intent.state * float) list }
   | Stats_payload of { format : stats_format; body : string }
-  | Recovery_done of recovery_info option
+  | Recovery_done of Newton_controller.Deploy.recovery option
   | Stopping
   | Error_resp of { code : string; message : string }
 
@@ -192,18 +182,18 @@ let s_of_us = function
   | Json.Int us -> Some (float_of_int us /. 1e6)
   | _ -> None
 
-let recovery_to_json r =
+let recovery_to_json (r : Newton_controller.Deploy.recovery) =
   Json.Obj
     [
-      ("switch", Json.Int r.rc_switch);
+      ("switch", Json.Int r.r_switch);
       ( "event",
-        Json.String (match r.rc_event with `Fail -> "fail" | `Repair -> "repair")
+        Json.String (match r.r_event with `Fail -> "fail" | `Repair -> "repair")
       );
-      ("slices_migrated", Json.Int r.rc_slices_migrated);
-      ("cells_moved", Json.Int r.rc_cells_moved);
-      ("software_fallbacks", Json.Int r.rc_software_fallbacks);
-      ("rules_installed", Json.Int r.rc_rules_installed);
-      ("latency_us", us_of_s r.rc_latency);
+      ("slices_migrated", Json.Int r.r_slices_migrated);
+      ("cells_moved", Json.Int r.r_cells_moved);
+      ("software_fallbacks", Json.Int r.r_software_fallbacks);
+      ("rules_installed", Json.Int r.r_rules_installed);
+      ("latency_us", us_of_s r.r_latency);
     ]
 
 let recovery_of_json j =
@@ -213,26 +203,25 @@ let recovery_of_json j =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "recovery: missing int %S" name)
   in
-  let* rc_switch = int_field "switch" in
-  let* rc_slices_migrated = int_field "slices_migrated" in
-  let* rc_cells_moved = int_field "cells_moved" in
-  let* rc_software_fallbacks = int_field "software_fallbacks" in
-  let* rc_rules_installed = int_field "rules_installed" in
-  let* rc_latency =
+  let* r_switch = int_field "switch" in
+  let* r_slices_migrated = int_field "slices_migrated" in
+  let* r_cells_moved = int_field "cells_moved" in
+  let* r_software_fallbacks = int_field "software_fallbacks" in
+  let* r_rules_installed = int_field "rules_installed" in
+  let* r_latency =
     match Option.bind (Json.member "latency_us" j) s_of_us with
     | Some v -> Ok v
     | None -> Error "recovery: missing \"latency_us\""
   in
-  match Option.bind (Json.member "event" j) Json.to_string_opt with
-  | Some "fail" ->
-      Ok
-        { rc_switch; rc_event = `Fail; rc_slices_migrated; rc_cells_moved;
-          rc_software_fallbacks; rc_rules_installed; rc_latency }
-  | Some "repair" ->
-      Ok
-        { rc_switch; rc_event = `Repair; rc_slices_migrated; rc_cells_moved;
-          rc_software_fallbacks; rc_rules_installed; rc_latency }
-  | _ -> Error "recovery: missing or unknown \"event\""
+  let* r_event =
+    match Option.bind (Json.member "event" j) Json.to_string_opt with
+    | Some "fail" -> Ok `Fail
+    | Some "repair" -> Ok `Repair
+    | _ -> Error "recovery: missing or unknown \"event\""
+  in
+  Ok
+    { Newton_controller.Deploy.r_switch; r_event; r_slices_migrated;
+      r_cells_moved; r_software_fallbacks; r_rules_installed; r_latency }
 
 let response_to_json = function
   | Accepted info ->
@@ -458,9 +447,9 @@ let response_summary = function
       Printf.sprintf
         "%s switch %d: %d slices migrated, %d cells moved, %d software \
          fallbacks, %d rules installed, %.2f ms"
-        (match r.rc_event with `Fail -> "fail" | `Repair -> "repair")
-        r.rc_switch r.rc_slices_migrated r.rc_cells_moved
-        r.rc_software_fallbacks r.rc_rules_installed (r.rc_latency *. 1e3)
+        (match r.r_event with `Fail -> "fail" | `Repair -> "repair")
+        r.r_switch r.r_slices_migrated r.r_cells_moved r.r_software_fallbacks
+        r.r_rules_installed (r.r_latency *. 1e3)
   | Stopping -> "daemon stopping"
   | Error_resp { code; message } -> Printf.sprintf "error (%s): %s" code message
 

@@ -32,17 +32,6 @@ val spec_to_string : query_spec -> string
     v} *)
 val request_of_tokens : string list -> (request, string) result
 
-(** Result of a fail/repair event the recovery engine handled. *)
-type recovery_info = {
-  rc_switch : int;
-  rc_event : [ `Fail | `Repair ];
-  rc_slices_migrated : int;
-  rc_cells_moved : int;
-  rc_software_fallbacks : int;
-  rc_rules_installed : int;
-  rc_latency : float;
-}
-
 type response =
   | Accepted of Intent.info
       (** submit succeeded; the intent is [Active] *)
@@ -54,8 +43,9 @@ type response =
       (** the intent's summary and every state it entered with the
           time it entered it, oldest first ({!Intent.history}) *)
   | Stats_payload of { format : stats_format; body : string }
-  | Recovery_done of recovery_info option
-      (** [None] when the switch was already in the requested state *)
+  | Recovery_done of Newton_controller.Deploy.recovery option
+      (** the fail/repair event the recovery engine handled; [None]
+          when the switch was already in the requested state *)
   | Stopping
   | Error_resp of { code : string; message : string }
 

@@ -16,7 +16,6 @@ module Export = Newton_telemetry.Export
 type t = {
   deploy : Deploy.t;
   stages_per_switch : int;
-  mode : Deploy.mode;
   replay : Replay.t option;
   replay_budget : int;
   sink : Stats.sink;  (* service-level counters, stage="service" *)
@@ -29,11 +28,10 @@ type t = {
 }
 
 let create ?(clock = Unix.gettimeofday) ?(stages_per_switch = 12)
-    ?(mode = `Cqe) ?(replay_budget = 2048) ?replay topo =
+    ?(replay_budget = 2048) ?replay topo =
   {
     deploy = Deploy.create topo;
     stages_per_switch;
-    mode;
     replay;
     replay_budget;
     sink = Stats.create ();
@@ -117,7 +115,7 @@ let submit t ~spec ~name =
          once; its diagnostics ride on the intent whatever happens
          next, and its compiled program is the one installed. *)
       let verdict =
-        Deploy.admit t.deploy ~mode:t.mode ~stages_per_switch:t.stages_per_switch
+        Deploy.admit t.deploy ~stages_per_switch:t.stages_per_switch
           query
       in
       intent.Intent.diags <- (match verdict with Ok (_, d) | Error d -> d);
@@ -178,17 +176,6 @@ let stats_body t fmt =
   | Api.Json_format -> Export.to_json_string snap
   | Api.Prometheus_format -> Export.to_prometheus snap
 
-let recovery_info (ev : [ `Fail | `Repair ]) (r : Deploy.recovery) =
-  {
-    Api.rc_switch = r.Deploy.r_switch;
-    rc_event = ev;
-    rc_slices_migrated = r.Deploy.r_slices_migrated;
-    rc_cells_moved = r.Deploy.r_cells_moved;
-    rc_software_fallbacks = r.Deploy.r_software_fallbacks;
-    rc_rules_installed = r.Deploy.r_rules_installed;
-    rc_latency = r.Deploy.r_latency;
-  }
-
 let handle t request =
   match request with
   | Api.Submit { spec; name } -> submit t ~spec ~name
@@ -208,12 +195,12 @@ let handle t request =
   | Api.Stats fmt -> Api.Stats_payload { format = fmt; body = stats_body t fmt }
   | Api.Fail_switch s -> (
       match Deploy.fail_switch t.deploy s with
-      | r -> Api.Recovery_done (Option.map (recovery_info `Fail) r)
+      | r -> Api.Recovery_done r
       | exception Invalid_argument msg ->
           Api.Error_resp { code = "bad-switch"; message = msg })
   | Api.Repair_switch s -> (
       match Deploy.repair_switch t.deploy s with
-      | r -> Api.Recovery_done (Option.map (recovery_info `Repair) r)
+      | r -> Api.Recovery_done r
       | exception Invalid_argument msg ->
           Api.Error_resp { code = "bad-switch"; message = msg })
   | Api.Shutdown ->

@@ -14,8 +14,7 @@ type t
     [Unix.gettimeofday] (tests inject a fake); [replay_budget] bounds
     packets processed per event-loop turn (default 2048). *)
 val create :
-  ?clock:(unit -> float) -> ?stages_per_switch:int ->
-  ?mode:Newton_controller.Deploy.mode -> ?replay_budget:int ->
+  ?clock:(unit -> float) -> ?stages_per_switch:int -> ?replay_budget:int ->
   ?replay:Replay.t -> Newton_network.Topo.t -> t
 
 val deploy : t -> Newton_controller.Deploy.t

@@ -4,19 +4,19 @@
     pcap/pcapng capture via [lib/ingest]) and feeds it into
     [Deploy.process_packet] in bounded steps between socket events, so
     intents install and withdraw {e while traffic is flowing}.  Pacing
-    mirrors the ingest streamer: [Asap] replays as fast as the event
-    loop allows, [Realtime s] schedules each packet at its trace
-    timestamp divided by the speedup.  The clock is a parameter
-    ([~now]) so tests can drive replay deterministically. *)
+    is the ingest streamer's ({!Newton_ingest.Stream.pace}): [Asap]
+    replays as fast as the event loop allows, [Realtime s] schedules
+    each packet at its trace timestamp divided by the speedup.  The
+    clock is a parameter ([~now]) so tests can drive replay
+    deterministically. *)
 
 open Newton_packet
-
-type pace = Asap | Realtime of float
+module Stream = Newton_ingest.Stream
 
 type t = {
   packets : Packet.t array;
   topo : Newton_network.Topo.t;
-  pace : pace;
+  pace : Stream.pace;
   source_desc : string;
   first_ts : float;
   mutable pos : int;
@@ -24,7 +24,7 @@ type t = {
   sink : Newton_telemetry.Stats.sink;
 }
 
-let of_packets ?(pace = Asap) ~topo ~desc packets =
+let of_packets ?(pace = Stream.Asap) ~topo ~desc packets =
   {
     packets;
     topo;
@@ -39,9 +39,6 @@ let of_packets ?(pace = Asap) ~topo ~desc packets =
 let of_trace ?pace ~topo ~desc trace =
   of_packets ?pace ~topo ~desc (Newton_trace.Gen.packets trace)
 
-let load ?pace ~topo path =
-  of_trace ?pace ~topo ~desc:path (Newton_ingest.Capture.load path)
-
 let length t = Array.length t.packets
 let position t = t.pos
 let finished t = t.pos >= Array.length t.packets
@@ -52,8 +49,8 @@ let stats t = t.sink
    now (or when pacing is Asap). *)
 let due_in t ~now pos =
   match t.pace with
-  | Asap -> 0.
-  | Realtime speedup ->
+  | Stream.Asap -> 0.
+  | Stream.Realtime speedup ->
       let started =
         match t.started_at with
         | Some s -> s

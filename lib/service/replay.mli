@@ -2,27 +2,19 @@
     fed into [Deploy.process_packet] in bounded steps between socket
     events, so intents install and withdraw while traffic is flowing.
     The clock is a parameter ([~now]) so tests drive replay
-    deterministically. *)
-
-type pace =
-  | Asap  (** as fast as the event loop allows *)
-  | Realtime of float
-      (** schedule packets at trace timestamps divided by the speedup *)
+    deterministically.  Pacing is {!Newton_ingest.Stream.pace}: [Asap]
+    as fast as the event loop allows, [Realtime s] each packet at its
+    trace timestamp divided by [s]. *)
 
 type t
 
 val of_packets :
-  ?pace:pace -> topo:Newton_network.Topo.t -> desc:string ->
-  Newton_packet.Packet.t array -> t
+  ?pace:Newton_ingest.Stream.pace -> topo:Newton_network.Topo.t ->
+  desc:string -> Newton_packet.Packet.t array -> t
 
 val of_trace :
-  ?pace:pace -> topo:Newton_network.Topo.t -> desc:string ->
-  Newton_trace.Gen.t -> t
-
-(** Load a pcap or pcapng capture through the ingest decoder (the
-    format is read from the file's magic, not its name).
-    @raise Newton_ingest.Capture.Format_error on unreadable input. *)
-val load : ?pace:pace -> topo:Newton_network.Topo.t -> string -> t
+  ?pace:Newton_ingest.Stream.pace -> topo:Newton_network.Topo.t ->
+  desc:string -> Newton_trace.Gen.t -> t
 
 val length : t -> int
 val position : t -> int

@@ -37,5 +37,7 @@ val default_suite : t list
 (** {!default_suite} plus the IPv6/ICMPv6/tunnel attacks behind
     extension queries Q15–Q17 (NTP + SSDP amplification, ICMPv6 sweep,
     tunneled exfiltration); kept apart so {!default_suite} traces stay
-    byte-stable. *)
+    byte-stable.  It leaves out [Icmp_flood] (Q13), which only the P4
+    coverage corpus injects: the repository benchmark's [pcap_replay]
+    capture is generated from this suite and must not change. *)
 val extended_suite : t list

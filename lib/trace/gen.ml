@@ -189,23 +189,6 @@ let of_packets ~name packets =
 let iter f t = Array.iter f t.packets
 let fold f init t = Array.fold_left f init t.packets
 
-(** Batched replay: visit consecutive chunks of [chunk] packets (the
-    last may be shorter). *)
-let iter_chunks ~chunk f t =
-  if chunk <= 0 then invalid_arg "Gen.iter_chunks: chunk must be positive";
-  let n = Array.length t.packets in
-  let i = ref 0 in
-  while !i < n do
-    let len = min chunk (n - !i) in
-    f (Array.sub t.packets !i len);
-    i := !i + len
-  done
-
-let chunks ~chunk t =
-  let acc = ref [] in
-  iter_chunks ~chunk (fun c -> acc := c :: !acc) t;
-  List.rev !acc
-
 (** Total bytes on the wire, for bandwidth-overhead ratios. *)
 let total_bytes t =
   Array.fold_left (fun acc p -> acc + Packet.get p Field.Pkt_len) 0 t.packets

@@ -20,14 +20,5 @@ val of_packets : name:string -> Packet.t array -> t
 val iter : (Packet.t -> unit) -> t -> unit
 val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
 
-(** Visit the trace as consecutive sub-array chunks of [chunk] packets
-    (the last one may be shorter) — the batched replay path.  Each chunk
-    is a fresh sub-array.
-    @raise Invalid_argument if [chunk <= 0]. *)
-val iter_chunks : chunk:int -> (Packet.t array -> unit) -> t -> unit
-
-(** The same chunks as a list (empty for an empty trace). *)
-val chunks : chunk:int -> t -> Packet.t array list
-
 (** Total bytes on the wire. *)
 val total_bytes : t -> int

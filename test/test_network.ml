@@ -165,7 +165,7 @@ let test_failed_links_listing () =
 
 let test_waxman_connected () =
   for seed = 1 to 10 do
-    let t = Topo.waxman ~switches:20 ~seed () in
+    let t = Topo.waxman ~switches:20 ~seed in
     let r = Route.create t in
     let d = Route.distances r 0 in
     Alcotest.(check bool)
@@ -175,15 +175,15 @@ let test_waxman_connected () =
   done
 
 let test_waxman_deterministic () =
-  let a = Topo.waxman ~switches:15 ~seed:3 () in
-  let b = Topo.waxman ~switches:15 ~seed:3 () in
+  let a = Topo.waxman ~switches:15 ~seed:3 in
+  let b = Topo.waxman ~switches:15 ~seed:3 in
   Alcotest.(check (list (pair int int))) "same seed, same graph"
     (Topo.links a) (Topo.links b);
-  let c = Topo.waxman ~switches:15 ~seed:4 () in
+  let c = Topo.waxman ~switches:15 ~seed:4 in
   checkb "different seed differs" true (Topo.links a <> Topo.links c)
 
 let test_waxman_hosts () =
-  let t = Topo.waxman ~switches:12 ~seed:5 () in
+  let t = Topo.waxman ~switches:12 ~seed:5 in
   checki "one host per switch" 12 (Topo.num_hosts t);
   checki "every switch is an edge" 12 (List.length (Topo.edge_switches t))
 
@@ -192,7 +192,7 @@ let qcheck_waxman_placement_coverage =
     ~name:"placement covers shortest paths on random graphs"
     QCheck.(pair (int_range 1 10000) (int_range 2 4))
     (fun (seed, per) ->
-      let topo = Topo.waxman ~switches:12 ~seed () in
+      let topo = Topo.waxman ~switches:12 ~seed in
       let compiled =
         Newton_compiler.Compose.compile (Newton_query.Catalog.q1 ())
       in
@@ -348,5 +348,5 @@ let suite =
     QCheck_alcotest.to_alcotest (qcheck_route_cache "fat_tree 4" (Topo.fat_tree 4));
     QCheck_alcotest.to_alcotest (qcheck_route_cache "bypass" (Topo.bypass ()));
     QCheck_alcotest.to_alcotest
-      (qcheck_route_cache "waxman 12" (Topo.waxman ~switches:12 ~seed:7 ()));
+      (qcheck_route_cache "waxman 12" (Topo.waxman ~switches:12 ~seed:7));
   ]

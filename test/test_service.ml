@@ -199,13 +199,13 @@ let test_response_roundtrips () =
       Api.Recovery_done
         (Some
            {
-             Api.rc_switch = 2;
-             rc_event = `Fail;
-             rc_slices_migrated = 3;
-             rc_cells_moved = 120;
-             rc_software_fallbacks = 1;
-             rc_rules_installed = 14;
-             rc_latency = 0.0123;
+             Newton_controller.Deploy.r_switch = 2;
+             r_event = `Fail;
+             r_slices_migrated = 3;
+             r_cells_moved = 120;
+             r_software_fallbacks = 1;
+             r_rules_installed = 14;
+             r_latency = 0.0123;
            });
       Api.Stopping;
       Api.Error_resp { code = "bad-state"; message = "intent #2 is failed" };
