@@ -434,19 +434,16 @@ let cmd_stats =
         let source = source_of pcap profile flows seed attacks in
         let stats = Telemetry.Stats.create () in
         let summary = stream ~opts:iopts ~queue ~stats source sink_fn in
+        (match source with
+        | Synthetic _ -> print_drops stderr summary
+        | Capture _ -> ());
+        (* Ingestion health (drops, queue depth, inter-arrival gaps) rides
+           along in the same snapshot for either source, labelled
+           stage=ingest to keep it apart from the engine-side counter
+           families. *)
         let snap =
-          match source with
-          | Capture _ ->
-              (* Ingestion health rides along in the same snapshot,
-                 labelled stage=ingest to keep it apart from the
-                 engine-side counter families. *)
-              Telemetry.Snapshot.merge (metrics_fn ())
-                (Telemetry.Snapshot.of_sink
-                   ~labels:[ ("stage", "ingest") ]
-                   stats)
-          | Synthetic _ ->
-              print_drops stderr summary;
-              metrics_fn ()
+          Telemetry.Snapshot.merge (metrics_fn ())
+            (Telemetry.Snapshot.of_sink ~labels:[ ("stage", "ingest") ] stats)
         in
         let text =
           match format with

@@ -371,7 +371,7 @@ let undeploy t uid =
    forwarding path: it lazily instantiates the tail (slices
    [next_slice..M] as one stage range) and resumes from the exported
    execution status. *)
-let software_continue t dep ~next_slice pkt =
+let software_continue t dep ~next_slice =
   match dep.placement with
   | None -> ()
   | Some p ->
@@ -384,7 +384,7 @@ let software_continue t dep ~next_slice pkt =
             ignore (Engine.install t.software ~uid ~stage_lo:lo dep.compiled);
             Option.get (Engine.find_instance t.software uid)
       in
-      Engine.maybe_roll_window t.software (Newton_packet.Packet.ts pkt);
+      Engine.begin_packet t.software t.row;
       Engine.count_continuation t.software;
       t.software_packet <- t.packets;
       Engine.process_slice t.software inst ~ctx:t.ctx t.row
@@ -398,29 +398,29 @@ let software_continue t dep ~next_slice pkt =
    written once into [t.row] and every slice runs on that row; counter
    events wait in each engine's tally until the walk ends. *)
 
-(* A switch's first slice of a packet counts the packet and rolls its
-   engine's windows; rolling again at the same timestamp would change
-   nothing. *)
-let touch t s engine pkt =
+(* A switch's first slice of a packet counts the packet, classifies it
+   and rolls its engine's windows; doing so again for the same packet
+   would change nothing. *)
+let touch t s engine =
   if t.touched.(s) <> t.packets then begin
     t.touched.(s) <- t.packets;
     Engine.record_packet_seen engine;
-    Engine.maybe_roll_window engine (Newton_packet.Packet.ts pkt)
+    Engine.begin_packet engine t.row
   end
 
 (* Sole: the full query, instance [uid], on a fresh context at every
    path hop from index [i]. *)
-let rec run_sole t uid pkt n i =
+let rec run_sole t uid n i =
   if i < n then begin
     let s = t.path.(i) in
     let engine = t.engines.(s) in
     (match Engine.find_instance engine uid with
     | Some inst ->
-        touch t s engine pkt;
+        touch t s engine;
         Ctx.reset t.ctx;
         Engine.process_slice engine inst ~ctx:t.ctx t.row
     | None -> ());
-    run_sole t uid pkt n (i + 1)
+    run_sole t uid n (i + 1)
   end
 
 (* CQE: run slice [d + 1] of [dep]'s [m] at the next hop from path index
@@ -429,19 +429,19 @@ let rec run_sole t uid pkt n i =
    the path index of the last enabled hop ([-2] before the first), and
    a legacy switch in between loses the snapshot.  Returns the depth
    reached. *)
-let rec run_cqe t dep pkt m n i d prev =
+let rec run_cqe t dep m n i d prev =
   let ctx = t.ctx in
   if i >= n || ctx.Ctx.stopped || d >= m then d
   else
     let s = t.path.(i) in
-    if not t.enabled.(s) then run_cqe t dep pkt m n (i + 1) d prev
+    if not t.enabled.(s) then run_cqe t dep m n (i + 1) d prev
     else begin
       let d = d + 1 in
       let engine = t.engines.(s) in
       Engine.count_cqe_hop engine;
       (match Engine.find_instance engine (slice_uid dep.uid d) with
       | Some inst ->
-          touch t s engine pkt;
+          touch t s engine;
           if d > 1 then begin
             if i = prev + 1 then begin
               (* SP header between adjacent Newton hops. *)
@@ -458,29 +458,29 @@ let rec run_cqe t dep pkt m n i d prev =
           (* Placement gap (should not happen under Algorithm 2): defer
              to the analyzer. *)
           t.software_status_msgs <- t.software_status_msgs + 1);
-      run_cqe t dep pkt m n (i + 1) d i
+      run_cqe t dep m n (i + 1) d i
     end
 
-let rec run_deps t pkt n = function
+let rec run_deps t n = function
   | [] -> ()
   | dep :: rest ->
       (match dep.mode with
-      | `Sole -> run_sole t (slice_uid dep.uid 1) pkt n 0
+      | `Sole -> run_sole t (slice_uid dep.uid 1) n 0
       | `Cqe ->
           let m =
             match dep.placement with Some p -> p.Placement.num_slices | None -> 1
           in
           Ctx.reset t.ctx;
-          let d = run_cqe t dep pkt m n 0 0 (-2) in
+          let d = run_cqe t dep m n 0 0 (-2) in
           (* Query longer than the (enabled part of the) path: the last
              switch exports the execution status and the analyzer
              continues executing the remaining slices in software
              (§5.2). *)
           if m > d && d > 0 && not t.ctx.Ctx.stopped then begin
             t.software_status_msgs <- t.software_status_msgs + 1;
-            software_continue t dep ~next_slice:(d + 1) pkt
+            software_continue t dep ~next_slice:(d + 1)
           end);
-      run_deps t pkt n rest
+      run_deps t n rest
 
 (* Fold the packet's tallies into the sinks of the switches on path
    indices [i, n); a switch the packet did not reach has nothing to
@@ -505,7 +505,7 @@ let process_packet t ~src_host ~dst_host pkt =
   let n = Route.switch_path_into t.route ~flow_hash ~src_host ~dst_host t.path in
   if n > 0 then begin
     Newton_packet.Flat.set_packet t.row 0 pkt;
-    run_deps t pkt n t.deployments;
+    run_deps t n t.deployments;
     flush_path t n 0;
     if t.software_packet = t.packets then Engine.flush t.software
   end

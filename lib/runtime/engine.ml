@@ -3,9 +3,9 @@
     Holds the query instances installed on one switch — each a slice of a
     compiled query's module chain (the whole chain for sole-switch
     execution, a stage range for CQE) — together with the register arrays
-    their state banks own.  Packets are run through [newton_init]
-    classification and then through each matching instance's slots in
-    chain order; windowed state resets every [query.window] seconds as in
+    their state banks own.  Packets are classified once per switch by
+    the engine's [newton_init] classifier and then run through each
+    matching instance's slots in chain order; windowed state resets every [query.window] seconds as in
     §6 ("values of reduce and distinct are evaluated and reset every
     100 ms").
 
@@ -42,8 +42,9 @@ end)
    [install] compiles each hosted IR slot once: key fields become dense
    indices into a packet's field words with a reusable projection
    buffer, register arrays become direct references, constant ALUs are
-   prebuilt, and each branch's newton_init entry becomes (index, value,
-   mask) triples.  Every driver below runs this one program.
+   prebuilt, and each branch's newton_init entry becomes a need-mask
+   over the engine classifier's atoms.  Every entry point below runs
+   this one program.
 
    Operation keys are bound at install, as a switch fixes each metadata
    set's place in the PHV when the rules are compiled: every H slot and
@@ -69,12 +70,13 @@ type hpart =
    itself with [Register_array.exec]'s bounds check and op count. *)
 type spart =
   | S_pass
-  | S_or1 of { arr : Register_array.t }                  (* Bloom bit: Alu.Or 1 *)
+  | S_or1 of { arr : Register_array.t }  (* Bloom bit, one-bit cells: Alu.Or 1 *)
   | S_add of { arr : Register_array.t; k : int }         (* Alu.Add k *)
   | S_max of { arr : Register_array.t; k : int }         (* Alu.Max k *)
   | S_add_field of { arr : Register_array.t; fidx : int }
   | S_max_field of { arr : Register_array.t; fidx : int }
-  | S_read of { arr : Register_array.t }
+  | S_read of { arr : Register_array.t }     (* word cells *)
+  | S_read_bit of { arr : Register_array.t } (* a Bloom bank's one-bit cells *)
   | S_read_remote  (* the read array is not hosted here: reads 0 *)
 
 type rpart = {
@@ -97,10 +99,10 @@ type cslot =
   | C_suite of { meta : int; h : hpart; s : spart; r : rpart }
 
 type cbranch = {
-  (* newton_init entry as parallel arrays (no per-check pointer chase) *)
-  cbm_fidx : int array;
-  cbm_value : int array;
-  cbm_mask : int array;
+  cb_atoms : (int * int * int) list;  (* newton_init entry: (field index, mask, value) *)
+  (* the words of the classifier bitset [cb_atoms] must all hit, set by
+     [index_instances] *)
+  mutable cb_need : int array;
   cb_slots : cslot array;
 }
 
@@ -132,7 +134,7 @@ type tally = {
   mutable deduped : int;
   mutable dropped : int;
   mutable rolls : int;
-  mutable seen : int;           (* packets counted by [record_packet_seen] *)
+  mutable seen : int;  (* packets counted by [record_packet_seen] and [process_flat] *)
   mutable cqe_hops : int;
   mutable sp_header_bytes : int;
   mutable continuations : int;
@@ -155,9 +157,25 @@ type t = {
   tally : tally;
   mutable instances : instance list;
   (* The distinct window lengths of [instances], and scratch for the
-     window index [maybe_roll_window] computes for each. *)
+     window index [classify] computes for each. *)
   mutable window_lens : float array;
   mutable window_now : int array;
+  (* The newton_init classifier, rebuilt by [index_instances]: the
+     distinct (field index, mask, value) atoms of every hosted branch's
+     entry, and per packet the bitset of atoms that hold, atom [a] at
+     bit [a mod atoms_per_word] of word [a / atoms_per_word].  A branch
+     matches when every bit of its [cb_need] is set. *)
+  mutable atom_fidx : int array;
+  mutable atom_mask : int array;
+  mutable atom_value : int array;
+  mutable atom_hits : int array;
+  (* The first-slice branches in install order, for [process_flat]:
+     branch [j] needs words [j * nwords ..] of [first_need]
+     ([nwords = Array.length atom_hits]) and belongs to [first_inst.(j)],
+     whose last branch is followed by [first_next.(j)]. *)
+  mutable first_need : int array;
+  mutable first_inst : instance array;
+  mutable first_next : int array;
   (* uid -> the first-installed instance of that uid, open addressing:
      slot [i] holds uid [uid_keys.(i)] when [uid_vals.(i)] is [Some _]
      (boxed once, so a lookup allocates nothing). *)
@@ -166,18 +184,17 @@ type t = {
   (* newton_init: ternary match over the 5-tuple + TCP flags (§4.1
      "Concurrency"), dispatching packets to instance/branch chains.
      Bounded like any hardware table: it models the classifier's
-     capacity and size, while each instance's compiled branches carry
-     the match itself. *)
+     capacity and size, while the atoms above carry the match itself. *)
   init_table : (int * int) Newton_dataplane.Table.t; (* (uid, branch) *)
   (* table entries per physical module cell (stage, kind, set); each
      cell is one hardware table of [Module_cost.rules_per_module]
      capacity — this is what bounds concurrent queries. *)
   cell_rules : (int * Newton_dataplane.Module_cost.kind * int, int) Hashtbl.t;
-  (* Register arrays of removed instances by size, handed to the next
-     install that needs one: like a switch's SRAM, register memory is
-     reused rather than allocated per query, so churn leaves no major-
-     heap allocation (and GC work) behind each install. *)
-  spare_arrays : (int, Register_array.t list) Hashtbl.t;
+  (* Register arrays of removed instances by size and cell width,
+     handed to the next install that needs one: like a switch's SRAM,
+     register memory is reused rather than allocated per query, so churn
+     leaves no major-heap allocation (and GC work) behind each install. *)
+  spare_arrays : (int * Register_array.cells, Register_array.t list) Hashtbl.t;
   mutable reports : Report.t list; (* reverse order *)
   mutable report_count : int;
   mutable packets_seen : int;
@@ -205,6 +222,13 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     instances = [];
     window_lens = [||];
     window_now = [||];
+    atom_fidx = [||];
+    atom_mask = [||];
+    atom_value = [||];
+    atom_hits = [| 0 |];
+    first_need = [||];
+    first_inst = [||];
+    first_next = [||];
     uid_keys = [| 0 |];
     uid_vals = [| None |];
     init_table =
@@ -282,7 +306,7 @@ let state_part arrays (s : Ir.slot) op =
   let own_array () = Hashtbl.find arrays (s.Ir.branch, s.Ir.prim, s.Ir.suite) in
   match op with
   | Ir.S_pass -> S_pass
-  | Ir.S_bf -> S_or1 { arr = own_array () }
+  | Ir.S_bf -> S_or1 { arr = own_array () }  (* [install] gives it one-bit cells *)
   | Ir.S_cm (Ir.Const k) -> S_add { arr = own_array (); k }
   | Ir.S_cm (Ir.Field_val f) -> S_add_field { arr = own_array (); fidx = Field.index f }
   | Ir.S_max (Ir.Const k) -> S_max { arr = own_array (); k }
@@ -292,7 +316,8 @@ let state_part arrays (s : Ir.slot) op =
          array (CQE slicing) reads as 0 — the state-dispersion
          limitation of §7, which NA071 warns of at admission. *)
       match Hashtbl.find_opt arrays (ar_branch, ar_prim, ar_suite) with
-      | Some arr -> S_read { arr }
+      | Some ({ Register_array.cells = Words; _ } as arr) -> S_read { arr }
+      | Some ({ Register_array.cells = Bits; _ } as arr) -> S_read_bit { arr }
       | None -> S_read_remote)
 
 let result_part ~key_buf ({ merge; guard; report; combine } : Ir.r_cfg) =
@@ -325,7 +350,6 @@ let same_suite (a : Ir.slot) (b : Ir.slot) =
    neither H nor S can stop a packet, so both forms run the same
    updates in the same order. *)
 let compile_branch arrays (entry : Ir.init_entry) slots =
-  let ms = Array.of_list entry.Ir.ie_matches in
   (* per metadata set, the buffer of the chain-latest K compiled so far *)
   let in_effect = [| [||]; [||] |] in
   let rec compile = function
@@ -346,21 +370,20 @@ let compile_branch arrays (entry : Ir.init_entry) slots =
         c :: compile rest
   in
   {
-    cbm_fidx = Array.map (fun (f, _, _) -> Field.index f) ms;
-    cbm_value = Array.map (fun (_, v, _) -> v) ms;
-    cbm_mask = Array.map (fun (_, _, m) -> m) ms;
+    cb_atoms = List.map (fun (f, v, m) -> (Field.index f, m, v)) entry.Ir.ie_matches;
+    cb_need = [||];
     cb_slots = Array.of_list (compile slots);
   }
 
-(* A zeroed register array of [size]: a removed instance's if one is
-   spare, a fresh one otherwise. *)
-let take_array t size =
-  match Hashtbl.find_opt t.spare_arrays size with
+(* A zeroed register array of [size] [cells]: a removed instance's if
+   one is spare, a fresh one otherwise. *)
+let take_array t ~cells size =
+  match Hashtbl.find_opt t.spare_arrays (size, cells) with
   | Some (arr :: rest) ->
-      Hashtbl.replace t.spare_arrays size rest;
+      Hashtbl.replace t.spare_arrays (size, cells) rest;
       Register_array.reset arr;
       arr
-  | Some [] | None -> Register_array.create size
+  | Some [] | None -> Register_array.create ~cells size
 
 let window_len inst = inst.compiled.Compose.query.Ast.window
 
@@ -368,11 +391,73 @@ let window_len inst = inst.compiled.Compose.query.Ast.window
    controller's [uid * 1000 + depth] uids spread. *)
 let uid_slot mask uid = ((uid * 0x9E3779B1) lsr 20) land mask
 
+(* Atoms per word of the classifier bitset: bits 0..61, so every mask
+   is a non-negative int. *)
+let atoms_per_word = 62
+
+(* Rebuild the newton_init classifier from [instances]: number the
+   distinct atoms in install order, set every hosted branch's need-mask,
+   and lay out the first-slice branches for [process_flat].  Linear in
+   the hosted branches. *)
+let index_classifier t =
+  let ids = Hashtbl.create 32 and atoms = ref [] and n = ref 0 in
+  let atom_id a =
+    match Hashtbl.find_opt ids a with
+    | Some id -> id
+    | None ->
+        let id = !n in
+        Hashtbl.add ids a id;
+        atoms := a :: !atoms;
+        incr n;
+        id
+  in
+  let branch_ids =
+    List.map (fun inst -> Array.map (fun cb -> List.map atom_id cb.cb_atoms) inst.branches)
+      t.instances
+  in
+  let atoms = Array.of_list (List.rev !atoms) in
+  let nwords = max 1 ((!n + atoms_per_word - 1) / atoms_per_word) in
+  t.atom_fidx <- Array.map (fun (f, _, _) -> f) atoms;
+  t.atom_mask <- Array.map (fun (_, m, _) -> m) atoms;
+  t.atom_value <- Array.map (fun (_, _, v) -> v) atoms;
+  t.atom_hits <- Array.make nwords 0;
+  let need_of ids =
+    let need = Array.make nwords 0 in
+    List.iter
+      (fun a ->
+        let w = a / atoms_per_word in
+        need.(w) <- need.(w) lor (1 lsl (a mod atoms_per_word)))
+      ids;
+    need
+  in
+  List.iter2
+    (fun inst ids -> Array.iteri (fun b cb -> cb.cb_need <- need_of ids.(b)) inst.branches)
+    t.instances branch_ids;
+  let firsts = List.filter (fun inst -> inst.stage_lo = 0) t.instances in
+  let nfirst = List.fold_left (fun n inst -> n + Array.length inst.branches) 0 firsts in
+  let need = Array.make (nfirst * nwords) 0 and next = Array.make nfirst 0 in
+  let j = ref 0 in
+  List.iter
+    (fun inst ->
+      let nb = Array.length inst.branches in
+      Array.iteri
+        (fun b cb ->
+          Array.blit cb.cb_need 0 need ((!j + b) * nwords) nwords;
+          next.(!j + b) <- !j + nb)
+        inst.branches;
+      j := !j + nb)
+    firsts;
+  t.first_need <- need;
+  t.first_next <- next;
+  t.first_inst <-
+    Array.of_list
+      (List.concat_map (fun inst -> List.init (Array.length inst.branches) (fun _ -> inst)) firsts)
+
 (* Rebuild the per-instance indexes from [instances], on every install
    and remove: the uid table (at most half full, so every probe ends at
-   an empty slot; the first-installed instance of a uid wins), and the
+   an empty slot; the first-installed instance of a uid wins), the
    distinct window lengths with each instance's slot among them, so
-   [maybe_roll_window] divides once per length. *)
+   [classify] divides once per length, and the classifier. *)
 let index_instances t =
   let cap = ref 8 in
   while !cap < 2 * List.length t.instances do cap := 2 * !cap done;
@@ -400,7 +485,8 @@ let index_instances t =
     (fun inst ->
       let rec slot k = if Float.equal lens.(k) (window_len inst) then k else slot (k + 1) in
       inst.window_slot <- slot 0)
-    t.instances
+    t.instances;
+  index_classifier t
 
 (** Install a slice [stage_lo, stage_hi] of a compiled query.  Returns
     the instance uid and the number of table entries installed (module
@@ -484,10 +570,13 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
   Array.iter
     (List.iter (fun s ->
          match s.Ir.cfg with
-         | Ir.S_cfg { op = Ir.S_bf | Ir.S_cm _ | Ir.S_max _; registers } ->
+         | Ir.S_cfg { op = (Ir.S_bf | Ir.S_cm _ | Ir.S_max _) as op; registers } ->
+             let cells =
+               match op with Ir.S_bf -> Register_array.Bits | _ -> Register_array.Words
+             in
              Hashtbl.replace arrays
                (s.Ir.branch, s.Ir.prim, s.Ir.suite)
-               (take_array t registers)
+               (take_array t ~cells registers)
          | _ -> ()))
     slots;
   let nrules =
@@ -584,9 +673,9 @@ let remove t uid =
       index_instances t;
       Hashtbl.iter
         (fun _ arr ->
-          let size = Register_array.size arr in
-          Hashtbl.replace t.spare_arrays size
-            (arr :: Option.value ~default:[] (Hashtbl.find_opt t.spare_arrays size)))
+          let key = (Register_array.size arr, arr.Register_array.cells) in
+          Hashtbl.replace t.spare_arrays key
+            (arr :: Option.value ~default:[] (Hashtbl.find_opt t.spare_arrays key)))
         inst.arrays;
       (* release the module-cell rules and the newton_init entries *)
       Array.iter
@@ -651,10 +740,6 @@ let[@inline] merge_value op (acc : int) (v : int) =
 
 (* ---------------- windowing ---------------- *)
 
-(* Each instance keeps its own window clock: concurrent queries may use
-   different window lengths (Ast.window). *)
-let[@inline] window_of inst now = int_of_float (now /. window_len inst)
-
 (* Move [inst] to window [w], clearing its sketch state and report
    dedup; [false] if it is already there. *)
 let enter_window inst w =
@@ -666,6 +751,9 @@ let enter_window inst w =
        true
      end
 
+(* Each instance keeps its own window clock: concurrent queries may use
+   different window lengths (Ast.window); [classify] computes the
+   current packet's window under each distinct length. *)
 let rec roll_windows t = function
   | [] -> ()
   | inst :: rest ->
@@ -673,15 +761,37 @@ let rec roll_windows t = function
         Stats.bump t.sink Stats.Window_rolls 1;
       roll_windows t rest
 
-(* Used by the path executor: rolls every instance of the engine.
-   Window lengths are per-instance ([query.window]); there is no
-   per-call override.  [now] is divided once per distinct length, by
-   the expression [window_of] uses. *)
-let maybe_roll_window t now =
+(* newton_init, once per packet: set [atom_hits] to the atoms that the
+   packet at [base] in [words] satisfies, and [window_now] to its window
+   under every distinct window length.  The timestamp is read from
+   [tss.(i)] here, so it is never boxed. *)
+let classify t (words : Packet.words) base (tss : float array) i =
+  let fidx = t.atom_fidx and mask = t.atom_mask and value = t.atom_value in
+  let hits = t.atom_hits and na = Array.length t.atom_fidx in
+  for w = 0 to Array.length hits - 1 do
+    let lo = w * atoms_per_word in
+    let hi = if lo + atoms_per_word < na then lo + atoms_per_word else na in
+    let acc = ref 0 in
+    for a = lo to hi - 1 do
+      if
+        Bigarray.Array1.unsafe_get words (base + Array.unsafe_get fidx a)
+        land Array.unsafe_get mask a
+        = Array.unsafe_get value a
+      then acc := !acc lor (1 lsl (a - lo))
+    done;
+    Array.unsafe_set hits w !acc
+  done;
+  let ts = Array.unsafe_get tss i in
   let lens = t.window_lens and ws = t.window_now in
   for k = 0 to Array.length lens - 1 do
-    Array.unsafe_set ws k (int_of_float (now /. Array.unsafe_get lens k))
-  done;
+    Array.unsafe_set ws k (int_of_float (ts /. Array.unsafe_get lens k))
+  done
+
+(* Used by the path executors: classify the row's packet and roll every
+   instance of the engine.  Window lengths are per-instance
+   ([query.window]); there is no per-call override. *)
+let begin_packet t row =
+  classify t (Flat.field_words row) 0 (Flat.timestamps row) 0;
   roll_windows t t.instances
 
 (* ---------------- state migration ---------------- *)
@@ -823,12 +933,13 @@ let[@inline] state_value s (words : Packet.words) base idx =
   match s with
   | S_pass -> idx
   | S_or1 { arr } ->
-      (* [Alu.Or 1]: the previous value *)
+      (* [Alu.Or 1] on a one-bit cell: the previous value *)
       count_op "exec" arr idx;
       let regs = arr.Register_array.regs in
-      let prev = Array.unsafe_get regs idx in
-      Array.unsafe_set regs idx (prev lor 1);
-      prev
+      let w = idx lsr 5 and bit = idx land 31 in
+      let word = Array.unsafe_get regs w in
+      Array.unsafe_set regs w (word lor (1 lsl bit));
+      (word lsr bit) land 1
   | S_add { arr; k } -> alu_add "exec" arr idx k
   | S_max { arr; k } -> alu_max "exec" arr idx k
   | S_add_field { arr; fidx } ->
@@ -838,6 +949,9 @@ let[@inline] state_value s (words : Packet.words) base idx =
   | S_read { arr } ->
       if idx < 0 || idx >= arr.Register_array.size then read_error arr idx
       else Array.unsafe_get arr.Register_array.regs idx
+  | S_read_bit { arr } ->
+      if idx < 0 || idx >= arr.Register_array.size then read_error arr idx
+      else (Array.unsafe_get arr.Register_array.regs (idx lsr 5) lsr (idx land 31)) land 1
   | S_read_remote -> 0
 
 (* [Ast.cmp_holds], in-module. *)
@@ -888,9 +1002,24 @@ let[@inline] reset_ctx (c : Ctx.t) =
   c.Ctx.g2 <- 0;
   c.Ctx.stopped <- false
 
+(* Every bit of the [nwords]-word need-mask at [off] in [need] is set
+   in [hits]: one [land] unless more than [atoms_per_word] atoms are
+   hosted. *)
+let[@inline] needs_met (hits : int array) (need : int array) off nwords =
+  let k = ref 0 in
+  while
+    !k < nwords
+    && (let m = Array.unsafe_get need (off + !k) in
+        Array.unsafe_get hits !k land m = m)
+  do
+    incr k
+  done;
+  !k = nwords
+
 (* The one slot executor: run the packet whose field words start at
    [base] in [words], with timestamp [tss.(i)], through [inst]'s compiled
-   branches.  The first matching branch rolls the instance's window.
+   branches; [classify] has run on the packet.  The first matching
+   branch rolls the instance's window.
    Branch 0 runs on [ctx0] — scratch reset on first use when [fresh],
    otherwise the caller's context used as is (CQE may have restored it
    from an SP header); a guard stop there ends the packet for this
@@ -902,6 +1031,8 @@ let[@inline] reset_ctx (c : Ctx.t) =
 let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
   let ts = Array.unsafe_get tss i in
   let tl = t.tally in
+  let hits = t.atom_hits in
+  let nwords = Array.length hits in
   let branches = inst.branches in
   let nb = Array.length branches in
   let window = ref (-1) in (* -1 until the first matching branch *)
@@ -909,20 +1040,9 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
   let b = ref 0 in
   while !b < nb && not !stopped0 do
     let cb = Array.unsafe_get branches !b in
-    (* newton_init entry check over the raw words *)
-    let nm = Array.length cb.cbm_fidx in
-    let j = ref 0 in
-    while
-      !j < nm
-      && Bigarray.Array1.unsafe_get words (base + Array.unsafe_get cb.cbm_fidx !j)
-         land Array.unsafe_get cb.cbm_mask !j
-         = Array.unsafe_get cb.cbm_value !j
-    do
-      incr j
-    done;
-    if !j = nm then begin
+    if needs_met hits cb.cb_need 0 nwords then begin
       if !window < 0 then begin
-        let w = window_of inst ts in
+        let w = Array.unsafe_get t.window_now inst.window_slot in
         window := w;
         if enter_window inst w then tl.rolls <- tl.rolls + 1
       end;
@@ -998,28 +1118,36 @@ let flush t =
   tl.sp_header_bytes <- 0;
   tl.continuations <- 0
 
-(* Packet [i] of an arena through every first-slice instance, in
-   install order. *)
-let rec step_first_slices t words base tss i = function
-  | [] -> ()
-  | inst :: rest ->
-      if inst.stage_lo = 0 then step t inst ~fresh:true inst.ctx0 words base tss i;
-      step_first_slices t words base tss i rest
-
-(** Replay a flat arena through every device-level instance.  Non-first
-    CQE slices install no newton_init entries, so classification never
-    dispatches to them here. *)
+(** Replay a flat arena through every device-level instance: classify
+    each packet once, then step, in install order, each first-slice
+    instance with a matching branch.  Non-first CQE slices install no
+    newton_init entries, so classification never dispatches to them
+    here. *)
 let process_flat t flat =
   let n = Flat.length flat in
   if n > 0 then begin
     let words = Flat.field_words flat in
     let tss = Flat.timestamps flat in
     let stride = Flat.stride flat in
+    let hits = t.atom_hits in
+    let nwords = Array.length hits in
+    let need = t.first_need and insts = t.first_inst and next = t.first_next in
+    let nfirst = Array.length insts in
     for i = 0 to n - 1 do
-      step_first_slices t words (i * stride) tss i t.instances
+      let base = i * stride in
+      classify t words base tss i;
+      let j = ref 0 in
+      while !j < nfirst do
+        if needs_met hits need (!j * nwords) nwords then begin
+          let inst = Array.unsafe_get insts !j in
+          step t inst ~fresh:true inst.ctx0 words base tss i;
+          j := Array.unsafe_get next !j
+        end
+        else incr j
+      done
     done;
     t.packets_seen <- t.packets_seen + n;
-    Stats.bump t.sink Stats.Packets_processed n;
+    t.tally.seen <- t.tally.seen + n;
     flush t
   end
 
@@ -1030,9 +1158,9 @@ let process_packet t pkt =
 
 (** Run the first packet of [row] through one instance, resuming from
     [ctx] (fresh or SP-restored); [ctx.stopped] is set if a guard
-    stopped the packet.  Every arena holds room for one packet, so the
-    read is in bounds.  Counter events stay in the tally until
-    [flush]. *)
+    stopped the packet.  [begin_packet] has classified the row.  Every
+    arena holds room for one packet, so the read is in bounds.  Counter
+    events stay in the tally until [flush]. *)
 let process_slice t inst ~ctx row =
   step t inst ~fresh:false ctx (Flat.field_words row) 0 (Flat.timestamps row) 0
 

@@ -2,13 +2,19 @@
 
     Holds installed query instances — whole chains for sole-switch
     execution or stage-range slices for CQE — with their register
-    arrays, a ternary [newton_init] classifier table, per-module-cell
-    rule capacity, per-instance 100 ms windows, and report
-    deduplication.
+    arrays, a [newton_init] classifier, per-module-cell rule capacity,
+    per-instance 100 ms windows, and report deduplication.
+
+    The classifier is the engine's, as a switch has one [newton_init]
+    table: {!install} and {!remove} rebuild it from the distinct
+    (field, mask, value) atoms of every hosted branch's entry, and each
+    packet evaluates those atoms once into a bitset, and its window
+    index once per distinct window length.  A branch then matches when
+    its need-mask's bits are all set.
 
     {!install} compiles each instance once into a flat program: dense
-    field indices, direct register-array references, one state-bank
-    slot kind per ALU, per-branch classifier triples, and each H/R slot
+    field indices, direct register-array references (a Bloom bank's in
+    one-bit cells), one state-bank slot kind per ALU, and each H/R slot
     bound to the key buffer of the K slot in effect at its chain
     position; a power-of-two hash range reduces with a mask.  An H, S
     and R of one suite that follow each other in the hosted chain
@@ -95,7 +101,7 @@ val count_continuation : t -> unit
     (keys and per-suite hashes do not cross switches).  CQE slices of
     one deployment pass the same [uid].  Returns (uid, table entries).
     Register arrays come zeroed, reused from removed instances of the
-    same size when there are any (see {!remove}).
+    same size and cell width when there are any (see {!remove}).
     @raise Rules_exhausted when a module cell is out of capacity; the
     check is atomic (a rejected install leaves no residue). *)
 val install :
@@ -126,11 +132,14 @@ val init_table_size : t -> int
 val cell_usage :
   t -> ((int * Newton_dataplane.Module_cost.kind * int) * int) list
 
-(** Roll every instance whose window boundary [now] crossed (used by
-    the path executor).  Each instance uses its own query's window
-    length — deliberately no per-call window parameter; [now] is
-    divided once per distinct length among the installed instances. *)
-val maybe_roll_window : t -> float -> unit
+(** Start the first packet of a row on this engine, for the path
+    executors: classify it and roll every instance whose window boundary
+    its timestamp crossed.  Each instance uses its own query's window
+    length — deliberately no per-call window parameter; the timestamp
+    is divided once per distinct length among the installed instances.
+    {!process_slice} reads the classification, so a path executor calls
+    this on an engine before the packet's first slice there. *)
+val begin_packet : t -> Flat.t -> unit
 
 (** Merge [src]'s sketch state and report-dedup memory into [dst] (the
     state-carrying half of switch-failure recovery).  Windows align
@@ -155,7 +164,8 @@ val absorb_state :
     the packet.  Neither copies the packet nor touches the sink: counter
     events wait in the engine's tally for {!flush}.  Does not count the
     packet in {!packets_seen}; callers account path hops with
-    {!record_packet_seen} and roll windows with {!maybe_roll_window}. *)
+    {!record_packet_seen}, and classify the packet and roll windows
+    with {!begin_packet} first. *)
 val process_slice : t -> instance -> ctx:Ctx.t -> Flat.t -> unit
 
 (** Fold the tallied counter events into the sink.  The path executor

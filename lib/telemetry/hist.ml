@@ -48,18 +48,19 @@ let bounds t = Array.copy t.bounds
 let count t = t.count
 let sum t = t.sum.value
 
-(* First bucket whose bound covers [x]; the overflow bucket otherwise.
-   Linear scan over at most twenty bounds.  Observe is on the
-   per-packet path of the streaming ingest ([Stream.run] records every
-   pulled packet's inter-arrival gap), besides reports and window
-   rolls. *)
-let bucket_of t x =
-  let n = Array.length t.bounds in
-  let rec go i = if i >= n then n else if x <= t.bounds.(i) then i else go (i + 1) in
-  go 0
-
+(* Counted in the first bucket whose bound covers [x], the overflow
+   bucket otherwise: a linear scan over at most twenty bounds.  Observe
+   is on the per-packet path of the streaming ingest ([Stream.run]
+   records every pulled packet's inter-arrival gap), besides reports
+   and window rolls, so the scan is a loop: a local recursive function
+   capturing [x] would allocate a closure per call.  A NaN covers no
+   bound and is counted in the overflow bucket. *)
 let observe t x =
-  let b = bucket_of t x in
+  let bounds = t.bounds in
+  let n = Array.length bounds in
+  let b = ref 0 in
+  while !b < n && not (x <= Array.unsafe_get bounds !b) do incr b done;
+  let b = !b in
   t.counts.(b) <- t.counts.(b) + 1;
   t.sum.value <- t.sum.value +. x;
   t.count <- t.count + 1

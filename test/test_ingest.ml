@@ -1119,6 +1119,30 @@ let seq_packets n =
       Packet.make ~ts:(float_of_int i *. 0.002) ~src_ip:i ~dst_ip:1
         ~proto:Field.Protocol.udp ~pkt_len:64 ~payload_len:20 ())
 
+(* Streaming a packet allocates the source's [Some] (2 words) and the
+   boxed inter-arrival gap handed to the telemetry sink (2 words):
+   nothing per packet in the histogram, the ring or the pull loop.  The
+   sink does nothing, so only [Stream.run] is measured, and one queue and
+   one chunk hold the whole source, so a run is one arrival turn and
+   one service turn: the difference between runs of [n] and [2 n]
+   packets is [n] packets' worth of pulls. *)
+let test_stream_minor_words () =
+  let words n =
+    let packets = seq_packets n in
+    let stats = Stats.create () in
+    let before = Gc.minor_words () in
+    let s =
+      Stream.run ~depth:n ~chunk:n ~stats (Stream.of_packets packets) (fun _ -> ())
+    in
+    let words = Gc.minor_words () -. before in
+    checki "every packet delivered" n s.Stream.delivered;
+    words
+  in
+  let n = 10_000 in
+  let per_packet = (words (2 * n) -. words n) /. float_of_int n in
+  checkb (Printf.sprintf "%.2f minor words per streamed packet <= 4" per_packet) true
+    (per_packet <= 4.0)
+
 (* Drop policy: a burst larger than the queue overruns it
    deterministically — arrivals of 50 against a 10-deep queue keep 10
    and shed 40, twice over a 100-packet source. *)
@@ -1404,6 +1428,8 @@ let suite =
       test_stream_invalid_args;
     Alcotest.test_case "stream turns and histograms pinned" `Quick
       test_stream_pinned;
+    Alcotest.test_case "stream allocates at most 4 words per packet" `Quick
+      test_stream_minor_words;
     Alcotest.test_case "stream batches are the sink's own" `Quick
       test_stream_batches_owned;
     Alcotest.test_case "stream from capture file" `Quick

@@ -161,6 +161,56 @@ let test_reg_array_rejects_nonpositive () =
     (Invalid_argument "Register_array.create: size must be positive") (fun () ->
       ignore (Register_array.create 0))
 
+(* One-bit cells mean what word cells mean for a Bloom bank's ALU: the
+   same [Or 1] results, cell values, occupancy, fold, [`Or] merge and
+   copy, at sizes off a 32-cell boundary; a value that does not fit a
+   bit and a summing merge are refused. *)
+let test_reg_array_one_bit_cells () =
+  let size = 77 in
+  let bits = Register_array.create ~cells:Register_array.Bits size in
+  let words = Register_array.create size in
+  let other_bits = Register_array.create ~cells:Register_array.Bits size in
+  let other_words = Register_array.create size in
+  let state = ref 7 in
+  for _ = 1 to 60 do
+    state := ((!state * 1103515245) + 12345) land 0xFFFFFF;
+    let i = !state mod size in
+    checki (Printf.sprintf "or 1 at %d" i)
+      (Register_array.exec words (Alu.Or 1) i)
+      (Register_array.exec bits (Alu.Or 1) i);
+    let j = (!state lsr 8) mod size in
+    ignore (Register_array.exec other_words (Alu.Or 1) j);
+    ignore (Register_array.exec other_bits (Alu.Or 1) j)
+  done;
+  let same name a b =
+    Alcotest.(check (list int)) name
+      (Register_array.fold (fun acc v -> v :: acc) [] a)
+      (Register_array.fold (fun acc v -> v :: acc) [] b);
+    checki (name ^ ": occupancy") (Register_array.occupancy a) (Register_array.occupancy b);
+    for i = 0 to size - 1 do
+      checki (Printf.sprintf "%s: get %d" name i) (Register_array.get a i)
+        (Register_array.get b i)
+    done
+  in
+  same "after or 1" words bits;
+  checki "ops counted" (Register_array.ops words) (Register_array.ops bits);
+  let copied = Register_array.copy bits and copied_words = Register_array.copy words in
+  Register_array.merge_into ~op:`Or ~dst:words ~src:other_words;
+  Register_array.merge_into ~op:`Or ~dst:bits ~src:other_bits;
+  same "after or merge" words bits;
+  Register_array.set bits 76 0;
+  Register_array.set words 76 0;
+  same "after set" words bits;
+  same "copy before the merge" copied_words copied;
+  Alcotest.check_raises "set 2"
+    (Invalid_argument "Register_array.set: value 2 does not fit a one-bit cell")
+    (fun () -> Register_array.set bits 3 2);
+  Alcotest.check_raises "add merge"
+    (Invalid_argument "Register_array.merge_into: one-bit cells merge only with `Or")
+    (fun () -> Register_array.merge_into ~op:`Add ~dst:bits ~src:other_bits);
+  Register_array.clear bits;
+  checki "occupancy 0 after clear" 0 (Register_array.occupancy bits)
+
 (* ---------------- Count_min ---------------- *)
 
 let test_cm_exact_when_sparse () =
@@ -264,6 +314,7 @@ let suite =
     ("register array clear/occupancy", `Quick, test_reg_array_clear_and_occupancy);
     ("register array sram bytes", `Quick, test_reg_array_sram_bytes);
     ("register array rejects nonpositive", `Quick, test_reg_array_rejects_nonpositive);
+    ("register array one-bit cells", `Quick, test_reg_array_one_bit_cells);
     ("cm exact when sparse", `Quick, test_cm_exact_when_sparse);
     ("cm add returns estimate", `Quick, test_cm_add_returns_estimate);
     ("cm weighted add", `Quick, test_cm_weighted_add);
