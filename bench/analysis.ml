@@ -13,9 +13,9 @@
                 other sixteen, with linear:4 placement facts: the
                 exact deploy-time path (mean and slowest intent)
 
-    Results go to the table and a JSON artifact, out/bench_analysis.json,
-    which tracks the analysis perf trajectory alongside the other
-    benches. *)
+    Results go to the table and a telemetry snapshot of
+    [newton_bench_analysis_*] gauges, out/bench_analysis.json, which
+    tracks the analysis perf trajectory alongside the other benches. *)
 
 (* Mean seconds per call over [iters] runs of [f]. *)
 let time_mean iters f =
@@ -44,7 +44,7 @@ let run () =
         let s =
           time_mean iters (fun () -> Newton_analysis.Check.check_query q)
         in
-        (q.Newton_query.Ast.name, s))
+        (q, s))
       queries
   in
   let single_mean =
@@ -106,40 +106,30 @@ let run () =
   Common.note "per-query detail: slowest %s"
     (fst
        (List.fold_left
-          (fun (bn, bs) (n, s) -> if s > bs then (n, s) else (bn, bs))
+          (fun (bn, bs) ((q : Newton_query.Ast.t), s) ->
+            if s > bs then (q.name, s) else (bn, bs))
           ("", 0.0) single_means));
   Common.maybe_dat t "analysis_latency";
-  let open Newton_util.Json in
-  let json =
-    Obj
-      [
-        ("bench", String "analysis_latency");
-        ("queries", Int (List.length queries));
-        ("iterations", Int iters);
-        ( "single",
-          Obj
-            (("mean_us", Float (single_mean *. 1e6))
-            :: List.map (fun (n, s) -> (n, Float (s *. 1e6))) single_means) );
-        ( "set",
-          Obj
-            [
-              ("mean_us", Float (set_mean *. 1e6));
-              ("diagnostics", Int (List.length set_diags));
-            ] );
-        ( "gate",
-          Obj
-            [
-              ("mean_us", Float (gate_mean *. 1e6));
-              ("max_us", Float (gate_max *. 1e6));
-              ("max_query", String (Printf.sprintf "Q%d" gate_max_id));
-              ("diagnostics", Int gate_diags);
-              ( "per_intent_us",
-                Obj
-                  (List.map
-                     (fun (id, s, _) ->
-                       (Printf.sprintf "Q%d" id, Float (s *. 1e6)))
-                     gate) );
-            ] );
-      ]
-  in
-  Common.write_json "analysis" json
+  let module M = Newton_telemetry.Metric in
+  let op o = ("op", o) and query id = ("query", Printf.sprintf "Q%d" id) in
+  Common.write_snapshot "analysis"
+    [
+      Common.gauge "analysis_queries" "Catalog intents analysed"
+        [ M.vi (List.length queries) ];
+      Common.gauge "analysis_iterations" "Iterations per shape" [ M.vi iters ];
+      Common.gauge "analysis_mean_seconds" "Mean seconds per call of a shape"
+        [ M.v ~labels:[ op "single" ] single_mean;
+          M.v ~labels:[ op "set" ] set_mean;
+          M.v ~labels:[ op "gate" ] gate_mean ];
+      Common.gauge "analysis_query_seconds" "Mean seconds per call for one intent"
+        (List.map
+           (fun ((q : Newton_query.Ast.t), s) ->
+             M.v ~labels:[ op "single"; query q.id ] s)
+           single_means
+        @ List.map (fun (id, s, _) -> M.v ~labels:[ op "gate"; query id ] s) gate);
+      Common.gauge "analysis_max_seconds" "The slowest intent's mean seconds"
+        [ M.v ~labels:[ op "gate"; query gate_max_id ] gate_max ];
+      Common.gauge "analysis_diagnostics" "Diagnostics a shape reports"
+        [ M.vi ~labels:[ op "set" ] (List.length set_diags);
+          M.vi ~labels:[ op "gate" ] gate_diags ];
+    ]

@@ -37,12 +37,18 @@ let getenv_int name default =
   | Some v when v > 0 -> v
   | _ -> default
 
-(** Write a bench's JSON artifact to out/bench_[name].json. *)
-let write_json name json =
+(** One gauge family of a bench artifact, named [newton_bench_<name>]. *)
+let gauge name help samples =
+  Newton_telemetry.Metric.gauge ~name:("newton_bench_" ^ name) ~help samples
+
+(** Write a bench's artifact, a telemetry snapshot of its figures, to
+    out/bench_[name].json in {!Newton_telemetry.Export.to_json}'s
+    schema. *)
+let write_snapshot name snap =
   let path = Printf.sprintf "out/bench_%s.json" name in
   if not (Sys.file_exists "out") then Sys.mkdir "out" 0o755;
   let oc = open_out path in
-  output_string oc (Newton_util.Json.to_string json);
+  output_string oc (Newton_telemetry.Export.to_json_string snap);
   output_char oc '\n';
   close_out oc;
   note "[json written to %s]" path

@@ -8,7 +8,8 @@
     the rate of {!Newton_p4sim.Diff.wire} ([Encode.frame] plus the
     [Decode] read-back), which a differential run pays on top.
 
-    Results go to the table and a JSON artifact, out/bench_p4sim.json. *)
+    Results go to the table and a telemetry snapshot of
+    [newton_bench_p4sim_*] gauges, out/bench_p4sim.json. *)
 
 let getenv_float name default =
   match Option.bind (Sys.getenv_opt name) float_of_string_opt with
@@ -81,25 +82,24 @@ let run () =
   Common.note "wire frames (Encode.frame + read-back): %.0f packets/s"
     synth_pps;
   Common.maybe_dat t "p4sim_throughput";
-  let open Newton_util.Json in
-  let json =
-    Obj
-      [
-        ("bench", String "p4sim_throughput");
-        ("packets", Int n);
-        ("synth_pps", Float synth_pps);
-        ( "queries",
-          Obj
-            (List.map
-               (fun (q, e, i, s) ->
-                 ( q.Newton_query.Ast.name,
-                   Obj
-                     [
-                       ("engine_pps", Float e);
-                       ("interp_pps", Float i);
-                       ("slowdown", Float s);
-                     ] ))
-               per_query) );
-      ]
+  let module M = Newton_telemetry.Metric in
+  let per_query f =
+    List.concat_map
+      (fun ((q : Newton_query.Ast.t), e, i, s) ->
+        f [ ("query", Printf.sprintf "Q%d" q.id) ] e i s)
+      per_query
   in
-  Common.write_json "p4sim" json
+  Common.write_snapshot "p4sim"
+    [
+      Common.gauge "p4sim_packets" "Packets in the coverage corpus" [ M.vi n ];
+      Common.gauge "p4sim_scale" "Coverage corpus scale" [ M.v scale ];
+      Common.gauge "p4sim_wire_pps"
+        "Packets/s of Encode.frame plus the Decode read-back"
+        [ M.v synth_pps ];
+      Common.gauge "p4sim_pps" "Packets/s of one target on one query"
+        (per_query (fun l e i _ ->
+             [ M.v ~labels:(l @ [ ("engine", "engine") ]) e;
+               M.v ~labels:(l @ [ ("engine", "interp") ]) i ]));
+      Common.gauge "p4sim_slowdown" "Engine packets/s over interpreter packets/s"
+        (per_query (fun l _ _ s -> [ M.v ~labels:l s ]));
+    ]

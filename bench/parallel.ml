@@ -15,8 +15,9 @@
     Shard counts come from NEWTON_BENCH_JOBS (the maximum; powers of
     two up to it are measured, default 8).  The trace defaults to
     ~2.1M packets (NEWTON_BENCH_FLOWS = 150000 flows); CI and the perf
-    gate run this default.  Results are written as a JSON artifact,
-    out/bench_parallel.json, which bench/compare.ml diffs against
+    gate run this default.  The artifact, out/bench_parallel.json, is a
+    telemetry snapshot of [newton_bench_parallel_*] gauges and the
+    engines' own metrics; bench/compare.ml diffs it against
     bench/baselines/parallel.json.  The sequential row and every shard
     run the engine's one compiled step, so the speedup is the domain
     fan-out net of the arena build: about 1x on a single core, growing
@@ -62,9 +63,6 @@ let run () =
     "trace: %d packets, %d flows (generated in %.1fs); 9 catalog queries \
      installed"
     npkts flows t_gen;
-  if not Newton_runtime.Domain_pool.parallel then
-    Common.note
-      "NOTE: OCaml 4 build — domain pool runs shards sequentially";
   (* Warm-up: one untimed arena build, so the first timed build does
      not pay the process's cold-page cost for the arena buffers (malloc
      recycles them across configurations once the full_major below has
@@ -132,49 +130,48 @@ let run () =
      multi-query report count drops vs seq (docs/PARALLELISM.md); per-query \
      equivalence uses branch-key sharding (test suite 'parallel')";
   Common.maybe_dat t "parallel_speedup";
-  (* BENCH json artifact — schema documented in docs/PARALLELISM.md and
-     consumed by bench/compare.ml (the CI perf gate). *)
-  let open Newton_util.Json in
-  let json =
-    Obj
-      [
-        ("bench", String "parallel_replay_speedup");
-        ("trace", Obj [ ("packets", Int npkts); ("flows", Int flows) ]);
-        ("queries", Int (List.length (Common.all_queries ())));
-        ("domains_parallel", Bool Newton_runtime.Domain_pool.parallel);
-        ( "sequential",
-          Obj [ ("seconds", Float t_seq); ("reports", Int seq_reports) ] );
-        ( "sharded",
-          List
-            (List.map
-               (fun r ->
-                 Obj
-                   [
-                     ("jobs", Int r.sg_jobs);
-                     ("seconds", Float (r.sg_build +. r.sg_replay));
-                     ("arena_build_seconds", Float r.sg_build);
-                     ("replay_seconds", Float r.sg_replay);
-                     ("merge_seconds", Float r.sg_merge);
-                     ("speedup", Float r.sg_speedup);
-                     ("reports", Int r.sg_reports);
-                   ])
-               results) );
-      ]
+  (* The artifact, read by bench/compare.ml (the CI perf gate): the
+     bench's figures, then the sequential engine's telemetry next to the
+     widest sharded run's merged telemetry, so CI can diff counter
+     totals (and sketch health) between the two. *)
+  let module M = Newton_telemetry.Metric in
+  let seq_l = [ ("engine", "seq") ] in
+  let jobs r = ("jobs", string_of_int r.sg_jobs) in
+  let sharded j = [ ("engine", "sharded"); ("jobs", string_of_int j) ] in
+  let stage r stage v = M.v ~labels:[ jobs r; ("stage", stage) ] v in
+  let figures =
+    [
+      Common.gauge "parallel_trace_packets" "Packets in the replayed trace"
+        [ M.vi npkts ];
+      Common.gauge "parallel_trace_flows" "Flows in the replayed trace"
+        [ M.vi flows ];
+      Common.gauge "parallel_queries" "Catalog queries installed"
+        [ M.vi (List.length (Common.all_queries ())) ];
+      Common.gauge "parallel_seconds"
+        "Replay seconds (sharded: arena build + replay)"
+        (M.v ~labels:seq_l t_seq
+        :: List.map
+             (fun r -> M.v ~labels:(sharded r.sg_jobs) (r.sg_build +. r.sg_replay))
+             results);
+      Common.gauge "parallel_reports" "Reports the replay emitted"
+        (M.vi ~labels:seq_l seq_reports
+        :: List.map (fun r -> M.vi ~labels:(sharded r.sg_jobs) r.sg_reports) results);
+      Common.gauge "parallel_speedup"
+        "Sequential seconds over sharded seconds"
+        (List.map (fun r -> M.v ~labels:[ jobs r ] r.sg_speedup) results);
+      Common.gauge "parallel_stage_seconds" "Seconds of one sharded-replay stage"
+        (List.concat_map
+           (fun r ->
+             [ stage r "arena_build" r.sg_build; stage r "replay" r.sg_replay;
+               stage r "merge" r.sg_merge ])
+           results);
+    ]
   in
-  Common.write_json "parallel" json;
-  (* Telemetry snapshot artifact: the sequential engine's metrics next
-     to the widest sharded run's merged metrics, so CI can diff counter
-     totals (and sketch health) between the two per run. *)
-  let snap =
-    Newton_telemetry.Snapshot.merge
-      (Newton_runtime.Introspect.engine_metrics
-         ~labels:[ ("engine", "seq") ]
-         seq)
-      (match !last_par with
-      | Some (jobs, par) ->
-          Newton_runtime.Introspect.parallel_metrics
-            ~labels:[ ("engine", Printf.sprintf "par-%d" jobs) ]
-            par
-      | None -> Newton_telemetry.Snapshot.empty)
-  in
-  Common.write_json "stats" (Newton_telemetry.Export.to_json snap)
+  Common.write_snapshot "parallel"
+    (Newton_telemetry.Snapshot.merge_all
+       [ figures;
+         Newton_runtime.Introspect.engine_metrics ~labels:seq_l seq;
+         (match !last_par with
+         | Some (jobs, par) ->
+             Newton_runtime.Introspect.parallel_metrics ~labels:(sharded jobs) par
+         | None -> Newton_telemetry.Snapshot.empty) ])

@@ -14,7 +14,8 @@
       marginal price of exactness is visible next to the interval
       baseline bench/analysis.ml pins
 
-    Results go to the table and a JSON artifact, out/bench_space.json. *)
+    Results go to the table and a telemetry snapshot of
+    [newton_bench_space_*] gauges, out/bench_space.json. *)
 
 open Newton_query
 module Space = Newton_analysis.Space
@@ -116,21 +117,15 @@ let run () =
     [ "full check (all passes)"; Printf.sprintf "%.1f" (full_check_mean *. 1e6) ];
   Common.T.print t2;
   Common.maybe_dat t "space_solver";
-  let open Newton_util.Json in
-  let json =
-    Obj
-      [
-        ("bench", String "space_solver");
-        ("queries", Int (List.length queries));
-        ("iterations", Int iters);
-        ( "solver_ops_per_s",
-          Obj (List.map (fun (n, v) -> (n, Float v)) solver_ops) );
-        ( "pass_latency_us",
-          Obj
-            [
-              ("space_passes", Float (space_pass_mean *. 1e6));
-              ("full_check", Float (full_check_mean *. 1e6));
-            ] );
-      ]
-  in
-  Common.write_json "space" json
+  let module M = Newton_telemetry.Metric in
+  Common.write_snapshot "space"
+    [
+      Common.gauge "space_queries" "Catalog intents swept"
+        [ M.vi (List.length queries) ];
+      Common.gauge "space_iterations" "Iterations per solver op" [ M.vi iters ];
+      Common.gauge "space_ops_per_second" "Solver ops per second on catalog shapes"
+        (List.map (fun (op, v) -> M.v ~labels:[ ("op", op) ] v) solver_ops);
+      Common.gauge "space_check_seconds" "Mean seconds per intent"
+        [ M.v ~labels:[ ("op", "space_passes") ] space_pass_mean;
+          M.v ~labels:[ ("op", "full_check") ] full_check_mean ];
+    ]

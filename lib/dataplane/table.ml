@@ -99,8 +99,3 @@ let lookup t keys =
   | None -> None
 
 let rules t = t.rules
-
-(** Find ids of rules whose action satisfies [pred] (e.g. "belongs to
-    query q") — how the controller locates rules to uninstall. *)
-let find_ids t pred =
-  List.filter_map (fun r -> if pred r.action then Some r.id else None) t.rules

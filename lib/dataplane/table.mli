@@ -49,7 +49,3 @@ val clear : 'a t -> unit
 val lookup : 'a t -> int array -> 'a option
 
 val rules : 'a t -> 'a rule list
-
-(** Rule ids whose action satisfies a predicate (e.g. "belongs to query
-    q", for uninstallation). *)
-val find_ids : 'a t -> ('a -> bool) -> int list

@@ -1,19 +1,13 @@
-(** A minimal domain pool for sharded trace replay.
+(** A minimal domain pool for sharded trace replay: tasks run on freshly
+    spawned domains, at most [max_domains] at a time (waves), and
+    results are joined in task order. *)
 
-    On OCaml 5 this wraps [Domain]: tasks run on freshly spawned domains,
-    at most [max_domains] at a time (waves), and results are joined in
-    task order.  On OCaml 4 (no multicore runtime) the same interface
-    degrades to in-order sequential execution — shard {e semantics} are
-    identical either way, only wall-clock parallelism differs.
-
-    The implementation is selected at build time by a dune rule on
-    [%{ocaml_version}]: [domain_pool.ocaml5] or [domain_pool.ocaml4]. *)
-
-(** Whether tasks actually run on parallel domains. *)
+(** Whether tasks run on parallel domains: always [true] (the build
+    needs OCaml 5's multicore runtime). *)
 val parallel : bool
 
 (** A sensible shard count for this machine:
-    [Domain.recommended_domain_count] on OCaml 5, [1] on OCaml 4. *)
+    [Domain.recommended_domain_count]. *)
 val recommended_jobs : unit -> int
 
 (** Run every task and return their results in task order.  At most

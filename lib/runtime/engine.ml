@@ -181,11 +181,6 @@ type t = {
      (boxed once, so a lookup allocates nothing). *)
   mutable uid_keys : int array;
   mutable uid_vals : instance option array;
-  (* newton_init: ternary match over the 5-tuple + TCP flags (§4.1
-     "Concurrency"), dispatching packets to instance/branch chains.
-     Bounded like any hardware table: it models the classifier's
-     capacity and size, while the atoms above carry the match itself. *)
-  init_table : (int * int) Newton_dataplane.Table.t; (* (uid, branch) *)
   (* table entries per physical module cell (stage, kind, set); each
      cell is one hardware table of [Module_cost.rules_per_module]
      capacity — this is what bounds concurrent queries. *)
@@ -231,9 +226,6 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     first_next = [||];
     uid_keys = [| 0 |];
     uid_vals = [| None |];
-    init_table =
-      Newton_dataplane.Table.create ~capacity:1024 ~name:"newton_init"
-        ~key_width:(List.length Ir.init_fields) ();
     cell_rules = Hashtbl.create 64;
     spare_arrays = Hashtbl.create 8;
     reports = [];
@@ -386,6 +378,19 @@ let take_array t ~cells size =
   | Some [] | None -> Register_array.create ~cells size
 
 let window_len inst = inst.compiled.Compose.query.Ast.window
+
+(* newton_init holds one ternary entry per first-slice branch, at most
+   [init_capacity] of them, like any bounded hardware table; the match
+   itself is the classifier's atoms. *)
+let init_capacity = 1024
+
+(** Entries currently in the [newton_init] classifier. *)
+let init_table_size t =
+  List.fold_left
+    (fun n inst ->
+      if inst.stage_lo = 0 then n + Array.length inst.compiled.Compose.init_entries
+      else n)
+    0 t.instances
 
 (* The uid table's home slot for [uid]: high product bits, so the
    controller's [uid * 1000 + depth] uids spread. *)
@@ -566,39 +571,15 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
         end)
       compiled.Compose.branches
   in
-  let arrays = Hashtbl.create 16 in
-  Array.iter
-    (List.iter (fun s ->
-         match s.Ir.cfg with
-         | Ir.S_cfg { op = (Ir.S_bf | Ir.S_cm _ | Ir.S_max _) as op; registers } ->
-             let cells =
-               match op with Ir.S_bf -> Register_array.Bits | _ -> Register_array.Words
-             in
-             Hashtbl.replace arrays
-               (s.Ir.branch, s.Ir.prim, s.Ir.suite)
-               (take_array t ~cells registers)
-         | _ -> ()))
-    slots;
-  let nrules =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 slots
-    + if stage_lo = 0 then Array.length compiled.Compose.init_entries else 0
-  in
-  (* CQE slices of one deployment share a controller-assigned uid so the
-     path executor can thread one context across switches. *)
-  let uid =
-    match uid with
-    | Some u ->
-        t.next_uid <- max t.next_uid (u + 1);
-        u
-    | None ->
-        let u = t.next_uid in
-        t.next_uid <- u + 1;
-        u
-  in
-  (* Atomic per-cell rule accounting: every hosted slot is one rule in
-     the physical table of its (stage, kind, set) cell, which holds at
-     most [Module_cost.rules_per_module] rules.  Check the whole batch
-     before committing so a rejected install leaves no residue. *)
+  let ninit = if stage_lo = 0 then Array.length compiled.Compose.init_entries else 0 in
+  let nrules = Array.fold_left (fun acc l -> acc + List.length l) 0 slots + ninit in
+  (* Atomic rule accounting: every hosted slot is one rule in the
+     physical table of its (stage, kind, set) cell, which holds at most
+     [Module_cost.rules_per_module] rules, and every first-slice branch
+     is one newton_init entry.  Check the whole batch before touching
+     anything so a rejected install leaves no residue. *)
+  if init_table_size t + ninit > init_capacity then
+    raise (Rules_exhausted { stage = 0; kind = "newton_init" });
   let increments = Hashtbl.create 32 in
   Array.iter
     (List.iter (fun s ->
@@ -619,26 +600,31 @@ let install t ?uid ?(stage_lo = 0) ?(stage_hi = max_int) compiled =
       Hashtbl.replace t.cell_rules cell
         (inc + Option.value (Hashtbl.find_opt t.cell_rules cell) ~default:0))
     increments;
-  (* newton_init entries: ternary over (5-tuple, TCP flags). *)
-  if stage_lo = 0 then
-    Array.iteri
-      (fun b entry ->
-        let matches =
-          Array.of_list
-            (List.map
-               (fun field ->
-                 match
-                   List.find_opt
-                     (fun (f, _, _) -> Field.equal f field)
-                     entry.Ir.ie_matches
-                 with
-                 | Some (_, value, mask) -> Newton_dataplane.Table.Ternary { value; mask }
-                 | None -> Newton_dataplane.Table.Any)
-               Ir.init_fields)
-        in
-        ignore
-          (Newton_dataplane.Table.add t.init_table ~priority:uid ~matches (uid, b)))
-      compiled.Compose.init_entries;
+  let arrays = Hashtbl.create 16 in
+  Array.iter
+    (List.iter (fun s ->
+         match s.Ir.cfg with
+         | Ir.S_cfg { op = (Ir.S_bf | Ir.S_cm _ | Ir.S_max _) as op; registers } ->
+             let cells =
+               match op with Ir.S_bf -> Register_array.Bits | _ -> Register_array.Words
+             in
+             Hashtbl.replace arrays
+               (s.Ir.branch, s.Ir.prim, s.Ir.suite)
+               (take_array t ~cells registers)
+         | _ -> ()))
+    slots;
+  (* CQE slices of one deployment share a controller-assigned uid so the
+     path executor can thread one context across switches. *)
+  let uid =
+    match uid with
+    | Some u ->
+        t.next_uid <- max t.next_uid (u + 1);
+        u
+    | None ->
+        let u = t.next_uid in
+        t.next_uid <- u + 1;
+        u
+  in
   let inst =
     {
       uid;
@@ -677,7 +663,8 @@ let remove t uid =
           Hashtbl.replace t.spare_arrays key
             (arr :: Option.value ~default:[] (Hashtbl.find_opt t.spare_arrays key)))
         inst.arrays;
-      (* release the module-cell rules and the newton_init entries *)
+      (* release the module-cell rules; the newton_init entries go with
+         the instances *)
       Array.iter
         (List.iter (fun s ->
              let cell = (s.Ir.stage, s.Ir.kind, s.Ir.meta) in
@@ -686,9 +673,6 @@ let remove t uid =
              | Some _ -> Hashtbl.remove t.cell_rules cell
              | None -> ()))
         inst.slots;
-      List.iter
-        (fun id -> ignore (Newton_dataplane.Table.remove t.init_table id))
-        (Newton_dataplane.Table.find_ids t.init_table (fun (u, _) -> u = uid));
       Some inst.rules
 
 let rec probe_uid (keys : int array) vals mask (uid : int) i =
@@ -706,9 +690,6 @@ let find_instance t uid =
   probe_uid keys t.uid_vals mask uid (uid_slot mask uid)
 
 let total_rules t = List.fold_left (fun acc i -> acc + i.rules) 0 t.instances
-
-(** Entries currently in the [newton_init] classifier. *)
-let init_table_size t = Newton_dataplane.Table.size t.init_table
 
 (** Rules held per physical module cell (stage, kind, set) — the
     utilization side of the [Module_cost.rules_per_module] capacity. *)

@@ -102,8 +102,10 @@ val count_continuation : t -> unit
     one deployment pass the same [uid].  Returns (uid, table entries).
     Register arrays come zeroed, reused from removed instances of the
     same size and cell width when there are any (see {!remove}).
-    @raise Rules_exhausted when a module cell is out of capacity; the
-    check is atomic (a rejected install leaves no residue). *)
+    @raise Rules_exhausted when a module cell is out of capacity, or
+    the [newton_init] classifier's 1024 entries are (stage 0, kind
+    ["newton_init"]); the check is atomic (a rejected install leaves no
+    residue). *)
 val install :
   t -> ?uid:int -> ?stage_lo:int -> ?stage_hi:int -> Compose.t -> int * int
 

@@ -191,6 +191,5 @@ let merged_arrays t uid =
   match instances with [] -> None | l -> Some (Merge.instance_arrays l)
 
 let to_string t =
-  Printf.sprintf "parallel-engine jobs=%d batch=%d shard=%s%s" t.jobs t.batch
+  Printf.sprintf "parallel-engine jobs=%d batch=%d shard=%s" t.jobs t.batch
     (Shard.strategy_to_string t.strategy)
-    (if Domain_pool.parallel then "" else " (sequential fallback)")

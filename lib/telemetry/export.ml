@@ -1,4 +1,4 @@
-(** Snapshot exporters: JSON (the bench/CI artifact format) and the
+(** Snapshot exporters: JSON (every bench and CI artifact's schema) and the
     Prometheus text exposition format (scrape endpoints, operator
     tooling).  Both renderings are deterministic — sample order is the
     snapshot's, floats print via {!Metric.string_of_value} — so golden

@@ -125,12 +125,6 @@ let test_table_key_width_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_table_find_ids () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let a = Table.add t ~priority:1 ~matches:[| Table.Exact 1 |] 10 in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Exact 2 |] 20 in
-  Alcotest.(check (list int)) "finds by predicate" [ a ] (Table.find_ids t (fun v -> v = 10))
-
 let test_table_counters () =
   let t = Table.create ~name:"t" ~key_width:1 () in
   let _ = Table.add t ~priority:1 ~matches:[| Table.Exact 1 |] "a" in
@@ -225,7 +219,6 @@ let suite =
     ("table remove", `Quick, test_table_remove);
     ("table capacity", `Quick, test_table_capacity);
     ("table key width validation", `Quick, test_table_key_width_validation);
-    ("table find_ids", `Quick, test_table_find_ids);
     ("table counters", `Quick, test_table_counters);
     ("stage place/unplace", `Quick, test_stage_place_unplace);
     ("stage overflow", `Quick, test_stage_overflow);

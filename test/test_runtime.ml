@@ -318,6 +318,22 @@ let test_init_table_entries_tracked () =
   ignore (Engine.remove e uid);
   checki "entries removed" 0 (Engine.init_table_size e)
 
+(* newton_init is bounded at 1024 entries: an install past it raises
+   before it commits anything, as a full module cell does. *)
+let test_full_classifier_rejects_atomically () =
+  let e = Engine.create ~switch_id:0 () in
+  let compiled = compile (Parser.parse "filter(proto == udp)") in
+  for _ = 1 to 1024 do
+    ignore (Engine.install e compiled)
+  done;
+  let rules = Engine.total_rules e in
+  checki "1024 entries" 1024 (Engine.init_table_size e);
+  checkb "the next install raises" true
+    (try ignore (Engine.install e compiled); false
+     with Engine.Rules_exhausted { stage = 0; kind = "newton_init" } -> true);
+  checki "rules unchanged" rules (Engine.total_rules e);
+  checki "entries unchanged" 1024 (Engine.init_table_size e)
+
 let test_report_budget_caps_exports () =
   let e = Engine.create ~switch_id:0 () in
   Engine.set_report_budget e (Some 3);
@@ -453,6 +469,8 @@ let suite =
     ("capacity released on remove", `Quick, test_capacity_released_on_remove);
     ("rejected install leaves no residue", `Quick, test_rejected_install_leaves_no_residue);
     ("init table entries tracked", `Quick, test_init_table_entries_tracked);
+    ("full classifier rejects atomically", `Quick,
+     test_full_classifier_rejects_atomically);
     ("analyzer dedup", `Quick, test_analyzer_dedup);
     ("analyzer pair ratio filter", `Quick, test_analyzer_pair_ratio_filter);
     ("analyzer csv", `Quick, test_analyzer_csv);

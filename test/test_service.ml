@@ -373,6 +373,32 @@ let test_shutdown_sets_stopping () =
   | other -> Alcotest.fail (Api.response_summary other));
   checkb "stopping" true (Daemon.stopping d)
 
+(* newton_init holds 1024 entries per switch.  A filter-only intent
+   uses one entry and no module cell, so the 1025th passes analysis and
+   placement and runs out of classifier entries at install: the daemon
+   refuses it with NA054, rolls it back and keeps the 1024 active. *)
+let test_full_classifier_refuses_with_na054 () =
+  let d = make_daemon () in
+  let submit () = Daemon.handle_line d "submit 'filter(proto == udp)'" in
+  for i = 1 to 1024 do
+    match submit () with
+    | Api.Accepted _ -> ()
+    | other -> Alcotest.failf "submit %d: %s" i (Api.response_summary other)
+  done;
+  (match submit () with
+  | Api.Refused { id; diags } ->
+      checki "id" 1025 id;
+      Alcotest.(check (list string))
+        "NA054" [ "NA054" ]
+        (List.map (fun g -> g.Newton_analysis.Diag.code) diags)
+  | other -> Alcotest.fail (Api.response_summary other));
+  match Daemon.handle d Api.List_intents with
+  | Api.Intent_list infos ->
+      checki "1024 stay active" 1024
+        (List.length
+           (List.filter (fun i -> i.Intent.i_state = Intent.Active) infos))
+  | other -> Alcotest.fail (Api.response_summary other)
+
 (* ---------------- churn vs static equivalence ---------------- *)
 
 (* Submitting an intent while a trace replays, then withdrawing a
@@ -625,6 +651,8 @@ let suite =
       test_handle_line_text_and_json;
     Alcotest.test_case "shutdown sets stopping" `Quick
       test_shutdown_sets_stopping;
+    Alcotest.test_case "full classifier refuses with NA054" `Quick
+      test_full_classifier_refuses_with_na054;
     Alcotest.test_case "accepted reports match status" `Quick
       test_accepted_reports_match_status;
     Alcotest.test_case "one verdict for every front-end" `Quick
