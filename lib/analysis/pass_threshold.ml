@@ -16,7 +16,13 @@ let name = "threshold"
 let doc = "unreachable and trivially-true aggregate thresholds"
 let codes = [ "NA030"; "NA031" ]
 
-(* The engine's accumulators are 31-bit-safe counters. *)
+(* The largest aggregate a threshold is judged against: a count or a
+   sum may reach any 31-bit value.  A word cell saturates at
+   [Alu.cell_max] = 2^32-1, above this, so a threshold value up to
+   [acc_max] compares the same on the saturated cell as on the exact
+   aggregate: past the cap both exceed it.  A larger [>], [>=] or [==]
+   threshold can never hold here (NA030), a larger [<] or [<=] one
+   always holds (NA031). *)
 let acc_max = 0x7FFFFFFF
 
 type range = { lo : int; hi : int }

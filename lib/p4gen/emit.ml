@@ -534,7 +534,8 @@ let field_mux fidx_var =
   go Field.all
 
 (* S: stateful ALUs over the global register file; [base] relocates the
-   rule's array inside [newton_state]. *)
+   rule's array inside [newton_state].  The adds saturate ([|+|]) at
+   the register's 2^32-1, as the engine's word cells do. *)
 let emit_s_cell b ~stage ~set ~size =
   let t = table_name ~stage ~kind:Newton_dataplane.Module_cost.S ~set in
   let idx = Printf.sprintf "base + %s" (hash_result ~set) in
@@ -542,7 +543,7 @@ let emit_s_cell b ~stage ~set ~size =
   line b "    action %s_add(bit<32> base, bit<32> inc) {" t;
   line b "        bit<32> tmp;";
   line b "        newton_state.read(tmp, %s);" idx;
-  line b "        tmp = tmp + inc;";
+  line b "        tmp = tmp |+| inc;";
   line b "        newton_state.write(%s, tmp);" idx;
   line b "        %s = tmp;" res;
   line b "    }";
@@ -550,7 +551,7 @@ let emit_s_cell b ~stage ~set ~size =
   line b "        bit<32> tmp;";
   line b "        bit<32> inc = %s;" (field_mux "fidx");
   line b "        newton_state.read(tmp, %s);" idx;
-  line b "        tmp = tmp + inc;";
+  line b "        tmp = tmp |+| inc;";
   line b "        newton_state.write(%s, tmp);" idx;
   line b "        %s = tmp;" res;
   line b "    }";

@@ -252,9 +252,10 @@ let rec eval t env = function
   | Binop (op, a, b) ->
       let x = eval t env a in
       let y = eval t env b in
-      (* all emitted arithmetic is bit<32>: wrap there *)
+      (* all emitted arithmetic is bit<32>: wrap there, or saturate *)
       (match op with
       | Add -> (x + y) land m32
+      | Sat_add -> if x + y > m32 then m32 else x + y
       | Sub -> (x - y) land m32
       | Shl -> (x lsl y) land m32
       | Shr -> x lsr y

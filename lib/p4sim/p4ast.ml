@@ -12,6 +12,7 @@
 
 type binop =
   | Add | Sub
+  | Sat_add  (** [|+|]: saturating add *)
   | Band | Bor | Bxor
   | Shl | Shr
   | Eq | Ne | Lt | Gt | Le | Ge

@@ -85,12 +85,17 @@ let tokenize src =
       let two =
         if !i + 1 < n then String.sub src !i 2 else ""
       in
-      match two with
-      (* note: no ">>" — it only occurs closing register<bit<32>>, and
-         emitted expressions never right-shift *)
-      | "==" | "!=" | "<=" | ">=" | "<<" | "&&" | "||" ->
-          push (Tsym two); i := !i + 2
-      | _ -> push (Tsym (String.make 1 c)); incr i
+      (* the one three-char operator: [|+|], saturating add *)
+      if !i + 2 < n && String.sub src !i 3 = "|+|" then begin
+        push (Tsym "|+|"); i := !i + 3
+      end
+      else
+        match two with
+        (* note: no ">>" — it only occurs closing register<bit<32>>, and
+           emitted expressions never right-shift *)
+        | "==" | "!=" | "<=" | ">=" | "<<" | "&&" | "||" ->
+            push (Tsym two); i := !i + 2
+        | _ -> push (Tsym (String.make 1 c)); incr i
     end
   done;
   Array.of_list (List.rev !out)
@@ -188,7 +193,7 @@ and binop_levels =
      [ ("==", Eq); ("!=", Ne) ];
      [ ("<", Lt); (">", Gt); ("<=", Le); (">=", Ge) ];
      [ ("<<", Shl) ];
-     [ ("+", Add); ("-", Sub) ] |]
+     [ ("+", Add); ("-", Sub); ("|+|", Sat_add) ] |]
 
 and parse_binop s level =
   if level >= Array.length binop_levels then parse_primary s

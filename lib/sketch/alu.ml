@@ -6,35 +6,30 @@
     [Read] makes S a pass-through for stateless primitives. *)
 
 type t =
-  | Add of int  (** register <- register + k; returns new value *)
+  | Add of int  (** register <- register + k, saturating; returns new value *)
   | Or of int   (** register <- register lor k; returns {e previous} value *)
   | Max of int  (** register <- max register k; returns new value *)
   | Read        (** returns register unchanged *)
   | Write of int (** register <- k; returns previous value *)
 
-(** [exec alu regs idx] performs the transactional read-modify-write and
-    returns the ALU's result value. *)
-let exec alu (regs : int array) idx =
+(* A switch register is 32 bits wide (newton.p4's [bit<32>]
+   [newton_state]); [Add] sticks at the top, as P4's [|+|] does, so a
+   count past it stays at or above every threshold it crossed. *)
+let cell_max = 0xFFFF_FFFF
+
+let update alu v =
   match alu with
   | Add k ->
-      let v = regs.(idx) + k in
-      regs.(idx) <- v;
-      v
-  | Or k ->
-      let prev = regs.(idx) in
-      regs.(idx) <- prev lor k;
-      prev
-  | Max k ->
-      (* int compare: [Stdlib.max] is a polymorphic C call *)
-      let cur = regs.(idx) in
-      let v = if cur >= k then cur else k in
-      regs.(idx) <- v;
-      v
-  | Read -> regs.(idx)
-  | Write k ->
-      let prev = regs.(idx) in
-      regs.(idx) <- k;
-      prev
+      let v = v + k in
+      if v > cell_max then cell_max else v
+  | Or k -> v lor k
+  | Max k -> if v >= k then v else k (* [Stdlib.max] is a polymorphic C call *)
+  | Read -> v
+  | Write k -> k
+
+let returns_previous = function
+  | Or _ | Read | Write _ -> true
+  | Add _ | Max _ -> false
 
 let to_string = function
   | Add k -> Printf.sprintf "add(%d)" k

@@ -393,6 +393,77 @@ let test_rules_beyond_emitted_stages_flagged () =
       checkb "stage overflow caught as an unknown table" true
         (String.starts_with ~prefix:"no such table" msg)
 
+(* ---------------- past a 32-bit register ---------------- *)
+
+(* One key's [sum tcp_seq] driven past 2^32 in one window, through
+   every executor.  [Ref_eval] counts on; the engine, a CQE deployment
+   and the interpreted newton.p4 stop at [Alu.cell_max], the top of a
+   32-bit register ([|+|] in the emitted adds).  Key 7 crosses the
+   threshold on the packet that takes it past the cap, so it reports
+   there (a wrapping add would hold 4 and not report), key 8 reports
+   below the cap and key 9 not at all: all four executors report keys
+   7 and 8, the switch ones with [min ref cap]. *)
+let test_past_32_bits_all_executors () =
+  let open Newton_query in
+  let module F = Newton_packet.Field in
+  let dst = Ast.keys [ F.Dst_ip ] in
+  let q =
+    Ast.chain ~id:950 ~name:"sum_past_cap" ~description:""
+      [
+        Ast.Map dst;
+        Ast.Reduce { keys = dst; agg = Ast.Sum_field F.Tcp_seq };
+        Ast.Filter [ Ast.result_gt 1_000_000 ];
+        Ast.Map dst;
+      ]
+  in
+  let packets =
+    List.mapi
+      (fun i (dst, seq) ->
+        Newton_packet.Packet.make ~ts:(0.001 *. float_of_int i) ~src_ip:1 ~dst_ip:dst
+          ~proto:6 ~src_port:1000 ~dst_port:80 ~tcp_seq:seq ~pkt_len:40 ~payload_len:0 ())
+      [ (7, 5); (8, 3_000_000); (9, 10); (7, 0xFFFF_FFFF); (8, 2); (7, 0xFFFF_FFFF) ]
+  in
+  let reference = Ref_eval.evaluate q (Array.of_list packets) in
+  Alcotest.(check (list (pair (array int) int))) "ref_eval: key 7 past 2^32, key 8 below"
+    [ ([| 7 |], 0x1_0000_0004); ([| 8 |], 3_000_000) ]
+    (List.sort compare
+       (List.map (fun (r : Report.t) -> (r.Report.keys, r.Report.value)) reference));
+  let capped =
+    List.map
+      (fun (r : Report.t) ->
+        { r with Report.value = min r.Report.value Newton_sketch.Alu.cell_max })
+      reference
+  in
+  let agree name measured =
+    let d = Report.diff ~reference:capped ~measured in
+    if d.Report.missing <> [] || d.Report.extra <> [] || d.Report.changed <> [] then
+      Alcotest.failf "%s: %d missing, %d extra, %d changed against min(ref_eval, 2^32-1)%s"
+        name (List.length d.Report.missing) (List.length d.Report.extra)
+        (List.length d.Report.changed)
+        (match d.Report.changed with
+        | (r, m) :: _ -> Printf.sprintf "; %s vs %s" (Report.to_string r) (Report.to_string m)
+        | [] -> "")
+  in
+  let compiled = Newton_compiler.Compose.compile q in
+  let engine = Newton_runtime.Engine.create ~switch_id:0 () in
+  ignore (Newton_runtime.Engine.install engine compiled);
+  List.iter (Newton_runtime.Engine.process_packet engine) packets;
+  agree "Engine" (Newton_runtime.Engine.reports engine);
+  let topo = Newton_network.Topo.linear 2 in
+  let ctl = Newton_controller.Deploy.create topo in
+  ignore (Newton_controller.Deploy.deploy ~stages_per_switch:12 ctl compiled);
+  let src = Newton_network.Topo.num_switches topo in
+  List.iter
+    (Newton_controller.Deploy.process_packet ctl ~src_host:src ~dst_host:(src + 1))
+    packets;
+  agree "Deploy (CQE, linear:2)" (Newton_controller.Deploy.all_reports ctl);
+  match Diff.run_query compiled packets with
+  | Error issue ->
+      Alcotest.failf "no rule encoding: %s" (Newton_p4gen.Rules.issue_to_string issue)
+  | Ok r ->
+      checki "p4sim replays every packet" (List.length packets) r.Diff.replayed;
+      agree "p4sim" r.Diff.p4_reports
+
 let suite =
   [
     ("emitted program parses", `Quick, test_emitted_program_parses);
@@ -405,6 +476,7 @@ let suite =
     ("corpus frames all kept", `Quick, test_corpus_frames_all_kept);
     ("differential detects divergence", `Quick, test_differential_detects_divergence);
     ("differential compares values", `Quick, test_differential_compares_values);
+    ("past 2^32: four executors agree", `Quick, test_past_32_bits_all_executors);
     ("differential all queries", `Slow, test_differential_all_queries);
   ]
 

@@ -90,27 +90,33 @@ let qcheck_hash5_is_vector =
 
 (* ---------------- Alu ---------------- *)
 
+(* Run [alu] on a one-cell word array holding [v]: the ALU result and
+   the cell after. *)
+let run_alu alu v =
+  let a = Register_array.create 1 in
+  Register_array.set a 0 v;
+  let r = Register_array.exec a alu 0 in
+  (r, Register_array.get a 0)
+
+let checkp = Alcotest.(check (pair int int))
+
 let test_alu_add () =
-  let regs = [| 10 |] in
-  checki "returns new value" 15 (Alu.exec (Alu.Add 5) regs 0);
-  checki "register updated" 15 regs.(0)
+  checkp "returns and stores the new value" (15, 15) (run_alu (Alu.Add 5) 10);
+  checkp "saturates at the cap" (Alu.cell_max, Alu.cell_max)
+    (run_alu (Alu.Add 5) (Alu.cell_max - 2));
+  checki "cap is 2^32-1" 0xFFFF_FFFF Alu.cell_max
 
 let test_alu_or_returns_previous () =
-  let regs = [| 0 |] in
-  checki "prev was 0" 0 (Alu.exec (Alu.Or 1) regs 0);
-  checki "now set" 1 regs.(0);
-  checki "prev now 1" 1 (Alu.exec (Alu.Or 1) regs 0)
+  checkp "prev was 0" (0, 1) (run_alu (Alu.Or 1) 0);
+  checkp "prev now 1" (1, 1) (run_alu (Alu.Or 1) 1)
 
 let test_alu_max () =
-  let regs = [| 7 |] in
-  checki "max keeps larger" 7 (Alu.exec (Alu.Max 3) regs 0);
-  checki "max takes larger" 9 (Alu.exec (Alu.Max 9) regs 0)
+  checkp "max keeps larger" (7, 7) (run_alu (Alu.Max 3) 7);
+  checkp "max takes larger" (9, 9) (run_alu (Alu.Max 9) 7)
 
 let test_alu_read_write () =
-  let regs = [| 42 |] in
-  checki "read" 42 (Alu.exec Alu.Read regs 0);
-  checki "write returns prev" 42 (Alu.exec (Alu.Write 5) regs 0);
-  checki "write stores" 5 regs.(0)
+  checkp "read" (42, 42) (run_alu Alu.Read 42);
+  checkp "write returns prev, stores" (42, 5) (run_alu (Alu.Write 5) 42)
 
 (* ---------------- Register_array ---------------- *)
 
@@ -210,6 +216,91 @@ let test_reg_array_one_bit_cells () =
     (fun () -> Register_array.merge_into ~op:`Add ~dst:bits ~src:other_bits);
   Register_array.clear bits;
   checki "occupancy 0 after clear" 0 (Register_array.occupancy bits)
+
+(* Word cells are 32 bits, four bytes each: at sizes off any word
+   boundary every cell holds the whole domain independently of its
+   neighbours, and out-of-domain values are refused. *)
+let test_reg_array_word_cells () =
+  List.iter
+    (fun size ->
+      let a = Register_array.create size in
+      for i = 0 to size - 1 do
+        Register_array.set a i (if i land 1 = 0 then Alu.cell_max else i)
+      done;
+      for i = 0 to size - 1 do
+        checki (Printf.sprintf "size %d: cell %d" size i)
+          (if i land 1 = 0 then Alu.cell_max else i)
+          (Register_array.get a i)
+      done;
+      checki (Printf.sprintf "size %d: occupancy" size) size
+        (Register_array.occupancy a);
+      checki (Printf.sprintf "size %d: fold" size)
+        (List.init size (fun i -> if i land 1 = 0 then Alu.cell_max else i)
+         |> List.fold_left ( + ) 0)
+        (Register_array.fold ( + ) 0 a))
+    [ 1; 3; 4097 ];
+  let a = Register_array.create 8 in
+  for k = 0 to 3 do
+    Register_array.set a (2 * k) Alu.cell_max;
+    checki (Printf.sprintf "cell %d untouched by %d" ((2 * k) + 1) (2 * k)) 0
+      (Register_array.get a ((2 * k) + 1));
+    Register_array.set a ((2 * k) + 1) 0x8000_0001;
+    checki (Printf.sprintf "cell %d untouched by %d" (2 * k) ((2 * k) + 1))
+      Alu.cell_max (Register_array.get a (2 * k));
+    Register_array.set a (2 * k) 0;
+    checki (Printf.sprintf "cell %d kept" ((2 * k) + 1)) 0x8000_0001
+      (Register_array.get a ((2 * k) + 1))
+  done;
+  Alcotest.check_raises "set 2^32"
+    (Invalid_argument "Register_array.set: value 4294967296 does not fit a 32-bit cell")
+    (fun () -> Register_array.set a 3 (Alu.cell_max + 1));
+  Alcotest.check_raises "set -1"
+    (Invalid_argument "Register_array.set: value -1 does not fit a 32-bit cell")
+    (fun () -> Register_array.set a 3 (-1));
+  checki "refused set left the cell" 0x8000_0001 (Register_array.get a 3)
+
+(* [Add] at the cap stays at the cap and is one ALU execution; a
+   summing merge saturates the same way. *)
+let test_reg_array_saturates () =
+  let a = Register_array.create 3 in
+  Register_array.set a 1 (Alu.cell_max - 1);
+  checki "reaches the cap" Alu.cell_max (Register_array.exec a (Alu.Add 65535) 1);
+  checki "stays at the cap" Alu.cell_max (Register_array.exec a (Alu.Add 1) 1);
+  checki "counted once each" 2 (Register_array.ops a);
+  checki "neighbours untouched" 0 (Register_array.get a 0 + Register_array.get a 2);
+  let b = Register_array.create 3 in
+  Register_array.set b 0 7;
+  Register_array.set b 1 2;
+  Register_array.set b 2 (Alu.cell_max - 5);
+  Register_array.set a 2 10;
+  Register_array.merge_into ~op:`Add ~dst:a ~src:b;
+  Alcotest.(check (list int)) "add merge saturates"
+    [ 7; Alu.cell_max; Alu.cell_max ]
+    (List.init 3 (Register_array.get a));
+  checki "merge is not an op" 2 (Register_array.ops a)
+
+(* [exec] runs the ALU on the cell's value: no minor words on either
+   cell width, whatever the ALU. *)
+let test_reg_array_exec_allocates_nothing () =
+  List.iter
+    (fun (name, cells, alus) ->
+      let a = Register_array.create ~cells 4096 in
+      let n = 10_000 in
+      let run () =
+        for i = 0 to n - 1 do
+          let alu = alus.(i land 3) in
+          ignore (Sys.opaque_identity (Register_array.exec a alu ((i * 37) land 4095)))
+        done
+      in
+      run ();
+      let before = Gc.minor_words () in
+      run ();
+      let words = Gc.minor_words () -. before in
+      checkb (Printf.sprintf "%s: %.0f minor words over %d execs" name words n) true
+        (words < 100.))
+    [ ("words", Register_array.Words,
+       [| Alu.Add 1; Alu.Max 40; Alu.Read; Alu.Add 65535 |]);
+      ("bits", Register_array.Bits, [| Alu.Or 1; Alu.Read; Alu.Or 1; Alu.Or 0 |]) ]
 
 (* ---------------- Count_min ---------------- *)
 
@@ -315,6 +406,9 @@ let suite =
     ("register array sram bytes", `Quick, test_reg_array_sram_bytes);
     ("register array rejects nonpositive", `Quick, test_reg_array_rejects_nonpositive);
     ("register array one-bit cells", `Quick, test_reg_array_one_bit_cells);
+    ("register array 32-bit word cells", `Quick, test_reg_array_word_cells);
+    ("register array add saturates", `Quick, test_reg_array_saturates);
+    ("register array exec allocates nothing", `Quick, test_reg_array_exec_allocates_nothing);
     ("cm exact when sparse", `Quick, test_cm_exact_when_sparse);
     ("cm add returns estimate", `Quick, test_cm_add_returns_estimate);
     ("cm weighted add", `Quick, test_cm_weighted_add);
