@@ -16,7 +16,6 @@ let passes : (module Pass.S) list =
   [
     (module Pass_structure);
     (module Pass_width);
-    (module Pass_predicates);
     (module Pass_space);
     (module Pass_dataflow);
     (module Pass_threshold);

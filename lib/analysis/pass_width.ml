@@ -72,16 +72,6 @@ let check_pred ~query ~span = function
       in
       key_diags @ value_diags
 
-(* Is branch [b]'s front filter absorbed into newton_init?  Absorbed
-   entries carry ternary matches; a match-all entry has none. *)
-let absorbed compiled b =
-  match compiled with
-  | None -> false
-  | Some c ->
-      b < Array.length c.Newton_compiler.Compose.init_entries
-      && c.Newton_compiler.Compose.init_entries.(b).Newton_compiler.Ir.ie_matches
-         <> []
-
 let check_packed ~query ~span preds =
   let eqs =
     List.filter_map
@@ -183,7 +173,7 @@ let run (ctx : Pass.ctx) =
                     (* Absorbed front filters never reach the packed
                        comparison path — newton_init matches ternary. *)
                     let packed =
-                      if p = 0 && absorbed ctx.Pass.compiled b then []
+                      if p = 0 && Pass.absorbed ctx b then []
                       else check_packed ~query ~span preds
                     in
                     per_pred @ packed

@@ -169,14 +169,14 @@ let test_na015_icmp_field_without_proto () =
   in
   checkb "pinned branch is quiet" false (has "NA015" (Check.check_query pinned))
 
-(* ---------------- predicates (NA020-NA022) ---------------- *)
+(* ---------------- predicates (NA021, NA022, NA090) ---------------- *)
 
 let gt v = Ast.Cmp { field = Field.Src_port; mask = 0xFFFF; op = Ast.Gt; value = v }
 let lt v = Ast.Cmp { field = Field.Src_port; mask = 0xFFFF; op = Ast.Lt; value = v }
 
-let test_na020_unsat_conjunction () =
+let test_na090_unsat_conjunction () =
   let q = chain1 (Ast.Filter [ gt 100; lt 50 ] :: tail [ dip ] 5) in
-  checkb "NA020" true (has_sev "NA020" Diag.Error (Check.check_query q))
+  checkb "NA090" true (has_sev "NA090" Diag.Error (Check.check_query q))
 
 let test_na021_tautology () =
   let always =
@@ -478,7 +478,7 @@ let suite =
     ("NA014 packed filter", `Quick, test_na014_packed_filter_too_wide);
     ("NA015 icmp field without proto pin", `Quick,
      test_na015_icmp_field_without_proto);
-    ("NA020 unsat conjunction", `Quick, test_na020_unsat_conjunction);
+    ("NA090 unsat conjunction", `Quick, test_na090_unsat_conjunction);
     ("NA021 tautology", `Quick, test_na021_tautology);
     ("NA022 implied filter", `Quick, test_na022_implied_filter);
     ("NA025 partially dead map", `Quick, test_na025_partially_dead_map);

@@ -587,6 +587,29 @@ let test_one_verdict_for_every_front_end () =
   refused_with "NA030" (dsl rejectable_dsl);
   refused_with "NA045" (dsl uncompilable_dsl)
 
+(* The daemon's event loop is single-threaded, so one slow admission
+   stalls every client: a branch whose filter contradicts itself over
+   one field, next to != predicates on two others, is refused with
+   NA090 at once (its conjunction is decided per field). *)
+let test_unsat_branch_refused_quickly () =
+  let d = make_daemon () in
+  (match Daemon.handle_line d "submit q4" with
+  | Api.Accepted _ -> ()
+  | other -> Alcotest.fail (Api.response_summary other));
+  let t0 = Sys.time () in
+  let r =
+    Daemon.handle_line d
+      "submit 'filter(sip != 1 && dip != 2 && sport != 3 && sport > 10 && \
+       sport < 5) | map(dip) | reduce(dip, count) | filter(count > 5) | \
+       map(dip)'"
+  in
+  let secs = Sys.time () -. t0 in
+  (match r with
+  | Api.Refused { diags; _ } ->
+      checkb "NA090 named" true (List.mem "NA090" (error_codes diags))
+  | other -> Alcotest.fail (Api.response_summary other));
+  if secs > 2.0 then Alcotest.failf "submit took %.1f s of CPU" secs
+
 (* ---------------- client input buffering ---------------- *)
 
 let feed pending s = Daemon.take_lines pending (Bytes.of_string s) (String.length s)
@@ -657,6 +680,8 @@ let suite =
       test_accepted_reports_match_status;
     Alcotest.test_case "one verdict for every front-end" `Quick
       test_one_verdict_for_every_front_end;
+    Alcotest.test_case "unsat branch refused quickly" `Quick
+      test_unsat_branch_refused_quickly;
     Alcotest.test_case "churn matches static deploy" `Quick
       test_churn_matches_static;
     Alcotest.test_case "replay budget bounds step" `Quick

@@ -1,5 +1,5 @@
 (** Tests for the exact packet-space solver ({!Newton_analysis.Space})
-    and the packet-space pass family (NA090–NA094).
+    and the packet-space pass family (NA021, NA022, NA090–NA094).
 
     The solver is validated two ways: algebraic properties checked
     pointwise against the reference predicate evaluator on random
@@ -393,9 +393,6 @@ let test_na090_cross_mask () =
     (List.exists
        (fun d -> d.Diag.code = "NA090" && d.Diag.severity = Diag.Error)
        ds);
-  (* the interval pass cannot see this one *)
-  checkb "NA020 blind to cross-mask" false
-    (List.exists (fun d -> d.Diag.code = "NA020") ds);
   match List.find_opt (fun d -> d.Diag.code = "NA090") ds with
   | None -> Alcotest.fail "NA090 expected"
   | Some d -> (
@@ -414,6 +411,107 @@ let test_na090_cross_mask () =
           checkb "engine admits the witness once relaxed" true
             (engine_sees relaxed pkt)
       | _ -> Alcotest.fail "NA090 should carry a witness and a branch span")
+
+(* ---------------- NA021/NA022/NA090: exact, per field ---------------- *)
+
+let finding code span ds =
+  List.exists (fun d -> d.Diag.code = code && d.Diag.span = span) ds
+
+let parse = Parser.parse ~id:960 ~name:"adhoc"
+
+(* Random branches over tcp.flags, one predicate per filter, against
+   all 256 values of the field: NA090 iff no value passes the branch,
+   NA021 iff every value passes the predicate, NA022 iff (short of
+   NA021) every value passing the earlier predicates passes it. *)
+let prop_predicate_findings_exact =
+  let gen_pred =
+    QCheck.Gen.(
+      let* op = oneofl Ast.[ Eq; Neq; Gt; Ge; Lt; Le ] in
+      let* mask = int_range 1 0xFF in
+      let* value = int_bound 0xFF in
+      return (Ast.Cmp { field = Field.Tcp_flags; mask; op; value }))
+  in
+  let values =
+    List.init 256 (fun v ->
+        let pkt = Packet.create ~ts:0.0 () in
+        Packet.set pkt Field.Tcp_flags v;
+        pkt)
+  in
+  let implied ~by p =
+    List.for_all (fun pkt -> (not (preds_hold by pkt)) || holds p pkt) values
+  in
+  QCheck.Test.make ~count:300 ~name:"NA021/NA022/NA090 = enumeration (tcp.flags)"
+    (QCheck.make
+       ~print:(fun ps -> String.concat " && " (List.map Ast.pred_to_string ps))
+       QCheck.Gen.(list_size (int_range 1 4) gen_pred))
+    (fun preds ->
+      let q =
+        Ast.chain ~id:960 ~name:"flags" ~description:""
+          (List.map (fun p -> Ast.Filter [ p ]) preds @ tail [ dip ] 5)
+      in
+      let ds = Check.check_query q in
+      finding "NA090" (Diag.Branch 0) ds
+      = not (List.exists (preds_hold preds) values)
+      && List.for_all Fun.id
+           (List.mapi
+              (fun k p ->
+                let span = Diag.Prim { branch = 0; prim = k } in
+                let always = implied ~by:[] p in
+                let earlier = List.filteri (fun j _ -> j < k) preds in
+                finding "NA021" span ds = always
+                && finding "NA022" span ds
+                   = ((not always) && implied ~by:earlier p))
+              preds))
+
+(* Two masks of one field: the earlier predicate fixes bits the later
+   one only tests. *)
+let test_na022_cross_mask () =
+  List.iter
+    (fun text ->
+      checkb text true
+        (finding "NA022"
+           (Diag.Prim { branch = 0; prim = 2 })
+           (Check.check_query (parse text))))
+    [
+      "filter(tcp.flags & 0x3 == 3) | map(dip) | filter(tcp.flags & 0x1 == 1) \
+       | map(dip) | reduce(dip, count) | filter(count > 5) | map(dip)";
+      "filter(sport & 0xFF00 == 0x1200) | map(dip) | filter(sport > 0x1000) \
+       | map(dip) | reduce(dip, count) | filter(count > 5) | map(dip)";
+    ]
+
+(* The cube budget is checked before absorption, so an oversized
+   complement is refused at once; and a conjunction over three fields
+   is decided per field, so its product is never built. *)
+let test_budget_refuses_at_once () =
+  let cpu f =
+    let t0 = Sys.time () in
+    let r = f () in
+    (r, Sys.time () -. t0)
+  in
+  let preds =
+    [
+      Ast.Cmp { field = Field.Src_port; mask = 0xFFFF; op = Ast.Gt; value = 26485 };
+      Ast.Cmp { field = Field.Tcp_flags; mask = 0xFF; op = Ast.Eq; value = 23 };
+    ]
+  in
+  let refused, secs =
+    cpu (fun () ->
+        match Space.compl (Space.of_preds preds) with
+        | _ -> false
+        | exception Space.Too_complex -> true)
+  in
+  checkb "compl refused" true refused;
+  if secs > 2.0 then Alcotest.failf "compl took %.1f s of CPU" secs;
+  let ds, secs =
+    cpu (fun () ->
+        Check.check_query
+          (parse
+             "filter(sip != 1 && dip != 2 && sport != 3 && sport > 10 && \
+              sport < 5) | map(dip) | reduce(dip, count) | filter(count > 5) \
+              | map(dip)"))
+  in
+  checkb "NA090" true (finding "NA090" (Diag.Branch 0) ds);
+  if secs > 5.0 then Alcotest.failf "check took %.1f s of CPU" secs
 
 (* ---------------- NA091: branch subsumption ---------------- *)
 
@@ -786,6 +884,8 @@ let suite =
     ("Q17 containment against catalog peers", `Quick,
      test_catalog_containment);
     ("NA090 cross-mask unsat + witness", `Quick, test_na090_cross_mask);
+    ("NA022 across two masks of one field", `Quick, test_na022_cross_mask);
+    ("budget refuses before absorbing", `Quick, test_budget_refuses_at_once);
     ("NA091 subsumed branch + witness", `Quick, test_na091_subsumed_branch);
     ("NA092 shadowed intent + witness", `Quick, test_na092_shadowed_intent);
     ("NA092 skips unfiltered peers", `Quick, test_na092_skips_unfiltered_peers);
@@ -813,4 +913,5 @@ let suite =
         prop_witness_outside_wide;
         prop_witness_outside_narrow;
         prop_witness_outside_is_model_of_diff;
+        prop_predicate_findings_exact;
       ]
