@@ -191,7 +191,8 @@ let cmd_p4_emit =
 
 (* Replay a packet list through the differential harness for each
    query, printing one line per query; returns the number of queries
-   whose report multisets diverged (or had no rule encoding). *)
+   whose report multisets diverged, were both empty, or had no rule
+   encoding. *)
 let p4_replay ~layout ~verbose admitted packets =
   let bad = ref 0 in
   List.iter
@@ -271,7 +272,8 @@ let cmd_p4_diff =
         Printf.printf "corpus: %d packets\n" (List.length packets);
         let bad = p4_replay ~layout ~verbose admitted packets in
         if bad > 0 then begin
-          Printf.eprintf "newton p4 diff: %d quer%s diverged\n" bad
+          Printf.eprintf
+            "newton p4 diff: %d quer%s diverged or reported nothing\n" bad
             (if bad = 1 then "y" else "ies");
           exit 1
         end
@@ -289,7 +291,8 @@ let cmd_p4_diff =
        ~doc:
          "Differentially test the interpreted P4 pipeline against the \
           simulator engine: replay the same trace through both and require \
-          identical report multisets (exit 1 on divergence)")
+          identical, non-empty report multisets (exit 1 on divergence or \
+          when neither side reports)")
     Term.(
       const run $ queries_arg $ p4_all_arg $ coverage_arg $ profile_arg
       $ flows_arg $ seed_arg $ attacks_arg $ verbose_arg $ pcap_arg

@@ -78,7 +78,10 @@ let empty = function
   | { Report.missing = []; extra = []; changed = [] } -> true
   | _ -> false
 
-let matched r = empty (report_diff r)
+(* Neither side reported: the comparison checked nothing. *)
+let vacuous r = r.engine_reports = [] && r.p4_reports = []
+
+let matched r = (not (vacuous r)) && empty (report_diff r)
 
 let describe r =
   let head =
@@ -88,7 +91,8 @@ let describe r =
       (List.length r.p4_reports)
   in
   let d = report_diff r in
-  if empty d then head ^ " — identical"
+  if vacuous r then head ^ " — vacuous"
+  else if empty d then head ^ " — identical"
   else
     let first what show = function
       | [] -> []

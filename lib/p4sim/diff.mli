@@ -36,12 +36,15 @@ type outcome = {
 
 (** Report multisets identical, aggregate values included
     ({!Newton_query.Report.diff} of the P4 reports against the
-    engine's is empty)? *)
+    engine's is empty), and not both empty?  A run on which neither
+    side reported is {e vacuous}: it compared nothing, so it does not
+    match. *)
 val matched : outcome -> bool
 
-(** One-line human summary: coverage, report counts and, on a
-    mismatch, the engine-only/P4-only/changed counts with the first
-    report of each kind, printed by {!Newton_query.Report.to_string}. *)
+(** One-line human summary: coverage, report counts, then [identical],
+    [vacuous] (neither side reported) or, on a mismatch, the
+    engine-only/P4-only/changed counts with the first report of each
+    kind, printed by {!Newton_query.Report.to_string}. *)
 val describe : outcome -> string
 
 (** Install a compiled query on a fresh engine and a fresh
