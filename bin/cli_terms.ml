@@ -53,17 +53,19 @@ let gather_queries ids dsl =
 
 (* The admission every install runs (Check.admit): each query is
    compiled and analysed once against the queries admitted before it,
-   as peers and co-residents.  A refused intent prints its errors and
-   exits 2, never a backtrace from deeper in the pipeline.  Returns the
-   queries with their compiled programs, in order. *)
+   as peers and co-residents; its peer record (its packet space) is
+   built once, when it is admitted.  A refused intent prints its errors
+   and exits 2, never a backtrace from deeper in the pipeline.  Returns
+   the queries with their compiled programs, in order. *)
 let admit_all qs =
   let admit admitted q =
     match
       Analysis.Check.admit
-        ~peers:(List.map (fun (p, c) -> (p, Some c)) admitted)
-        ~co_resident:(List.map snd admitted) q
+        ~peers:(List.map snd admitted)
+        ~co_resident:(List.map (fun ((_, c), _) -> c) admitted) q
     with
-    | Ok (compiled, _) -> (q, compiled) :: admitted
+    | Ok (compiled, _) ->
+        ((q, compiled), Analysis.Pass.peer q (Some compiled)) :: admitted
     | Error diags ->
         prerr_endline
           (Analysis.Check.explain
@@ -75,7 +77,7 @@ let admit_all qs =
            full report)";
         exit 2
   in
-  List.rev (List.fold_left admit [] qs)
+  List.rev_map fst (List.fold_left admit [] qs)
 
 (* ---------------- trace shaping ---------------- *)
 

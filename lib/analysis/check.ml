@@ -110,33 +110,49 @@ let admit ?(cfg = Pass.default_config) ?target ?(peers = []) ?(co_resident = [])
 
 (** Analyse a set together: each query sees the others as peers and
     co-residents, so conflicts and stacked capacity surface.  Every
-    query compiles once. *)
+    query compiles once, and its peer record (its space) is built
+    once. *)
 let check_queries ?(cfg = Pass.default_config) ?target queries =
-  let compiled = List.map (fun q -> (q, compile cfg q)) queries in
+  let entries =
+    List.map
+      (fun q ->
+        let c = compile cfg q in
+        (c, Pass.peer q (Result.to_option c)))
+      queries
+  in
   List.concat_map
-    (fun (q, c) ->
+    (fun (c, (self : Pass.peer)) ->
+      let q = self.Pass.p_query in
       let peers =
         List.filter_map
-          (fun (p, c') -> if p != q then Some (p, Result.to_option c') else None)
-          compiled
+          (fun (_, (p : Pass.peer)) -> if p.Pass.p_query != q then Some p else None)
+          entries
       in
-      let co_resident = List.filter_map snd peers in
+      let co_resident =
+        List.filter_map (fun (p : Pass.peer) -> p.Pass.p_compiled) peers
+      in
       check_ctx
         (ctx_of ~cfg ~target:(target_for target c) ~peers ~co_resident q c))
-    compiled
+    entries
 
 (** The deployment gate: analyse an already-compiled query against the
-    deployed set.  The compiled artifact (with its actual options) is
-    analysed directly — no recompilation.  Capacity is judged for the
-    query alone (saturation by many small queries still surfaces at
-    install time, where rollback handles it); conflicts see every
-    deployed peer. *)
-let admission ?(cfg = Pass.default_config) ?target ~deployed compiled =
-  let cfg = { cfg with Pass.options = compiled.Compose.options } in
+    deployed intents' peer records.  The compiled artifact (with its
+    actual options) is analysed directly — no recompilation.  Capacity
+    is judged for the query alone (saturation by many small queries
+    still surfaces at install time, where rollback handles it);
+    conflicts see every deployed peer. *)
+let admit_compiled ?target ~peers compiled =
+  let cfg = { Pass.default_config with Pass.options = compiled.Compose.options } in
   check_ctx
-    (ctx_of ~cfg ~target
-       ~peers:(List.map (fun (q, c) -> (q, Some c)) deployed)
-       ~co_resident:[] compiled.Compose.query (Ok compiled))
+    (ctx_of ~cfg ~target ~peers ~co_resident:[] compiled.Compose.query
+       (Ok compiled))
+
+(** {!admit_compiled} against [deployed] programs, building their peer
+    records here. *)
+let admission ?target ~deployed compiled =
+  admit_compiled ?target
+    ~peers:(List.map (fun (q, c) -> Pass.peer q (Some c)) deployed)
+    compiled
 
 (** Human rendering of a report (one diagnostic per paragraph);
     [?witness] appends witness-packet lines. *)

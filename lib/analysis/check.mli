@@ -13,13 +13,13 @@ val passes : (module Pass.S) list
     failure is recorded, not raised). *)
 val make_ctx :
   ?cfg:Pass.config -> ?target:Pass.target ->
-  ?peers:(Ast.t * Compose.t option) list -> ?co_resident:Compose.t list ->
+  ?peers:Pass.peer list -> ?co_resident:Compose.t list ->
   Ast.t -> Pass.ctx
 
 (** Analyse one query. *)
 val check_query :
   ?cfg:Pass.config -> ?target:Pass.target ->
-  ?peers:(Ast.t * Compose.t option) list -> ?co_resident:Compose.t list ->
+  ?peers:Pass.peer list -> ?co_resident:Compose.t list ->
   Ast.t -> Diag.t list
 
 (** The admission step every front-end runs before an install: compile
@@ -31,22 +31,31 @@ val check_query :
     diagnostics. *)
 val admit :
   ?cfg:Pass.config -> ?target:(Compose.t -> Pass.target option) ->
-  ?peers:(Ast.t * Compose.t option) list -> ?co_resident:Compose.t list ->
+  ?peers:Pass.peer list -> ?co_resident:Compose.t list ->
   Ast.t -> (Compose.t * Diag.t list, Diag.t list) result
 
 (** Analyse a set together: each query sees the others as peers and
     co-residents, so conflicts and stacked capacity surface; [target]
-    is computed per compiled program, as in {!admit}. *)
+    is computed per compiled program, as in {!admit}.  Each query
+    compiles once and its {!Pass.peer} record is built once, so a set
+    of n intents computes n packet spaces. *)
 val check_queries :
   ?cfg:Pass.config -> ?target:(Compose.t -> Pass.target option) ->
   Ast.t list -> Diag.t list
 
 (** The deployment gate for a program that is already compiled:
     analyse it (with its actual compile options) against the deployed
-    set — conflicts see the peers; capacity judges the query alone. *)
+    intents' peer records, built once when each was installed —
+    conflicts and NA092/NA094 see the peers; capacity judges the query
+    alone. *)
+val admit_compiled :
+  ?target:Pass.target -> peers:Pass.peer list -> Compose.t -> Diag.t list
+
+(** {!admit_compiled} against deployed programs, building their peer
+    records (and so their packet spaces) on every call. *)
 val admission :
-  ?cfg:Pass.config -> ?target:Pass.target ->
-  deployed:(Ast.t * Compose.t) list -> Compose.t -> Diag.t list
+  ?target:Pass.target -> deployed:(Ast.t * Compose.t) list -> Compose.t ->
+  Diag.t list
 
 (** Human rendering of a report (one diagnostic per line, hints
     indented); [?witness] (default false) appends witness-packet

@@ -51,6 +51,34 @@ let target ~stages_per_switch ~num_switches ~switch_slices ~slice_ranges
     ~max_path_depth =
   { stages_per_switch; num_switches; switch_slices; slice_ranges; max_path_depth }
 
+(** A branch's packet space: the conjunction of its field predicates. *)
+let branch_space branch = Space.of_preds (List.map snd (Ast.cmp_atoms branch))
+
+(** The packets an intent's exports can derive from: the union of its
+    branches' filter conjunctions. *)
+let query_space (q : Ast.t) =
+  List.fold_left
+    (fun acc b -> Space.union acc (branch_space b))
+    Space.empty q.Ast.branches
+
+(** Another intent of the deployment.  Its packet space is computed
+    once, by {!peer}, and every later admission reads it. *)
+type peer = {
+  p_query : Ast.t;
+  p_compiled : Compose.t option;  (** None when compilation failed *)
+  p_space : Space.t option;       (** None when over the cube budget *)
+  p_universe : bool;              (** [p_space] matches every packet *)
+}
+
+let peer p_query p_compiled =
+  match
+    let s = query_space p_query in
+    (s, Space.is_universe s)
+  with
+  | s, universe -> { p_query; p_compiled; p_space = Some s; p_universe = universe }
+  | exception Space.Too_complex ->
+      { p_query; p_compiled; p_space = None; p_universe = false }
+
 (** Everything a pass may look at. *)
 type ctx = {
   query : Ast.t;
@@ -62,8 +90,9 @@ type ctx = {
     Lazy.t;
       (** [Rules.entries] of [compiled] (None when compilation failed),
           computed once on first use *)
-  peers : (Ast.t * Compose.t option) list;
-      (** other queries of the deployment (conflict detection) *)
+  peers : peer list;
+      (** the other intents of the deployment, each with its packet space
+          computed once, when it was installed or entered the set *)
   co_resident : Compose.t list;
       (** compiled queries sharing the pipeline (capacity stacking) *)
   target : target option;             (** placement facts, when known *)

@@ -32,6 +32,35 @@ val target :
   stages_per_switch:int -> num_switches:int -> switch_slices:int list array ->
   slice_ranges:(int * int) array -> max_path_depth:int -> target
 
+(** A branch's packet space: the conjunction of its field predicates
+    ({!Space.of_preds}).  @raise Space.Too_complex over the budget. *)
+val branch_space : Ast.branch -> Space.t
+
+(** An intent's packet space: the union of its branches' spaces, the
+    packets its exports can derive from.
+    @raise Space.Too_complex over the budget. *)
+val query_space : Ast.t -> Space.t
+
+(** Another intent of the deployment, as the cross-intent passes read
+    it: NA060/NA061 compare [p_query]; NA092 and NA094 read [p_space]
+    and never recompute it. *)
+type peer = {
+  p_query : Ast.t;
+  p_compiled : Compose.t option;  (** None when compilation failed *)
+  p_space : Space.t option;
+      (** the intent's {!query_space}; [None] when it, or deciding
+          [p_universe], is over the cube budget: NA092 then skips the
+          peer and NA094 stays silent *)
+  p_universe : bool;
+      (** [p_space] matches every packet: NA092 skips the peer, since
+          an unfiltered intent trivially shadows everything *)
+}
+
+(** [peer query compiled] builds the record, computing the space once.
+    Front-ends build one per deployed intent, at install or once per
+    set, and hand the same records to every admission. *)
+val peer : Ast.t -> Compose.t option -> peer
+
 (** Everything a pass may look at. *)
 type ctx = {
   query : Ast.t;
@@ -43,8 +72,9 @@ type ctx = {
     Lazy.t;
       (** [Rules.entries] of [compiled] (None when compilation failed),
           computed once on first use *)
-  peers : (Ast.t * Compose.t option) list;
-      (** other queries of the deployment (conflict detection) *)
+  peers : peer list;
+      (** the other intents of the deployment, each with its packet space
+          computed once, when it was installed or entered the set *)
   co_resident : Compose.t list;
       (** compiled queries sharing the pipeline (capacity stacking) *)
   target : target option;             (** placement facts, when known *)

@@ -33,7 +33,8 @@ let structure (q : Ast.t) = (q.Ast.branches, q.Ast.combine)
 let run (ctx : Pass.ctx) =
   let query = ctx.Pass.query in
   List.concat_map
-    (fun (peer, _) ->
+    (fun (p : Pass.peer) ->
+      let peer = p.Pass.p_query in
       if peer.Ast.id = query.Ast.id && peer.Ast.name = query.Ast.name then []
       else if structure peer = structure query then
         [

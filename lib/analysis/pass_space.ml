@@ -29,9 +29,13 @@
     never multiplying the factors out.  NA091, NA092 and NA094
     witnesses come from the containment search itself
     ({!Space.witness_outside}; NA094 searches the universe against the
-    covered set), so the pass never builds a difference.  Every space computation runs under the solver's cube
-    budget: {!Space.Too_complex} silently drops the affected finding —
-    exact or absent, never approximate. *)
+    covered set), so the pass never builds a difference.  NA092 and
+    NA094 read each peer's space from its {!Pass.peer} record, computed
+    once per deployment; only the intent's own space is computed here.
+    Every space computation runs under the solver's cube budget:
+    {!Space.Too_complex} silently drops the affected finding — exact or
+    absent, never approximate — and a peer stored without a space
+    (over the budget) is skipped by NA092 and silences NA094. *)
 
 open Newton_query
 open Newton_compiler
@@ -47,15 +51,6 @@ let codes = [ "NA021"; "NA022"; "NA090"; "NA091"; "NA092"; "NA093"; "NA094" ]
 (* Exactness by refusal: an over-budget computation yields no
    diagnostics, never an approximate one. *)
 let guarded f = try f () with Space.Too_complex -> []
-
-let branch_space branch = Space.of_preds (List.map snd (Ast.cmp_atoms branch))
-
-(* The packets an intent's exports can derive from: the union of its
-   branches' filter conjunctions. *)
-let query_space (q : Ast.t) =
-  List.fold_left
-    (fun acc b -> Space.union acc (branch_space b))
-    Space.empty q.Ast.branches
 
 (* ---------------- NA021/NA022: tautological and implied predicates ---------------- *)
 
@@ -184,7 +179,7 @@ let strict_witness ~inner ~outer =
 let subsumption_diags ~query =
   guarded (fun () ->
       let spaces =
-        Array.of_list (List.map branch_space query.Ast.branches)
+        Array.of_list (List.map Pass.branch_space query.Ast.branches)
       in
       let n = Array.length spaces in
       let out = ref [] in
@@ -220,17 +215,16 @@ let subsumption_diags ~query =
 
 (* ---------------- NA092: cross-intent shadowing ---------------- *)
 
-let shadow_diags ~query ~peers =
-  guarded (fun () ->
-      let ours = query_space query in
-      if Space.is_empty ours then []
-      else
-        List.filter_map
-          (fun ((p : Ast.t), _) ->
-            try
-              let theirs = query_space p in
-              if Space.is_universe theirs then None
-              else
+(* [ours] is the intent's own space; each peer carries its own,
+   computed once when it entered the deployment. *)
+let shadow_diags ~query ~ours ~peers =
+  match ours with
+  | Some ours when not (Space.is_empty ours) ->
+      List.filter_map
+        (fun (p : Pass.peer) ->
+          match p.Pass.p_space with
+          | Some theirs when not p.Pass.p_universe -> (
+              try
                 Option.map
                   (fun witness ->
                     Diag.make ~code:"NA092" ~severity:Diag.Info
@@ -242,10 +236,12 @@ let shadow_diags ~query ~peers =
                       (Printf.sprintf
                          "intent's match space is strictly contained in \
                           co-resident intent %s (Q%d)"
-                         p.Ast.name p.Ast.id))
+                         p.Pass.p_query.Ast.name p.Pass.p_query.Ast.id))
                   (strict_witness ~inner:ours ~outer:theirs)
-            with Space.Too_complex -> None)
-          peers)
+              with Space.Too_complex -> None)
+          | _ -> None)
+        peers
+  | _ -> []
 
 (* ---------------- NA093: exact recirculation overlap ---------------- *)
 
@@ -291,47 +287,58 @@ let recirc_diags ~query (compiled : Compose.t) =
 
 (* ---------------- NA094: deployment coverage gap ---------------- *)
 
-let coverage_diags ~query ~peers =
+let coverage_diags ~query ~ours ~peers =
   if peers = [] then []
   else
     let lead (q : Ast.t) = (q.Ast.id, q.Ast.name) in
     (* One report per deployment: the lexicographically first intent
        speaks for the set. *)
-    if not (List.for_all (fun ((p : Ast.t), _) -> lead query <= lead p) peers)
+    if
+      not
+        (List.for_all
+           (fun (p : Pass.peer) -> lead query <= lead p.Pass.p_query)
+           peers)
     then []
     else
-      guarded (fun () ->
-          let intents = query :: List.map fst peers in
-          let covered =
-            List.fold_left
-              (fun acc q -> Space.union acc (query_space q))
-              Space.empty intents
-          in
-          match Space.witness_outside Space.universe covered with
-          | None -> []
-          | Some pkt ->
-              [
-                Diag.make ~code:"NA094" ~severity:Diag.Info ~span:Diag.Query
-                  ~query ~witness:pkt
-                  ~hint:
-                    "packets in the gap update no state and trigger no \
-                     export; install a broader intent if the deployment \
-                     should observe them"
-                  (Printf.sprintf
-                     "the %d installed intents leave packet space uncovered: \
-                      the witness matches none of them"
-                     (List.length intents));
-              ])
+      match
+        (ours, List.filter_map (fun (p : Pass.peer) -> p.Pass.p_space) peers)
+      with
+      | Some ours, theirs when List.compare_lengths theirs peers = 0 ->
+          guarded (fun () ->
+              let covered = List.fold_left Space.union ours theirs in
+              match Space.witness_outside Space.universe covered with
+              | None -> []
+              | Some pkt ->
+                  [
+                    Diag.make ~code:"NA094" ~severity:Diag.Info
+                      ~span:Diag.Query ~query ~witness:pkt
+                      ~hint:
+                        "packets in the gap update no state and trigger no \
+                         export; install a broader intent if the deployment \
+                         should observe them"
+                      (Printf.sprintf
+                         "the %d installed intents leave packet space \
+                          uncovered: the witness matches none of them"
+                         (List.length peers + 1));
+                  ])
+      (* An intent over the budget leaves the coverage unknown. *)
+      | _ -> []
 
 let run (ctx : Pass.ctx) =
-  let query = ctx.Pass.query in
+  let query = ctx.Pass.query and peers = ctx.Pass.peers in
+  (* The intent's own space, computed once for NA092 and NA094; with no
+     peer neither finding needs it. *)
+  let ours =
+    if peers = [] then None
+    else try Some (Pass.query_space query) with Space.Too_complex -> None
+  in
   predicate_diags ctx
   @ unsat_diags ~query
   @ subsumption_diags ~query
-  @ shadow_diags ~query ~peers:ctx.Pass.peers
+  @ shadow_diags ~query ~ours ~peers
   @ (match (ctx.Pass.compiled, Lazy.force ctx.Pass.rules) with
     (* Mirror the former NA082 gate: only judge recirculation for
        intents the rule generator accepts at all. *)
     | Some compiled, Some (Ok _) -> recirc_diags ~query compiled
     | _ -> [])
-  @ coverage_diags ~query ~peers:ctx.Pass.peers
+  @ coverage_diags ~query ~ours ~peers

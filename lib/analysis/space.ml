@@ -53,16 +53,16 @@ let empty = []
 let is_empty s = s = []
 let cube_count = List.length
 
-(* a ⊆ b: b's constraints are a subset of a's and agree on values. *)
+(* a ⊆ b: b's constraints are a subset of a's and agree on values;
+   decided at the first field where they do not. *)
 let cube_subset a b =
-  let ok = ref true in
-  for i = 0 to nf - 1 do
-    if
-      b.c.(i) land lnot a.c.(i) <> 0
-      || (a.v.(i) lxor b.v.(i)) land b.c.(i) <> 0
-    then ok := false
-  done;
-  !ok
+  let rec from i =
+    i >= nf
+    || b.c.(i) land lnot a.c.(i) = 0
+       && (a.v.(i) lxor b.v.(i)) land b.c.(i) = 0
+       && from (i + 1)
+  in
+  from 0
 
 let cube_inter a b =
   let clash = ref false in
@@ -91,16 +91,27 @@ let absorb cubes =
   in
   go [] cubes
 
-(* The budget is checked before the quadratic [absorb], so an
-   oversized result is refused at once. *)
-let union a b = absorb (check_budget (a @ b))
+(* Every set is kept absorbed, so an empty or universal operand leaves
+   the other one as it is, cube for cube.  Otherwise the budget is
+   checked before the quadratic [absorb], so an oversized result is
+   refused at once. *)
+let union a b =
+  match (a, b) with
+  | [], s | s, [] -> s
+  | _ -> absorb (check_budget (a @ b))
+
+let is_free cube = Array.for_all (fun c -> c = 0) cube.c
 
 let inter a b =
-  absorb
-    (check_budget
-       (List.concat_map
-          (fun ca -> List.filter_map (fun cb -> cube_inter ca cb) b)
-          a))
+  match (a, b) with
+  | [ u ], s when is_free u -> s
+  | s, [ u ] when is_free u -> s
+  | _ ->
+      absorb
+        (check_budget
+           (List.concat_map
+              (fun ca -> List.filter_map (fun cb -> cube_inter ca cb) b)
+              a))
 
 (* a \ b, as a union of cubes: split a along b's extra care bits —
    flipping each in turn escapes b; the final fully-b-constrained

@@ -71,6 +71,9 @@ val of_preds : Ast.pred list -> t
     {!Newton_compiler.Ir.init_entry}'s match list; [[]] = match-all). *)
 val of_matches : (Field.t * int * int) list -> t
 
+(** Every result is absorbed (no cube lies inside another), so an
+    empty operand of [union] and a universal operand of [inter] hand
+    back the other operand itself, cube for cube. *)
 val inter : t -> t -> t
 val union : t -> t -> t
 

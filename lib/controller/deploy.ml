@@ -23,6 +23,7 @@ type mode = [ `Cqe | `Sole ]
 type deployment = {
   uid : int;
   compiled : Newton_compiler.Compose.t;
+  peer : Newton_analysis.Pass.peer; (* what later admissions read, built at install *)
   mode : mode;
   mutable placement : Placement.t option; (* None for `Sole; re-placed on failure *)
   stages_per_switch : int;
@@ -178,10 +179,11 @@ let place t ~mode ~stages_per_switch compiled =
            ~stages_per_switch ~topo:t.topo compiled)
 
 (* The admission gate: [analyse] runs the passes once, with the
-   placement of the compiled program as its target and the deployed set
-   as its peers.  Capacity is judged for the new query alone —
-   saturation by many co-resident queries still surfaces at install
-   time, where the rollback path handles it.  The verdict is counted on
+   placement of the compiled program as its target and the deployed
+   intents' peer records, built at their install, as its peers.
+   Capacity is judged for the new query alone — saturation by many
+   co-resident queries still surfaces at install time, where the
+   rollback path handles it.  The verdict is counted on
    the controller sink (stage="analysis" in the snapshot): a refusal
    once, an admission by its warnings. *)
 let gate t ~mode ~stages_per_switch analyse =
@@ -190,12 +192,7 @@ let gate t ~mode ~stages_per_switch analyse =
     placement := place t ~mode ~stages_per_switch compiled;
     Option.map target_of_placement !placement
   in
-  let deployed =
-    List.map
-      (fun d -> (d.compiled.Newton_compiler.Compose.query, d.compiled))
-      t.deployments
-  in
-  match analyse ~target ~deployed with
+  match analyse ~target ~peers:(List.map (fun d -> d.peer) t.deployments) with
   | Error diags ->
       Newton_telemetry.Stats.bump t.c_sink
         Newton_telemetry.Stats.Analysis_rejections 1;
@@ -213,16 +210,14 @@ let gate t ~mode ~stages_per_switch analyse =
 (** The gate for a query: one {!Newton_analysis.Check.admit} pass that
     compiles it, places the compiled program and analyses it. *)
 let admit t ~stages_per_switch query =
-  gate t ~mode:`Cqe ~stages_per_switch (fun ~target ~deployed ->
-      Newton_analysis.Check.admit ~target
-        ~peers:(List.map (fun (q, c) -> (q, Some c)) deployed)
-        query)
+  gate t ~mode:`Cqe ~stages_per_switch (fun ~target ~peers ->
+      Newton_analysis.Check.admit ~target ~peers query)
 
 (* The gate for a program already compiled. *)
 let gate_compiled t ~mode ~stages_per_switch compiled =
-  gate t ~mode ~stages_per_switch (fun ~target ~deployed ->
+  gate t ~mode ~stages_per_switch (fun ~target ~peers ->
       let diags =
-        Newton_analysis.Check.admission ?target:(target compiled) ~deployed
+        Newton_analysis.Check.admit_compiled ?target:(target compiled) ~peers
           compiled
       in
       if Newton_analysis.Diag.has_errors diags then Error diags
@@ -281,7 +276,11 @@ let install_deployment t a =
             ds)
         p.Placement.slices);
   t.deployments <-
-    { uid; compiled; mode = a.a_mode; placement = a.a_placement;
+    { uid; compiled;
+      peer =
+        Newton_analysis.Pass.peer compiled.Newton_compiler.Compose.query
+          (Some compiled);
+      mode = a.a_mode; placement = a.a_placement;
       stages_per_switch = a.a_stages_per_switch; installed_rules = !total_rules }
     :: t.deployments;
   let latency = List.fold_left max 0.0 !latencies in

@@ -12,6 +12,9 @@ type mode = [ `Cqe | `Sole ]
 type deployment = {
   uid : int;
   compiled : Newton_compiler.Compose.t;
+  peer : Newton_analysis.Pass.peer;
+      (** the intent as later admissions see it, its packet space
+          computed once, at install *)
   mode : mode;
   mutable placement : Placement.t option;
       (** [None] for sole-switch mode; re-placed on switch failure *)
@@ -84,7 +87,7 @@ val admit :
 val install : t -> admitted -> (int * float, Newton_analysis.Diag.t list) result
 
 (** Deploy a compiled query network-wide: the admission gate of
-    {!admit} on the compiled program ({!Newton_analysis.Check.admission}),
+    {!admit} on the compiled program ({!Newton_analysis.Check.admit_compiled}),
     then {!install}.  Refusals and capacity overflow come back as
     [Error diags]; never raises on admission or capacity. *)
 val deploy_checked :

@@ -186,6 +186,24 @@ let test_opt2_reduces_modules () =
         (o2.Compose.stats.Compose.modules < base.Compose.stats.Compose.modules_naive))
     (Catalog.all ())
 
+(* A map after the reporting R selects keys no later slot reads: Opt.3
+   drops its K instead of restoring it (the ttl filter's K holds the
+   other set, so the map's keys differ from that set's). *)
+let test_opt3_drops_unread_k () =
+  let q =
+    match
+      Parser.parse_result
+        "map(dip) | reduce(dip, count) | filter(ttl == 64) | filter(count > \
+         100) | map(dip)"
+    with
+    | Ok q -> q
+    | Error m -> Alcotest.fail m
+  in
+  let c = compile q in
+  checki "modules" 13 c.Compose.stats.Compose.modules;
+  checkb "the last map keeps no slot" false
+    (List.exists (fun s -> s.prim = 4 && is_active s) c.Compose.branches.(0))
+
 let test_opt3_reduces_stages () =
   List.iter
     (fun q ->
@@ -335,6 +353,7 @@ let suite =
     ("opt1 disabled keeps filters", `Quick, test_opt1_disabled_keeps_filters);
     ("opt2 reduces modules", `Quick, test_opt2_reduces_modules);
     ("opt3 reduces stages", `Quick, test_opt3_reduces_stages);
+    ("opt3 drops an unread K", `Quick, test_opt3_drops_unread_k);
     ("all queries fit tofino stages", `Quick, test_all_queries_fit_tofino_stages);
     ("paper reduction bounds", `Quick, test_paper_reduction_bounds);
     ("stage assignment invariants", `Quick, test_stage_assignment_invariants);

@@ -112,6 +112,22 @@ let prop_model_satisfies =
         | Some pkt -> preds_hold preds pkt
       with Space.Too_complex -> QCheck.assume_fail ())
 
+(* [union] and [inter] hand back the other operand when one side is
+   empty or universal: invisible only because every set is kept
+   absorbed, so absorbing it again would keep every cube, in order. *)
+let prop_identity_operands_keep_cubes =
+  QCheck.Test.make ~count:500
+    ~name:"union empty / inter universe keep the cube list"
+    (arb_preds 4) (fun preds ->
+      try
+        let s = Space.of_preds preds in
+        let same x = Space.to_string x = Space.to_string s in
+        same (Space.union Space.empty s)
+        && same (Space.union s Space.empty)
+        && same (Space.inter Space.universe s)
+        && same (Space.inter s Space.universe)
+      with Space.Too_complex -> QCheck.assume_fail ())
+
 let prop_subset_is_containment =
   QCheck.Test.make ~count:300 ~name:"subset decides containment"
     (QCheck.triple (arb_preds_narrow 2) (arb_preds_narrow 2) arb_packet)
@@ -906,6 +922,7 @@ let suite =
         prop_conjunction;
         prop_boolean_algebra;
         prop_model_satisfies;
+        prop_identity_operands_keep_cubes;
         prop_subset_is_containment;
         prop_subset_agrees_wide;
         prop_subset_agrees_narrow;
