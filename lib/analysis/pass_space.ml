@@ -171,9 +171,13 @@ let unsat_diags ~query =
 (* [inner] strictly inside [outer]: a packet of [outer] outside
    [inner], taken from the containment search itself (no difference is
    built); [None] when [inner] is not contained or the sets are
-   equal.  NA092 asks the same question of whole intents. *)
+   equal.  The same cube list is the same set, so it answers [None]
+   without either search (co-residents of one intent text, e.g. many
+   tenants' [filter(proto == udp)], all have one list).  NA092 asks the
+   same question of whole intents. *)
 let strict_witness ~inner ~outer =
-  if Space.subset inner outer then Space.witness_outside outer inner
+  if inner = outer then None
+  else if Space.subset inner outer then Space.witness_outside outer inner
   else None
 
 let subsumption_diags ~query =

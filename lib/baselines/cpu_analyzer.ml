@@ -47,7 +47,7 @@ let ingest t (g : Starflow.gpv) =
 (** Evaluate all queries over everything ingested so far. *)
 let results t =
   let packets = Array.of_list t.packets in
-  Array.sort (fun a b -> Float.compare (Packet.ts a) (Packet.ts b)) packets;
+  Array.sort Packet.compare_ts packets;
   List.concat_map
     (fun q -> Newton_query.Ref_eval.evaluate q packets)
     t.queries

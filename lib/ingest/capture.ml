@@ -118,10 +118,22 @@ let fold ?(stats = Stats.null) path f init =
           | Decode.Skipped _ -> ()));
       !acc)
 
+(* One pass into an array that doubles as it fills, trimmed once at
+   the end: at most three words per packet at the peak (the buffer and
+   its trimmed copy), and no list cell per packet. *)
 let load ?stats path =
-  let rev = fold ?stats path (fun acc p -> p :: acc) [] in
-  Gen.of_packets ~name:(Filename.basename path)
-    (Array.of_list (List.rev rev))
+  let buf = ref [||] and n = ref 0 in
+  fold ?stats path
+    (fun () p ->
+      if !n = Array.length !buf then begin
+        let grown = Array.make (Int.max 1024 (2 * !n)) p in
+        Array.blit !buf 0 grown 0 !n;
+        buf := grown
+      end;
+      !buf.(!n) <- p;
+      incr n)
+    ();
+  Gen.of_packets ~name:(Filename.basename path) (Array.sub !buf 0 !n)
 
 let with_source ?(stats = Stats.null) path f =
   with_file path (fun ic ->

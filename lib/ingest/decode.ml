@@ -65,9 +65,9 @@ let u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 let fold_ip6 b off =
   u32 b off lxor u32 b (off + 4) lxor u32 b (off + 8) lxor u32 b (off + 12)
 
-(* Where each field lands in a packet's field words, and its width
-   mask: {!Field.index} and {!Field.full_mask} written out as constants,
-   so a decoded field costs one masked store and no call.  The
+(* Where each field lands in a packet's block, and its width mask:
+   {!Field.index} and {!Field.full_mask} written out as constants, so a
+   decoded field costs one masked store and no call.  The
    decode∘encode tests compare every field, and test_ingest's width-mask
    test feeds the two masks wire values can exceed. *)
 let f_src_ip = 0 and m_src_ip = 0xFFFFFFFF
@@ -89,8 +89,18 @@ let f_icmp_type = 15 and m_icmp_type = 0xFF
 let f_icmp_code = 16 and m_icmp_code = 0xFF
 let f_tun_id = 17 and m_tun_id = 0xFFFFFF
 
-(* The fields array [w] always has [Field.count] slots. *)
-let[@inline] put (w : int array) i mask v = Array.unsafe_set w i (v land mask)
+(* The decoder writes the packet's block itself, in the layout
+   {!Packet.of_bytes} documents: the timestamp's bits at byte 0, field
+   [i] as a 32-bit cell at byte [8 + 4 i].  The primitives compile
+   inline, so a field costs one store, not a call into [Packet].  The
+   block [w] always has [Packet.size] bytes. *)
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] put (w : Bytes.t) i mask v =
+  set32 w (8 + (4 * i)) (Int32.of_int (v land mask))
+
+let[@inline] clear (w : Bytes.t) i = set32 w (8 + (4 * i)) 0l
 
 (* Internal control flow: parsing raises, [frame] catches.  Never
    escapes this module. *)
@@ -108,10 +118,10 @@ let max_ext_hops = 8
 
 (* The parsers below are top-level functions of the frame's bytes
    [data], the bound [lim] (one past the frame's last byte; every bound
-   is checked against it, never against the buffer's end) and the field
-   words [w].  As closures local to [frame_at] they would cost a closure
-   block per frame, more than the packet itself.  Offsets are absolute
-   in [data]. *)
+   is checked against it, never against the buffer's end) and the
+   packet's block [w].  As closures local to [frame_at] they would cost
+   a closure block per frame, more than the packet itself.  Offsets are
+   absolute in [data]. *)
 
 let[@inline] need lim off n = if off + n > lim then skipf Truncated
 
@@ -268,14 +278,14 @@ and parse_vxlan data lim w ~off =
   else begin
     put w f_tun_id m_tun_id (u32 data (off + 4) lsr 8);
     (* The outer UDP header must not leak into the inner flow. *)
-    Array.unsafe_set w f_src_port 0;
-    Array.unsafe_set w f_dst_port 0;
-    Array.unsafe_set w f_tcp_flags 0;
-    Array.unsafe_set w f_tcp_seq 0;
-    Array.unsafe_set w f_tcp_ack 0;
-    Array.unsafe_set w f_dns_qr 0;
-    Array.unsafe_set w f_dns_ancount 0;
-    Array.unsafe_set w f_payload_len 0;
+    clear w f_src_port;
+    clear w f_dst_port;
+    clear w f_tcp_flags;
+    clear w f_tcp_seq;
+    clear w f_tcp_ack;
+    clear w f_dns_qr;
+    clear w f_dns_ancount;
+    clear w f_payload_len;
     (* Inner Ethernet frame. *)
     need lim (off + 8) 14;
     let r = eth_walk data lim (off + 8 + 12) 0 in
@@ -292,16 +302,19 @@ let frame_at ~linktype ~ts data off len =
     let lim = off + len in
     match
       let r = eth_walk data lim (off + 12) 0 in
-      (* Allocated inline on the minor heap: a literal holding one
-         non-constant (the VID, in slot [f_ingress_port] = 13) is built
-         in place, where an all-constant one is a C call to copy. *)
-      let w =
-        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; walk_vid r land m_ingress_port; 0; 0; 0; 0 |]
-      in
+      (* The packet's one block: the timestamp, then every field zero
+         (eight bytes a store) before the VID and the parse fill some
+         in. *)
+      let w = Bytes.create Packet.size in
+      set64 w 0 (Int64.bits_of_float ts);
+      for k = 1 to (Packet.size / 8) - 1 do
+        set64 w (8 * k) 0L
+      done;
+      put w f_ingress_port m_ingress_port (walk_vid r);
       parse_l3 data lim w ~et:(walk_et r) ~off:(walk_off r) ~depth:0;
       w
     with
-    | w -> Decoded (Packet.of_array ~ts w)
+    | w -> Decoded (Packet.of_bytes w)
     | exception Skip s -> Skipped s
 
 let frame ?(linktype = Pcap.linktype_ethernet) ~ts data =

@@ -161,20 +161,22 @@ let run ?(depth = default_depth) ?(chunk = default_chunk) ?burst ?(pace = Asap)
         in
         t0_wall +. ((ts -. t0_ts) /. speedup)
   in
-  let prev_ts = ref nan in
+  (* The previously pulled packet, kept as the source's option: the
+     gap comes from one [Packet.gap] call, so no timestamp is boxed. *)
+  let prev = ref None in
   let dropped = ref 0 in
   let delivered = ref 0 in
   let chunks = ref 0 in
   let pull_one () =
     match pop src with
     | None -> ()
-    | Some p ->
-        let ts = Packet.ts p in
-        if not (Float.is_nan !prev_ts) then begin
-          let gap = ts -. !prev_ts in
-          Stats.observe_interarrival stats (if gap < 0.0 then 0.0 else gap)
-        end;
-        prev_ts := ts;
+    | Some p as cur ->
+        (match !prev with
+        | Some q ->
+            let gap = Packet.gap q p in
+            Stats.observe_interarrival stats (if gap < 0.0 then 0.0 else gap)
+        | None -> ());
+        prev := cur;
         if q.len < depth then ring_push q p
         else begin
           incr dropped;

@@ -1,24 +1,26 @@
 (** Flat packet arenas — the zero-copy hot-loop representation.
 
-    A {!Packet.t} is a record holding a boxed float and a pointer to a
-    14-word field array: replaying millions of packets through it means
-    two dereferences per field read and a cache-hostile heap layout.  An
-    arena stores the same data as two contiguous unboxed buffers:
+    A {!Packet.t} is one 80-byte block per packet (a timestamp and 32-bit
+    field cells), scattered over the heap wherever each packet was
+    allocated.  An arena stores a run of packets as two contiguous
+    unboxed buffers:
 
     - [fields] — packet-major words in a Bigarray ({!Packet.words}),
       [stride = Field.count] per packet, so packet [i]'s field [f]
       lives at [i * stride + Field.index f].  A Bigarray rather than an
-      [int array]: an [int array] is a scannable heap block, so a 2M×14
-      word arena would add ~30M words to every major-GC mark pass —
+      [int array]: an [int array] is a scannable heap block, so a 2M×18
+      word arena would add ~36M words to every major-GC mark pass —
       Bigarray storage is invisible to the GC.
     - [ts] — an unboxed [float array] of arrival times (flat already:
       float arrays are unscanned [Double_array_tag] blocks).
 
     Conversion happens once at the arena boundary ({!of_packets} /
-    {!to_packet}); the replay loop then touches only word/float loads
-    with no per-packet allocation.  The raw buffers are exposed
-    ({!field_words}, {!timestamps}) for the compiled executor — callers
-    other than the hot loop should stay on the indexed accessors. *)
+    {!to_packet}), one {!Packet.to_row} / {!Packet.of_row} call per
+    row, so no timestamp is boxed on the way; the replay loop then
+    touches only word/float loads with no per-packet allocation.  The
+    raw buffers are exposed ({!field_words}, {!timestamps}) for the
+    compiled executor — callers other than the hot loop should stay on
+    the indexed accessors. *)
 
 type t = {
   len : int;
@@ -55,8 +57,7 @@ let check_index t i op =
 (** Fill slot [i] from a packet (record→arena). *)
 let set_packet t i pkt =
   check_index t i "set_packet";
-  t.ts.(i) <- Packet.ts pkt;
-  Packet.blit_fields pkt t.fields (i * t.stride)
+  Packet.to_row pkt t.ts t.fields i
 
 (** Build an arena from a packet array, preserving order. *)
 let of_packets packets =
@@ -75,7 +76,7 @@ let ts t i =
 (** Rebuild slot [i] as a packet (arena→record). *)
 let to_packet t i =
   check_index t i "to_packet";
-  Packet.of_fields ~ts:t.ts.(i) t.fields (i * t.stride)
+  Packet.of_row t.ts t.fields i
 
 let to_packets t = Array.init t.len (to_packet t)
 

@@ -1,49 +1,74 @@
 (** Packet representation.
 
-    A packet is a timestamp plus a dense vector of global header-field
-    values (see {!Field}).  Values are stored as plain [int]s — every field
-    we model is at most 32 bits, which fits OCaml's 63-bit native int with
-    room to spare.  The dense-array layout keeps per-packet processing
-    allocation-free in the pipeline's hot loop. *)
+    A packet is one [Bytes.t] block of {!size} = 80 bytes, laid out like
+    the switch's PHV containers: bytes 0–7 hold the arrival timestamp's
+    IEEE 754 bits, and field [i] (in {!Field.index} order) is an
+    unsigned 32-bit cell at byte [8 + 4 i], both in native byte order.
+    Every field we model is at most 32 bits wide.  With its header the
+    block is 12 words (96 B), one allocation per packet.  Cells are read
+    and written with the [%caml_bytes_get32u]/[set32u] primitives, which
+    compile inline. *)
 
-type t = {
-  ts : float;          (** arrival time in seconds since trace start *)
-  fields : int array;  (** indexed by [Field.index] *)
-}
+type t = Bytes.t
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let num_fields = Field.count
+let size = 8 + (4 * num_fields)
 
-let create ?(ts = 0.0) () = { ts; fields = Array.make num_fields 0 }
+let[@inline] cell t i = Int32.to_int (get32 t (8 + (4 * i))) land 0xFFFF_FFFF
+let[@inline] set_cell t i v = set32 t (8 + (4 * i)) (Int32.of_int v)
+let[@inline] ts t = Int64.float_of_bits (get64 t 0)
+let[@inline] set_ts t ts = set64 t 0 (Int64.bits_of_float ts)
 
-let of_array ~ts fields =
-  if Array.length fields <> num_fields then invalid_arg "Packet.of_array: length";
-  { ts; fields }
+let create ?(ts = 0.0) () =
+  let t = Bytes.make size '\000' in
+  set_ts t ts;
+  t
 
-let get t f = t.fields.(Field.index f)
-let set t f v = t.fields.(Field.index f) <- v land Field.full_mask f
+let of_bytes b =
+  if Bytes.length b <> size then invalid_arg "Packet.of_bytes: length";
+  b
 
-let ts t = t.ts
-let with_ts t ts = { t with ts }
+let get t f = cell t (Field.index f)
+let set t f v = set_cell t (Field.index f) (v land Field.full_mask f)
 
-let copy t = { ts = t.ts; fields = Array.copy t.fields }
+let with_ts t ts =
+  let t = Bytes.copy t in
+  set_ts t ts;
+  t
 
-(* Flat-arena boundary: bulk moves between the record representation
-   and a packet-major word buffer (see {!Flat}).  The buffer is a
-   Bigarray so arena contents live outside the scanned OCaml heap —
-   a multi-million-packet arena adds nothing to major-GC mark work. *)
+let copy = Bytes.copy
+
+let compare_ts a b = Float.compare (ts a) (ts b)
+let gap prev cur = ts cur -. ts prev
+
+(* Flat-arena boundary: one row moves between a packet and an arena's
+   parallel timestamp and word buffers (see {!Flat}).  The word buffer
+   is a Bigarray so arena contents live outside the scanned OCaml heap
+   — a multi-million-packet arena adds nothing to major-GC mark work.
+   The timestamp crosses as raw bits into the unboxed float array, so a
+   row costs no allocation. *)
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let blit_fields t (dst : words) off =
+let to_row t (tss : float array) (dst : words) i =
+  Array.unsafe_set tss i (ts t);
+  let off = i * num_fields in
   for j = 0 to num_fields - 1 do
-    Bigarray.Array1.unsafe_set dst (off + j) (Array.unsafe_get t.fields j)
+    Bigarray.Array1.unsafe_set dst (off + j) (cell t j)
   done
 
-let of_fields ~ts (src : words) off =
-  let fields = Array.make num_fields 0 in
+let of_row (tss : float array) (src : words) i =
+  let t = Bytes.create size in
+  set_ts t (Array.unsafe_get tss i);
+  let off = i * num_fields in
   for j = 0 to num_fields - 1 do
-    Array.unsafe_set fields j (Bigarray.Array1.unsafe_get src (off + j))
+    set_cell t j (Bigarray.Array1.unsafe_get src (off + j))
   done;
-  { ts; fields }
+  t
 
 (** Construct a packet from common header values. Unset fields default
     to zero (as a parser would leave invalid headers). *)
@@ -96,7 +121,7 @@ let ip_of_string s =
 
 let to_string t =
   Printf.sprintf "[%.6f] %s:%d -> %s:%d proto=%d flags=0x%02x len=%d"
-    t.ts
+    (ts t)
     (ip_to_string (get t Src_ip)) (get t Src_port)
     (ip_to_string (get t Dst_ip)) (get t Dst_port)
     (get t Proto) (get t Tcp_flags) (get t Pkt_len)

@@ -1,6 +1,12 @@
 (** Packet representation: a timestamp plus a dense vector of global
-    header-field values (see {!Field}); allocation-free access in the
-    pipeline's hot loop. *)
+    header-field values (see {!Field}), held in one 80-byte block — the
+    timestamp's IEEE bits, then one unsigned 32-bit cell per field, as
+    the switch holds the header-field set in fixed-width PHV
+    containers.  Access allocates nothing in the pipeline's hot loop.
+
+    Structural equality ([=]) compares the block's bytes, so two packets
+    are equal when their fields are and their timestamps have the same
+    bits: [-0.0] and [0.0] differ, a NaN timestamp equals itself. *)
 
 type t
 
@@ -9,12 +15,17 @@ val num_fields : int
 (** An all-zero packet. *)
 val create : ?ts:float -> unit -> t
 
-(** [of_array ~ts fields] is a packet over [fields] itself, not a
-    copy: [fields] holds the {!num_fields} values in {!Field.index}
-    order, each within its field's width, and the caller gives the
-    array up.  The decoder builds its packets this way.
-    @raise Invalid_argument unless [fields] has {!num_fields} slots. *)
-val of_array : ts:float -> int array -> t
+(** Bytes in a packet's block: [8 + 4 * num_fields]. *)
+val size : int
+
+(** [of_bytes b] is the packet [b] holds, not a copy; the caller gives
+    [b] up.  Bytes 0–7 are the timestamp's IEEE 754 bits and field [i]
+    (in {!Field.index} order) is the unsigned 32-bit cell at byte
+    [8 + 4 i], both in native byte order (the layout
+    [Bytes.set_int64_ne]/[set_int32_ne] write); each value must be
+    within its field's width.  The decoder builds its packets this way.
+    @raise Invalid_argument unless [b] has {!size} bytes. *)
+val of_bytes : Bytes.t -> t
 
 val get : t -> Field.t -> int
 
@@ -29,21 +40,29 @@ val with_ts : t -> float -> t
 
 val copy : t -> t
 
+(** [Float.compare (ts a) (ts b)], without boxing either timestamp. *)
+val compare_ts : t -> t -> int
+
+(** [gap prev cur] is [ts cur -. ts prev]: one boxed float, not three. *)
+val gap : t -> t -> float
+
 (** A packet-major field-word buffer (the {!Flat} arena backing store).
     A Bigarray, not an [int array]: arena contents live outside the
     scanned OCaml heap, so multi-million-packet arenas add nothing to
     major-GC mark work. *)
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** [blit_fields p dst off] copies the packet's [num_fields] field words
-    into [dst] starting at [off] — the record→arena half of the {!Flat}
-    conversion boundary.  No bounds checks; the caller guarantees
-    [off + num_fields <= dim dst]. *)
-val blit_fields : t -> words -> int -> unit
+(** [to_row p tss words i] writes [p] as arena row [i]: its timestamp
+    to [tss.(i)] and its [num_fields] field words to [words] from
+    [i * num_fields] — the packet→arena half of the {!Flat} conversion
+    boundary, with no allocation.  No bounds checks; the caller
+    guarantees [i < Array.length tss] and
+    [(i + 1) * num_fields <= dim words]. *)
+val to_row : t -> float array -> words -> int -> unit
 
-(** [of_fields ~ts src off] rebuilds a packet from [num_fields] words of
-    [src] at [off] — the arena→record half.  No bounds checks. *)
-val of_fields : ts:float -> words -> int -> t
+(** [of_row tss words i] rebuilds arena row [i] as a packet — the
+    arena→packet half.  No bounds checks. *)
+val of_row : float array -> words -> int -> t
 
 (** Construct a packet from common header values; unset fields default
     to zero (length 64, TTL 64, IP version 4). *)

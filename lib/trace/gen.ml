@@ -173,7 +173,7 @@ let generate ?(attacks = []) ~seed (profile : Profile.t) =
     (fun a -> acc := List.rev_append (Attack.generate rng ~duration:profile.duration a) !acc)
     attacks;
   let packets = Array.of_list !acc in
-  Array.sort (fun a b -> Float.compare (Packet.ts a) (Packet.ts b)) packets;
+  Array.sort Packet.compare_ts packets;
   { packets; profile; attacks }
 
 (** Wrap a raw packet array (e.g. one loaded from disk) as a trace.

@@ -85,6 +85,48 @@ let test_packet_with_ts () =
   checkb "new ts" true (Packet.ts q = 2.0);
   checkb "old ts intact" true (Packet.ts p = 1.0)
 
+(* qcheck: the one-block packet round-trips every field value and every
+   timestamp bit pattern — fields all 0, all at their full mask or drawn
+   per field from {0, mask, random}; timestamps 0.0, -0.0, subnormals,
+   1e9 or random — through [set]/[get], [ts], [copy], [with_ts] and a
+   [Flat] arena ([of_packets] → [to_packets]).  Timestamps are compared
+   by their bits, so -0.0 must not come back as 0.0. *)
+let arb_block =
+  let open QCheck.Gen in
+  let ts =
+    oneof
+      [ oneofl [ 0.0; -0.0; 5e-324; 2.225073858507201e-308; 1e-310; 1e9; 1e9 +. 0.000123 ];
+        float_range 0.0 1e9 ]
+  in
+  let masks = List.map Field.full_mask Field.all in
+  let values =
+    oneof
+      [ return (List.map (fun _ -> 0) Field.all);
+        return masks;
+        flatten_l (List.map (fun m -> oneof [ return 0; return m; int_range 0 m ]) masks) ]
+  in
+  QCheck.make
+    ~print:(fun (ts, ts', vs) ->
+      Printf.sprintf "ts=%h ts'=%h [%s]" ts ts'
+        (String.concat "; " (List.map string_of_int vs)))
+    (triple ts ts values)
+
+let qcheck_block_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"packet block round trip (fields, ts bits, flat)"
+    arb_block (fun (ts, ts', vs) ->
+      let bits = Int64.bits_of_float in
+      let holds p ts =
+        bits (Packet.ts p) = bits ts
+        && List.for_all2 (fun f v -> Packet.get p f = v) Field.all vs
+      in
+      let p = Packet.create ~ts () in
+      List.iter2 (Packet.set p) Field.all vs;
+      let q = Packet.copy p in
+      let r = Packet.with_ts p ts' in
+      let back = Flat.to_packets (Flat.of_packets [| p; r |]) in
+      holds p ts && holds q ts && q = p && holds r ts' && holds back.(0) ts
+      && holds back.(1) ts' && back.(0) = p && back.(1) = r)
+
 let test_ip_string_roundtrip () =
   let ip = Packet.ip_of_string "10.200.0.1" in
   checks "roundtrip" "10.200.0.1" (Packet.ip_to_string ip);
@@ -219,4 +261,5 @@ let suite =
     ("sp decode rejects wrong size", `Quick, test_sp_decode_rejects_wrong_size);
     ("sp overhead ratio", `Quick, test_sp_overhead_ratio);
     QCheck_alcotest.to_alcotest qcheck_sp_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_block_roundtrip;
   ]

@@ -590,6 +590,23 @@ let test_na092_shadowed_intent () =
           checkb "witness misses the shadowed intent" false
             (query_admits narrow pkt))
 
+(* An identical co-resident has the same packet space: neither intent
+   is strictly inside the other, so neither gets NA092 (the same cube
+   list answers without a containment search). *)
+let test_na092_identical_resident () =
+  let udp id =
+    Ast.chain ~id ~name:(Printf.sprintf "udp_%d" id) ~description:""
+      (Ast.Filter [ Ast.field_is Field.Proto 17 ] :: tail [ dip ] 5)
+  in
+  let ds = Check.check_queries [ udp 956; udp 957 ] in
+  checkb "no NA092 between identical intents" false
+    (List.exists (fun d -> d.Diag.code = "NA092") ds);
+  let compiled q = Newton_compiler.Compose.compile q in
+  let peer = Pass.peer (udp 957) (Some (compiled (udp 957))) in
+  let ds = Check.admit_compiled ~peers:[ peer ] (compiled (udp 956)) in
+  checkb "no NA092 admitting beside an identical resident" false
+    (List.exists (fun d -> d.Diag.code = "NA092") ds)
+
 let test_na092_skips_unfiltered_peers () =
   (* An intent with no front filter matches everything; flagging every
      co-resident intent as shadowed by it would be noise. *)
@@ -905,6 +922,7 @@ let suite =
     ("NA091 subsumed branch + witness", `Quick, test_na091_subsumed_branch);
     ("NA092 shadowed intent + witness", `Quick, test_na092_shadowed_intent);
     ("NA092 skips unfiltered peers", `Quick, test_na092_skips_unfiltered_peers);
+    ("NA092 not raised by an identical resident", `Quick, test_na092_identical_resident);
     ("NA091/NA092 witness past the diff budget", `Quick,
      test_witness_without_difference);
     ("NA093 witness recirculates (p4sim)", `Quick,
