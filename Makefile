@@ -55,14 +55,15 @@ p4-diff:
 
 # Name-level scan of lib/**/*.mli: how many exported values no program
 # code (lib, bin, bench, perfbench, examples) names outside their own
-# module, how many optional labels no program code passes, and how many
-# of each no test names either.  Reports only;
+# module, how many optional labels no program code passes, how many
+# of each no test names either, and which lib/ modules no front-end
+# (lib, bin, perfbench, examples) names.  Reports only;
 # `python3 scripts/unused_vals.py --list` names them.
 unused-vals:
 	@python3 scripts/unused_vals.py
 
 # Exactly what .github/workflows/ci.yml runs: artifact-hygiene guard,
-# .mli interface guard, unused-export and unpassed-label guards, build,
+# .mli interface guard, unused-export, unpassed-label and module guards, build,
 # tests, static analysis, example smoke-runs.
 ci:
 	@test -z "$$(git ls-files _build)" || \
@@ -79,6 +80,10 @@ ci:
 	@scan=$$(python3 scripts/unused_vals.py); \
 	  case "$$scan" in *"passed by no program and no test: 0"*) ;; \
 	  *) echo "error: an optional label is passed by no program code and no test"; exit 1 ;; esac
+	@scan=$$(python3 scripts/unused_vals.py); \
+	  case "$$scan" in *"not allowed: 0"*) ;; \
+	  *) python3 scripts/unused_vals.py --list | grep ': module .*(not allowed)'; \
+	     echo "error: a lib/ module is named by no front-end and is not on ALLOWED"; exit 1 ;; esac
 	$(MAKE) build
 	$(MAKE) test
 	$(MAKE) check

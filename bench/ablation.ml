@@ -183,47 +183,8 @@ let ecmp_scatter () =
   note "count across switches (the paper evaluates CQE on a fixed chain; §7";
   note "acknowledges state dispersion under path changes)"
 
-(* ---------------- (e) scheduler capacity sweep ---------------- *)
-
-let scheduler_sweep () =
-  banner "Ablation (e): scheduler admission & allocation vs register pool";
-  let demands () =
-    List.concat_map
-      (fun q ->
-        [ Newton_controller.Scheduler.demand ~weight:4.0 q;
-          Newton_controller.Scheduler.demand ~weight:1.0 q ])
-      [ Newton_query.Catalog.q1 (); Newton_query.Catalog.q4 ();
-        Newton_query.Catalog.q5 () ]
-  in
-  let t =
-    T.create ~aligns:[ T.Right; T.Right; T.Right; T.Right; T.Right ]
-      [ "register pool"; "admitted"; "rejected"; "pool used";
-        "max regs/array" ]
-  in
-  List.iter
-    (fun pool ->
-      let plan = Newton_controller.Scheduler.plan ~register_pool:pool (demands ()) in
-      let max_regs =
-        List.fold_left
-          (fun acc (a : Newton_controller.Scheduler.assignment) ->
-            max acc a.Newton_controller.Scheduler.registers)
-          0 plan.Newton_controller.Scheduler.admitted
-      in
-      T.add_row t
-        [ string_of_int pool;
-          string_of_int (List.length plan.Newton_controller.Scheduler.admitted);
-          string_of_int (List.length plan.Newton_controller.Scheduler.rejected);
-          string_of_int plan.Newton_controller.Scheduler.pool_used;
-          string_of_int max_regs ])
-    [ 2_000; 8_000; 32_000; 128_000; 512_000 ];
-  T.print t;
-  maybe_dat t "ablation_scheduler";
-  note "admission saturates as the pool grows; the water-fill converts extra";
-  note "memory into wider sketches for the heavy queries up to their ceiling"
-
 let run () =
   layout_capacity ();
   depth_width ();
   register_churn ();
-  ecmp_scatter ();
-  scheduler_sweep ()
+  ecmp_scatter ()

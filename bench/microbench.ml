@@ -39,15 +39,6 @@ let make_tests () =
        (Staged.stage (fun () ->
             k := (!k + 1) land 0xFFFF;
             ignore (Newton_sketch.Count_min.add cm [| !k |] 1))));
-    (let tbl = Newton_dataplane.Table.create ~name:"bench" ~key_width:2 () in
-     let _ = List.init 64 (fun i ->
-         Newton_dataplane.Table.add tbl ~priority:i
-           ~matches:[| Newton_dataplane.Table.Exact i; Newton_dataplane.Table.Any |] i) in
-     let k = ref 0 in
-     Test.make ~name:"dataplane/table-lookup-64-rules"
-       (Staged.stage (fun () ->
-            k := (!k + 1) land 63;
-            ignore (Newton_dataplane.Table.lookup tbl [| !k; 0 |]))));
     (let sp = Newton_packet.Sp_header.make ~hash1:1 ~state1:2 ~hash2:3 ~state2:4 ~global:5 in
      Test.make ~name:"packet/sp-codec-roundtrip"
        (Staged.stage (fun () ->

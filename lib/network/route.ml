@@ -176,43 +176,3 @@ let switch_path ?(flow_hash = 0) t ~src_host ~dst_host =
   let buf = Array.make (Topo.num_nodes t.topo) 0 in
   let n = switch_path_into t ~flow_hash ~src_host ~dst_host buf in
   if n < 0 then None else Some (Array.to_list (Array.sub buf 0 n))
-
-(** All shortest paths between two nodes (used by resilience analysis;
-    exponential in theory, small in practice on our topologies). *)
-let all_shortest_paths t ~src ~dst =
-  let dist = distances t dst in
-  if dist.(src) = max_int then []
-  else
-    let rec extend node =
-      if node = dst then [ [ dst ] ]
-      else
-        List.concat_map
-          (fun v ->
-            if dist.(v) = dist.(node) - 1 then
-              List.map (fun p -> node :: p) (extend v)
-            else [])
-          (usable_neighbors t node)
-    in
-    extend src
-
-(** All simple paths from [src] to [dst] of length at most [max_hops]
-    switches — the "all the possible paths" of Algorithm 2's coverage
-    guarantee. *)
-let all_paths_bounded t ~src ~dst ~max_hops =
-  if is_node_failed t src || is_node_failed t dst then []
-  else
-  let rec go node visited len =
-    if node = dst then [ [ dst ] ]
-    else if len >= max_hops then []
-    else
-      List.concat_map
-        (fun v ->
-          if List.mem v visited then []
-          else List.map (fun p -> node :: p) (go v (v :: visited) (len + 1)))
-        (usable_neighbors t node)
-  in
-  go src [ src ] 0
-
-(** Hop count between two hosts under current failures. *)
-let hop_count ?flow_hash t ~src_host ~dst_host =
-  Option.map List.length (switch_path ?flow_hash t ~src_host ~dst_host)

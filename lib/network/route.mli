@@ -53,11 +53,3 @@ val switch_path :
 val switch_path_into :
   t -> flow_hash:int -> src_host:int -> dst_host:int -> int array -> int
 
-(** All equal-cost shortest paths between two nodes. *)
-val all_shortest_paths : t -> src:int -> dst:int -> int list list
-
-(** All simple paths of at most [max_hops] links. *)
-val all_paths_bounded : t -> src:int -> dst:int -> max_hops:int -> int list list
-
-(** Number of switches on the host-to-host path. *)
-val hop_count : ?flow_hash:int -> t -> src_host:int -> dst_host:int -> int option

@@ -34,12 +34,9 @@ let all =
 
 let count = List.length all
 
-let index = function
-  | Src_ip -> 0 | Dst_ip -> 1 | Proto -> 2 | Src_port -> 3 | Dst_port -> 4
-  | Tcp_flags -> 5 | Tcp_seq -> 6 | Tcp_ack -> 7 | Pkt_len -> 8
-  | Payload_len -> 9 | Ttl -> 10 | Dns_qr -> 11 | Dns_ancount -> 12
-  | Ingress_port -> 13 | Ip_ver -> 14 | Icmp_type -> 15 | Icmp_code -> 16
-  | Tun_id -> 17
+(* Constant constructors are the ints 0, 1, ... in declaration order,
+   so the index is the value itself and a call site compiles to nothing. *)
+external index : t -> int = "%identity"
 
 let of_index = function
   | 0 -> Src_ip | 1 -> Dst_ip | 2 -> Proto | 3 -> Src_port | 4 -> Dst_port

@@ -26,8 +26,10 @@ val all : t list
 
 val count : int
 
-(** Dense index in [0, count). *)
-val index : t -> int
+(** Dense index in [0, count): the constructor's position in the
+    declaration above, which is its runtime value.  A primitive, so a
+    caller compiles it to no call even across [-opaque] modules. *)
+external index : t -> int = "%identity"
 
 (** @raise Invalid_argument outside [0, count). *)
 val of_index : int -> t

@@ -11,6 +11,13 @@ implementation.  Name collisions make both unused counts lower bounds.
 The scan also counts the unused values and labels that no test under
 test/ names either.
 
+A module lib/<dir>/<name>.ml counts as used when its name (capitalised)
+appears, as a whole identifier outside comments, in some .ml file under
+lib/, bin/, perfbench/ or examples/ other than its own implementation.
+bench/ and test/ do not count: a module only they name is a model no
+front-end runs, and must be on ALLOWED below with the reason it stays.
+A submodule of the same name elsewhere hides a dead module.
+
 Run from the repository root: python3 scripts/unused_vals.py [--list]
 It reports and never fails; the last line is the value count.
 """
@@ -20,6 +27,17 @@ import re
 import sys
 
 PROGRAM_DIRS = ["lib", "bin", "bench", "perfbench", "examples"]
+FRONT_END_DIRS = ["lib", "bin", "perfbench", "examples"]
+# lib/ modules that no front-end names but that stay, with the reason.
+ALLOWED = {
+    "Flowradar": "fig12/13 baseline",
+    "Scream": "fig12/13 baseline",
+    "Turboflow": "fig12/13 baseline",
+    "Sonata_cost": "fig15/16 cost model",
+    "Register_alloc": "ablation (c); the allocator of ROADMAP item 12",
+    "Tablefmt": "bench table printer",
+    "Cpu_analyzer": "*Flow's GPV analyzer, test_cpu_analyzer's reference",
+}
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # Where a val's type ends: the next signature item.
@@ -90,8 +108,26 @@ def main():
                     unpassed.append(f"{mli}: {name} ?{label}")
                     if label not in test_labels:
                         unpassed_untested += 1
+    front_end = {
+        p: set(IDENT.findall(strip_comments(s)))
+        for p, s in sources.items()
+        if p.split(os.sep)[0] in FRONT_END_DIRS
+    }
+    modules, dead = 0, []
+    for ml in sorted(files("lib", ".ml")):
+        modules += 1
+        name = os.path.basename(ml)[:-3].capitalize()
+        if not any(name in ids for p, ids in front_end.items() if p != ml):
+            dead.append((ml, name))
+    unlisted = sum(1 for _, name in dead if name not in ALLOWED)
     if "--list" in sys.argv[1:]:
         print("\n".join(unused + unpassed))
+        for ml, name in dead:
+            print(f"{ml}: module {name} ({ALLOWED.get(name, 'not allowed')})")
+    print(
+        f"modules: {modules}  named by no front-end: {len(dead)}  "
+        f"not allowed: {unlisted}"
+    )
     print(
         f"optional labels: {labels}  passed by no program: {len(unpassed)}  "
         f"passed by no program and no test: {unpassed_untested}"

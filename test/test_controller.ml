@@ -298,24 +298,17 @@ let test_layout_placed_at_creation () =
 let test_deploy_plan () =
   let topo = Topo.linear 2 in
   let ctl = Deploy.create topo in
-  let plan =
-    Scheduler.plan ~register_pool:60_000
-      [ Scheduler.demand ~weight:4.0 (Newton_query.Catalog.q1 ());
-        Scheduler.demand (Newton_query.Catalog.q4 ()) ]
-  in
-  (* a plan deploys one assignment at a time, each compiled with its
-     assigned register budget *)
+  (* deploy one query at a time, each compiled with its own
+     non-default register width *)
   let uids =
     List.map
-      (fun (a : Scheduler.assignment) ->
+      (fun (registers, q) ->
         let options =
           { Newton_compiler.Decompose.default_options with
-            Newton_compiler.Decompose.registers = a.Scheduler.registers }
+            Newton_compiler.Decompose.registers }
         in
-        fst
-          (Deploy.deploy ctl
-             (Newton_compiler.Compose.compile ~options a.Scheduler.a_query)))
-      plan.Scheduler.admitted
+        fst (Deploy.deploy ctl (Newton_compiler.Compose.compile ~options q)))
+      [ (8192, Newton_query.Catalog.q1 ()); (8192, Newton_query.Catalog.q4 ()) ]
   in
   checki "two deployments" 2 (List.length uids);
   (* run traffic and both fire *)

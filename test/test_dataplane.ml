@@ -62,77 +62,6 @@ let test_primitive_cost_monotone_in_suites () =
   let three = Module_cost.primitive_cost ~suites:3 in
   checkf "3x suites = 3x cost" (one.Resource.crossbar *. 3.0) three.Resource.crossbar
 
-(* ---------------- Table ---------------- *)
-
-let test_table_exact_match () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Exact 5 |] "hit" in
-  Alcotest.(check (option string)) "exact hit" (Some "hit") (Table.lookup t [| 5 |]);
-  Alcotest.(check (option string)) "exact miss" None (Table.lookup t [| 6 |])
-
-let test_table_ternary_match () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let _ =
-    Table.add t ~priority:1 ~matches:[| Table.Ternary { value = 0x12; mask = 0xF0 } |] "hi"
-  in
-  Alcotest.(check (option string)) "matches masked bits" (Some "hi") (Table.lookup t [| 0x1F |]);
-  Alcotest.(check (option string)) "mismatch" None (Table.lookup t [| 0x2F |])
-
-let test_table_range_match () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Range { lo = 10; hi = 20 } |] "in" in
-  Alcotest.(check (option string)) "inside" (Some "in") (Table.lookup t [| 15 |]);
-  Alcotest.(check (option string)) "boundary lo" (Some "in") (Table.lookup t [| 10 |]);
-  Alcotest.(check (option string)) "boundary hi" (Some "in") (Table.lookup t [| 20 |]);
-  Alcotest.(check (option string)) "outside" None (Table.lookup t [| 21 |])
-
-let test_table_any_match () =
-  let t = Table.create ~name:"t" ~key_width:2 () in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Any; Table.Exact 1 |] "x" in
-  Alcotest.(check (option string)) "wildcard first key" (Some "x") (Table.lookup t [| 999; 1 |])
-
-let test_table_priority_order () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Any |] "low" in
-  let _ = Table.add t ~priority:10 ~matches:[| Table.Exact 5 |] "high" in
-  Alcotest.(check (option string)) "higher priority wins" (Some "high") (Table.lookup t [| 5 |]);
-  Alcotest.(check (option string)) "fallback" (Some "low") (Table.lookup t [| 7 |])
-
-let test_table_remove () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let id = Table.add t ~priority:1 ~matches:[| Table.Exact 1 |] "a" in
-  checkb "removed" true (Table.remove t id);
-  checkb "second removal fails" false (Table.remove t id);
-  Alcotest.(check (option string)) "gone" None (Table.lookup t [| 1 |])
-
-let test_table_capacity () =
-  let t = Table.create ~capacity:2 ~name:"t" ~key_width:1 () in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Exact 1 |] "a" in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Exact 2 |] "b" in
-  Alcotest.check_raises "table full" (Table.Table_full "t") (fun () ->
-      ignore (Table.add t ~priority:1 ~matches:[| Table.Exact 3 |] "c"))
-
-let test_table_key_width_validation () =
-  let t = Table.create ~name:"t" ~key_width:2 () in
-  checkb "add rejects wrong arity" true
-    (try
-       ignore (Table.add t ~priority:1 ~matches:[| Table.Any |] "x");
-       false
-     with Invalid_argument _ -> true);
-  checkb "lookup rejects wrong arity" true
-    (try
-       ignore (Table.lookup t [| 1 |]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_table_counters () =
-  let t = Table.create ~name:"t" ~key_width:1 () in
-  let _ = Table.add t ~priority:1 ~matches:[| Table.Exact 1 |] "a" in
-  ignore (Table.lookup t [| 1 |]);
-  ignore (Table.lookup t [| 2 |]);
-  checki "lookups" 2 (Table.lookups t);
-  checki "hits" 1 (Table.hits t)
-
 (* ---------------- Stage ---------------- *)
 
 let test_stage_place_unplace () =
@@ -211,15 +140,6 @@ let suite =
     ("state bank scales with registers", `Quick, test_state_bank_scales_with_registers);
     ("amortized module cost", `Quick, test_amortized);
     ("primitive cost monotone", `Quick, test_primitive_cost_monotone_in_suites);
-    ("table exact match", `Quick, test_table_exact_match);
-    ("table ternary match", `Quick, test_table_ternary_match);
-    ("table range match", `Quick, test_table_range_match);
-    ("table any match", `Quick, test_table_any_match);
-    ("table priority order", `Quick, test_table_priority_order);
-    ("table remove", `Quick, test_table_remove);
-    ("table capacity", `Quick, test_table_capacity);
-    ("table key width validation", `Quick, test_table_key_width_validation);
-    ("table counters", `Quick, test_table_counters);
     ("stage place/unplace", `Quick, test_stage_place_unplace);
     ("stage overflow", `Quick, test_stage_overflow);
     ("switch structure", `Quick, test_switch_structure);

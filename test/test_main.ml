@@ -27,7 +27,6 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("controller", Test_controller.suite);
       ("partial_deploy", Test_partial_deploy.suite);
-      ("scheduler", Test_scheduler.suite);
       ("baselines", Test_baselines.suite);
       ("cpu_analyzer", Test_cpu_analyzer.suite);
       ("core", Test_core.suite);

@@ -71,13 +71,6 @@ let test_shortest_path_linear () =
   | Some path -> Alcotest.(check (list int)) "traverses the chain" [ 0; 1; 2 ] path
   | None -> Alcotest.fail "disconnected"
 
-let test_hop_count () =
-  let t = Topo.linear 4 in
-  let r = Route.create t in
-  let h0 = Topo.num_switches t and h1 = Topo.num_switches t + 1 in
-  Alcotest.(check (option int)) "4 switch hops" (Some 4)
-    (Route.hop_count r ~src_host:h0 ~dst_host:h1)
-
 let test_path_same_node () =
   let t = Topo.linear 2 in
   let r = Route.create t in
@@ -131,21 +124,6 @@ let test_failure_reroutes_fat_tree () =
     | _ -> false
   in
   checkb "avoids failed link" false (has_link after)
-
-let test_all_shortest_paths () =
-  let t = Topo.fat_tree 4 in
-  let r = Route.create t in
-  (* Two edge switches in the same pod have (k/2) 2-hop paths via agg. *)
-  let e1 = 4 + 8 and e2 = 4 + 8 + 1 in
-  let paths = Route.all_shortest_paths r ~src:e1 ~dst:e2 in
-  checki "k/2 equal-cost paths" 2 (List.length paths)
-
-let test_all_paths_bounded () =
-  let t = Topo.linear 3 in
-  let r = Route.create t in
-  let paths = Route.all_paths_bounded r ~src:0 ~dst:2 ~max_hops:5 in
-  checki "single simple path on a chain" 1 (List.length paths);
-  checki "no path within 1 hop" 0 (List.length (Route.all_paths_bounded r ~src:0 ~dst:2 ~max_hops:1))
 
 let test_distances () =
   let t = Topo.linear 4 in
@@ -331,14 +309,11 @@ let suite =
     ("edge switches", `Quick, test_edge_switches);
     ("build rejects bad edge", `Quick, test_build_rejects_bad_edge);
     ("shortest path linear", `Quick, test_shortest_path_linear);
-    ("hop count", `Quick, test_hop_count);
     ("path same node", `Quick, test_path_same_node);
     ("ecmp spreads flows", `Quick, test_ecmp_spreads_flows);
     ("failure disconnects chain", `Quick, test_failure_reroutes);
     ("failure reroutes fat tree", `Quick, test_failure_reroutes_fat_tree);
-    ("all shortest paths", `Quick, test_all_shortest_paths);
     ("switch path = switches of shortest path", `Quick, test_switch_path_is_shortest_switches);
-    ("all paths bounded", `Quick, test_all_paths_bounded);
     ("distances", `Quick, test_distances);
     ("failed links listing", `Quick, test_failed_links_listing);
     ("waxman connected", `Quick, test_waxman_connected);

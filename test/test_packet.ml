@@ -17,6 +17,11 @@ let test_field_indices_unique () =
   let idxs = List.map Field.index Field.all in
   checki "unique indices" (List.length idxs) (List.length (List.sort_uniq compare idxs))
 
+(* [Field.index] is the constructor's runtime value, so this pins
+   [Field.all] to the declaration order. *)
+let test_field_index_is_position () =
+  List.iteri (fun i f -> checki (Field.to_string f) i (Field.index f)) Field.all
+
 let test_field_count () = checki "count matches all" (List.length Field.all) Field.count
 
 let test_field_string_roundtrip () =
@@ -235,6 +240,7 @@ let suite =
   [
     ("field index roundtrip", `Quick, test_field_index_roundtrip);
     ("field indices unique", `Quick, test_field_indices_unique);
+    ("field index is position in all", `Quick, test_field_index_is_position);
     ("field count", `Quick, test_field_count);
     ("field string roundtrip", `Quick, test_field_string_roundtrip);
     ("field of_string rejects", `Quick, test_field_of_string_rejects);
