@@ -723,10 +723,12 @@ let cmd_chaos =
             close_out oc;
             Printf.eprintf "chaos diff written to %s\n" path
         | None -> print_endline (Chaos.to_json_string res));
-        if strict && unexpl > 0 then begin
+        if strict && res.Chaos.silent <> [] then
+          Printf.eprintf "chaos: no baseline report for %s: the diff is vacuous\n"
+            (String.concat ", " (List.map (Printf.sprintf "Q%d") res.Chaos.silent));
+        if strict && unexpl > 0 then
           Printf.eprintf "chaos: %d unexplained report diffs\n" unexpl;
-          exit 1
-        end
+        if strict && (unexpl > 0 || res.Chaos.silent <> []) then exit 1
   in
   let all_queries_arg =
     let doc = "Comma-separated query ids (default: the full catalog)." in
@@ -762,7 +764,8 @@ let cmd_chaos =
   let strict_arg =
     Arg.(value & flag
          & info [ "strict" ]
-             ~doc:"Exit non-zero if any report diff is unexplained.")
+             ~doc:"Exit non-zero if any report diff is unexplained, or if \
+                   a query made no report in the failure-free run.")
   in
   let output_arg =
     Arg.(value & opt (some string) None

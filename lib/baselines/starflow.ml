@@ -8,50 +8,28 @@
     fully dynamic but pushes per-packet data off the switch — the
     paper's example: 8 CPU cores to keep up with one 640 Gbps switch.
 
-    An optional [on_gpv] sink receives each exported vector; the
-    {!Cpu_analyzer} consumes that stream to answer the same queries
-    Newton answers on the data plane. *)
+    Fig. 12/13 compare only the export volume, so the model counts the
+    GPV messages and keeps no features: a cache line holds its flow key
+    and how many packets it has buffered. *)
 
 open Newton_packet
 
-(** One packet's features inside a GPV. *)
-type feature = {
-  f_ts : float;
-  f_len : int;
-  f_payload : int;
-  f_flags : int;
-}
-
-(** A grouped packet vector: flow key + buffered per-packet features. *)
-type gpv = { g_key : Fivetuple.t; g_features : feature list (** newest first *) }
-
-type slot = { key : Fivetuple.t; mutable buffered : feature list; mutable n : int }
+type slot = { key : Fivetuple.t; mutable n : int }
 
 type t = {
   cache : slot option array;
   gpv_len : int; (** packet features per GPV message *)
-  on_gpv : gpv -> unit;
   mutable messages : int;
   mutable packets : int;
 }
 
-let create ?(cache_size = 4096) ?(gpv_len = 4) ?(on_gpv = fun _ -> ()) () =
-  { cache = Array.make cache_size None; gpv_len; on_gpv; messages = 0; packets = 0 }
+let create ?(cache_size = 4096) ?(gpv_len = 4) () =
+  { cache = Array.make cache_size None; gpv_len; messages = 0; packets = 0 }
 
 let messages t = t.messages
 let packets t = t.packets
 
-let feature_of pkt =
-  {
-    f_ts = Packet.ts pkt;
-    f_len = Packet.get pkt Field.Pkt_len;
-    f_payload = Packet.get pkt Field.Payload_len;
-    f_flags = Packet.get pkt Field.Tcp_flags;
-  }
-
-let ship t key features =
-  t.messages <- t.messages + 1;
-  t.on_gpv { g_key = key; g_features = features }
+let ship t = t.messages <- t.messages + 1
 
 let process t pkt =
   t.packets <- t.packets + 1;
@@ -59,22 +37,16 @@ let process t pkt =
   let idx = Fivetuple.hash key mod Array.length t.cache in
   match t.cache.(idx) with
   | Some s when Fivetuple.equal s.key key ->
-      s.buffered <- feature_of pkt :: s.buffered;
       s.n <- s.n + 1;
       if s.n >= t.gpv_len then begin
-        ship t s.key s.buffered;
-        s.buffered <- [];
+        ship t;
         s.n <- 0
       end
   | Some s ->
       (* Eviction ships the partial GPV. *)
-      if s.n > 0 then ship t s.key s.buffered;
-      t.cache.(idx) <- Some { key; buffered = [ feature_of pkt ]; n = 1 }
-  | None -> t.cache.(idx) <- Some { key; buffered = [ feature_of pkt ]; n = 1 }
+      if s.n > 0 then ship t;
+      t.cache.(idx) <- Some { key; n = 1 }
+  | None -> t.cache.(idx) <- Some { key; n = 1 }
 
 let finish t =
-  Array.iter
-    (function
-      | Some s when s.n > 0 -> ship t s.key s.buffered
-      | _ -> ())
-    t.cache
+  Array.iter (function Some s when s.n > 0 -> ship t | _ -> ()) t.cache

@@ -25,12 +25,19 @@ type result = {
   matched : int;           (** identities present in both runs *)
   diffs : diff list;
   recoveries : Deploy.recovery list;  (** chaos run's recovery events *)
+  silent : int list;
+      (** queries with no failure-free report, outside an in-code
+          allow-list (each entry with its reason): their diff compares
+          two empty sides, so [--strict] fails on any *)
 }
 
 val unexplained : result -> diff list
 
-(** Deploy [queries], replay the trace twice (with and without the
-    event schedule) and diff the reconciled reports by identity. *)
+(** Admit and install [queries] as the daemon does ({!Deploy.admit},
+    {!Deploy.install}), replay the trace twice (with and without the
+    event schedule) and diff the reconciled reports by identity.
+    @raise Deploy.Rejected when a query is refused or overflows a
+    module cell. *)
 val run :
   ?stages_per_switch:int ->
   topo:Topo.t ->

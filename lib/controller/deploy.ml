@@ -60,7 +60,6 @@ type t = {
   touched : int array; (* per switch: the last packet number it ran a slice of *)
   path : int array; (* the current packet's switch path *)
   ctx : Ctx.t; (* the current packet's context, reset per deployment *)
-  row : Newton_packet.Flat.t; (* the current packet, written once for every slice *)
   mutable software_packet : int; (* the last packet number the analyzer continued *)
 }
 
@@ -109,7 +108,6 @@ let create topo =
     touched = Array.make n 0;
     path = Array.make (Topo.num_nodes topo) 0;
     ctx = Ctx.create ();
-    row = Newton_packet.Flat.create 1;
     software_packet = 0;
   }
 
@@ -370,7 +368,7 @@ let undeploy t uid =
    forwarding path: it lazily instantiates the tail (slices
    [next_slice..M] as one stage range) and resumes from the exported
    execution status. *)
-let software_continue t dep ~next_slice =
+let software_continue t dep row ~next_slice =
   match dep.placement with
   | None -> ()
   | Some p ->
@@ -383,43 +381,43 @@ let software_continue t dep ~next_slice =
             ignore (Engine.install t.software ~uid ~stage_lo:lo dep.compiled);
             Option.get (Engine.find_instance t.software uid)
       in
-      Engine.begin_packet t.software t.row;
+      Engine.begin_packet t.software row;
       Engine.count_continuation t.software;
       t.software_packet <- t.packets;
-      Engine.process_slice t.software inst ~ctx:t.ctx t.row
+      Engine.process_slice t.software inst ~ctx:t.ctx row
 
 (* ---------------- packet processing ----------------
 
    One packet's walk over the deployments and its switch path
    ([t.path], [n] switches), written as top-level recursions over
    explicit parameters so that nothing is allocated per packet.  As a
-   switch parses a packet once for every slice it hosts, the packet is
-   written once into [t.row] and every slice runs on that row; counter
-   events wait in each engine's tally until the walk ends. *)
+   switch parses a packet once for every slice it hosts, every slice
+   reads the caller's packet where it lies, as the one-row arena [row];
+   counter events wait in each engine's tally until the walk ends. *)
 
 (* A switch's first slice of a packet counts the packet, classifies it
    and rolls its engine's windows; doing so again for the same packet
    would change nothing. *)
-let touch t s engine =
+let touch t s engine row =
   if t.touched.(s) <> t.packets then begin
     t.touched.(s) <- t.packets;
     Engine.record_packet_seen engine;
-    Engine.begin_packet engine t.row
+    Engine.begin_packet engine row
   end
 
 (* Sole: the full query, instance [uid], on a fresh context at every
    path hop from index [i]. *)
-let rec run_sole t uid n i =
+let rec run_sole t row uid n i =
   if i < n then begin
     let s = t.path.(i) in
     let engine = t.engines.(s) in
     (match Engine.find_instance engine uid with
     | Some inst ->
-        touch t s engine;
+        touch t s engine row;
         Ctx.reset t.ctx;
-        Engine.process_slice engine inst ~ctx:t.ctx t.row
+        Engine.process_slice engine inst ~ctx:t.ctx row
     | None -> ());
-    run_sole t uid n (i + 1)
+    run_sole t row uid n (i + 1)
   end
 
 (* CQE: run slice [d + 1] of [dep]'s [m] at the next hop from path index
@@ -428,19 +426,19 @@ let rec run_sole t uid n i =
    the path index of the last enabled hop ([-2] before the first), and
    a legacy switch in between loses the snapshot.  Returns the depth
    reached. *)
-let rec run_cqe t dep m n i d prev =
+let rec run_cqe t dep row m n i d prev =
   let ctx = t.ctx in
   if i >= n || ctx.Ctx.stopped || d >= m then d
   else
     let s = t.path.(i) in
-    if not t.enabled.(s) then run_cqe t dep m n (i + 1) d prev
+    if not t.enabled.(s) then run_cqe t dep row m n (i + 1) d prev
     else begin
       let d = d + 1 in
       let engine = t.engines.(s) in
       Engine.count_cqe_hop engine;
       (match Engine.find_instance engine (slice_uid dep.uid d) with
       | Some inst ->
-          touch t s engine;
+          touch t s engine row;
           if d > 1 then begin
             if i = prev + 1 then begin
               (* SP header between adjacent Newton hops. *)
@@ -452,34 +450,34 @@ let rec run_cqe t dep m n i d prev =
               (* snapshot lost crossing a legacy switch *)
               Ctx.reset ctx
           end;
-          Engine.process_slice engine inst ~ctx t.row
+          Engine.process_slice engine inst ~ctx row
       | None ->
           (* Placement gap (should not happen under Algorithm 2): defer
              to the analyzer. *)
           t.software_status_msgs <- t.software_status_msgs + 1);
-      run_cqe t dep m n (i + 1) d i
+      run_cqe t dep row m n (i + 1) d i
     end
 
-let rec run_deps t n = function
+let rec run_deps t row n = function
   | [] -> ()
   | dep :: rest ->
       (match dep.mode with
-      | `Sole -> run_sole t (slice_uid dep.uid 1) n 0
+      | `Sole -> run_sole t row (slice_uid dep.uid 1) n 0
       | `Cqe ->
           let m =
             match dep.placement with Some p -> p.Placement.num_slices | None -> 1
           in
           Ctx.reset t.ctx;
-          let d = run_cqe t dep m n 0 0 (-2) in
+          let d = run_cqe t dep row m n 0 0 (-2) in
           (* Query longer than the (enabled part of the) path: the last
              switch exports the execution status and the analyzer
              continues executing the remaining slices in software
              (§5.2). *)
           if m > d && d > 0 && not t.ctx.Ctx.stopped then begin
             t.software_status_msgs <- t.software_status_msgs + 1;
-            software_continue t dep ~next_slice:(d + 1)
+            software_continue t dep row ~next_slice:(d + 1)
           end);
-      run_deps t n rest
+      run_deps t row n rest
 
 (* Fold the packet's tallies into the sinks of the switches on path
    indices [i, n); a switch the packet did not reach has nothing to
@@ -503,8 +501,7 @@ let process_packet t ~src_host ~dst_host pkt =
   let flow_hash = Newton_packet.Fivetuple.hash_packet pkt in
   let n = Route.switch_path_into t.route ~flow_hash ~src_host ~dst_host t.path in
   if n > 0 then begin
-    Newton_packet.Flat.set_packet t.row 0 pkt;
-    run_deps t n t.deployments;
+    run_deps t (Newton_packet.Flat.of_packet pkt) n t.deployments;
     flush_path t n 0;
     if t.software_packet = t.packets then Engine.flush t.software
   end

@@ -113,9 +113,10 @@ val undeploy : t -> int -> float option
     deployments run fully at every enabled hop; a query longer than the
     path defers to the analyzer.  A switch counts the packet
     ({!Newton_runtime.Engine.packets_seen}) and rolls its windows once,
-    at the first slice it runs of it.  The packet is copied once, into
-    a row every slice reads, and each engine it reached folds its
-    counters into its sink once, before this returns. *)
+    at the first slice it runs of it.  Every slice reads the packet
+    where it lies (never copied, never written), and each engine it
+    reached folds its counters into its sink once, before this
+    returns. *)
 val process_packet : t -> src_host:int -> dst_host:int -> Newton_packet.Packet.t -> unit
 
 (** All reports so far: data plane network-wide plus the analyzer's

@@ -1,9 +1,20 @@
-(** Flat packet arenas — contiguous packet-major field words plus an
-    unboxed timestamp array; the hot-loop representation of a packet
-    stream.  Conversion to/from {!Packet.t} happens only at the arena
-    boundary; replay then runs allocation-free over the raw buffers. *)
+(** Flat packet arenas — the hot-loop representation of a packet
+    stream: one [Bytes.t] of {!Packet.size}-byte rows, each laid out
+    exactly as a {!Packet.t}'s block, so a packet is a one-row arena
+    ({!of_packet}) and the compiled step reads every packet where it
+    lies. *)
 
 type t
+
+(** [p] as a one-row arena: the same block, not a copy, at no cost (no
+    allocation, no call).  The arena reads [p]'s fields and timestamp
+    as they are, so it changes whenever [p] does. *)
+external of_packet : Packet.t -> t = "%identity"
+
+(** The arena's bytes: row [i] starts at byte [i * Packet.size], its
+    timestamp bits there and field [f]'s cell at [Packet.offset f]
+    after.  Hot-loop access only — other callers should use {!get}. *)
+external rows : t -> Bytes.t = "%identity"
 
 (** An all-zero arena of [len] packets.
     @raise Invalid_argument on a negative length. *)
@@ -11,20 +22,7 @@ val create : int -> t
 
 val length : t -> int
 
-(** Words per packet ([= Packet.num_fields]). *)
-val stride : t -> int
-
-(** The raw packet-major word buffer (a {!Packet.words} Bigarray, off
-    the scanned OCaml heap): packet [i]'s field [f] is at
-    [i * stride t + Field.index f].  Hot-loop access only — other
-    callers should use {!get}. *)
-val field_words : t -> Packet.words
-
-(** The raw timestamp buffer, parallel to the packet index.  Hot-loop
-    access only. *)
-val timestamps : t -> float array
-
-(** Fill slot [i] from a packet (record→arena).
+(** Copy a packet's block into row [i].
     @raise Invalid_argument when [i] is out of range. *)
 val set_packet : t -> int -> Packet.t -> unit
 
@@ -37,11 +35,11 @@ val get : t -> int -> Field.t -> int
 (** @raise Invalid_argument when the index is out of range. *)
 val ts : t -> int -> float
 
-(** Rebuild slot [i] as a packet (arena→record).
+(** A copy of row [i] as a packet.
     @raise Invalid_argument when [i] is out of range. *)
 val to_packet : t -> int -> Packet.t
 
 val to_packets : t -> Packet.t array
 
-(** Heap footprint of the arena buffers in bytes. *)
+(** Footprint of the arena's rows in bytes. *)
 val bytes : t -> int

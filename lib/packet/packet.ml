@@ -16,8 +16,7 @@ external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let num_fields = Field.count
-let size = 8 + (4 * num_fields)
+let size = 8 + (4 * Field.count)
 
 let[@inline] cell t i = Int32.to_int (get32 t (8 + (4 * i))) land 0xFFFF_FFFF
 let[@inline] set_cell t i v = set32 t (8 + (4 * i)) (Int32.of_int v)
@@ -33,6 +32,7 @@ let of_bytes b =
   if Bytes.length b <> size then invalid_arg "Packet.of_bytes: length";
   b
 
+let offset f = 8 + (4 * Field.index f)
 let get t f = cell t (Field.index f)
 let set t f v = set_cell t (Field.index f) (v land Field.full_mask f)
 
@@ -45,30 +45,6 @@ let copy = Bytes.copy
 
 let compare_ts a b = Float.compare (ts a) (ts b)
 let gap prev cur = ts cur -. ts prev
-
-(* Flat-arena boundary: one row moves between a packet and an arena's
-   parallel timestamp and word buffers (see {!Flat}).  The word buffer
-   is a Bigarray so arena contents live outside the scanned OCaml heap
-   — a multi-million-packet arena adds nothing to major-GC mark work.
-   The timestamp crosses as raw bits into the unboxed float array, so a
-   row costs no allocation. *)
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let to_row t (tss : float array) (dst : words) i =
-  Array.unsafe_set tss i (ts t);
-  let off = i * num_fields in
-  for j = 0 to num_fields - 1 do
-    Bigarray.Array1.unsafe_set dst (off + j) (cell t j)
-  done
-
-let of_row (tss : float array) (src : words) i =
-  let t = Bytes.create size in
-  set_ts t (Array.unsafe_get tss i);
-  let off = i * num_fields in
-  for j = 0 to num_fields - 1 do
-    set_cell t j (Bigarray.Array1.unsafe_get src (off + j))
-  done;
-  t
 
 (** Construct a packet from common header values. Unset fields default
     to zero (as a parser would leave invalid headers). *)

@@ -10,12 +10,10 @@
 
 type t
 
-val num_fields : int
-
 (** An all-zero packet. *)
 val create : ?ts:float -> unit -> t
 
-(** Bytes in a packet's block: [8 + 4 * num_fields]. *)
+(** Bytes in a packet's block: [8 + 4 * Field.count]. *)
 val size : int
 
 (** [of_bytes b] is the packet [b] holds, not a copy; the caller gives
@@ -26,6 +24,11 @@ val size : int
     within its field's width.  The decoder builds its packets this way.
     @raise Invalid_argument unless [b] has {!size} bytes. *)
 val of_bytes : Bytes.t -> t
+
+(** [offset f] is the byte offset of field [f]'s cell in a packet's
+    block, [8 + 4 * Field.index f] — and in every {!Flat} arena row,
+    which shares the layout; the timestamp's bits are bytes 0–7. *)
+val offset : Field.t -> int
 
 val get : t -> Field.t -> int
 
@@ -45,24 +48,6 @@ val compare_ts : t -> t -> int
 
 (** [gap prev cur] is [ts cur -. ts prev]: one boxed float, not three. *)
 val gap : t -> t -> float
-
-(** A packet-major field-word buffer (the {!Flat} arena backing store).
-    A Bigarray, not an [int array]: arena contents live outside the
-    scanned OCaml heap, so multi-million-packet arenas add nothing to
-    major-GC mark work. *)
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(** [to_row p tss words i] writes [p] as arena row [i]: its timestamp
-    to [tss.(i)] and its [num_fields] field words to [words] from
-    [i * num_fields] — the packet→arena half of the {!Flat} conversion
-    boundary, with no allocation.  No bounds checks; the caller
-    guarantees [i < Array.length tss] and
-    [(i + 1) * num_fields <= dim words]. *)
-val to_row : t -> float array -> words -> int -> unit
-
-(** [of_row tss words i] rebuilds arena row [i] as a packet — the
-    arena→packet half.  No bounds checks. *)
-val of_row : float array -> words -> int -> t
 
 (** Construct a packet from common header values; unset fields default
     to zero (length 64, TTL 64, IP version 4). *)

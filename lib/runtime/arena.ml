@@ -2,8 +2,8 @@
 
     Partitions a packet stream into one contiguous {!Flat} arena per
     shard {e before} replay starts: a counting pass sizes every arena
-    exactly, a fill pass writes each packet's words straight into its
-    shard's buffer in stream order.  The shard function runs once per
+    exactly, a fill pass copies each packet's 80-byte block into the
+    next row of its shard's arena, in stream order.  The shard function runs once per
     packet here, at build time — the replay hot loop never dispatches
     again.  Within a shard, arena order is stream order (the
     order-preservation guarantee the differential tests rely on), and

@@ -39,8 +39,8 @@ end)
 
 (* ---------------- compiled slots ----------------
 
-   [install] compiles each hosted IR slot once: key fields become dense
-   indices into a packet's field words with a reusable projection
+   [install] compiles each hosted IR slot once: key fields become byte
+   offsets of their cells in a packet's row with a reusable projection
    buffer, register arrays become direct references, constant ALUs are
    prebuilt, and each branch's newton_init entry becomes a need-mask
    over the engine classifier's atoms.  Every entry point below runs
@@ -73,8 +73,8 @@ type spart =
   | S_or1 of { arr : Register_array.t }  (* Bloom bit, one-bit cells: Alu.Or 1 *)
   | S_add of { arr : Register_array.t; k : int }         (* Alu.Add k *)
   | S_max of { arr : Register_array.t; k : int }         (* Alu.Max k *)
-  | S_add_field of { arr : Register_array.t; fidx : int }
-  | S_max_field of { arr : Register_array.t; fidx : int }
+  | S_add_field of { arr : Register_array.t; off : int }  (* the field's cell *)
+  | S_max_field of { arr : Register_array.t; off : int }
   | S_read of { arr : Register_array.t }     (* word cells *)
   | S_read_bit of { arr : Register_array.t } (* a Bloom bank's one-bit cells *)
   | S_read_remote  (* the read array is not hosted here: reads 0 *)
@@ -89,7 +89,7 @@ type rpart = {
 
 type cslot =
   | C_key of {
-      ck_fidx : int array;   (* dense field indices *)
+      ck_off : int array;    (* the key fields' cell offsets *)
       ck_masks : int array;
       ck_buf : int array;    (* reused projection buffer *)
     }
@@ -99,7 +99,7 @@ type cslot =
   | C_suite of { meta : int; h : hpart; s : spart; r : rpart }
 
 type cbranch = {
-  cb_atoms : (int * int * int) list;  (* newton_init entry: (field index, mask, value) *)
+  cb_atoms : (int * int * int) list;  (* newton_init entry: (cell offset, mask, value) *)
   (* the words of the classifier bitset [cb_atoms] must all hit, set by
      [index_instances] *)
   mutable cb_need : int array;
@@ -161,11 +161,11 @@ type t = {
   mutable window_lens : float array;
   mutable window_now : int array;
   (* The newton_init classifier, rebuilt by [index_instances]: the
-     distinct (field index, mask, value) atoms of every hosted branch's
+     distinct (cell offset, mask, value) atoms of every hosted branch's
      entry, and per packet the bitset of atoms that hold, atom [a] at
      bit [a mod atoms_per_word] of word [a / atoms_per_word].  A branch
      matches when every bit of its [cb_need] is set. *)
-  mutable atom_fidx : int array;
+  mutable atom_off : int array;
   mutable atom_mask : int array;
   mutable atom_value : int array;
   mutable atom_hits : int array;
@@ -194,7 +194,6 @@ type t = {
   mutable report_count : int;
   mutable packets_seen : int;
   mutable next_uid : int;
-  one : Flat.t; (* 1-slot arena the device-level packet driver runs from *)
 }
 
 (** Raised when a module table cannot accept another query's rule; the
@@ -217,7 +216,7 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     instances = [];
     window_lens = [||];
     window_now = [||];
-    atom_fidx = [||];
+    atom_off = [||];
     atom_mask = [||];
     atom_value = [||];
     atom_hits = [| 0 |];
@@ -232,7 +231,6 @@ let create ?(sink = Stats.create ()) ~switch_id () =
     report_count = 0;
     packets_seen = 0;
     next_uid = 1;
-    one = Flat.create 1;
   }
 
 let switch_id t = t.switch_id
@@ -300,9 +298,9 @@ let state_part arrays (s : Ir.slot) op =
   | Ir.S_pass -> S_pass
   | Ir.S_bf -> S_or1 { arr = own_array () }  (* [install] gives it one-bit cells *)
   | Ir.S_cm (Ir.Const k) -> S_add { arr = own_array (); k }
-  | Ir.S_cm (Ir.Field_val f) -> S_add_field { arr = own_array (); fidx = Field.index f }
+  | Ir.S_cm (Ir.Field_val f) -> S_add_field { arr = own_array (); off = Packet.offset f }
   | Ir.S_max (Ir.Const k) -> S_max { arr = own_array (); k }
-  | Ir.S_max (Ir.Field_val f) -> S_max_field { arr = own_array (); fidx = Field.index f }
+  | Ir.S_max (Ir.Field_val f) -> S_max_field { arr = own_array (); off = Packet.offset f }
   | Ir.S_read { ar_branch; ar_prim; ar_suite } -> (
       (* Reads the sibling branch's array when hosted locally; a remote
          array (CQE slicing) reads as 0 — the state-dispersion
@@ -322,11 +320,11 @@ let compile_slot arrays ~key_buf (s : Ir.slot) =
   let meta = s.Ir.meta in
   match s.Ir.cfg with
   | Ir.K_cfg keys ->
-      let fidx =
-        Array.of_list (List.map (fun (k : Ast.key) -> Field.index k.Ast.field) keys)
+      let off =
+        Array.of_list (List.map (fun (k : Ast.key) -> Packet.offset k.Ast.field) keys)
       in
       let masks = Array.of_list (List.map (fun (k : Ast.key) -> k.Ast.mask) keys) in
-      C_key { ck_fidx = fidx; ck_masks = masks; ck_buf = Array.make (Array.length fidx) 0 }
+      C_key { ck_off = off; ck_masks = masks; ck_buf = Array.make (Array.length off) 0 }
   | Ir.H_cfg { mode; range } -> C_hash { meta; h = hash_part ~key_buf mode range }
   | Ir.S_cfg { op; _ } -> C_state { meta; s = state_part arrays s op }
   | Ir.R_cfg r -> C_result { meta; r = result_part ~key_buf r }
@@ -362,7 +360,7 @@ let compile_branch arrays (entry : Ir.init_entry) slots =
         c :: compile rest
   in
   {
-    cb_atoms = List.map (fun (f, v, m) -> (Field.index f, m, v)) entry.Ir.ie_matches;
+    cb_atoms = List.map (fun (f, v, m) -> (Packet.offset f, m, v)) entry.Ir.ie_matches;
     cb_need = [||];
     cb_slots = Array.of_list (compile slots);
   }
@@ -422,7 +420,7 @@ let index_classifier t =
   in
   let atoms = Array.of_list (List.rev !atoms) in
   let nwords = max 1 ((!n + atoms_per_word - 1) / atoms_per_word) in
-  t.atom_fidx <- Array.map (fun (f, _, _) -> f) atoms;
+  t.atom_off <- Array.map (fun (off, _, _) -> off) atoms;
   t.atom_mask <- Array.map (fun (_, m, _) -> m) atoms;
   t.atom_value <- Array.map (fun (_, _, v) -> v) atoms;
   t.atom_hits <- Array.make nwords 0;
@@ -742,27 +740,35 @@ let rec roll_windows t = function
         Stats.bump t.sink Stats.Window_rolls 1;
       roll_windows t rest
 
+(* A packet's row is read in place (the layout of packet.ml): the
+   unsigned 32-bit cell at byte [off], and the timestamp from the row's
+   first 8 bytes.  The cell read compiles inline; the timestamp crosses
+   through a direct noalloc call, so it is never boxed. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let[@inline] cell rows off = Int32.to_int (get32 rows off) land 0xFFFF_FFFF
+let[@inline] row_ts rows base = Int64.float_of_bits (get64 rows base)
+
 (* newton_init, once per packet: set [atom_hits] to the atoms that the
-   packet at [base] in [words] satisfies, and [window_now] to its window
-   under every distinct window length.  The timestamp is read from
-   [tss.(i)] here, so it is never boxed. *)
-let classify t (words : Packet.words) base (tss : float array) i =
-  let fidx = t.atom_fidx and mask = t.atom_mask and value = t.atom_value in
-  let hits = t.atom_hits and na = Array.length t.atom_fidx in
+   row at byte [base] of [rows] satisfies, and [window_now] to its
+   window under every distinct window length. *)
+let classify t rows base =
+  let aoff = t.atom_off and mask = t.atom_mask and value = t.atom_value in
+  let hits = t.atom_hits and na = Array.length t.atom_off in
   for w = 0 to Array.length hits - 1 do
     let lo = w * atoms_per_word in
     let hi = if lo + atoms_per_word < na then lo + atoms_per_word else na in
     let acc = ref 0 in
     for a = lo to hi - 1 do
       if
-        Bigarray.Array1.unsafe_get words (base + Array.unsafe_get fidx a)
-        land Array.unsafe_get mask a
+        cell rows (base + Array.unsafe_get aoff a) land Array.unsafe_get mask a
         = Array.unsafe_get value a
       then acc := !acc lor (1 lsl (a - lo))
     done;
     Array.unsafe_set hits w !acc
   done;
-  let ts = Array.unsafe_get tss i in
+  let ts = row_ts rows base in
   let lens = t.window_lens and ws = t.window_now in
   for k = 0 to Array.length lens - 1 do
     Array.unsafe_set ws k (int_of_float (ts /. Array.unsafe_get lens k))
@@ -772,7 +778,7 @@ let classify t (words : Packet.words) base (tss : float array) i =
    instance of the engine.  Window lengths are per-instance
    ([query.window]); there is no per-call override. *)
 let begin_packet t row =
-  classify t (Flat.field_words row) 0 (Flat.timestamps row) 0;
+  classify t (Flat.rows row) 0;
   roll_windows t t.instances
 
 (* ---------------- state migration ---------------- *)
@@ -821,8 +827,10 @@ let absorb_state ~op_of ~src ~dst =
 (* ---------------- packet processing ---------------- *)
 
 (* A report slot passed: dedup on its bound [keys] within the window
-   [w] the instance is in, then the mirror budget, then export. *)
-let emit t inst (c : Ctx.t) keys w ts =
+   [w] the instance is in, then the mirror budget, then export.  The
+   packet's row is at byte [base] of [rows]; only an export reads its
+   timestamp. *)
+let emit t inst (c : Ctx.t) keys w rows base =
   let tl = t.tally in
   if Keys_tbl.mem inst.reported keys then tl.deduped <- tl.deduped + 1
   else begin
@@ -862,7 +870,8 @@ let emit t inst (c : Ctx.t) keys w ts =
         :: t.reports;
       t.report_count <- t.report_count + 1;
       tl.emitted <- tl.emitted + 1;
-      Stats.observe_report_latency t.sink (ts -. (float_of_int w *. q.Ast.window))
+      Stats.observe_report_latency t.sink
+        (row_ts rows base -. (float_of_int w *. q.Ast.window))
     end
   end
 
@@ -917,7 +926,7 @@ let[@inline] alu_max fn (arr : Register_array.t) idx v =
   r
 
 (* The state result of bank [s] indexed by the hash result [idx]. *)
-let[@inline] state_value s (words : Packet.words) base idx =
+let[@inline] state_value s rows base idx =
   match s with
   | S_pass -> idx
   | S_or1 { arr } ->
@@ -930,10 +939,8 @@ let[@inline] state_value s (words : Packet.words) base idx =
       (byte lsr bit) land 1
   | S_add { arr; k } -> alu_add "exec" arr idx k
   | S_max { arr; k } -> alu_max "exec" arr idx k
-  | S_add_field { arr; fidx } ->
-      alu_add "add" arr idx (Bigarray.Array1.unsafe_get words (base + fidx))
-  | S_max_field { arr; fidx } ->
-      alu_max "max" arr idx (Bigarray.Array1.unsafe_get words (base + fidx))
+  | S_add_field { arr; off } -> alu_add "add" arr idx (cell rows (base + off))
+  | S_max_field { arr; off } -> alu_max "max" arr idx (cell rows (base + off))
   | S_read { arr } ->
       if idx < 0 || idx >= arr.Register_array.size then read_error arr idx
       else load_cell arr.Register_array.regs idx
@@ -954,7 +961,7 @@ let[@inline] cmp_holds op (a : int) (b : int) =
 
 (* R: merge the state result into an accumulator, combine, then guard
    (a failed guard stops the packet) or report. *)
-let[@inline] run_result t inst (c : Ctx.t) meta r w ts =
+let[@inline] run_result t inst (c : Ctx.t) meta r w rows base =
   (match r.r_merge with
   | Some (Ir.G1, op) -> c.Ctx.g1 <- merge_value op c.Ctx.g1 c.Ctx.state.(meta)
   | Some (Ir.G2, op) -> c.Ctx.g2 <- merge_value op c.Ctx.g2 c.Ctx.state.(meta)
@@ -978,7 +985,7 @@ let[@inline] run_result t inst (c : Ctx.t) meta r w ts =
     c.Ctx.stopped <- true;
     t.tally.guard_stops <- t.tally.guard_stops + 1
   end
-  else if r.r_report then emit t inst c r.r_keys w ts
+  else if r.r_report then emit t inst c r.r_keys w rows base
 
 (* [Ctx.reset], in-module. *)
 let[@inline] reset_ctx (c : Ctx.t) =
@@ -1004,20 +1011,16 @@ let[@inline] needs_met (hits : int array) (need : int array) off nwords =
   done;
   !k = nwords
 
-(* The one slot executor: run the packet whose field words start at
-   [base] in [words], with timestamp [tss.(i)], through [inst]'s compiled
-   branches; [classify] has run on the packet.  The first matching
-   branch rolls the instance's window.
+(* The one slot executor: run the packet whose row starts at byte [base]
+   of [rows] through [inst]'s compiled branches, reading the row in
+   place and writing nothing to it; [classify] has run on the packet.
+   The first matching branch rolls the instance's window.
    Branch 0 runs on [ctx0] — scratch reset on first use when [fresh],
    otherwise the caller's context used as is (CQE may have restored it
    from an SP header); a guard stop there ends the packet for this
    instance.  Other branches process disjoint traffic and start fresh.
-   Counter events accumulate in [t.tally].  [words] keeps its type
-   annotation: a polymorphic Bigarray read would compile to a C call
-   instead of a load.  The timestamp is read from the arena's float
-   array here rather than passed in, so it is never boxed. *)
-let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
-  let ts = Array.unsafe_get tss i in
+   Counter events accumulate in [t.tally]. *)
+let step t inst ~fresh ctx0 rows base =
   let tl = t.tally in
   let hits = t.atom_hits in
   let nwords = Array.length hits in
@@ -1041,11 +1044,11 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
         let si = ref 0 in
         while (not c.Ctx.stopped) && !si < nslots do
           (match Array.unsafe_get cb.cb_slots !si with
-          | C_key { ck_fidx; ck_masks; ck_buf } ->
+          | C_key { ck_off; ck_masks; ck_buf } ->
               tl.hits_k <- tl.hits_k + 1;
-              for j = 0 to Array.length ck_fidx - 1 do
+              for j = 0 to Array.length ck_off - 1 do
                 Array.unsafe_set ck_buf j
-                  (Bigarray.Array1.unsafe_get words (base + Array.unsafe_get ck_fidx j)
+                  (cell rows (base + Array.unsafe_get ck_off j)
                   land Array.unsafe_get ck_masks j)
               done
           | C_suite { meta; h; s; r } ->
@@ -1054,17 +1057,17 @@ let step t inst ~fresh ctx0 (words : Packet.words) base (tss : float array) i =
               tl.hits_r <- tl.hits_r + 1;
               let hv = hash_value h in
               c.Ctx.hash.(meta) <- hv;
-              c.Ctx.state.(meta) <- state_value s words base hv;
-              run_result t inst c meta r !window ts
+              c.Ctx.state.(meta) <- state_value s rows base hv;
+              run_result t inst c meta r !window rows base
           | C_hash { meta; h } ->
               tl.hits_h <- tl.hits_h + 1;
               c.Ctx.hash.(meta) <- hash_value h
           | C_state { meta; s } ->
               tl.hits_s <- tl.hits_s + 1;
-              c.Ctx.state.(meta) <- state_value s words base c.Ctx.hash.(meta)
+              c.Ctx.state.(meta) <- state_value s rows base c.Ctx.hash.(meta)
           | C_result { meta; r } ->
               tl.hits_r <- tl.hits_r + 1;
-              run_result t inst c meta r !window ts);
+              run_result t inst c meta r !window rows base);
           incr si
         done;
         if !b = 0 then stopped0 := c.Ctx.stopped
@@ -1114,21 +1117,19 @@ let flush t =
 let process_flat t flat =
   let n = Flat.length flat in
   if n > 0 then begin
-    let words = Flat.field_words flat in
-    let tss = Flat.timestamps flat in
-    let stride = Flat.stride flat in
+    let rows = Flat.rows flat in
     let hits = t.atom_hits in
     let nwords = Array.length hits in
     let need = t.first_need and insts = t.first_inst and next = t.first_next in
     let nfirst = Array.length insts in
     for i = 0 to n - 1 do
-      let base = i * stride in
-      classify t words base tss i;
+      let base = i * Packet.size in
+      classify t rows base;
       let j = ref 0 in
       while !j < nfirst do
         if needs_met hits need (!j * nwords) nwords then begin
           let inst = Array.unsafe_get insts !j in
-          step t inst ~fresh:true inst.ctx0 words base tss i;
+          step t inst ~fresh:true inst.ctx0 rows base;
           j := Array.unsafe_get next !j
         end
         else incr j
@@ -1139,18 +1140,15 @@ let process_flat t flat =
     flush t
   end
 
-(** Process one packet through every device-level instance. *)
-let process_packet t pkt =
-  Flat.set_packet t.one 0 pkt;
-  process_flat t t.one
+(** Process one packet through every device-level instance, where it
+    lies: the packet is a one-row arena. *)
+let process_packet t pkt = process_flat t (Flat.of_packet pkt)
 
 (** Run the first packet of [row] through one instance, resuming from
     [ctx] (fresh or SP-restored); [ctx.stopped] is set if a guard
-    stopped the packet.  [begin_packet] has classified the row.  Every
-    arena holds room for one packet, so the read is in bounds.  Counter
+    stopped the packet.  [begin_packet] has classified the row.  Counter
     events stay in the tally until [flush]. *)
-let process_slice t inst ~ctx row =
-  step t inst ~fresh:false ctx (Flat.field_words row) 0 (Flat.timestamps row) 0
+let process_slice t inst ~ctx row = step t inst ~fresh:false ctx (Flat.rows row) 0
 
 (** Drain collected reports (e.g. per measurement interval). *)
 let drain_reports t =

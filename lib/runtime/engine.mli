@@ -12,21 +12,21 @@
     index once per distinct window length.  A branch then matches when
     its need-mask's bits are all set.
 
-    {!install} compiles each instance once into a flat program: dense
-    field indices, direct register-array references (a Bloom bank's in
-    one-bit cells), one state-bank slot kind per ALU, and each H/R slot
-    bound to the key buffer of the K slot in effect at its chain
-    position; a power-of-two hash range reduces with a mask.  An H, S
-    and R of one suite that follow each other in the hosted chain
-    compile to one slot; a suite a CQE cut splits keeps one slot per
-    module.  One step runs that program over a packet's field words,
-    executing the ALUs on the register cells, the guards and the
-    context resets itself; {!process_flat}, {!process_packet} and
+    {!install} compiles each instance once into a flat program: field
+    cell offsets ({!Packet.offset}), direct register-array references
+    (a Bloom bank's in one-bit cells), one state-bank slot kind per ALU,
+    and each H/R slot bound to the key buffer of the K slot in effect at
+    its chain position; a power-of-two hash range reduces with a mask.
+    An H, S and R of one suite that follow each other in the hosted
+    chain compile to one slot; a suite a CQE cut splits keeps one slot
+    per module.  One step runs that program over a packet's row, read in
+    place and never written, executing the ALUs on the register cells,
+    the guards and the context resets itself; {!process_flat}, {!process_packet} and
     {!process_slice} are drivers of this one compiled step, so they
     share report dedup, the mirror budget and window rolls.  The first
     two fold counter telemetry into the sink once per call; the CQE
-    path executor runs {!process_slice} on a packet row it writes once
-    per packet and calls {!flush} once per packet for each engine the
+    path executor runs {!process_slice} on the caller's packet as a
+    one-row arena and calls {!flush} once per packet for each engine the
     packet reached.
 
     Both {!t} and {!instance} are abstract: every observable — budgets,
@@ -134,7 +134,7 @@ val init_table_size : t -> int
 val cell_usage :
   t -> ((int * Newton_dataplane.Module_cost.kind * int) * int) list
 
-(** Start the first packet of a row on this engine, for the path
+(** Start the first packet of [row] on this engine, for the path
     executors: classify it and roll every instance whose window boundary
     its timestamp crossed.  Each instance uses its own query's window
     length — deliberately no per-call window parameter; the timestamp
@@ -163,8 +163,8 @@ val absorb_state :
     the first packet of [row] through one instance, resuming from [ctx]
     (fresh, or SP-restored under CQE), which serves as the branch-0
     context without being reset; [ctx.stopped] is set when a guard ended
-    the packet.  Neither copies the packet nor touches the sink: counter
-    events wait in the engine's tally for {!flush}.  Does not count the
+    the packet.  Neither copies nor writes the packet, nor touches the
+    sink: counter events wait in the engine's tally for {!flush}.  Does not count the
     packet in {!packets_seen}; callers account path hops with
     {!record_packet_seen}, and classify the packet and roll windows
     with {!begin_packet} first. *)
@@ -177,13 +177,14 @@ val flush : t -> unit
 
 (** Device-level driver of the compiled step: run one packet through
     every instance whose [newton_init] entry it matches (first-slice
-    instances only), rolling each matched instance's window. *)
+    instances only), rolling each matched instance's window.  The
+    packet is read where it lies, as a one-row arena: never copied,
+    never written. *)
 val process_packet : t -> Packet.t -> unit
 
 (** Arena driver of the compiled step: exactly {!process_packet} over
     every packet of the arena in order (same reports, same register
-    state, same counter totals), read straight from the arena's
-    buffers. *)
+    state, same counter totals), each read in place from its row. *)
 val process_flat : t -> Flat.t -> unit
 
 (** Return and clear the collected reports. *)

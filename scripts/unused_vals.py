@@ -11,12 +11,16 @@ implementation.  Name collisions make both unused counts lower bounds.
 The scan also counts the unused values and labels that no test under
 test/ names either.
 
-A module lib/<dir>/<name>.ml counts as used when its name (capitalised)
-appears, as a whole identifier outside comments, in some .ml file under
-lib/, bin/, perfbench/ or examples/ other than its own implementation.
-bench/ and test/ do not count: a module only they name is a model no
-front-end runs, and must be on ALLOWED below with the reason it stays.
-A submodule of the same name elsewhere hides a dead module.
+A module lib/<dir>/<name>.ml counts as used when some .ml file under
+lib/, bin/, perfbench/ or examples/ other than its own implementation
+names it (capitalised) in code: comments, string literals and character
+literals are skipped.  A name qualified by another module counts only
+when that module is a library wrapper (`Newton_dataplane.Table` names
+Table, `Fivetuple.Table` does not), and an unqualified name does not
+count in a file that defines a submodule of that name, except as the
+target of a module alias (`module Reactive = Reactive`).  bench/ and
+test/ do not count: a module only they name is a model no front-end
+runs, and must be on ALLOWED below with the reason it stays.
 
 Run from the repository root: python3 scripts/unused_vals.py [--list]
 It reports and never fails; the last line is the value count.
@@ -32,11 +36,11 @@ FRONT_END_DIRS = ["lib", "bin", "perfbench", "examples"]
 ALLOWED = {
     "Flowradar": "fig12/13 baseline",
     "Scream": "fig12/13 baseline",
+    "Starflow": "fig12/13 baseline",
     "Turboflow": "fig12/13 baseline",
     "Sonata_cost": "fig15/16 cost model",
     "Register_alloc": "ablation (c); the allocator of ROADMAP item 12",
     "Tablefmt": "bench table printer",
-    "Cpu_analyzer": "*Flow's GPV analyzer, test_cpu_analyzer's reference",
 }
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
@@ -75,6 +79,72 @@ def strip_comments(text):
     return "".join(out)
 
 
+TOKEN = re.compile(
+    r"""(?P<comment>\(\*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<quoted>\{(?P<qid>[a-z_]*)\|)
+      | (?P<char>'(?:[^'\\\n]|\\(?:[\\'"ntbr ]|[0-9]{3}|x[0-9A-Fa-f]{2}|o[0-7]{3}|u\{[0-9A-Fa-f]+\}))')
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<number>[0-9][0-9A-Za-z_.']*)
+      | (?P<other>\S)""",
+    re.X | re.S,
+)
+
+
+def tokens(text):
+    """The identifiers and punctuation of OCaml source: comments
+    (nested, with the string literals inside them), string, quoted
+    string and character literals are skipped."""
+    out, i, depth = [], 0, 0
+    while True:
+        m = TOKEN.search(text, i)
+        if not m:
+            return out
+        i = m.end()
+        kind = m.lastgroup
+        if kind == "quoted":
+            close = text.find("|" + m.group("qid") + "}", i)
+            i = len(text) if close < 0 else close + len(m.group("qid")) + 2
+        elif kind == "comment":
+            depth += 1
+        elif depth and m.group() == "*" and text.startswith(")", i):
+            depth, i = depth - 1, i + 1
+        elif not depth and kind in ("ident", "other"):
+            out.append(m.group())
+
+
+def module_refs(text, wrappers):
+    """The capitalised names [text] uses as a module (see the module
+    rule in the header)."""
+    toks = tokens(text)
+    defined, refs, shadowable = set(), set(), set()
+    for i, t in enumerate(toks):
+        if t == "module" and toks[i - 1 : i] != ["("]:  # not (module M)
+            j = i + 1
+            while j < len(toks) and toks[j] in ("rec", "type"):
+                j += 1
+            if j < len(toks) and toks[j][:1].isupper():
+                defined.add(toks[j])
+                # the target of an alias counts even when it shadows
+                if toks[j + 1 : j + 2] == ["="] and toks[j + 2 : j + 3] != ["struct"]:
+                    k = j + 2
+                    while toks[k + 1 : k + 2] == ["."] and toks[k] in wrappers:
+                        k += 2
+                    refs.add(toks[k])
+        if not t[:1].isupper():
+            continue
+        # the module path before [t]: its capitalised components
+        path, j = [], i
+        while j >= 2 and toks[j - 1] == "." and toks[j - 2][:1].isupper():
+            path.append(toks[j - 2])
+            j -= 2
+        if not path:
+            shadowable.add(t)
+        elif all(q in wrappers for q in path):
+            refs.add(t)
+    return refs | (shadowable - defined)
+
+
 def signatures(text):
     """(name, type text) of every val in an interface."""
     text = strip_comments(text)
@@ -108,8 +178,21 @@ def main():
                     unpassed.append(f"{mli}: {name} ?{label}")
                     if label not in test_labels:
                         unpassed_untested += 1
+    wrappers = {
+        m.group(1).capitalize()
+        for p in files("lib", "dune")
+        for m in re.finditer(r"\(name\s+([a-z_0-9]+)\)", read(p))
+    }
+    # an alias of a wrapper qualifies as the wrapper does
+    wrappers |= {
+        m.group(1)
+        for p, s in sources.items()
+        if p.startswith("lib")
+        for m in re.finditer(r"^\s*module\s+([A-Z]\w*)\s*=\s*(Newton\w*)\s*$", s, re.M)
+        if m.group(2) in wrappers
+    }
     front_end = {
-        p: set(IDENT.findall(strip_comments(s)))
+        p: module_refs(s, wrappers)
         for p, s in sources.items()
         if p.split(os.sep)[0] in FRONT_END_DIRS
     }

@@ -14,7 +14,10 @@
 
     Plus the supporting equivalences: the flow 5-tuple hash fast path
     equals the generic vector hash, and [Engine.process_flat] over an
-    arena is observationally [Engine.process_packet] over its packets. *)
+    arena is observationally [Engine.process_packet] over its packets.
+    A packet is a one-row arena ([Flat.of_packet], no copy), and both
+    per-packet drivers ([Engine.process_packet], [Deploy.process_packet])
+    read it in place and leave its bytes as they were. *)
 
 open Newton_packet
 open Newton_runtime
@@ -171,10 +174,101 @@ let test_driver_differential () =
         (label "counters identical") (counters per_packet) (counters flat_e))
     (Newton_query.Catalog.all () @ Newton_query.Catalog.extras ())
 
+(* ---------------- packets read in place ---------------- *)
+
+(* A packet is a one-row arena: [Flat.of_packet] shares the packet's
+   block, so the arena sees the packet's fields and timestamp bits as
+   they are (-0.0 and NaN included) and follows every later write. *)
+let test_of_packet_shares () =
+  List.iter
+    (fun ts ->
+      let p = Packet.make ~ts ~src_ip:0xC0A80001 ~dst_port:443 ~tun_id:0xFFFFFF () in
+      let words = Gc.minor_words () in
+      let row = Flat.of_packet p in
+      let allocated = Gc.minor_words () -. words in
+      let bits = Int64.bits_of_float in
+      Alcotest.(check (float 0.0)) "nothing allocated" 0.0 allocated;
+      Alcotest.(check int) "one row" 1 (Flat.length row);
+      Alcotest.(check int) "a row is a packet block" Packet.size (Flat.bytes row);
+      Alcotest.(check int64) "timestamp bits" (bits ts) (bits (Flat.ts row 0));
+      List.iter
+        (fun f ->
+          Alcotest.(check int) (Field.to_string f) (Packet.get p f) (Flat.get row 0 f))
+        Field.all;
+      Packet.set p Field.Dst_port 53;
+      Alcotest.(check int) "a write to the packet shows in the row" 53
+        (Flat.get row 0 Field.Dst_port))
+    [ 0.0; -0.0; Float.nan; 1.5 ]
+
+let trace_packets ~seed ~flows =
+  Newton_trace.Gen.packets
+    (Newton_trace.Gen.generate ~attacks:Newton_trace.Attack.extended_suite ~seed
+       (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like flows))
+
+let catalog () = Newton_query.Catalog.all () @ Newton_query.Catalog.extras ()
+
+(* Run [f] on every packet and fail unless it left the packet's bytes
+   as they were. *)
+let check_untouched label packets f =
+  Array.iteri
+    (fun i p ->
+      let before = Packet.copy p in
+      f p;
+      if not (p = before) then
+        Alcotest.failf "%s: packet %d changed: %s -> %s" label i
+          (Packet.to_string before) (Packet.to_string p))
+    packets
+
+(* Every catalog intent, one engine each; the report path must run
+   too, so the intents together must report. *)
+let test_engine_leaves_packets () =
+  let packets = trace_packets ~seed:11 ~flows:500 in
+  let reports =
+    List.fold_left
+      (fun n q ->
+        let e = Engine.create ~switch_id:0 () in
+        ignore (Engine.install e (Newton_compiler.Compose.compile q));
+        check_untouched q.Newton_query.Ast.name packets (Engine.process_packet e);
+        n + Engine.report_count e)
+      0 (catalog ())
+  in
+  Alcotest.(check bool) "reports" true (reports > 0)
+
+(* Each intent alone on linear:4 in CQE mode, two stages per switch, so
+   slices span switches and SP restores happen. *)
+let test_deploy_leaves_packets () =
+  let module Deploy = Newton_controller.Deploy in
+  let module Topo = Newton_network.Topo in
+  let packets = trace_packets ~seed:12 ~flows:300 in
+  let messages =
+    List.fold_left
+      (fun n q ->
+        let d = Deploy.create (Topo.linear 4) in
+        (match
+           Deploy.deploy_checked ~mode:`Cqe ~stages_per_switch:2 d
+             (Newton_compiler.Compose.compile q)
+         with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.failf "%s refused" q.Newton_query.Ast.name);
+        let host pkt f = Topo.host_of_ip (Deploy.topo d) (Packet.get pkt f) in
+        check_untouched q.Newton_query.Ast.name packets (fun p ->
+            Deploy.process_packet d ~src_host:(host p Field.Src_ip)
+              ~dst_host:(host p Field.Dst_ip) p);
+        n + Deploy.message_count d)
+      0 (catalog ())
+  in
+  Alcotest.(check bool) "reports" true (messages > 0)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_partition_exact; prop_flat_roundtrip; prop_hash5 ]
   @ [
       Alcotest.test_case "per-packet driver vs arena driver, every query" `Quick
         test_driver_differential;
+      Alcotest.test_case "a packet is a one-row arena, not a copy" `Quick
+        test_of_packet_shares;
+      Alcotest.test_case "engine reads every packet in place, writes none" `Quick
+        test_engine_leaves_packets;
+      Alcotest.test_case "CQE walk reads every packet in place, writes none" `Quick
+        test_deploy_leaves_packets;
     ]

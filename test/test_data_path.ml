@@ -22,12 +22,6 @@ let trace ~attacks ~seed ~flows =
     (Newton_trace.Gen.generate ~attacks ~seed
        (Newton_trace.Profile.with_flows Newton_trace.Profile.caida_like flows))
 
-(* A one-packet row holding [pkt], for [Engine.begin_packet]. *)
-let row_of pkt =
-  let row = Newton_packet.Flat.create 1 in
-  Newton_packet.Flat.set_packet row 0 pkt;
-  row
-
 (* Minor words allocated per call of [f] over [0, n).  The reading
    itself allocates a boxed float or two, noise against [n] packets. *)
 let minor_words_per n f =
@@ -40,16 +34,16 @@ let minor_words_per n f =
 (* ---------------- allocation per packet ----------------
 
    Both bounds are what the step allocates on their fixed-seed traces,
-   the reports and dedup entries alone, rounded up: 1.345 words per
+   the reports and dedup entries alone, rounded up: 0.310 words per
    packet on the device (all catalog intents on one engine; the step
    allocated 353 with boxed hashing, tuple dedup keys and per-packet
-   closures) and 0.57 on the CQE walk of the golden churn scenario
-   (0.622 when its bound was set; a histogram observation per report
-   no longer allocates a closure).  A closure or a boxed float per
-   packet breaks either. *)
+   closures, and 1.345 while every report slot that passed boxed the
+   packet's timestamp, deduplicated or not) and 0.21 on the CQE walk
+   of the golden churn scenario (0.57 with that boxed timestamp).  A
+   closure or a boxed float per packet breaks either. *)
 
-let device_step_words_bound = 1.4
-let cqe_walk_words_bound = 0.63
+let device_step_words_bound = 0.35
+let cqe_walk_words_bound = 0.25
 
 let test_device_minor_words () =
   let d = Newton.Device.create () in
@@ -124,7 +118,7 @@ let test_window_rolls_per_length () =
   in
   List.iter (fun (uid, w) -> with_window uid w) [ (1, 0.05); (2, 0.5); (3, 0.05); (4, 0.3) ];
   let check ts =
-    Engine.begin_packet e (row_of (Newton_packet.Packet.create ~ts ()));
+    Engine.begin_packet e (Newton_packet.Flat.of_packet (Newton_packet.Packet.create ~ts ()));
     List.iter
       (fun i ->
         let w = (Engine.instance_query i).Newton_query.Ast.window in
@@ -350,7 +344,7 @@ let test_split_suites_match_whole () =
         packets;
       (* An instance rolls its window only when a packet reaches it, so
          roll every side to the last timestamp before reading banks. *)
-      let last = row_of packets.(Array.length packets - 1) in
+      let last = Newton_packet.Flat.of_packet packets.(Array.length packets - 1) in
       Engine.begin_packet whole last;
       for s = 0 to stages - 1 do
         Engine.begin_packet (Deploy.engine split s) last

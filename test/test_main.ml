@@ -28,7 +28,6 @@ let () =
       ("controller", Test_controller.suite);
       ("partial_deploy", Test_partial_deploy.suite);
       ("baselines", Test_baselines.suite);
-      ("cpu_analyzer", Test_cpu_analyzer.suite);
       ("core", Test_core.suite);
       ("integration", Test_integration.suite);
       ("properties", Test_properties.suite);

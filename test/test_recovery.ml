@@ -257,6 +257,8 @@ let test_differential_all_queries_single_fail () =
   checki "no unexplained diffs" 0 (List.length (Chaos.unexplained res));
   checki "no diffs at all on deterministic reroute" 0 (List.length res.Chaos.diffs);
   checki "all reports matched" res.Chaos.baseline_reports res.Chaos.matched;
+  Alcotest.(check (list int)) "every query reported or is allow-listed" []
+    res.Chaos.silent;
   let migrated =
     List.fold_left
       (fun acc (r : Deploy.recovery) -> acc + r.Deploy.r_slices_migrated)
@@ -306,6 +308,22 @@ let test_chaos_json_artifact_shape () =
           "matched"; "diffs"; "explained"; "unexplained"; "recoveries";
           "zero_unexplained_loss" ]
   | _ -> Alcotest.fail "chaos artifact must be a JSON object"
+
+(* A query that cannot report in the failure-free run leaves two empty
+   sides to compare: [silent] names it, so [--strict] fails. *)
+let test_chaos_flags_silent_query () =
+  let topo = Topo.bypass ~short:1 ~long:2 () in
+  let trace = gen_trace ~flows:600 ~seed:44 () in
+  let events =
+    [ { Chaos.at = last_ts trace /. 2.0; switch = 2; action = `Fail } ]
+  in
+  let res =
+    Chaos.run ~stages_per_switch:4 ~topo
+      ~queries:[ Newton_query.Catalog.q1 ~th:1_000_000 (); Newton_query.Catalog.q4 () ]
+      ~events trace
+  in
+  checkb "Q4 reported" true (res.Chaos.baseline_reports > 0);
+  Alcotest.(check (list int)) "Q1 silent" [ 1 ] res.Chaos.silent
 
 (* ---------------- merge strictness / ordering ---------------- *)
 
@@ -376,6 +394,7 @@ let suite =
     ("differential: 9 queries, single fail", `Quick, test_differential_all_queries_single_fail);
     ("differential: fail then repair", `Quick, test_differential_fail_then_repair);
     ("chaos JSON artifact shape", `Quick, test_chaos_json_artifact_shape);
+    ("chaos names a query with no baseline report", `Quick, test_chaos_flags_silent_query);
     ("instance_arrays sorted; merge preserves order", `Quick,
      test_instance_arrays_sorted_and_merge_preserves_order);
     ("recovery telemetry keys", `Quick, test_recovery_stats_keys);
